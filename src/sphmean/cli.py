@@ -7,7 +7,8 @@ significant digits, and JSON files use stable key ordering.  Identical
 configurations therefore produce byte-identical outputs on one platform.
 
 Exit codes: 0 when the run succeeds (and any verdict is PASS), 1 when a
-verdict is FAIL, 2 for usage or configuration errors.
+verdict is FAIL, 2 for usage, config, domain or numerical errors (reported
+as "config error:", "domain error:" and "numerical error:").
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,19 +55,17 @@ _INVERSION_KEYS = {"n_unknowns": int, "n_collocation": int, "svd_cutoff": float}
 
 # top-level keys each subcommand accepts in --config (beyond what flags set)
 _ALLOWED = {
-    "forward": {"profile", "quadrature", "grid", "out", "seed", "threads",
-                "derivatives"},
-    "invert": {"n", "inversion", "input", "out", "seed", "threads"},
+    "forward": {"profile", "quadrature", "grid", "out", "seed", "derivatives"},
+    "invert": {"n", "inversion", "input", "out", "seed"},
     "range-check": {"profile", "n", "m", "k", "input", "quadrature", "grid",
-                    "tol", "out", "seed", "threads"},
+                    "tol", "out", "seed"},
     "cross-check": {"profile", "n", "m", "quadrature", "lambda_max", "grid",
-                    "tol", "out", "seed", "threads"},
-    "mk-check": {"k", "count", "lambda_max", "tol", "seed", "out", "threads"},
+                    "tol", "out", "seed"},
+    "mk-check": {"k", "count", "lambda_max", "tol", "seed", "out"},
     "identities": {"max_k", "out", "seed"},
-    "zeros": {"profile", "n", "m", "count", "tol", "quadrature", "out",
-              "seed", "threads"},
+    "zeros": {"profile", "n", "m", "count", "tol", "quadrature", "out", "seed"},
     "ucp-demo": {"n", "epsilon", "m", "bump", "quadrature", "grid", "tol",
-                 "out", "seed", "threads"},
+                 "out", "seed"},
 }
 
 
@@ -135,24 +133,6 @@ def _quad_from(cfg: dict) -> QuadratureRule:
     return QuadratureRule(q.get("nodes", 32), q.get("panels", 8))
 
 
-def _threads(args, cfg: dict) -> int:
-    env = os.environ.get("SMT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SMT_THREADS must be an integer, got {env!r}") from exc
-    return max(1, int(_pick(args, cfg, "threads", 1)))
-
-
-def _pmap(fn, items, threads: int):
-    """Map preserving input order; threaded when asked for."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _profile_from(cfg: dict, args):
     """Build (profile, n, m) from the config's profile block and flags."""
     pcfg = cfg.get("profile")
@@ -173,6 +153,15 @@ def _profile_from(cfg: dict, args):
     return prof, int(n), int(m)
 
 
+def _profile_cfg(prof) -> dict:
+    return {"family": "bump", "center": prof.center, "width": prof.width,
+            "amplitude": prof.amplitude}
+
+
+def _quad_cfg(quad: QuadratureRule) -> dict:
+    return {"nodes": quad.nodes_per_panel, "panels": quad.panels}
+
+
 def _forward_data(prof, n: int, m: int, quad: QuadratureRule):
     dim = Dimension(n)
     if m == 0:
@@ -190,6 +179,8 @@ def _config_hash(effective: dict) -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -270,31 +261,20 @@ def _cmd_forward(args) -> int:
     if derivs and m != 0:
         raise ConfigError("dp_h columns are only available for radial data (m=0)")
     data = _forward_data(prof, n, m, quad)
-    k = Dimension(n).k
+    k = data.dim.k
     grid = np.linspace(0.05, 1.95, count)
 
     effective = {"command": "forward", "n": n, "m": m, "grid": count,
-                 "profile": {"family": "bump", "center": prof.center,
-                             "width": prof.width, "amplitude": prof.amplitude},
-                 "quadrature": {"nodes": quad.nodes_per_panel,
-                                "panels": quad.panels},
+                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad),
                  "derivatives": derivs, "seed": seed}
     cfg_hash = _config_hash(effective)
 
     columns = ["t", "g", "h"]
+    values = [grid, data.g(grid), data.h(grid)]
     if derivs:
         columns += [f"dp_h_{p}" for p in range(k + 1)]
-    threads = _threads(args, cfg)
-
-    def row(t):
-        t = float(t)
-        vals = [t, data.g(t), data.h(t)]
-        if derivs:
-            vals += [data.dp_h(t, p) for p in range(k + 1)]
-        return vals
-
-    rows = _pmap(row, grid, threads)
-    _emit_csv(_pick(args, cfg, "out", None), columns, rows, cfg_hash, seed)
+        values += [data.dp_h(grid, p) for p in range(k + 1)]
+    _emit_csv(_pick(args, cfg, "out", None), columns, zip(*values), cfg_hash, seed)
     print(f"forward: n={n} m={m}, {count} rows")
     return 0
 
@@ -381,16 +361,13 @@ def _cmd_range_check(args) -> int:
         source = {"input": os.path.basename(inp), "rows": len(samples)}
     else:
         prof, n, m = _profile_from(cfg, args)
-        k = Dimension(n).k
         data = _forward_data(prof, n, m, quad)
-        source = {"profile": {"family": "bump", "center": prof.center,
-                              "width": prof.width,
-                              "amplitude": prof.amplitude}}
+        k = data.dim.k
+        source = {"profile": _profile_cfg(prof)}
 
     effective = {"command": "range-check", "n": n, "m": m, "tol": tol,
-                 "grid": count, "seed": seed,
-                 "quadrature": {"nodes": quad.nodes_per_panel,
-                                "panels": quad.panels}, **source}
+                 "grid": count, "seed": seed, "quadrature": _quad_cfg(quad),
+                 **source}
     cfg_hash = _config_hash(effective)
 
     if m == 0:
@@ -425,23 +402,16 @@ def _cmd_cross_check(args) -> int:
     if lam_max <= 0.5:
         raise ConfigError("lambda-max must exceed 0.5")
     data = _forward_data(prof, n, m, quad)
-    k = Dimension(n).k + m  # harmonic data shifts the kernel order by m
+    k = data.dim.k + m  # harmonic data shifts the kernel order by m
     lams = np.linspace(0.5, lam_max, count)
 
     effective = {"command": "cross-check", "n": n, "m": m, "tol": tol,
                  "lambda_max": lam_max, "grid": count, "seed": seed,
-                 "profile": {"family": "bump", "center": prof.center,
-                             "width": prof.width, "amplitude": prof.amplitude},
-                 "quadrature": {"nodes": quad.nodes_per_panel,
-                                "panels": quad.panels}}
+                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
     cfg_hash = _config_hash(effective)
-    threads = _threads(args, cfg)
 
-    def work(lam):
-        lhs, rhs, res = cross_product_terms(data, k, float(lam), quad)
-        return float(lam), lhs, rhs, res
-
-    rows = _pmap(work, lams, threads)
+    rows = [(float(lam), *cross_product_terms(data, k, float(lam), quad))
+            for lam in lams]
     worst = max(r[3] for r in rows)
     _emit_csv(_pick(args, cfg, "out", None),
               ["lambda", "lhs", "rhs", "residual"], rows, cfg_hash, seed)
@@ -466,30 +436,22 @@ def _cmd_mk_check(args) -> int:
     cfg_hash = _config_hash(effective)
     rng = np.random.default_rng(seed)
 
-    tasks = []
+    rows = []
+    worst = 0.0
+    worst_k0 = 0.0
     for k in range(k_max + 1):
-        for _ in range(count):
+        for i in range(count):
             lam = rng.uniform(0.5, lam_max)
             t = rng.uniform(-3.0, 3.0)
             while abs(t) < 0.1 or abs(t + 1.0) < 0.1:
                 t = rng.uniform(-3.0, 3.0)
-            tasks.append((k, lam, t))
-
-    threads = _threads(args, cfg)
-    residuals = _pmap(lambda kt: mk_residual(*kt), tasks, threads)
-
-    rows = []
-    worst = 0.0
-    worst_k0 = 0.0
-    current_k = None
-    for (k, lam, t), res in zip(tasks, residuals):
-        if k != current_k:
-            rows.append(f"# k {k}")
-            current_k = k
-        rows.append((lam, t, res))
-        worst = max(worst, res)
-        if k == 0:
-            worst_k0 = max(worst_k0, res)
+            res = mk_residual(k, lam, t)
+            if i == 0:
+                rows.append(f"# k {k}")
+            rows.append((lam, t, res))
+            worst = max(worst, res)
+            if k == 0:
+                worst_k0 = max(worst_k0, res)
     ok = worst <= tol and worst_k0 <= 1e-14
     _emit_csv(_pick(args, cfg, "out", None), ["lambda", "t", "residual"],
               rows, cfg_hash, seed)
@@ -514,11 +476,7 @@ def _cmd_identities(args) -> int:
         rows.append((name, desc, "PASS" if ok else "FAIL"))
     out = _pick(args, cfg, "out", None)
     if out is not None:
-        lines = [f"# smt {__version__}", f"# config sha256:{cfg_hash}",
-                 f"# seed {seed}", "identity,range,status"]
-        lines += [",".join(r) for r in rows]
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit_csv(out, ["identity", "range", "status"], rows, cfg_hash, seed)
     print(f"identities: {'PASS' if all_ok else 'FAIL'} ({len(rows)} sweeps)")
     return 0 if all_ok else 1
 
@@ -530,15 +488,12 @@ def _cmd_zeros(args) -> int:
     count = int(_pick(args, cfg, "count", 10))
     tol = float(_pick(args, cfg, "tol", 1e-6))
     seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
-    dim = Dimension(n)
     data = _forward_data(prof, n, m, quad)
+    dim = data.dim
 
     effective = {"command": "zeros", "n": n, "m": m, "count": count,
                  "tol": tol, "seed": seed,
-                 "profile": {"family": "bump", "center": prof.center,
-                             "width": prof.width, "amplitude": prof.amplitude},
-                 "quadrature": {"nodes": quad.nodes_per_panel,
-                                "panels": quad.panels}}
+                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
     cfg_hash = _config_hash(effective)
 
     pairs = bessel_zero_vanishing(data, dim, m, count, quad)
@@ -580,9 +535,7 @@ def _cmd_ucp_demo(args) -> int:
 
     effective = {"command": "ucp-demo", "n": spec.n, "epsilon": spec.epsilon,
                  "m": spec.m, "bump": list(spec.bump), "grid": count,
-                 "tol": tol, "seed": seed,
-                 "quadrature": {"nodes": quad.nodes_per_panel,
-                                "panels": quad.panels}}
+                 "tol": tol, "seed": seed, "quadrature": _quad_cfg(quad)}
     cfg_hash = _config_hash(effective)
 
     grid = ucp_mod.default_grid(count)
@@ -639,8 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"RNG seed (default {DEFAULT_SEED:#x})")
     common.add_argument("--out", help="output file path (default stdout)")
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--threads", type=int,
-                        help="worker threads (SMT_THREADS overrides)")
 
     p = sub.add_parser("forward", parents=[common],
                        help="tabulate forward data g, h for a profile")
@@ -698,7 +649,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactmath import coeff_C
+from .specfun import Jet, d_operator
 from .transform import QuadratureRule
 
 # antiderivative integrands carry boundary layers from high bump derivatives;
@@ -44,19 +45,26 @@ def lk_coefficients(k: int) -> tuple:
     return tuple(coeff_C(k, p) for p in range(k + 1))
 
 
-def apply_Lk(h_dp, k: int, tau: float) -> float:
+def apply_Lk(h_dp, k: int, tau):
     """[L_k h](tau) from a derivative oracle h_dp(t, p) -> D^p h(t).
 
-    Compactly supported data vanishes identically near 0 and 2, so tau
-    outside (0, 2) evaluates to 0 without consulting the oracle.
+    tau may be an array: the oracle is asked once per order p for all tau
+    in (0, 2), and L_k is a coefficient dot (in order of p) on that
+    derivative block.  Compactly supported data vanishes identically near 0
+    and 2, so tau outside (0, 2) evaluates to 0 without the oracle.
     """
-    if tau <= 0.0 or tau >= 2.0:
-        return 0.0
-    coeffs = lk_coefficients(k)
-    acc = 0.0
-    for p, c in enumerate(coeffs):
-        acc += float(c) * (1.0 - tau) ** p * h_dp(tau, p)
-    return acc
+    taus = np.asarray(tau, dtype=float)
+    flat = taus.ravel()
+    live = (flat > 0.0) & (flat < 2.0)
+    out = np.zeros(flat.shape)
+    if live.any():
+        t_live = flat[live]
+        acc = np.zeros(t_live.shape)
+        for p, c in enumerate(lk_coefficients(k)):
+            weight = np.array([float(c) * (1.0 - t) ** p for t in t_live.tolist()])
+            acc = acc + weight * h_dp(t_live, p)
+        out[live] = acc
+    return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -84,34 +92,36 @@ def default_grid(points: int = 101, t_min: float = 0.01) -> np.ndarray:
 
 
 def _resolve_k(data, k):
-    if k is not None:
-        return k
-    dim = getattr(data, "dim", None)
-    if dim is not None:
-        return dim.k
-    k_eff = getattr(data, "k_eff", None)
-    if k_eff is not None:
-        return k_eff
-    raise ValueError("cannot infer k; pass it explicitly")
+    if k is None:
+        dim = getattr(data, "dim", None)
+        k = dim.k if dim is not None else getattr(data, "k_eff", None)
+    if k is None:
+        raise ValueError("cannot infer k; pass it explicitly")
+    return k
 
 
-def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -> RangeReport:
-    """Symmetry residual sup_t |[L_k h](1-t) - [L_k h](1+t)| over the grid.
-
-    `data` needs a dp_h(t, p) method for p <= k (SmtProfile, SampledH, JetH,
-    or any perturbation wrapper of those).
-    """
-    k = _resolve_k(data, k)
-    if grid is None:
-        grid = default_grid()
+def _symmetry_report(h_dp, k: int, grid) -> RangeReport:
+    """L_k on both sides 1 -+ t of the grid, in one derivative block."""
     grid = np.asarray(grid, dtype=float)
-    left = np.array([apply_Lk(data.dp_h, k, 1.0 - t) for t in grid])
-    right = np.array([apply_Lk(data.dp_h, k, 1.0 + t) for t in grid])
+    sides = apply_Lk(h_dp, k, np.concatenate([1.0 - grid, 1.0 + grid]))
+    left, right = sides[: grid.size], sides[grid.size :]
     residual = np.abs(left - right)
     sup_residual = float(np.max(residual))
     scale = float(max(np.max(np.abs(left)), np.max(np.abs(right))))
     normalized = sup_residual / scale if scale > 0 else 0.0
     return RangeReport(k, grid, residual, sup_residual, scale, normalized)
+
+
+def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -> RangeReport:
+    """Symmetry residual sup_t |[L_k h](1-t) - [L_k h](1+t)| over the grid.
+
+    `data` needs a dp_h(t, p) method for p <= k that accepts arrays of t
+    (SmtProfile, SampledH, JetH, or any perturbation wrapper of those).
+    """
+    k = _resolve_k(data, k)
+    if grid is None:
+        grid = default_grid()
+    return _symmetry_report(data.dp_h, k, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +199,14 @@ class SampledH:
         exact = np.abs(diff) < 1e-14
         diff = np.where(exact, 1.0, diff)
         q = self._bary_weights[None, :] / diff
-        out = (q @ values) / q.sum(axis=1)
+        # one BLAS dot per t, as for a single t: a matrix product would sum
+        # in another order and change the last bits
+        out = np.vecdot(q, values) / q.sum(axis=1)
         hit_rows = exact.any(axis=1)
         if np.any(hit_rows):
             out[hit_rows] = values[np.argmax(exact[hit_rows], axis=1)]
         out = np.where((ts < self.a) | (ts > self.b), 0.0, out)
-        return out if isinstance(t, np.ndarray) else float(out[0])
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def h(self, t):
         return self._interpolate(self._derivs[0], t)
@@ -221,29 +233,25 @@ class JetH:
         return self.dp_h(t, 0)
 
     def dp_h(self, t, p: int):
-        if isinstance(t, np.ndarray):
-            return np.array([self.dp_h(float(tt), p) for tt in t])
+        ts = np.asarray(t, dtype=float)
         lo, hi = self.support
-        if not (lo < t < hi):
-            return 0.0
-        from .specfun import d_operator
-
-        jet = self._jet_fn(t, max(p, 1))
-        if p == 0:
-            return jet.derivs[0]
-        return d_operator(jet, p)
+        inside = (ts > lo) & (ts < hi)
+        out = np.zeros(ts.shape)
+        if inside.any():
+            jet = self._jet_fn(ts[inside], max(p, 1))
+            out[inside] = jet.derivs[0] if p == 0 else d_operator(jet, p)
+        return float(out) if ts.ndim == 0 else out
 
 
 def bump_h(center: float, width: float, amplitude: float = 1.0) -> JetH:
     """A bump in the t variable (anywhere in (0,2)); used as non-range data."""
     if not (0.0 < center - width and center + width < 2.0):
         raise ValueError("bump must sit inside (0, 2)")
-    from .specfun import Jet
 
-    def jet_fn(t: float, order: int) -> Jet:
+    def jet_fn(t, order: int) -> Jet:
         tj = Jet.variable(t, order)
         y = (tj - center) * (1.0 / width)
-        y.derivs[0] = float(np.clip(y.derivs[0], -1 + 1e-8, 1 - 1e-8))
+        y.derivs[0] = np.clip(y.derivs[0], -1 + 1e-8, 1 - 1e-8)
         return ((-1.0) / (1.0 - y * y)).exp() * amplitude
 
     return JetH(jet_fn, (center - width, center + width))
@@ -264,15 +272,13 @@ class PerturbedH:
         if dim is not None:
             self.dim = dim
 
-    def _factor(self, t: float) -> float:
-        return 1.0 + self.delta if t > 1.0 else 1.0
+    def _factor(self, t):
+        return np.where(np.asarray(t) > 1.0, 1.0 + self.delta, 1.0)
 
     def h(self, t):
-        if isinstance(t, np.ndarray):
-            return np.array([self.h(float(tt)) for tt in t])
         return self._factor(t) * self.base.h(t)
 
-    def dp_h(self, t: float, p: int) -> float:
+    def dp_h(self, t, p: int):
         return self._factor(t) * self.base.dp_h(t, p)
 
 
@@ -290,49 +296,69 @@ class AntiDerivativeChain:
 
     and the compact-support moment defects are the values of the successive
     antiderivatives at t = 2 (all must vanish for phi to be compactly
-    supported in (0,2)).
+    supported in (0,2)).  psi must accept flat arrays of s.
     """
 
     def __init__(self, psi, m: int, quad: QuadratureRule = CHAIN_QUAD, lo: float = 0.0):
         if m < 0:
             raise ValueError("m >= 0")
+        if not lo < 2.0:
+            raise ValueError("lo < 2")
         self.psi = psi
         self.m = m
         self.quad = quad
         self.lo = lo
+        self._defect_terms = None
 
-    def _kernel_integral(self, t: float, e: int) -> float:
+    @staticmethod
+    def _integrand(s, psi_s, t_sq, e: int):
         if e == 0:
-            fn = lambda s: s * self.psi(s)
-        else:
-            fn = lambda s: ((t * t - s * s) / 2.0) ** e * s * self.psi(s)
-        return self.quad.integrate(fn, self.lo, t) / math.factorial(e)
+            return s * psi_s
+        return ((t_sq - s * s) / 2.0) ** e * s * psi_s
+
+    def _kernel_integral(self, t, e: int):
+        """The order-e chain integral from lo to every t at once."""
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        t_sq = flat * flat
+
+        def integrand(rows, s):
+            psi_s = np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
+            return self._integrand(s, psi_s, t_sq[rows, None], e)
+
+        values = self.quad.integrate_rows(integrand, self.lo, flat) / math.factorial(e)
+        return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
     def phi(self, t):
-        if isinstance(t, np.ndarray):
-            return np.array([self.phi(float(tt)) for tt in t])
         if self.m == 0:
             return self.psi(t)
         return self._kernel_integral(t, self.m - 1)
 
-    def dp_phi(self, t: float, p: int) -> float:
+    def dp_phi(self, t, p: int):
         if p > self.m:
             raise ValueError(f"only orders up to m = {self.m} available from the chain")
         if p == self.m:
             return self.psi(t)
         return self._kernel_integral(t, self.m - p - 1)
 
+    def _defects(self):
+        """Weights and integrands of the defect integrals over [lo, 2], all
+        from one evaluation of psi."""
+        if self._defect_terms is None:
+            s, w = self.quad.points(self.lo, 2.0)
+            psi_s = self.psi(s) if self.m else None
+            self._defect_terms = w, [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
+        return self._defect_terms
+
     def moment_defects(self):
         """Values of the 1st..m-th antiderivatives at t = 2 (must be ~0)."""
-        return [self._kernel_integral(2.0, i) for i in range(self.m)]
+        w, terms = self._defects()
+        return [float(np.dot(w, v)) / math.factorial(i) for i, v in enumerate(terms)]
 
     def defect_scales(self):
         """Same integrals with |integrand|: the natural comparison scale."""
-        out = []
-        for i in range(self.m):
-            fn = lambda s: abs(((4.0 - s * s) / 2.0) ** i * s * self.psi(s))
-            out.append(self.quad.integrate(fn, self.lo, 2.0) / math.factorial(i))
-        return out
+        w, terms = self._defects()
+        return [float(np.dot(w, np.abs(v))) / math.factorial(i) for i, v in enumerate(terms)]
 
 
 def anti_D(psi, m: int, quad: QuadratureRule = CHAIN_QUAD):
@@ -377,15 +403,10 @@ def general_range_check(
 
     if hasattr(data, "phi_dp"):  # analytic forward route
         k = data.dim.k if k is None else k
-        mk = m + k
-
-        def phi_dp(t, p):
-            return data.phi_dp(t, p)
-
-        h_callable = data.h
+        phi_dp = data.phi_dp
+        chain = AntiDerivativeChain(data.h, m, quad)
     else:
         k = _resolve_k(data, k)
-        mk = m + k
         if isinstance(data, SampledH):
             sampled = data
         else:
@@ -397,15 +418,5 @@ def general_range_check(
                 return chain.dp_phi(t, p)
             return sampled.dp_h(t, p - m)
 
-        h_callable = sampled.h
-
-    left = np.array([apply_Lk(phi_dp, mk, 1.0 - t) for t in grid])
-    right = np.array([apply_Lk(phi_dp, mk, 1.0 + t) for t in grid])
-    residual = np.abs(left - right)
-    sup_residual = float(np.max(residual))
-    scale = float(max(np.max(np.abs(left)), np.max(np.abs(right))))
-    normalized = sup_residual / scale if scale > 0 else 0.0
-    report = RangeReport(mk, np.asarray(grid, dtype=float), residual, sup_residual, scale, normalized)
-
-    defect_chain = AntiDerivativeChain(h_callable, m, quad)
-    return GeneralRangeReport(report, defect_chain.moment_defects(), defect_chain.defect_scales())
+    report = _symmetry_report(phi_dp, m + k, grid)
+    return GeneralRangeReport(report, chain.moment_defects(), chain.defect_scales())

@@ -263,7 +263,8 @@ def _trig_coeffs(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cc = [0] * (p + 1)
     for l in range(p + 1):
         C = coeff_C(p, l)
-        assert C.denominator == 1
+        if C.denominator != 1:
+            raise ArithmeticError(f"coefficient C({p}, {l}) = {C} is not an integer")
         C = C.numerator
         if l % 2 == 0:
             cs[l] = C * (-1) ** (p + l // 2)
@@ -363,15 +364,6 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
     jet components alike.  The argument value must be nonzero.
     """
     cs, cc = _trig_coeffs(k)
-    s, c = xjet.sin_cos()
-    num = _poly_eval_jet(cs, xjet) * s + _poly_eval_jet(cc, xjet) * c
-    return num * xjet ** (-(2 * k + 1))
-
-
-def raw_y_jet(k: int, xjet: Jet) -> Jet:
-    """Jet analogue of raw_y(k, .); see raw_j_jet."""
-    cs, cc = _trig_coeffs(k)
-    cs, cc = tuple(-v for v in cc), cs
     s, c = xjet.sin_cos()
     num = _poly_eval_jet(cs, xjet) * s + _poly_eval_jet(cc, xjet) * c
     return num * xjet ** (-(2 * k + 1))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 from .exactmath import coeff_C
@@ -72,6 +73,15 @@ def _order_from_alpha(alpha: float) -> int:
     return k
 
 
+def _hankel_rule(lam: float, support, quad: QuadratureRule):
+    if lam < 0:
+        raise ValueError("lam >= 0")
+    a, b = support
+    if not (0.0 <= a < b):
+        raise ValueError("need 0 <= a < b")
+    return _lam_rule(lam, a, b, quad), a, b
+
+
 def hankel(g, alpha: float, lam: float, quad: QuadratureRule = DEFAULT_QUAD,
            support=(0.0, 2.0)) -> float:
     """Weighted transform  integral of g(t) j_alpha(lam t) t^(2 alpha + 1) dt.
@@ -80,13 +90,8 @@ def hankel(g, alpha: float, lam: float, quad: QuadratureRule = DEFAULT_QUAD,
     is the normalized first-kind function (value 1 at zero argument), so the
     integrand is regular at t = 0 and the support may start there.
     """
-    if lam < 0:
-        raise ValueError("lam >= 0")
     k = _order_from_alpha(alpha)
-    a, b = support
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    rule = _lam_rule(lam, a, b, quad)
+    rule, a, b = _hankel_rule(lam, support, quad)
     power = 2 * k + 2  # 2*alpha + 1 with alpha = k + 1/2
 
     def integrand(t):
@@ -102,12 +107,7 @@ def hankel_h(h, k: int, lam: float, quad: QuadratureRule = DEFAULT_QUAD,
     Equals hankel(g, k + 1/2, lam) when h and g are consistent; having both
     routes avoids dividing by t^(2k+1) near the origin.
     """
-    if lam < 0:
-        raise ValueError("lam >= 0")
-    a, b = support
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    rule = _lam_rule(lam, a, b, quad)
+    rule, a, b = _hankel_rule(lam, support, quad)
 
     def integrand(t):
         return h(t) * sph_bessel_j(k, lam * t) * t
@@ -157,18 +157,16 @@ def cross_product_terms(data, k: int, lam: float,
     if a <= 0.0:
         raise ValueError("h-support must stay away from t = 0 "
                          "(second-kind kernel is singular there)")
+    if b <= a:
+        raise ValueError("need a < b")
     rule = _lam_rule(lam, a, b, quad)
     c_k = raw_to_normalized(k)
-
-    def int_j(t):
-        # series-backed normalized kernel is stable at small arguments
-        return c_k * sph_bessel_j(k, lam * t) * t * fn(t)
-
-    def int_y(t):
-        return dp_cosc(k, lam * t) * t * fn(t)
-
-    i_j = rule.integrate(int_j, a, b)
-    i_y = rule.integrate(int_y, a, b)
+    # one h evaluation on the rule's nodes feeds both kernel integrals
+    t, w = rule.points(a, b)
+    h_t = fn(t)
+    # series-backed normalized kernel is stable at small arguments
+    i_j = float(np.dot(w, c_k * sph_bessel_j(k, lam * t) * t * h_t))
+    i_y = float(np.dot(w, dp_cosc(k, lam * t) * t * h_t))
     j_lam = raw_j(k, lam)
     y_lam = raw_y(k, lam)
     lhs = i_j * y_lam

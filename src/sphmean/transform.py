@@ -76,6 +76,12 @@ def _gauss_nodes(order: int):
     return x, w
 
 
+# nodes per quadrature block (rows of t times nodes per row): larger blocks
+# only add memory traffic (one 201 x 1536 block made order-6 jet profiles
+# 15-40% slower), smaller ones add per-block overhead
+BLOCK_NODES = 16384
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss–Legendre rule: `panels` equal panels of fixed order."""
@@ -87,14 +93,19 @@ class QuadratureRule:
         if self.nodes_per_panel < 2 or self.panels < 1:
             raise ValueError("need nodes_per_panel >= 2 and panels >= 1")
 
-    def points(self, a: float, b: float):
-        """All nodes and weights for integrating over [a, b]."""
+    def points(self, a, b):
+        """All nodes and weights for integrating over [a, b].
+
+        For arrays a and b the rule is mapped onto every interval at once,
+        one row of nodes and weights per interval.
+        """
         x, w = _gauss_nodes(self.nodes_per_panel)
-        edges = np.linspace(a, b, self.panels + 1)
+        edges = np.linspace(a, b, self.panels + 1, axis=-1)
         half = np.diff(edges) / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
+        mid = (edges[..., :-1] + edges[..., 1:]) / 2.0
+        shape = np.shape(a) + (-1,)
+        nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+        weights = (half[..., None] * w).reshape(shape)
         return nodes, weights
 
     def integrate(self, fn, a: float, b: float) -> float:
@@ -102,6 +113,25 @@ class QuadratureRule:
             return 0.0
         nodes, weights = self.points(a, b)
         return float(np.dot(weights, fn(nodes)))
+
+    def integrate_rows(self, integrand, a, b) -> np.ndarray:
+        """Integral over [a[r], b[r]] for every row r; 0 where b[r] <= a[r].
+
+        integrand(rows, u) gets a block of row indices (about BLOCK_NODES
+        nodes in all) and its (rows x nodes) node array.  np.vecdot sums each
+        row by its own BLAS dot, as np.dot in `integrate` does (a matrix
+        product or einsum sums in another order), so a row does not depend
+        on the batch it came in.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        out = np.zeros(a.shape)
+        live = np.flatnonzero(b > a)
+        step = max(1, BLOCK_NODES // (self.nodes_per_panel * self.panels))
+        for start in range(0, live.size, step):
+            rows = live[start:start + step]
+            nodes, weights = self.points(a[rows], b[rows])
+            out[rows] = np.vecdot(weights, integrand(rows, nodes))
+        return out
 
     def refined(self) -> "QuadratureRule":
         return QuadratureRule(self.nodes_per_panel, 2 * self.panels)
@@ -230,16 +260,45 @@ class DerivativeProfile:
 
 # ---------------------------------------------------------------------------
 # forward transform, radial case
+#
+# Every forward entry point answers a scalar t or an array of t with one
+# batched quadrature (QuadratureRule.integrate_rows); a scalar comes back as
+# a float.  Factors in t alone are computed per row in Python floats (libm
+# pow differs from numpy's square in the last bit at some t), so every row
+# equals its scalar evaluation bit for bit.
 
 
-def _check_t(t: float):
-    if not (0.0 < t < 2.0):
-        raise ValueError(f"t must lie in (0, 2), got {t}")
+def _batch(t):
+    """t as a flat float array, checked to lie in (0, 2), and its shape."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.ravel()
+    bad = ~((flat > 0.0) & (flat < 2.0))
+    if bad.any():
+        raise ValueError(f"t must lie in (0, 2), got {flat[bad][0]}")
+    return flat, ts.shape
 
 
-def _u_range(profile, t: float):
+def _shaped(values, shape):
+    """A float for a scalar t, else the values in the shape of t."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def _rows(fn, ts) -> np.ndarray:
+    """The t-only factor fn(t) of every row, evaluated in Python floats."""
+    return np.array([fn(t) for t in ts.tolist()], dtype=float)
+
+
+def _u_range(profile, ts):
     r_lo, r_hi = profile.support
-    return max(abs(1.0 - t), r_lo), min(1.0, r_hi)
+    return np.maximum(np.abs(1.0 - ts), r_lo), min(1.0, r_hi)
+
+
+def _over_t_power(h, t, n: int, what: str):
+    """h(t) / t^(n-2), refused below the division floor."""
+    ts, shape = _batch(t)
+    if np.any(ts < T_FLOOR):
+        raise ValueError(f"{what} undefined below t = {T_FLOOR} (division guard)")
+    return _shaped(h(ts) / _rows(lambda s: s ** (n - 2), ts), shape)
 
 
 @lru_cache(maxsize=None)
@@ -250,25 +309,23 @@ def _front_constant(n: int) -> float:
 
 def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     """h(t) = t^(n-2) g(t) for radial data, by the Q-kernel integral."""
-    if isinstance(t, np.ndarray):
-        return np.array([forward_h(profile, dim, float(tt), quad) for tt in t])
-    _check_t(t)
-    a, b = _u_range(profile, t)
-    if b <= a:
-        return 0.0
+    ts, shape = _batch(t)
     k = dim.k
-    c = _front_constant(dim.n)
-    return c * quad.integrate(lambda u: u * profile(u) * q_kernel(t, u) ** k, a, b)
+    plus = _rows(lambda s: (1 + s) ** 2, ts)
+    minus = _rows(lambda s: (1 - s) ** 2, ts)
+
+    def integrand(rows, u):
+        u2 = u ** 2
+        q = (plus[rows, None] - u2) * (u2 - minus[rows, None])
+        return u * profile(u) * q ** k
+
+    a, b = _u_range(profile, ts)
+    return _shaped(_front_constant(dim.n) * quad.integrate_rows(integrand, a, b), shape)
 
 
 def forward_radial(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     """g(t) = h(t) / t^(n-2); refuses t below the division floor."""
-    if isinstance(t, np.ndarray):
-        return np.array([forward_radial(profile, dim, float(tt), quad) for tt in t])
-    _check_t(t)
-    if t < T_FLOOR:
-        raise ValueError(f"g(t) undefined below t = {T_FLOOR} (division guard)")
-    return forward_h(profile, dim, t, quad) / t ** (dim.n - 2)
+    return _over_t_power(lambda ts: forward_h(profile, dim, ts, quad), t, dim.n, "g(t)")
 
 
 def funk_hecke_forward(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -278,22 +335,19 @@ def funk_hecke_forward(profile, dim: Dimension, t, quad: QuadratureRule = DEFAUL
            (1 - s^2)^k ds over the s-interval where the argument is in
            the profile support (clipped to [-1, 1]).
     """
-    if isinstance(t, np.ndarray):
-        return np.array([funk_hecke_forward(profile, dim, float(tt), quad) for tt in t])
-    _check_t(t)
+    ts, shape = _batch(t)
     r_lo, r_hi = profile.support
-    s_lo = max(-1.0, (r_lo ** 2 - 1.0 - t * t) / (2.0 * t))
-    s_hi = min(1.0, (r_hi ** 2 - 1.0 - t * t) / (2.0 * t))
-    if s_hi <= s_lo:
-        return 0.0
+    s_lo = np.maximum(-1.0, (r_lo ** 2 - 1.0 - ts * ts) / (2.0 * ts))
+    s_hi = np.minimum(1.0, (r_hi ** 2 - 1.0 - ts * ts) / (2.0 * ts))
     k = dim.k
     c = omega(dim.n - 1) / omega(dim.n)
+    base = 1.0 + ts * ts
 
-    def integrand(s):
-        arg = np.sqrt(np.maximum(1.0 + t * t + 2.0 * s * t, 0.0))
+    def integrand(rows, s):
+        arg = np.sqrt(np.maximum(base[rows, None] + 2.0 * s * ts[rows, None], 0.0))
         return profile(arg) * (1.0 - s * s) ** k
 
-    return c * quad.integrate(integrand, s_lo, s_hi)
+    return _shaped(c * quad.integrate_rows(integrand, s_lo, s_hi), shape)
 
 
 @lru_cache(maxsize=None)
@@ -303,25 +357,32 @@ def _kernel_terms(power: int, p: int):
     return tuple((i, j, float(c)) for i, j, c in poly.terms())
 
 
-def _eval_terms(terms, t: float, u):
-    acc = np.zeros_like(u)
-    for i, j, c in terms:
-        acc = acc + c * t ** i * u ** j
-    return acc
+def _kernel_integrals(profile, ts, terms, weight, quad: QuadratureRule):
+    """Row integrals of weight(u) f(u) P(t, u) over the support range, for
+    the kernel polynomial P given by its terms c t^i u^j."""
+    coeffs = [_rows(lambda s, i=i, c=c: c * s ** i, ts) for i, _, c in terms]
+
+    def integrand(rows, u):
+        powers = {}
+        acc = np.zeros_like(u)
+        for (_, j, _), coeff in zip(terms, coeffs):
+            if j not in powers:
+                powers[j] = u ** j
+            acc = acc + coeff[rows, None] * powers[j]
+        return weight(u) * profile(u) * acc
+
+    a, b = _u_range(profile, ts)
+    return quad.integrate_rows(integrand, a, b)
 
 
-def forward_h_dp(profile, dim: Dimension, t: float, p: int, quad: QuadratureRule = DEFAULT_QUAD):
+def forward_h_dp(profile, dim: Dimension, t, p: int, quad: QuadratureRule = DEFAULT_QUAD):
     """D^p h(t), p <= k, by exact differentiation of the kernel polynomial."""
-    _check_t(t)
+    ts, shape = _batch(t)
     k = dim.k
     if not (0 <= p <= k):
         raise ValueError(f"kernel differentiation supports 0 <= p <= k = {k}, got {p}")
-    a, b = _u_range(profile, t)
-    if b <= a:
-        return 0.0
-    terms = _kernel_terms(k, p)
-    c = _front_constant(dim.n)
-    return c * quad.integrate(lambda u: u * profile(u) * _eval_terms(terms, t, u), a, b)
+    values = _kernel_integrals(profile, ts, _kernel_terms(k, p), lambda u: u, quad)
+    return _shaped(_front_constant(dim.n) * values, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +393,26 @@ def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule 
     """h_m(t) = t^(n-2) g_m(t) for a single-harmonic component, division-free.
 
     Gegenbauer-kernel quadrature; the kernel argument (1 + u^2 - t^2)/(2u)
-    stays in [-1, 1] on the integration range (asserted, then clipped at
+    stays in [-1, 1] on the integration range (checked, then clipped at
     roundoff level).
     """
-    if isinstance(t, np.ndarray):
-        return np.array([forward_harmonic_h(profile, dim, m, float(tt), quad) for tt in t])
-    _check_t(t)
+    ts, shape = _batch(t)
     if m < 0:
         raise ValueError("m >= 0")
-    a, b = _u_range(profile, t)
-    if b <= a:
-        return 0.0
     n, k, alpha = dim.n, dim.k, dim.alpha
     c = omega(n - 1) / (omega(n) * gegenbauer_at_one(m, alpha))
+    t_sq = ts * ts
 
-    def integrand(u):
-        x_arg = (1.0 + u * u - t * t) / (2.0 * u)
-        assert np.all(np.abs(x_arg) <= 1.0 + 1e-12)
+    def integrand(rows, u):
+        x_arg = (1.0 + u * u - t_sq[rows, None]) / (2.0 * u)
+        if np.any(np.abs(x_arg) > 1.0 + 1e-12):
+            raise FloatingPointError(
+                "Gegenbauer kernel argument left [-1, 1] on the integration range")
         x_arg = np.clip(x_arg, -1.0, 1.0)
         return u ** (n - 2) * profile(u) * gegenbauer(m, alpha, x_arg) * (1.0 - x_arg * x_arg) ** k
 
-    return c * quad.integrate(integrand, a, b)
+    a, b = _u_range(profile, ts)
+    return _shaped(c * quad.integrate_rows(integrand, a, b), shape)
 
 
 def forward_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -360,12 +420,8 @@ def forward_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = 
 
     m = 0 reduces to forward_radial.
     """
-    if isinstance(t, np.ndarray):
-        return np.array([forward_harmonic(profile, dim, m, float(tt), quad) for tt in t])
-    _check_t(t)
-    if t < T_FLOOR:
-        raise ValueError(f"g_m(t) undefined below t = {T_FLOOR} (division guard)")
-    return forward_harmonic_h(profile, dim, m, t, quad) / t ** (dim.n - 2)
+    return _over_t_power(lambda ts: forward_harmonic_h(profile, dim, m, ts, quad),
+                         t, dim.n, "g_m(t)")
 
 
 def phi_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -374,22 +430,17 @@ def phi_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFA
 
 
 def phi_harmonic_dp(
-    profile, dim: Dimension, m: int, t: float, p: int, quad: QuadratureRule = DEFAULT_QUAD
+    profile, dim: Dimension, m: int, t, p: int, quad: QuadratureRule = DEFAULT_QUAD
 ):
     """D^p phi_m(t) for p <= m + k, again by exact kernel differentiation."""
-    if isinstance(t, np.ndarray):
-        return np.array([phi_harmonic_dp(profile, dim, m, float(tt), p, quad) for tt in t])
-    _check_t(t)
+    ts, shape = _batch(t)
     if m < 0:
         raise ValueError("m >= 0")
     mk = m + dim.k
     if not (0 <= p <= mk):
         raise ValueError(f"phi kernel differentiation supports 0 <= p <= m+k = {mk}, got {p}")
-    a, b = _u_range(profile, t)
-    if b <= a:
-        return 0.0
-    terms = _kernel_terms(mk, p)
-    return quad.integrate(lambda u: u ** (1 - m) * profile(u) * _eval_terms(terms, t, u), a, b)
+    values = _kernel_integrals(profile, ts, _kernel_terms(mk, p), lambda u: u ** (1 - m), quad)
+    return _shaped(values, shape)
 
 
 def const_Kmn(dim: Dimension, m: int) -> float:
@@ -413,7 +464,8 @@ def const_Kmn(dim: Dimension, m: int) -> float:
         * omega(n - 1)
         / (4 ** (m + k) * omega(n) * gegenbauer_at_one(m, alpha))
     )
-    assert value > 0
+    if not value > 0:
+        raise FloatingPointError(f"const_Kmn(n={n}, m={m}) = {value} is not positive")
     return value
 
 
@@ -422,7 +474,8 @@ def const_Kmn(dim: Dimension, m: int) -> float:
 
 
 class SmtProfile:
-    """Forward data of a radial profile: h, g, and analytic D^p h up to k."""
+    """Forward data of a radial profile: h, g and analytic D^p h up to k, at
+    scalar or array t (h and dp_h must accept arrays)."""
 
     def __init__(self, dim: Dimension, h, dp_h, k_eff: int, support=None):
         self.dim = dim
@@ -438,9 +491,7 @@ class SmtProfile:
             return forward_h(profile, dim, t, quad)
 
         def dp_h(t, p):
-            if p == 0:
-                return forward_h(profile, dim, t, quad)
-            return forward_h_dp(profile, dim, t, p, quad)
+            return forward_h_dp(profile, dim, t, p, quad) if p else h(t)
 
         r_hi = profile.support[1]
         return cls(dim, h, dp_h, dim.k, support=(1.0 - r_hi, 1.0 + r_hi))
@@ -449,11 +500,7 @@ class SmtProfile:
         return self._h(t)
 
     def g(self, t):
-        if isinstance(t, np.ndarray):
-            return np.array([self.g(float(tt)) for tt in t])
-        if t < T_FLOOR:
-            raise ValueError(f"g(t) undefined below t = {T_FLOOR}")
-        return self._h(t) / t ** (self.dim.n - 2)
+        return _over_t_power(self._h, t, self.dim.n, "g(t)")
 
     def dp_h(self, t, p: int):
         if p > self.k_eff:
@@ -488,13 +535,8 @@ class HarmonicForwardData:
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)
 
     def phi_jet(self, t: float) -> Jet:
-        """Jet of phi in the ordinary-derivative sense, rebuilt from D-powers.
-
-        D^p values convert to a t-derivative jet by the triangular relation
-        (d/dt)^j = sum over the same coefficient table used the other way;
-        here we instead assemble the jet directly: the ordinary derivatives
-        are recovered by solving the linear system given by
-        D^p f = sum_j a[p][j] t^(j-2p) f^(j).
+        """Jet of phi in the ordinary-derivative sense, rebuilt from D-powers
+        by solving the triangular system D^p f = sum_j a[p][j] t^(j-2p) f^(j).
         """
         mk = self.m + self.dim.k
         dvals = [self.phi_dp(t, p) for p in range(mk + 1)]

@@ -140,7 +140,7 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
         tol = 1e-7 * max(1.0, quad.panels / 8.0)
     f = build_counterexample(spec) if profile is None else profile
     data = SmtProfile.from_profile(f, spec.dim, quad)
-    g = np.array([data.g(float(t)) for t in grid])
+    g = data.g(grid)
 
     lo, hi_ = spec.band
     inside = (grid > lo) & (grid < hi_)

@@ -72,18 +72,38 @@ def test_missing_required_input_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_threads_option_is_gone(tmp_path, capsys):
+    cfg = _write_profile(tmp_path, threads=2)
+    assert cli.main(["forward", "--config", cfg]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+    assert cli.main(["forward", "--config", _write_profile(tmp_path),
+                     "--threads", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_domain_error_is_not_a_config_error(tmp_path, capsys):
+    # a bump touching r = 1 gives h-support down to t = 0, where the
+    # second-kind kernel of the cross-product check is singular
+    cfg = tmp_path / "touch.json"
+    cfg.write_text(json.dumps(
+        {"profile": {"family": "bump", "center": 0.6, "width": 0.4, "n": 5}}))
+    assert cli.main(["cross-check", "--config", str(cfg), "--grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: h-support must stay away from t = 0")
+    assert "config error" not in err
+
+
 # ---------------------------------------------------------------------------
 # artifact format
 
 
-def test_forward_header_and_determinism(tmp_path, capsys, monkeypatch):
+def test_forward_header_and_determinism(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out1, out2, out3 = (str(tmp_path / f"f{i}.csv") for i in (1, 2, 3))
     assert cli.main(["forward", "--config", cfg, "--grid", "40",
                      "--out", out1]) == 0
     assert cli.main(["forward", "--config", cfg, "--grid", "40",
                      "--out", out2]) == 0
-    monkeypatch.setenv("SMT_THREADS", "3")
     assert cli.main(["forward", "--config", cfg, "--grid", "40",
                      "--out", out3]) == 0
     capsys.readouterr()
