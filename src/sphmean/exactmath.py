@@ -1,7 +1,8 @@
 """Exact rational combinatorics and polynomial identities.
 
-Everything in this module is computed over arbitrary-precision rationals
-(stdlib ``fractions.Fraction``); there is no floating point anywhere.  The
+Everything in this module is computed exactly: over Python ints, with
+stdlib ``fractions.Fraction`` only where a value is not an integer; there
+is no floating point anywhere.  The
 verifiers at the bottom check, term by term, the combinatorial identities that
 underpin the range characterization: each one builds both sides of an identity
 independently and compares exactly, so a ``True`` is a proof for the given
@@ -46,18 +47,27 @@ def binom_half(m2: int, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
+def _exact(c):
+    """An exact ring element: an int when c is integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
 @lru_cache(maxsize=None)
-def coeff_C(k: int, p: int) -> Fraction:
+def coeff_C(k: int, p: int) -> int:
     """Range-operator coefficient C(k,p) = (2k-p)! / (p! 2^(k-p) (k-p)!).
 
     These are the coefficients of (1-t)^p D^p in the order-k range operator;
-    always a positive integer, returned as Fraction for exact ring use.
+    always a positive integer, returned as an int.
     """
     if not 0 <= p <= k:
         raise ValueError(f"coeff_C requires 0 <= p <= k, got k={k}, p={p}")
-    return Fraction(
+    return _exact(Fraction(
         math.factorial(2 * k - p), math.factorial(p) * 2 ** (k - p) * math.factorial(k - p)
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +75,11 @@ def coeff_C(k: int, p: int) -> Fraction:
 
 
 class BiPoly:
-    """Bivariate polynomial in (t, u) over Fraction, sparse monomial map.
+    """Bivariate polynomial in (t, u) over the rationals, sparse monomial map.
+
+    Coefficients are stored as ints, and as Fractions only where they are
+    not integers; the integer-coefficient kernels then never build a
+    Fraction.
 
     The two variables are purely positional; the same class doubles as the
     (A, B) ring for the alternating-sum identity below.
@@ -74,32 +88,32 @@ class BiPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
+        self.coeffs: dict[tuple[int, int], int | Fraction] = {}
         if coeffs:
             for (i, j), c in dict(coeffs).items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     self.coeffs[(int(i), int(j))] = c
 
     # -- constructors
     @staticmethod
     def const(c) -> "BiPoly":
-        return BiPoly({(0, 0): Fraction(c)})
+        return BiPoly({(0, 0): c})
 
     @staticmethod
     def t(power: int = 1) -> "BiPoly":
-        return BiPoly({(power, 0): Fraction(1)})
+        return BiPoly({(power, 0): 1})
 
     @staticmethod
     def u(power: int = 1) -> "BiPoly":
-        return BiPoly({(0, power): Fraction(1)})
+        return BiPoly({(0, power): 1})
 
     # -- ring operations
     def __add__(self, other) -> "BiPoly":
         other = _as_poly(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -119,11 +133,11 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         other = _as_poly(other)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -156,14 +170,14 @@ class BiPoly:
     # -- substitution and evaluation
     def subs_t_affine(self, a, b) -> "BiPoly":
         """Substitute t -> a + b*t, expanding exactly."""
-        a, b = Fraction(a), Fraction(b)
-        out: dict[tuple[int, int], Fraction] = {}
+        a, b = _exact(a), _exact(b)
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in self.coeffs.items():
             for r in range(i + 1):
                 coef = c * math.comb(i, r) * a ** (i - r) * b**r
                 if coef:
                     key = (r, j)
-                    s = out.get(key, Fraction(0)) + coef
+                    s = out.get(key, 0) + coef
                     if s:
                         out[key] = s
                     else:
@@ -175,7 +189,7 @@ class BiPoly:
         return sum(float(c) * tval**i * uval**j for (i, j), c in self.coeffs.items())
 
     def terms(self):
-        """Sorted (i, j, Fraction) triples; stable order for compilation."""
+        """Sorted (i, j, coefficient) triples; stable order for compilation."""
         return [(i, j, c) for (i, j), c in sorted(self.coeffs.items())]
 
     def __repr__(self):
@@ -197,13 +211,13 @@ def formal_D(poly: BiPoly) -> BiPoly:
     D t^(2a) u^j = 2a t^(2a-2) u^j; an odd t-degree would leave the polynomial
     ring, so it is rejected rather than silently mangled.
     """
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int | Fraction] = {}
     for (i, j), c in poly.coeffs.items():
         if i % 2:
             raise ValueError(f"formal_D needs even t-degrees, found t^{i}")
         if i:
             key = (i - 2, j)
-            out[key] = out.get(key, Fraction(0)) + c * i
+            out[key] = out.get(key, 0) + c * i
     return BiPoly(out)
 
 

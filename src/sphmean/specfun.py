@@ -232,6 +232,8 @@ def d_operator(jet: Jet, p: int):
     """Apply D^p = ((1/t) d/dt)^p at the jet's base point.
 
     Uses the exact coefficient table; requires jet order >= p and x != 0.
+    The jet may be over an array of base points; each element then equals
+    the call on that point alone, bit for bit.
     """
     if p < 0:
         raise ValueError("p >= 0")
@@ -245,8 +247,17 @@ def d_operator(jet: Jet, p: int):
     for j in range(1, p + 1):
         a = row[j]
         if a:
-            acc = acc + _coeff_like(a, jet.derivs[j]) * jet.derivs[j] * x ** (j - 2 * p)
+            acc = acc + _coeff_like(a, jet.derivs[j]) * jet.derivs[j] * _power(x, j - 2 * p)
     return acc
+
+
+def _power(x, e: int):
+    """x ** e; over an array of base points, libm pow per element, so each
+    element equals its scalar call (numpy's array power differs from libm
+    in the last bit for some x)."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** e
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .specfun import (
     raw_y,
     sph_bessel_j,
 )
-from .transform import DEFAULT_QUAD, Dimension, QuadratureRule
+from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
 
 # residual denominators never drop below this fraction of the natural scale
 _REL_FLOOR = 1e-14
@@ -192,8 +192,23 @@ def cross_product_residual(data, k: int, lam: float,
 # the boundary-operator identity on the shifted kernel
 
 
+def _mk_points(lam, t):
+    """lam and t broadcast together: flat float arrays and their shape."""
+    lams, ts = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                   np.asarray(t, dtype=float))
+    if np.any(ts == 0) or np.any(1 + ts == 0):
+        raise ValueError("t = 0 and t = -1 are outside the domain")
+    return lams.ravel(), ts.ravel(), ts.shape
+
+
 def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = 80):
-    """Both sides of the kernel identity; floats or mpfs per `use_mp`."""
+    """Both sides of the kernel identity and their scale.
+
+    In floats, lam and t are arrays of points: the left side is one jet pass
+    over all of them, and the closed-form right side (with its own
+    cancellation guard) runs point by point.  With `use_mp`, one point is
+    evaluated in mpmath at `dps` digits.
+    """
     if use_mp:
         with mp.workdps(dps):
             lam_v = mp.mpf(lam)
@@ -201,15 +216,16 @@ def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = 80):
             lhs = _mk_lhs_value(k, lam_v, t_v)
             rhs, scale = _mk_rhs_value(k, lam_v, t_v, dps)
             return lhs, rhs, scale
-    return (_mk_lhs_value(k, float(lam), float(t)),
-            *_mk_rhs_value(k, float(lam), float(t), None))
+    lams, ts = np.atleast_1d(lam, t)
+    return (_mk_lhs_value(k, lams, ts), *_mk_rhs_rows(k, lams, ts))
 
 
 def _mk_lhs_value(k: int, lam, t):
     """Boundary operator applied to the shifted kernel, term by term.
 
     Term p is C(k,p) (-1)^p D^p of (1+t)^(p+1) raw_j(k, lam (1+t)) / t,
-    evaluated through a derivative jet of order k at the base point t.
+    evaluated through a derivative jet of order k at the base point t
+    (float arrays of points, or one mpf point).
     """
     x = Jet.variable(t, k)
     w = x + 1
@@ -221,7 +237,7 @@ def _mk_lhs_value(k: int, lam, t):
         term_jet = w ** (p + 1) * core
         coeff = coeff_C(k, p)
         if isinstance(t, mpmath.mpf):
-            c = mp.mpf(coeff.numerator) / coeff.denominator
+            c = mp.mpf(coeff)
         else:
             c = float(coeff)
         val = c * d_operator(term_jet, p)
@@ -254,47 +270,66 @@ def _mk_rhs_value(k: int, lam, t, dps):
     return rhs, scale
 
 
-def mk_lhs(k: int, lam: float, t: float) -> float:
-    """Left side of the kernel identity (jet route), float precision."""
-    if t == 0 or 1 + t == 0:
-        raise ValueError("t = 0 and t = -1 are outside the domain")
-    return _mk_lhs_value(k, float(lam), float(t))
+def _mk_rhs_rows(k: int, lams, ts):
+    """The float closed-form side and its scale at each point, one by one."""
+    rows = [_mk_rhs_value(k, lam, t, None) for lam, t in zip(lams.tolist(), ts.tolist())]
+    rhs, scale = np.array(rows, dtype=float).reshape(-1, 2).T
+    return rhs, scale
 
 
-def mk_rhs(k: int, lam: float, t: float) -> float:
-    """Right side of the kernel identity (closed trig route)."""
-    if t == 0 or 1 + t == 0:
-        raise ValueError("t = 0 and t = -1 are outside the domain")
-    return _mk_rhs_value(k, float(lam), float(t), None)[0]
+def mk_lhs(k: int, lam, t):
+    """Left side of the kernel identity (jet route), float precision.
+
+    lam and t may be arrays (broadcast together); see mk_residual.
+    """
+    lams, ts, shape = _mk_points(lam, t)
+    return _shaped(_mk_lhs_value(k, lams, ts), shape)
 
 
-def mk_residual(k: int, lam: float, t: float) -> float:
+def mk_rhs(k: int, lam, t):
+    """Right side of the kernel identity (closed trig route).
+
+    lam and t may be arrays (broadcast together); see mk_residual.
+    """
+    lams, ts, shape = _mk_points(lam, t)
+    return _shaped(_mk_rhs_rows(k, lams, ts)[0], shape)
+
+
+def mk_residual(k: int, lam, t):
     """Relative defect between the two routes through the kernel identity.
 
     Float arithmetic first; when cancellation pushes the float residual above
     the retry threshold (1e-9, or 1e-14 for the k = 0 angle-addition case),
     both sides are recomputed with mpmath jets at 80 digits and the residual
     is re-measured there.
+
+    lam and t may be arrays of points (broadcast together).  The float left
+    side is then one jet pass over all of them, and only the rows over the
+    retry threshold are recomputed in mpmath, one by one.  Each row equals
+    the scalar call on its point, bit for bit; a scalar call returns a float.
+    A residual that is still not finite after the retry raises
+    ArithmeticError.
     """
     if k < 0:
         raise ValueError("k >= 0")
-    if lam <= 0:
+    lams, ts, shape = _mk_points(lam, t)
+    if np.any(lams <= 0):
         raise ValueError("lam > 0")
-    if t == 0 or 1 + t == 0:
-        raise ValueError("t = 0 and t = -1 are outside the domain")
-    lhs, rhs, scale = _mk_sides(k, lam, t, use_mp=False)
-    den = max(abs(lhs), abs(rhs), _REL_FLOOR * scale)
-    if den == 0.0:
-        return 0.0
-    res = abs(lhs - rhs) / den
+    lhs, rhs, scale = _mk_sides(k, lams, ts, use_mp=False)
+    den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR * scale)
+    res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(den.shape), where=den != 0.0)
     retry_at = _MP_RETRY if k > 0 else _MP_RETRY_K0
-    if math.isfinite(res) and res <= retry_at:
-        return res
-    lhs, rhs, scale = _mk_sides(k, lam, t, use_mp=True)
-    den = max(abs(lhs), abs(rhs), _REL_FLOOR * scale)
-    if den == 0:
-        return 0.0
-    return float(abs(lhs - rhs) / den)
+    # NaN compares False, so a non-finite row is retried too
+    for i in np.flatnonzero(~(res <= retry_at)).tolist():
+        lhs_i, rhs_i, scale_i = _mk_sides(k, lams[i], ts[i], use_mp=True)
+        den_i = max(abs(lhs_i), abs(rhs_i), _REL_FLOOR * scale_i)
+        res[i] = 0.0 if den_i == 0 else float(abs(lhs_i - rhs_i) / den_i)
+    finite = np.isfinite(res)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ArithmeticError(f"kernel-identity residual {float(res[i])} at k={k}, "
+                              f"lam={float(lams[i])}, t={float(ts[i])}")
+    return _shaped(res, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,15 @@ def _gauss_nodes(order: int):
 # 15-40% slower), smaller ones add per-block overhead
 BLOCK_NODES = 16384
 
+# A full block's float64 temporaries are 128 KiB, glibc's initial mmap
+# threshold.  Depending on a process's earlier allocations, glibc then maps
+# and unmaps them, or trims them off the heap, on every block: up to 30,000
+# page faults in one CLI run.  Freeing one mapped 4 MiB buffer raises
+# glibc's dynamic mmap threshold to 4 MiB and its trim threshold to 8 MiB,
+# so block temporaries always reuse heap memory.  Other allocators, and
+# glibc with MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ set, ignore it.
+np.empty(4 << 20, dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class QuadratureRule:

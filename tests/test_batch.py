@@ -1,10 +1,18 @@
-"""One batched forward core: every forward entry point given an array of t
-returns exactly its elementwise scalar calls, bit for bit."""
+"""Batched entry points: every forward entry point given an array of t, and
+the kernel identity given arrays of (lam, t), returns exactly its
+elementwise scalar calls, bit for bit."""
+
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from sphmean import rangecheck as rc
+from sphmean import specfun as sf
+from sphmean import spectral as sp
 from sphmean import transform as tr
 
 # 1024 nodes per row, so a block holds BLOCK_NODES // 1024 rows
@@ -129,3 +137,78 @@ def test_range_data_wrappers_match_scalar_calls():
                      ("PerturbedH.dp_h", lambda t: perturbed.dp_h(t, 1))):
         singles = np.array([fn(float(t)) for t in ts])
         assert np.array_equal(fn(ts), singles), name
+
+
+def test_jet_data_rows_match_scalar_calls():
+    # D^p of jet data takes the powers t^(j-2p) per element in Python floats,
+    # as a jet at one float base point does
+    data = rc.bump_h(1.1, 0.4)
+    ts = np.linspace(0.72, 1.48, 201)
+    for p in range(7):
+        singles = np.array([data.dp_h(float(t), p) for t in ts])
+        plain = [sf.d_operator(data._jet_fn(t, max(p, 1)), p) for t in ts.tolist()]
+        assert np.array_equal(data.dp_h(ts, p), singles), p
+        assert np.array_equal(singles, np.array(plain)), p
+
+
+def _kernel_points():
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(0.5, 20.0, 15)
+    t = rng.uniform(0.1, 3.0, 15) * rng.choice([-1.0, 1.0], 15)
+    t = np.where(np.abs(t + 1.0) < 0.1, t + 0.5, t)
+    # next to t = -1 the float jets cancel and those rows take the mpmath retry
+    near = np.array([-1 + 1e-3, -1 - 1e-3, -1 + 1e-4])
+    return np.concatenate([lam, [20.0, 9.0, 0.7]]), np.concatenate([t, near])
+
+
+def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
+    retries = []
+    sides = sp._mk_sides
+
+    def counted(k, lam, t, use_mp, dps=80):
+        retries.append(use_mp)
+        return sides(k, lam, t, use_mp, dps)
+
+    monkeypatch.setattr(sp, "_mk_sides", counted)
+    lam, t = _kernel_points()
+    for k in range(9):
+        for fn in (sp.mk_residual, sp.mk_lhs, sp.mk_rhs):
+            singles = [fn(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
+            assert all(type(v) is float for v in singles), (fn.__name__, k)
+            assert np.array_equal(fn(k, lam, t), np.array(singles)), (fn.__name__, k)
+            one = fn(k, lam[-1:], t[-1:])
+            assert one.shape == (1,) and one[0] == singles[-1], (fn.__name__, k)
+        # the jet side equals jets over one Python-float point each
+        plain = [sp._mk_lhs_value(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
+        assert np.array_equal(sp.mk_lhs(k, lam, t), np.array(plain)), k
+    assert any(retries)
+
+
+def test_kernel_identity_refuses_a_non_finite_residual():
+    with pytest.raises(ArithmeticError, match="residual"):
+        sp.mk_residual(2, np.array([2.0, 3.0]), np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="outside the domain"):
+        sp.mk_residual(2, np.array([2.0, 3.0]), np.array([0.5, -1.0]))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_batched_calls_reuse_heap_memory():
+    # a full block's temporaries are 128 KiB, glibc's initial mmap threshold;
+    # in a fresh process they must not be mapped or re-grown on every block
+    code = (
+        "import resource, numpy as np\n"
+        "from sphmean import transform as tr\n"
+        "bump, dim = tr.BumpProfile(0.55, 0.25), tr.Dimension(5)\n"
+        "ts = np.linspace(0.05, 1.95, 2001)\n"
+        "tr.forward_h(bump, dim, ts)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(3):\n"
+        "    tr.forward_h(bump, dim, ts)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tr.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    # 96 blocks: churning costs thousands of faults, reuse a few dozen
+    assert int(out.stdout) < 300

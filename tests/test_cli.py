@@ -93,6 +93,17 @@ def test_domain_error_is_not_a_config_error(tmp_path, capsys):
     assert "config error" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_a_numerical_error(tmp_path, capsys):
+    # lambda^(2k+1) overflows a float: the run must refuse, not PASS
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"lambda_max": 1e300, "count": 3, "k": 2}))
+    assert cli.main(["mk-check", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "numerical error:" in captured.err
+    assert "PASS" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # artifact format
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphmean import exactmath as em
+from sphmean import transform as tr
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,113 @@ def test_dp_q_power_consistency():
         for p in range(4):
             assert em.dp_q_power(power, p) == cur
             cur = em.formal_D(cur)
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients: ints, with a Fraction only where a value is not integral
+
+
+def _ref(pairs):
+    """Fraction-only reference polynomial: {(i, j): Fraction}, no zero terms."""
+    return {key: Fraction(c) for key, c in pairs if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return _ref(out.items())
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _ref(out.items())
+
+
+def _ref_pow(a, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_subs(a, x, y):
+    """t -> x + y t."""
+    out = {}
+    for (i, j), c in a.items():
+        for r in range(i + 1):
+            term = c * math.comb(i, r) * Fraction(x) ** (i - r) * Fraction(y) ** r
+            out[(r, j)] = out.get((r, j), Fraction(0)) + term
+    return _ref(out.items())
+
+
+def _ref_D(a):
+    out = {}
+    for (i, j), c in a.items():
+        if i:
+            out[(i - 2, j)] = out.get((i - 2, j), Fraction(0)) + c * i
+    return _ref(out.items())
+
+
+# integers, proper fractions, and integral Fractions such as Fraction(2, 1)
+st_exact = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+EVEN_BASIS = [(0, 0), (2, 0), (0, 1), (2, 1), (0, 2), (4, 0)]
+
+
+def _ints_where_integral(poly):
+    return all(type(c) is int or c.denominator != 1 for c in poly.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st_exact, min_size=6, max_size=6), st.lists(st_exact, min_size=6, max_size=6),
+       st.integers(0, 3), st_exact, st_exact)
+def test_bipoly_matches_a_fraction_reference(ca, cb, n, x, y):
+    a, b = em.BiPoly(dict(zip(EVEN_BASIS, ca))), em.BiPoly(dict(zip(EVEN_BASIS, cb)))
+    ra, rb = _ref(zip(EVEN_BASIS, ca)), _ref(zip(EVEN_BASIS, cb))
+    for got, want in ((a, ra),
+                      (a + b, _ref_add(ra, rb)),
+                      (a * b, _ref_mul(ra, rb)),
+                      (a ** n, _ref_pow(ra, n)),
+                      (a.subs_t_affine(x, y), _ref_subs(ra, x, y)),
+                      (em.formal_D(a * b), _ref_D(_ref_mul(ra, rb)))):
+        assert got.coeffs == want
+        assert _ints_where_integral(got)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    assert type(em.coeff_C(6, 2)) is int
+    for power in range(5):
+        for p in range(power + 1):
+            assert all(type(c) is int for c in em.dp_q_power(power, p).coeffs.values())
+    poly = em.BiPoly({(2, 0): Fraction(6, 3), (0, 1): Fraction(1, 2), (0, 2): 2.0})
+    assert poly.coeffs == {(2, 0): 2, (0, 1): Fraction(1, 2), (0, 2): 2}
+    assert _ints_where_integral(poly)
+
+
+def test_eq_and_hash_agree_across_int_and_integral_fraction():
+    a = em.BiPoly({(2, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)})
+    b = em.BiPoly({(2, 0): 2, (0, 1): Fraction(1, 3)})
+    assert a == b and hash(a) == hash(b)
+    assert em.BiPoly.const(Fraction(-5, 1)) == em.BiPoly.const(-5)
+    assert hash(em.BiPoly.const(Fraction(-5, 1))) == hash(em.BiPoly.const(-5))
+    assert len({a, b, em.BiPoly.const(Fraction(-5, 1)), em.BiPoly.const(-5)}) == 2
+
+
+def test_kernel_terms_equal_the_fraction_reference():
+    # the float kernel terms the forward transform integrates are unchanged
+    # by storing integral coefficients as ints
+    q = _ref({(2, 2): 2, (2, 0): 2, (4, 0): -1, (0, 0): -1, (0, 2): 2, (0, 4): -1}.items())
+    for power in range(9):
+        cur = _ref_pow(q, power)
+        for p in range(power + 1):
+            want = tuple((i, j, float(c)) for (i, j), c in sorted(cur.items()))
+            assert tr._kernel_terms(power, p) == want, (power, p)
+            cur = _ref_D(cur)
 
 
 # ---------------------------------------------------------------------------
