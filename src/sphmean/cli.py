@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -45,46 +46,66 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# options and configuration
 
+# Each subcommand's options: name -> (type, default, least value, help).
+# Every option is both a --flag and a top-level config key; its value is the
+# flag's, else the config's, else the default.
+_N = (int, None, None, "ambient dimension (odd, >= 3)")
+_M = (int, 0, None, "harmonic degree of the data")
+_SHARED = {"seed": (int, DEFAULT_SEED, None, "RNG seed, echoed in each artifact"),
+           "out": (str, None, None, "output file path (default stdout)")}
+OPTIONS = {command: {**options, **_SHARED} for command, options in {
+    "forward": {"n": _N, "m": _M, "grid": (int, 201, 1, "number of t points"),
+                "derivatives": (bool, False, None,
+                                "also write dp_h_0..dp_h_k columns (m = 0)")},
+    "invert": {"n": _N, "input": (str, None, None, "CSV of (t, g) samples")},
+    "range-check": {"n": _N, "m": _M,
+                    "input": (str, None, None, "CSV of (t, h) samples"),
+                    "grid": (int, 101, 1, "number of check points"),
+                    "tol": (float, 1e-6, None, "verdict tolerance")},
+    "cross-check": {"n": _N, "m": _M,
+                    "lambda_max": (float, 40.0, None, "upper end of the lambda sweep"),
+                    "grid": (int, 20, 1, "number of lambda values"),
+                    "tol": (float, 1e-8, None, "verdict tolerance")},
+    "mk-check": {"k": (int, 6, 0, "largest kernel order"),
+                 "count": (int, 100, 1, "random points per order"),
+                 "lambda_max": (float, 20.0, None, "upper end of the lambda draw"),
+                 "tol": (float, 1e-8, None, "verdict tolerance")},
+    "identities": {"max_k": (int, 8, 0, "sweep bound")},
+    "zeros": {"n": _N, "m": _M, "count": (int, 10, 1, "number of kernel zeros"),
+              "tol": (float, 1e-6, None, "verdict tolerance")},
+    "ucp-demo": {"n": _N, "epsilon": (float, None, None, "half-width of the band"),
+                 "m": (int, None, None, "derivative order of the profile"),
+                 "grid": (int, 201, 1, "number of t points"),
+                 "tol": (float, None, None,
+                         "verdict tolerance (default from the quadrature)")},
+}.items()}
 
-_QUAD_KEYS = {"nodes": int, "panels": int}
-_PROFILE_KEYS = {"family": str, "center": float, "width": float,
-                 "amplitude": float, "n": int, "m": int}
-_INVERSION_KEYS = {"n_unknowns": int, "n_collocation": int, "svd_cutoff": float}
-
-# top-level keys each subcommand accepts in --config (beyond what flags set)
-_ALLOWED = {
-    "forward": {"profile", "quadrature", "grid", "out", "seed", "derivatives"},
-    "invert": {"n", "inversion", "input", "out", "seed"},
-    "range-check": {"profile", "n", "m", "k", "input", "quadrature", "grid",
-                    "tol", "out", "seed"},
-    "cross-check": {"profile", "n", "m", "quadrature", "lambda_max", "grid",
-                    "tol", "out", "seed"},
-    "mk-check": {"k", "count", "lambda_max", "tol", "seed", "out"},
-    "identities": {"max_k", "out", "seed"},
-    "zeros": {"profile", "n", "m", "count", "tol", "quadrature", "out", "seed"},
-    "ucp-demo": {"n", "epsilon", "m", "bump", "quadrature", "grid", "tol",
-                 "out", "seed"},
+# config-only objects: the key schema of each, and the ones each subcommand
+# takes ("bump" is a [center, width] pair)
+_OBJECTS = {
+    "profile": {"family": str, "center": float, "width": float,
+                "amplitude": float, "n": int, "m": int},
+    "quadrature": {"nodes": int, "panels": int},
+    "inversion": {"n_unknowns": int, "n_collocation": int, "svd_cutoff": float},
 }
+_COMMAND_OBJECTS = {"forward": {"profile", "quadrature"}, "invert": {"inversion"},
+                    "range-check": {"profile", "quadrature"},
+                    "cross-check": {"profile", "quadrature"}, "mk-check": set(),
+                    "identities": set(), "zeros": {"profile", "quadrature"},
+                    "ucp-demo": {"bump", "quadrature"}}
+_KINDS = {int: int, float: (int, float), str: str, bool: bool}
 
 
-def _check_mapping(value, schema, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"field '{path}' must be an object")
-    for key, v in value.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key '{path}.{key}'")
-        want = schema[key]
-        if want is float and isinstance(v, (int, float)) and not isinstance(v, bool):
-            continue
-        if want is int and isinstance(v, int) and not isinstance(v, bool):
-            continue
-        if want is str and isinstance(v, str):
-            continue
-        if want is list and isinstance(v, (list, tuple)):
-            continue
-        raise ConfigError(f"field '{path}.{key}' must be {want.__name__}")
+def _check(value, kind, least, name):
+    """Raise ConfigError unless `value` is a `kind`, finite, and >= `least`."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind]):
+        raise ConfigError(f"{name} must be {kind.__name__}")
+    if kind is float and not -math.inf < value < math.inf:
+        raise ConfigError(f"{name} must be finite")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}")
 
 
 def load_config(path: str, command: str) -> dict:
@@ -101,29 +122,56 @@ def load_config(path: str, command: str) -> dict:
             f"{exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = _ALLOWED[command]
-    for key in cfg:
-        if key not in allowed:
+    for key, value in cfg.items():
+        if key in OPTIONS[command]:
+            kind, _, least, _ = OPTIONS[command][key]
+            _check(value, kind, least, f"field '{key}'")
+        elif key not in _COMMAND_OBJECTS[command]:
             raise ConfigError(f"unknown config key '{key}' for {command}")
-    if "quadrature" in cfg:
-        _check_mapping(cfg["quadrature"], _QUAD_KEYS, "quadrature")
-    if "profile" in cfg:
-        _check_mapping(cfg["profile"], _PROFILE_KEYS, "profile")
-    if "inversion" in cfg:
-        _check_mapping(cfg["inversion"], _INVERSION_KEYS, "inversion")
-    if "bump" in cfg and not isinstance(cfg["bump"], (list, tuple)):
-        raise ConfigError("field 'bump' must be a [center, width] pair")
+        elif key == "bump":
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ConfigError("field 'bump' must be a [center, width] pair")
+            for v in value:
+                _check(v, float, None, "field 'bump'")
+        elif not isinstance(value, dict):
+            raise ConfigError(f"field '{key}' must be an object")
+        else:
+            for name, v in value.items():
+                if name not in _OBJECTS[key]:
+                    raise ConfigError(f"unknown key '{key}.{name}'")
+                _check(v, _OBJECTS[key][name], None, f"field '{key}.{name}'")
     return cfg
 
 
-def _pick(args, cfg: dict, name: str, default):
-    """Effective value of an option: explicit flag > config file > default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        return cfg[name]
-    return default
+def _options(args):
+    """The run's config and the value of each of its command's options.
+
+    A profile that supplies the data (no input file) sets n and m ahead of
+    the config's top level.
+    """
+    cfg = load_config(args.config, args.command) if args.config else {}
+    layers = [cfg]
+    if getattr(args, "input", None) is None and "input" not in cfg:
+        layers.insert(0, cfg.get("profile", {}))
+    opts = {}
+    for name, (kind, default, least, _) in OPTIONS[args.command].items():
+        value = getattr(args, name)
+        if value is None:
+            value = next((layer[name] for layer in layers if name in layer), default)
+        else:
+            _check(value, kind, least, _flag(name))
+        opts[name] = value
+    return cfg, opts
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _required(opts, name):
+    if opts[name] is None:
+        raise ConfigError(f"{_flag(name)} (or config key '{name}') is required")
+    return opts[name]
 
 
 def _quad_from(cfg: dict) -> QuadratureRule:
@@ -133,8 +181,8 @@ def _quad_from(cfg: dict) -> QuadratureRule:
     return QuadratureRule(q.get("nodes", 32), q.get("panels", 8))
 
 
-def _profile_from(cfg: dict, args):
-    """Build (profile, n, m) from the config's profile block and flags."""
+def _profile_from(cfg: dict, opts: dict):
+    """Build (profile, n, m) from the config's profile block and options."""
     pcfg = cfg.get("profile")
     if pcfg is None:
         raise ConfigError("a profile spec is required "
@@ -146,11 +194,7 @@ def _profile_from(cfg: dict, args):
         raise ConfigError("profile needs 'center' and 'width'")
     prof = BumpProfile(float(pcfg["center"]), float(pcfg["width"]),
                        float(pcfg.get("amplitude", 1.0)))
-    n = args.n if args.n is not None else pcfg.get("n", cfg.get("n"))
-    if n is None:
-        raise ConfigError("dimension n is required (flag --n or profile.n)")
-    m = args.m if args.m is not None else pcfg.get("m", cfg.get("m", 0))
-    return prof, int(n), int(m)
+    return prof, _required(opts, "n"), opts["m"]
 
 
 def _profile_cfg(prof) -> dict:
@@ -252,12 +296,10 @@ def _read_csv_columns(path: str, expect: int):
 
 
 def _cmd_forward(args) -> int:
-    cfg = load_config(args.config, "forward") if args.config else {}
-    prof, n, m = _profile_from(cfg, args)
+    cfg, opts = _options(args)
+    prof, n, m = _profile_from(cfg, opts)
     quad = _quad_from(cfg)
-    count = int(_pick(args, cfg, "grid", 201))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
-    derivs = bool(cfg.get("derivatives", getattr(args, "derivatives", False)))
+    count, seed, derivs = opts["grid"], opts["seed"], opts["derivatives"]
     if derivs and m != 0:
         raise ConfigError("dp_h columns are only available for radial data (m=0)")
     data = _forward_data(prof, n, m, quad)
@@ -274,7 +316,7 @@ def _cmd_forward(args) -> int:
     if derivs:
         columns += [f"dp_h_{p}" for p in range(k + 1)]
         values += [data.dp_h(grid, p) for p in range(k + 1)]
-    _emit_csv(_pick(args, cfg, "out", None), columns, zip(*values), cfg_hash, seed)
+    _emit_csv(opts["out"], columns, zip(*values), cfg_hash, seed)
     print(f"forward: n={n} m={m}, {count} rows")
     return 0
 
@@ -287,24 +329,17 @@ class _CsvH:
         self._h = np.asarray(h, dtype=float)
 
     def h(self, t):
-        return float(np.interp(t, self._t, self._h, left=0.0, right=0.0))
+        return np.interp(t, self._t, self._h, left=0.0, right=0.0)
 
 
 def _cmd_invert(args) -> int:
-    cfg = load_config(args.config, "invert") if args.config else {}
-    n = args.n if args.n is not None else cfg.get("n")
-    if n is None:
-        raise ConfigError("dimension n is required (flag --n or config)")
-    n = int(n)
-    inp = args.input if args.input is not None else cfg.get("input")
-    if inp is None:
-        raise ConfigError("an input CSV of (t, g) samples is required (--input)")
+    cfg, opts = _options(args)
+    n, inp, seed = _required(opts, "n"), _required(opts, "input"), opts["seed"]
     icfg = cfg.get("inversion", {})
     inv_cfg = InversionConfig(
         n_unknowns=int(icfg.get("n_unknowns", 240)),
         n_collocation=int(icfg.get("n_collocation", 241)),
         svd_cutoff=float(icfg.get("svd_cutoff", 1e-5)))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
 
     samples = _read_csv_columns(inp, 2)
     t_in, g_in = samples[:, 0], samples[:, 1]
@@ -323,7 +358,7 @@ def _cmd_invert(args) -> int:
         print(f"invert: FAIL ({exc})", file=sys.stderr)
         return 1
 
-    out = _pick(args, cfg, "out", None)
+    out = opts["out"]
     rows = [(float(r), float(f)) for r, f in zip(res.nodes, res.values)]
     _emit_csv(out, ["r", "f"], rows, cfg_hash, seed)
     diag = {"rank": res.rank, "residual": res.residual,
@@ -339,19 +374,14 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_range_check(args) -> int:
-    cfg = load_config(args.config, "range-check") if args.config else {}
-    tol = float(_pick(args, cfg, "tol", 1e-6))
-    count = int(_pick(args, cfg, "grid", 101))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
+    cfg, opts = _options(args)
+    tol = float(opts["tol"])
+    count, seed, inp = opts["grid"], opts["seed"], opts["input"]
     quad = _quad_from(cfg)
     grid = default_grid(count)
-    inp = args.input if args.input is not None else cfg.get("input")
 
     if inp is not None:
-        n = args.n if args.n is not None else cfg.get("n")
-        if n is None:
-            raise ConfigError("dimension n is required with --input")
-        n, m = int(n), int(args.m if args.m is not None else cfg.get("m", 0))
+        n, m = _required(opts, "n"), opts["m"]
         k = Dimension(n).k
         samples = _read_csv_columns(inp, 2)
         interp = _CsvH(samples[:, 0], samples[:, 1])
@@ -360,7 +390,7 @@ def _cmd_range_check(args) -> int:
         data = SampledH.from_function(interp.h, a=lo, b=hi, k_eff=max(k, 2))
         source = {"input": os.path.basename(inp), "rows": len(samples)}
     else:
-        prof, n, m = _profile_from(cfg, args)
+        prof, n, m = _profile_from(cfg, opts)
         data = _forward_data(prof, n, m, quad)
         k = data.dim.k
         source = {"profile": _profile_cfg(prof)}
@@ -385,20 +415,18 @@ def _cmd_range_check(args) -> int:
                "normalized": report.normalized, "scale": report.scale,
                "defects": defects, "tol": tol,
                "verdict": "PASS" if ok else "FAIL"}
-    _emit_json(_pick(args, cfg, "out", None), payload, cfg_hash, seed)
+    _emit_json(opts["out"], payload, cfg_hash, seed)
     print(f"range-check: {payload['verdict']} "
           f"normalized {report.normalized:.3e} (tol {tol:g})")
     return 0 if ok else 1
 
 
 def _cmd_cross_check(args) -> int:
-    cfg = load_config(args.config, "cross-check") if args.config else {}
-    prof, n, m = _profile_from(cfg, args)
+    cfg, opts = _options(args)
+    prof, n, m = _profile_from(cfg, opts)
     quad = _quad_from(cfg)
-    tol = float(_pick(args, cfg, "tol", 1e-8))
-    lam_max = float(_pick(args, cfg, "lambda_max", 40.0))
-    count = int(_pick(args, cfg, "grid", 20))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
+    tol, lam_max = float(opts["tol"]), float(opts["lambda_max"])
+    count, seed = opts["grid"], opts["seed"]
     if lam_max <= 0.5:
         raise ConfigError("lambda-max must exceed 0.5")
     data = _forward_data(prof, n, m, quad)
@@ -413,8 +441,7 @@ def _cmd_cross_check(args) -> int:
     rows = [(float(lam), *cross_product_terms(data, k, float(lam), quad))
             for lam in lams]
     worst = max(r[3] for r in rows)
-    _emit_csv(_pick(args, cfg, "out", None),
-              ["lambda", "lhs", "rhs", "residual"], rows, cfg_hash, seed)
+    _emit_csv(opts["out"], ["lambda", "lhs", "rhs", "residual"], rows, cfg_hash, seed)
     ok = worst <= tol
     print(f"cross-check: {'PASS' if ok else 'FAIL'} "
           f"worst residual {worst:.3e} (tol {tol:g})")
@@ -422,14 +449,9 @@ def _cmd_cross_check(args) -> int:
 
 
 def _cmd_mk_check(args) -> int:
-    cfg = load_config(args.config, "mk-check") if args.config else {}
-    k_max = int(args.k if args.k is not None else cfg.get("k", 6))
-    count = int(_pick(args, cfg, "count", 100))
-    lam_max = float(_pick(args, cfg, "lambda_max", 20.0))
-    tol = float(_pick(args, cfg, "tol", 1e-8))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
-    if k_max < 0:
-        raise ConfigError("k must be >= 0")
+    _, opts = _options(args)
+    k_max, count, seed = opts["k"], opts["count"], opts["seed"]
+    lam_max, tol = float(opts["lambda_max"]), float(opts["tol"])
 
     effective = {"command": "mk-check", "k": k_max, "count": count,
                  "lambda_max": lam_max, "tol": tol, "seed": seed}
@@ -448,25 +470,22 @@ def _cmd_mk_check(args) -> int:
             points.append((lam, t))
         lams, ts = np.array(points, dtype=float).reshape(-1, 2).T
         res = mk_residual(k, lams, ts)
-        if count:
-            rows.append(f"# k {k}")
+        rows.append(f"# k {k}")
         rows.extend(zip(lams.tolist(), ts.tolist(), res.tolist()))
         residuals.append(res)
     # np.max keeps a NaN, which max() would drop and so read as a PASS
-    worst = float(np.max(np.concatenate(residuals), initial=0.0))
-    worst_k0 = float(np.max(residuals[0], initial=0.0))
+    worst = float(np.max(np.concatenate(residuals)))
+    worst_k0 = float(np.max(residuals[0]))
     ok = worst <= tol and worst_k0 <= 1e-14
-    _emit_csv(_pick(args, cfg, "out", None), ["lambda", "t", "residual"],
-              rows, cfg_hash, seed)
+    _emit_csv(opts["out"], ["lambda", "t", "residual"], rows, cfg_hash, seed)
     print(f"mk-check: {'PASS' if ok else 'FAIL'} worst {worst:.3e} "
           f"(k=0 worst {worst_k0:.3e}, tol {tol:g})")
     return 0 if ok else 1
 
 
 def _cmd_identities(args) -> int:
-    cfg = load_config(args.config, "identities") if args.config else {}
-    k_max = int(args.max_k if args.max_k is not None else cfg.get("max_k", 8))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
+    _, opts = _options(args)
+    k_max, seed, out = opts["max_k"], opts["seed"], opts["out"]
     effective = {"command": "identities", "max_k": k_max, "seed": seed}
     cfg_hash = _config_hash(effective)
 
@@ -477,7 +496,6 @@ def _cmd_identities(args) -> int:
         status = "PASS" if ok else f"FAIL at {witness}"
         print(f"{name:28s} {desc:24s} {status}")
         rows.append((name, desc, "PASS" if ok else "FAIL"))
-    out = _pick(args, cfg, "out", None)
     if out is not None:
         _emit_csv(out, ["identity", "range", "status"], rows, cfg_hash, seed)
     print(f"identities: {'PASS' if all_ok else 'FAIL'} ({len(rows)} sweeps)")
@@ -485,12 +503,10 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    cfg = load_config(args.config, "zeros") if args.config else {}
-    prof, n, m = _profile_from(cfg, args)
+    cfg, opts = _options(args)
+    prof, n, m = _profile_from(cfg, opts)
     quad = _quad_from(cfg)
-    count = int(_pick(args, cfg, "count", 10))
-    tol = float(_pick(args, cfg, "tol", 1e-6))
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
+    count, tol, seed = opts["count"], float(opts["tol"]), opts["seed"]
     data = _forward_data(prof, n, m, quad)
     dim = data.dim
 
@@ -507,8 +523,7 @@ def _cmd_zeros(args) -> int:
                for la in lam_grid)
     rows = [(lam, val, val / fmax) for lam, val in pairs]
     worst = max(r[2] for r in rows)
-    _emit_csv(_pick(args, cfg, "out", None),
-              ["lambda", "absF", "ratio"], rows, cfg_hash, seed,
+    _emit_csv(opts["out"], ["lambda", "absF", "ratio"], rows, cfg_hash, seed,
               comments=[f"fmax {_fmt(fmax)}"])
     ok = worst <= tol
     print(f"zeros: {'PASS' if ok else 'FAIL'} worst ratio {worst:.3e} "
@@ -517,24 +532,16 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_ucp_demo(args) -> int:
-    if not args.config:
-        raise ConfigError("ucp-demo requires --config with "
-                          "{n, epsilon, m, bump}")
-    cfg = load_config(args.config, "ucp-demo")
-    for key in ("n", "epsilon", "m"):
-        if key not in cfg:
-            raise ConfigError(f"ucp-demo config needs '{key}'")
+    cfg, opts = _options(args)
+    n, epsilon, m = (_required(opts, key) for key in ("n", "epsilon", "m"))
     bump = cfg.get("bump", [0.6, 0.15])
     try:
-        spec = ucp_mod.UcpSpec(n=int(cfg["n"]), epsilon=float(cfg["epsilon"]),
-                               m=int(cfg["m"]),
+        spec = ucp_mod.UcpSpec(n=n, epsilon=float(epsilon), m=m,
                                bump=(float(bump[0]), float(bump[1])))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     quad = (_quad_from(cfg) if "quadrature" in cfg else ucp_mod.UCP_QUAD)
-    count = int(_pick(args, cfg, "grid", 201))
-    tol = _pick(args, cfg, "tol", None)
-    seed = int(_pick(args, cfg, "seed", DEFAULT_SEED))
+    count, tol, seed = opts["grid"], opts["tol"], opts["seed"]
 
     effective = {"command": "ucp-demo", "n": spec.n, "epsilon": spec.epsilon,
                  "m": spec.m, "bump": list(spec.bump), "grid": count,
@@ -547,7 +554,7 @@ def _cmd_ucp_demo(args) -> int:
     f = ucp_mod.build_counterexample(spec)
     r_grid = np.linspace(0.0, 1.0, 501)
 
-    out = _pick(args, cfg, "out", None)
+    out = opts["out"]
     if out is not None:
         base = os.path.splitext(out)[0]
         _emit_csv(base + "_g.csv", ["t", "g"],
@@ -573,6 +580,18 @@ def _cmd_ucp_demo(args) -> int:
 # parser
 
 
+_COMMANDS = {
+    "forward": (_cmd_forward, "tabulate forward data g, h for a profile"),
+    "invert": (_cmd_invert, "reconstruct f from sampled (t, g) data"),
+    "range-check": (_cmd_range_check, "range symmetry residual of forward data"),
+    "cross-check": (_cmd_cross_check, "cross-product identity sweep over lambda"),
+    "mk-check": (_cmd_mk_check, "seeded random sweep of the kernel identity"),
+    "identities": (_cmd_identities, "exact integer/rational identity sweeps"),
+    "zeros": (_cmd_zeros, "transform magnitude at Bessel zeros"),
+    "ucp-demo": (_cmd_ucp_demo, "build and verify a vanishing-band profile"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smt",
@@ -582,60 +601,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"smt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, help="ambient dimension (odd, >= 3)")
-    common.add_argument("--m", type=int, help="harmonic degree of the data")
-    common.add_argument("--k", type=int, help="kernel order / sweep bound")
-    common.add_argument("--lambda-max", type=float, dest="lambda_max",
-                        help="upper end of the frequency sweep")
-    common.add_argument("--grid", type=int, help="number of grid points")
-    common.add_argument("--tol", type=float, help="verdict tolerance")
-    common.add_argument("--seed", type=int,
-                        help=f"RNG seed (default {DEFAULT_SEED:#x})")
-    common.add_argument("--out", help="output file path (default stdout)")
-    common.add_argument("--config", help="JSON run configuration")
-
-    p = sub.add_parser("forward", parents=[common],
-                       help="tabulate forward data g, h for a profile")
-    p.add_argument("--derivatives", action="store_true",
-                   help="also write dp_h_0..dp_h_k columns")
-    p.set_defaults(fn=_cmd_forward)
-
-    p = sub.add_parser("invert", parents=[common],
-                       help="reconstruct f from sampled (t, g) data")
-    p.add_argument("--input", help="CSV of (t, g) samples")
-    p.set_defaults(fn=_cmd_invert)
-
-    p = sub.add_parser("range-check", parents=[common],
-                       help="range symmetry residual of forward data")
-    p.add_argument("--input", help="CSV of (t, h) samples")
-    p.set_defaults(fn=_cmd_range_check)
-
-    p = sub.add_parser("cross-check", parents=[common],
-                       help="cross-product identity sweep over lambda")
-    p.set_defaults(fn=_cmd_cross_check)
-
-    p = sub.add_parser("mk-check", parents=[common],
-                       help="seeded random sweep of the kernel identity")
-    p.add_argument("--count", type=int,
-                   help="samples per k (default 100)")
-    p.set_defaults(fn=_cmd_mk_check)
-
-    p = sub.add_parser("identities", parents=[common],
-                       help="exact integer/rational identity sweeps")
-    p.add_argument("--max-k", type=int, dest="max_k",
-                   help="sweep bound (default 8)")
-    p.set_defaults(fn=_cmd_identities)
-
-    p = sub.add_parser("zeros", parents=[common],
-                       help="transform magnitude at Bessel zeros")
-    p.add_argument("--count", type=int, help="number of zeros (default 10)")
-    p.set_defaults(fn=_cmd_zeros)
-
-    p = sub.add_parser("ucp-demo", parents=[common],
-                       help="build and verify a vanishing-band profile")
-    p.set_defaults(fn=_cmd_ucp_demo)
+    for command, (fn, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text,
+                           description=f"{text}. Each option is also a top-level "
+                                       "key of the --config file; a flag wins.")
+        p.add_argument("--config", help="JSON run configuration")
+        for name, (kind, default, _, text) in OPTIONS[command].items():
+            if default not in (None, False):
+                text = f"{text} (default {default})"
+            if kind is bool:
+                p.add_argument(_flag(name), action="store_true", default=None,
+                               help=text)
+            else:
+                p.add_argument(_flag(name), type=kind, help=text)
+        p.set_defaults(fn=fn)
     return parser
 
 

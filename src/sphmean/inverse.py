@@ -131,8 +131,9 @@ def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
 
     `g` is a callable of t (an object exposing .h or .g works too, and the
     weighted form h = t^(n-2) g is preferred since it stays evaluable down
-    to t near 0); only samples with t in (0, 1) are used — half data
-    suffices.  The truncated-SVD solve keeps singular values above
+    to t near 0), called once on the array of collocation t; a scalar
+    answer holds at every t.  Only samples with t in (0, 1) are used — half
+    data suffices.  The truncated-SVD solve keeps singular values above
     cutoff * sigma_max and reports the effective rank; a rank below a
     quarter of the unknown count is rejected as an ill-posed configuration.
     """
@@ -144,10 +145,12 @@ def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
         raise TypeError("expected callable g(t) or an object exposing .h or .g")
     t_grid, u, w, A = forward_matrix(dim, cfg)
     if callable(h_fn):
-        b = np.array([float(h_fn(float(t))) for t in t_grid])
+        b = np.full(t_grid.shape, h_fn(t_grid), dtype=float)
     else:
+        g = np.full(t_grid.shape, fn(t_grid), dtype=float)
+        # t^(n-2) per element in floats: numpy's array power rounds otherwise
         power = dim.n - 2
-        b = np.array([float(fn(float(t))) * t ** power for t in t_grid])
+        b = np.array([v * t ** power for v, t in zip(g.tolist(), t_grid.tolist())])
 
     U_, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s >= cfg.svd_cutoff * s[0]
@@ -171,7 +174,7 @@ def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
 def _h_prime(data):
     """Return a callable h'(t) from whatever derivative access `data` has."""
     if isinstance(data, tuple) and len(data) == 2 and all(callable(c) for c in data):
-        return data[1]
+        return np.vectorize(data[1], otypes=[float])  # a function of one t
     dp_h = getattr(data, "dp_h", None)
     # dp_h is trusted only up to k_eff orders; dimension-three forward data
     # advertises k_eff = 0, in which case the difference stencil takes over
@@ -197,15 +200,16 @@ def invert_radial_n3(data, r):
     """f(r) = 2 h'(1-r) / r — the closed-form inversion in dimension three.
 
     `data` supplies h: an object with dp_h (analytic derivative, preferred),
-    a pair (h, h'), or a bare callable h (differenced numerically).  `r` may
-    be a scalar or an array with entries in [1e-3, 1).
+    a pair (h, h') of functions of one t, or a bare callable h (differenced
+    numerically).  Except for the pair, h is read in one call on the array of
+    1 - r.  `r` may be a scalar or an array with entries in [1e-3, 1).
     """
     hp = _h_prime(data)
     rs = np.asarray(r, dtype=float)
     if np.any(rs < R_FLOOR) or np.any(rs >= 1.0):
         raise ValueError(f"radius must lie in [{R_FLOOR}, 1)")
     flat = np.atleast_1d(rs)
-    out = np.array([2.0 * hp(1.0 - float(rr)) / float(rr) for rr in flat])
+    out = 2.0 * np.full(flat.shape, hp(1.0 - flat), dtype=float) / flat
     if rs.ndim == 0:
         return float(out[0])
     return out

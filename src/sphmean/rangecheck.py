@@ -170,7 +170,7 @@ class SampledH:
     def from_function(cls, fn, a: float = 0.01, b: float = 1.99, degree: int = 128, k_eff: int = 8):
         x, _ = _cheb_matrix(degree)
         t = (a + b) / 2 + (b - a) / 2 * x
-        return cls(np.array([fn(float(tt)) for tt in t]), a, b, k_eff)
+        return cls(np.full(t.shape, fn(t), dtype=float), a, b, k_eff)
 
     @property
     def noise_floor(self) -> float:

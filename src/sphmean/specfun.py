@@ -291,11 +291,47 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
+def _kind_coeffs(p: int, kind: str):
     cs, cc = _trig_coeffs(p)
     if kind == "cos":
         # D^p(cos x/x): sin-row multiplies cos, negated cos-row multiplies sin
         cs, cc = tuple(-c for c in cc), cs
+    return cs, cc
+
+
+def _trig_sum_mp(cs, cc, x):
+    """The closed trig form and its summed term magnitude, in mpmath at the
+    working precision."""
+    xm = mp.mpf(x)
+    sx, cx = mp.sin(xm), mp.cos(xm)
+    acc = mp.mpf(0)
+    mag = mp.mpf(0)
+    xp = mp.mpf(1)
+    for s, c in zip(cs, cc):
+        term = (s * sx + c * cx) * xp
+        acc += term
+        mag += abs(term)
+        xp *= xm
+    power = -(2 * len(cs) - 1)
+    return acc * xm ** power, mag * abs(xm) ** power
+
+
+def _escalate(closed_sum) -> float:
+    """float of the (value, magnitude) pair `closed_sum()` returns, evaluated
+    from 40 digits up in steps of 40 until the sum cancels fewer than
+    dps - 20 digits, or at 200 digits."""
+    dps = 40
+    while True:
+        with mp.workdps(dps):
+            acc, mag = closed_sum()
+            lost = mag / max(abs(acc), mp.mpf(10) ** (-dps))
+            if lost < mp.mpf(10) ** (dps - 20) or dps >= 200:
+                return float(acc)
+        dps += 40
+
+
+def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
+    cs, cc = _kind_coeffs(p, kind)
     sx, cx = math.sin(x), math.cos(x)
     scale = float(x) ** (-(2 * p + 1))
     acc = 0.0
@@ -313,25 +349,7 @@ def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
     if mag * abs(scale) <= _CANCEL_LIMIT * abs(value):
         return value
     # cancellation beyond float64: redo in mpmath with enough digits
-    dps = 40
-    while True:
-        with mp.workdps(dps):
-            xm = mp.mpf(x)
-            sxm, cxm = mp.sin(xm), mp.cos(xm)
-            accm = mp.mpf(0)
-            magm = mp.mpf(0)
-            xpm = mp.mpf(1)
-            for l in range(p + 1):
-                term = (cs[l] * sxm + cc[l] * cxm) * xpm
-                accm += term
-                magm += abs(term)
-                xpm *= xm
-            accm *= xm ** (-(2 * p + 1))
-            magm *= abs(xm) ** (-(2 * p + 1))
-            lost = magm / max(abs(accm), mp.mpf(10) ** (-dps))
-            if lost < mp.mpf(10) ** (dps - 20) or dps >= 200:
-                return float(accm)
-        dps += 40
+    return _escalate(lambda: _trig_sum_mp(cs, cc, x))
 
 
 def _dp_trig(p: int, x, kind: str):
@@ -340,9 +358,7 @@ def _dp_trig(p: int, x, kind: str):
     if isinstance(x, np.ndarray):
         if np.any(x == 0):
             raise ValueError("x = 0 is outside the domain")
-        cs, cc = _trig_coeffs(p)
-        if kind == "cos":
-            cs, cc = tuple(-c for c in cc), cs
+        cs, cc = _kind_coeffs(p, kind)
         xs = np.asarray(x, dtype=float)
         val = _poly_eval(cs, xs) * np.sin(xs) + _poly_eval(cc, xs) * np.cos(xs)
         return val * xs ** (-(2 * p + 1))
@@ -385,18 +401,9 @@ def dp_trig_mp(p: int, x, kind: str, dps: int = 60):
 
     Returns an mpf computed under `dps` digits; the caller owns any rounding.
     """
-    cs, cc = _trig_coeffs(p)
-    if kind == "cos":
-        cs, cc = tuple(-c for c in cc), cs
+    cs, cc = _kind_coeffs(p, kind)
     with mp.workdps(dps):
-        xm = mp.mpf(x)
-        sx, cx = mp.sin(xm), mp.cos(xm)
-        acc = mp.mpf(0)
-        xp = mp.mpf(1)
-        for l in range(p + 1):
-            acc += (cs[l] * sx + cc[l] * cx) * xp
-            xp *= xm
-        return acc * xm ** (-(2 * p + 1))
+        return _trig_sum_mp(cs, cc, x)[0]
 
 
 def _binom_conv(n: int, r: int) -> int:
@@ -431,22 +438,19 @@ def dp_inv_poly(m: int, d: int, t) -> float:
         mag += abs(term)
     if mag <= _CANCEL_LIMIT * max(1.0, abs(acc)):
         return acc
-    dps = 40
-    while True:
-        with mp.workdps(dps):
-            tm = mp.mpf(t)
-            accm = mp.mpf(0)
-            magm = mp.mpf(0)
-            for r, c in enumerate(terms):
-                term = (mp.mpf(c.numerator) / c.denominator) / (
-                    tm ** (2 * m + 1 - r) * (tm + 1) ** (d + r)
-                )
-                accm += term
-                magm += abs(term)
-            lost = magm / max(abs(accm), mp.mpf(10) ** (-dps))
-            if lost < mp.mpf(10) ** (dps - 20) or dps >= 200:
-                return float(accm)
-        dps += 40
+
+    def closed_sum():
+        tm = mp.mpf(t)
+        accm = mp.mpf(0)
+        magm = mp.mpf(0)
+        for r, c in enumerate(terms):
+            term = (mp.mpf(c.numerator) / c.denominator) / (
+                tm ** (2 * m + 1 - r) * (tm + 1) ** (d + r))
+            accm += term
+            magm += abs(term)
+        return accm, magm
+
+    return _escalate(closed_sum)
 
 
 # ---------------------------------------------------------------------------

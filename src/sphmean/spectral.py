@@ -315,9 +315,12 @@ def mk_residual(k: int, lam, t):
     lams, ts, shape = _mk_points(lam, t)
     if np.any(lams <= 0):
         raise ValueError("lam > 0")
-    lhs, rhs, scale = _mk_sides(k, lams, ts, use_mp=False)
-    den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR * scale)
-    res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(den.shape), where=den != 0.0)
+    # an overflowing row is retried below, then raised: no warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, scale = _mk_sides(k, lams, ts, use_mp=False)
+        den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR * scale)
+        res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(den.shape),
+                        where=den != 0.0)
     retry_at = _MP_RETRY if k > 0 else _MP_RETRY_K0
     # NaN compares False, so a non-finite row is retried too
     for i in np.flatnonzero(~(res <= retry_at)).tolist():

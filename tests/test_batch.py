@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from sphmean import cli
+from sphmean import inverse as inv
 from sphmean import rangecheck as rc
 from sphmean import specfun as sf
 from sphmean import spectral as sp
@@ -149,6 +151,57 @@ def test_jet_data_rows_match_scalar_calls():
         plain = [sf.d_operator(data._jet_fn(t, max(p, 1)), p) for t in ts.tolist()]
         assert np.array_equal(data.dp_h(ts, p), singles), p
         assert np.array_equal(singles, np.array(plain)), p
+
+
+def test_data_reads_match_the_per_point_loops():
+    # inverse, rangecheck and the CLI read the data in one call on the whole
+    # grid; each value equals the per-point loop each of them ran before
+    ts = np.linspace(0.05, 1.95, 401)
+    csv = cli._CsvH(ts, np.sin(3 * ts) * ts)
+    assert np.array_equal(csv.h(ts), np.array([float(csv.h(float(t))) for t in ts]))
+    sampled = rc.SampledH.from_function(csv.h, degree=64)
+    x, _ = rc._cheb_matrix(64)
+    nodes = (0.01 + 1.99) / 2 + (1.99 - 0.01) / 2 * x
+    assert np.array_equal(sampled.h(sampled.t_nodes),
+                          np.array([csv.h(float(t)) for t in nodes]))
+
+    cfg = inv.InversionConfig(60, 61, 1e-8)
+    calls = []
+
+    class Data:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def h(self, t):
+            calls.append(t)
+            return self.fn(t)
+
+    def g(t):
+        calls.append(t)
+        return t * (2.0 - t)
+
+    for n in (3, 5, 9):
+        dim = tr.Dimension(n)
+        t_grid, _, _, A = inv.forward_matrix(dim, cfg)
+        fwd = tr.SmtProfile.from_profile(BUMP, dim)
+        routes = {"h": (Data(fwd.h), [float(fwd.h(float(t))) for t in t_grid]),
+                  "g": (g, [float(g(float(t))) * t ** (n - 2) for t in t_grid])}
+        for route, (data, loop) in routes.items():
+            calls.clear()
+            res = inv.invert_radial(data, dim, cfg)
+            assert len(calls) == 1, (n, route)
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            x = Vt[:res.rank].T @ ((U[:, :res.rank].T @ np.array(loop)) / s[:res.rank])
+            assert np.array_equal(res.values, x), (n, route)
+
+    r = np.linspace(0.05, 0.95, 181)
+    data = tr.SmtProfile.from_profile(BUMP, tr.Dimension(3))
+    hp = inv._h_prime(data)
+    loop = [2.0 * hp(1.0 - float(rr)) / float(rr) for rr in r]
+    assert np.array_equal(inv.invert_radial_n3(data, r), np.array(loop))
+    z = lambda t: 0.0  # a scalar answer holds on the whole grid
+    assert np.array_equal(inv.invert_radial_n3((z, z), r), np.zeros(r.shape))
+    assert np.all(inv.invert_radial(z, tr.Dimension(5), cfg).values == 0.0)
 
 
 def _kernel_points():

@@ -2,6 +2,9 @@
 and the file-based forward/invert round trip."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -315,3 +318,154 @@ def test_ucp_demo_rejects_low_order(tmp_path, capsys):
         {"n": 5, "epsilon": 0.2, "m": 3, "bump": [0.6, 0.15]}))
     assert cli.main(["ucp-demo", "--config", str(spec)]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one option table: flags, config keys and checks
+
+
+def _accepts_key(tmp_path, command, key):
+    """Whether load_config takes `key` at the top level (any value type)."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({key: None}))
+    try:
+        cli.load_config(str(path), command)
+    except cli.ConfigError as exc:
+        return "unknown config key" not in str(exc)
+    return True
+
+
+def test_flags_config_keys_and_table_agree(tmp_path):
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(cli.OPTIONS)
+    names = {name for options in cli.OPTIONS.values() for name in options}
+    names |= {"profile", "quadrature", "inversion", "bump", "k", "threads"}
+    total = 0
+    for command, p in subparsers.items():
+        flags = {s for a in p._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+        total += len(flags) + 1  # and --config
+        table = set(cli.OPTIONS[command])
+        assert flags == {"--" + n.replace("_", "-") for n in table}, command
+        keys = {k for k in names if _accepts_key(tmp_path, command, k)}
+        assert keys - cli._COMMAND_OBJECTS[command] == table, command
+    assert total == 54
+
+
+GOLDEN = {
+    "forward": "c89c4e4ab19c8ef89abd74075605f5a5500dd33bf612d6065edb27bba6a365b9",
+    "mk-check": "46e6db9895467f245e654fc2c6a70aec1c5e66d0c06b1798dec186b3bbca07b9",
+    "ucp-demo": "7269893eae900bab0fa98ef4d68556882e9c35cdbab59f98ab248310ae74d53e",
+}
+
+
+def test_config_hashes_are_pinned(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 3, "epsilon": 0.25, "m": 2, "bump": [0.6, 0.15]}))
+    runs = {"forward": ["forward", "--config", _write_profile(tmp_path), "--grid", "40"],
+            "mk-check": ["mk-check", "--k", "1", "--count", "3"],
+            "ucp-demo": ["ucp-demo", "--config", str(spec), "--grid", "16"]}
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        artifact = tmp_path / "ucp-demo_g.csv" if command == "ucp-demo" else out
+        assert f"# config sha256:{GOLDEN[command]}\n" in artifact.read_text(), command
+    capsys.readouterr()
+
+
+def _config_error(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    return err
+
+
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys):
+    assert cli.main(["forward", "--config", _write_profile(tmp_path), "--tol", "1"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ('"abc"', "field 'grid' must be int"),
+    ("7.9", "field 'grid' must be int"),
+])
+def test_top_level_config_values_are_checked(tmp_path, capsys, value, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"profile": {"family": "bump", "center": 0.55, "width": 0.25, '
+                   '"n": 3}, "grid": ' + value + "}")
+    assert message in _config_error(capsys, ["forward", "--config", str(cfg)])
+
+
+def test_nan_config_values_are_config_errors(tmp_path, capsys):
+    tol = tmp_path / "tol.json"
+    tol.write_text(json.dumps({"profile": {"family": "bump", "center": 0.55,
+                                           "width": 0.25, "n": 3}, "tol": float("nan")}))
+    assert "'tol' must be finite" in _config_error(
+        capsys, ["range-check", "--config", str(tol)])
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps({"lambda_max": float("nan")}))
+    assert "'lambda_max' must be finite" in _config_error(
+        capsys, ["mk-check", "--config", str(lam)])
+    assert "--tol must be finite" in _config_error(capsys, ["mk-check", "--tol", "nan"])
+
+
+def test_ucp_demo_reads_n_and_m_flags(tmp_path, capsys):
+    spec = tmp_path / "ucp.json"
+    spec.write_text(json.dumps({"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}))
+    out = tmp_path / "run.csv"
+    assert cli.main(["ucp-demo", "--config", str(spec), "--n", "3", "--m", "2",
+                     "--grid", "16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    verdict = json.loads((tmp_path / "run.json").read_text())
+    assert (verdict["n"], verdict["m"], verdict["epsilon"]) == (3, 2, 0.2)
+
+
+def test_derivatives_flag_beats_the_config(tmp_path, capsys):
+    out = tmp_path / "fwd.csv"
+    cfg = _write_profile(tmp_path, derivatives=False)
+    assert cli.main(["forward", "--config", cfg, "--grid", "5", "--derivatives",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "t,g,h,dp_h_0\n" in out.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identities", "--max-k", "-1"], "--max-k must be >= 0"),
+    (["mk-check", "--count", "0"], "--count must be >= 1"),
+    (["mk-check", "--k", "-1"], "--k must be >= 0"),
+])
+def test_empty_sweeps_are_refused(capsys, argv, message):
+    assert message in _config_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["cross-check", "range-check"])
+def test_empty_grids_are_refused(tmp_path, capsys, command):
+    assert "--grid must be >= 1" in _config_error(
+        capsys, [command, "--config", _write_profile(tmp_path), "--grid", "0"])
+
+
+def test_short_bump_is_a_config_error(tmp_path, capsys):
+    spec = tmp_path / "ucp.json"
+    spec.write_text(json.dumps({"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6]}))
+    assert "'bump' must be a [center, width] pair" in _config_error(
+        capsys, ["ucp-demo", "--config", str(spec)])
+
+
+def test_nested_nan_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"profile": {"family": "bump", "center": float("nan"),
+                                           "width": 0.25, "n": 3}}))
+    assert "'profile.center' must be finite" in _config_error(
+        capsys, ["forward", "--config", str(cfg), "--grid", "3"])
+
+
+def test_overflow_prints_only_its_error_line(tmp_path):
+    # in a process of its own, so that numpy's warnings reach stderr
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"lambda_max": 1e300, "count": 3, "k": 2}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-m", "sphmean.cli", "mk-check",
+                          "--config", str(cfg)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
+        run.stderr
