@@ -26,7 +26,8 @@ from . import __version__
 from .exactmath import identity_sweeps
 from .inverse import InversionConfig, invert_radial
 from .rangecheck import SampledH, default_grid, general_range_check, range_residual
-from .spectral import bessel_zero_vanishing, cross_product_terms, hankel_h, mk_residual
+from .specfun import bessel_zero
+from .spectral import cross_product_terms, hankel_h, mk_residual
 from .transform import (
     DEFAULT_QUAD,
     BumpProfile,
@@ -51,9 +52,9 @@ class ConfigError(Exception):
 # Each subcommand's options: name -> (type, default, least value, help).
 # Every option is both a --flag and a top-level config key; its value is the
 # flag's, else the config's, else the default.
-_N = (int, None, None, "ambient dimension (odd, >= 3)")
-_M = (int, 0, None, "harmonic degree of the data")
-_SHARED = {"seed": (int, DEFAULT_SEED, None, "RNG seed, echoed in each artifact"),
+_N = (int, None, 3, "ambient dimension (odd, >= 3)")
+_M = (int, 0, 0, "harmonic degree of the data")
+_SHARED = {"seed": (int, DEFAULT_SEED, 0, "RNG seed, echoed in each artifact"),
            "out": (str, None, None, "output file path (default stdout)")}
 OPTIONS = {command: {**options, **_SHARED} for command, options in {
     "forward": {"n": _N, "m": _M, "grid": (int, 201, 1, "number of t points"),
@@ -82,13 +83,14 @@ OPTIONS = {command: {**options, **_SHARED} for command, options in {
                          "verdict tolerance (default from the quadrature)")},
 }.items()}
 
-# config-only objects: the key schema of each, and the ones each subcommand
-# takes ("bump" is a [center, width] pair)
+# config-only objects: the key schema of each, name -> (type, least value),
+# and the ones each subcommand takes ("bump" is a [center, width] pair)
 _OBJECTS = {
-    "profile": {"family": str, "center": float, "width": float,
-                "amplitude": float, "n": int, "m": int},
-    "quadrature": {"nodes": int, "panels": int},
-    "inversion": {"n_unknowns": int, "n_collocation": int, "svd_cutoff": float},
+    "profile": {"family": (str, None), "center": (float, None), "width": (float, None),
+                "amplitude": (float, None), "n": (int, 3), "m": (int, 0)},
+    "quadrature": {"nodes": (int, 2), "panels": (int, 1)},
+    "inversion": {"n_unknowns": (int, None), "n_collocation": (int, None),
+                  "svd_cutoff": (float, None)},
 }
 _COMMAND_OBJECTS = {"forward": {"profile", "quadrature"}, "invert": {"inversion"},
                     "range-check": {"profile", "quadrature"},
@@ -139,7 +141,7 @@ def load_config(path: str, command: str) -> dict:
             for name, v in value.items():
                 if name not in _OBJECTS[key]:
                     raise ConfigError(f"unknown key '{key}.{name}'")
-                _check(v, _OBJECTS[key][name], None, f"field '{key}.{name}'")
+                _check(v, *_OBJECTS[key][name], f"field '{key}.{name}'")
     return cfg
 
 
@@ -438,9 +440,10 @@ def _cmd_cross_check(args) -> int:
                  "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
     cfg_hash = _config_hash(effective)
 
-    rows = [(float(lam), *cross_product_terms(data, k, float(lam), quad))
-            for lam in lams]
-    worst = max(r[3] for r in rows)
+    lhs, rhs, res = cross_product_terms(data, k, lams, quad)
+    # np.max keeps a NaN, which max() would drop and so read as a PASS
+    worst = float(np.max(res))
+    rows = zip(lams.tolist(), lhs.tolist(), rhs.tolist(), res.tolist())
     _emit_csv(opts["out"], ["lambda", "lhs", "rhs", "residual"], rows, cfg_hash, seed)
     ok = worst <= tol
     print(f"cross-check: {'PASS' if ok else 'FAIL'} "
@@ -515,13 +518,15 @@ def _cmd_zeros(args) -> int:
                  "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
     cfg_hash = _config_hash(effective)
 
-    pairs = bessel_zero_vanishing(data, dim, m, count, quad)
-    # transform magnitude scale over a lambda sweep up past the last zero
-    lam_grid = np.linspace(0.3, pairs[-1][0] + 2.0, 40)
-    order = m + dim.k
-    fmax = max(abs(hankel_h(data.h, order, la, quad, data.support))
-               for la in lam_grid)
-    rows = [(lam, val, val / fmax) for lam, val in pairs]
+    # the transform (kernel order k for every m) at the order-(m+k) kernel
+    # zeros, and its magnitude scale over a lambda sweep up past the last zero
+    zeros = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
+    lam_grid = np.linspace(0.3, zeros[-1] + 2.0, 40)
+    values = np.abs(hankel_h(data.h, dim.k, np.concatenate([zeros, lam_grid]),
+                             quad, data.support))
+    fmax = float(np.max(values[count:]))
+    rows = [(lam, val, val / fmax)
+            for lam, val in zip(zeros.tolist(), values[:count].tolist())]
     worst = max(r[2] for r in rows)
     _emit_csv(opts["out"], ["lambda", "absF", "ratio"], rows, cfg_hash, seed,
               comments=[f"fmax {_fmt(fmax)}"])

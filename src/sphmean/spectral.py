@@ -3,7 +3,8 @@
 Three tools live here:
 
 * :func:`hankel` — the weighted Hankel-type transform of a profile against the
-  normalized spherical Bessel kernel, with oscillation-aware paneling;
+  normalized spherical Bessel kernel, with oscillation-aware paneling (an
+  array of lam reads the profile once, on the distinct rules' nodes);
 * :func:`cross_product_residual` — the defect in the cross-product identity
   that ties the first- and second-kind kernel integrals of range data
   together;
@@ -73,46 +74,73 @@ def _order_from_alpha(alpha: float) -> int:
     return k
 
 
-def _hankel_rule(lam: float, support, quad: QuadratureRule):
-    if lam < 0:
-        raise ValueError("lam >= 0")
+def _lam_array(lam, positive: bool = False):
+    """lam as a flat float array and its shape; refuses any lam < 0 (or
+    lam <= 0 when `positive`)."""
+    lams = np.asarray(lam, dtype=float)
+    if not np.all(lams > 0 if positive else lams >= 0):
+        raise ValueError("lam > 0" if positive else "lam >= 0")
+    return lams.ravel(), lams.shape
+
+
+def _per_lam(fn, lams, a: float, b: float, quad: QuadratureRule, one) -> list:
+    """one(lam, rule, f_t) for every lam, with fn called once for them all.
+
+    Each lam gets its oscillation rule on [a, b], and lams with the same
+    panel count share one rule.  fn is called once, on the nodes of the
+    distinct rules concatenated, so it must act elementwise; f_t is its
+    values on the nodes of the lam's own rule.
+    """
+    rules = [_lam_rule(lam, a, b, quad) for lam in lams.tolist()]
+    distinct = list(dict.fromkeys(rules))
+    if not distinct:
+        return []
+    nodes = [rule.points(a, b)[0] for rule in distinct]
+    values = np.split(fn(np.concatenate(nodes)), np.cumsum([t.size for t in nodes[:-1]]))
+    f_t = dict(zip(distinct, values))
+    return [one(lam, rule, f_t[rule]) for lam, rule in zip(lams.tolist(), rules)]
+
+
+def _hankel_sums(fn, lam, support, quad: QuadratureRule, integrand):
+    """rule.integrate of integrand(lam, t, f_t) over the support, per lam."""
+    lams, shape = _lam_array(lam)
     a, b = support
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
-    return _lam_rule(lam, a, b, quad), a, b
+    sums = _per_lam(fn, lams, a, b, quad, lambda lam, rule, f_t: rule.integrate(
+        lambda t: integrand(lam, t, f_t), a, b))
+    return _shaped(np.array(sums, dtype=float), shape)
 
 
-def hankel(g, alpha: float, lam: float, quad: QuadratureRule = DEFAULT_QUAD,
-           support=(0.0, 2.0)) -> float:
+def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
+           support=(0.0, 2.0)):
     """Weighted transform  integral of g(t) j_alpha(lam t) t^(2 alpha + 1) dt.
 
-    `g` is a plain callable of t (vectorized over numpy arrays).  The kernel
-    is the normalized first-kind function (value 1 at zero argument), so the
-    integrand is regular at t = 0 and the support may start there.
+    `g` is an elementwise callable of t (numpy arrays in, arrays out).  The
+    kernel is the normalized first-kind function (value 1 at zero argument),
+    so the integrand is regular at t = 0 and the support may start there.
+
+    lam may be a scalar (the result is a float) or an array (the result has
+    its shape).  g is called once for the whole array, on the nodes of the
+    distinct quadrature rules its lams need, and each entry equals the
+    scalar call on its lam, bit for bit.
     """
     k = _order_from_alpha(alpha)
-    rule, a, b = _hankel_rule(lam, support, quad)
     power = 2 * k + 2  # 2*alpha + 1 with alpha = k + 1/2
-
-    def integrand(t):
-        return g(t) * sph_bessel_j(k, lam * t) * t ** power
-
-    return rule.integrate(integrand, a, b)
+    return _hankel_sums(g, lam, support, quad, lambda lam, t, g_t:
+                        g_t * sph_bessel_j(k, lam * t) * t ** power)
 
 
-def hankel_h(h, k: int, lam: float, quad: QuadratureRule = DEFAULT_QUAD,
-             support=(0.0, 2.0)) -> float:
+def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
+             support=(0.0, 2.0)):
     """Same transform written against h(t) = t^(2k+1) g(t).
 
     Equals hankel(g, k + 1/2, lam) when h and g are consistent; having both
-    routes avoids dividing by t^(2k+1) near the origin.
+    routes avoids dividing by t^(2k+1) near the origin.  lam may be a scalar
+    or an array, with one call to h for the array, as in `hankel`.
     """
-    rule, a, b = _hankel_rule(lam, support, quad)
-
-    def integrand(t):
-        return h(t) * sph_bessel_j(k, lam * t) * t
-
-    return rule.integrate(integrand, a, b)
+    return _hankel_sums(h, lam, support, quad, lambda lam, t, h_t:
+                        h_t * sph_bessel_j(k, lam * t) * t)
 
 
 def _h_callable(data):
@@ -133,9 +161,9 @@ def _h_support(data, support):
     return (0.0, 2.0)
 
 
-def cross_product_terms(data, k: int, lam: float,
+def cross_product_terms(data, k: int, lam,
                         quad: QuadratureRule = DEFAULT_QUAD,
-                        support=None) -> tuple:
+                        support=None):
     """Both sides of the cross-product identity and their relative defect.
 
     With I_j = integral of raw_j(k, lam t) t h(t) dt and I_y the same with the
@@ -147,9 +175,13 @@ def cross_product_terms(data, k: int, lam: float,
 
     The second-kind kernel blows up like t^-(2k+1) at the origin, so the
     h-support must stay away from t = 0.
+
+    lam may be a scalar (three floats come back) or an array (three arrays
+    in its shape).  h is called once for the whole array, on the nodes of
+    the distinct quadrature rules its lams need, so it must act elementwise;
+    each entry equals the scalar call on its lam, bit for bit.
     """
-    if lam <= 0:
-        raise ValueError("lam > 0")
+    lams, shape = _lam_array(lam, positive=True)
     if k < 0:
         raise ValueError("k >= 0")
     fn = _h_callable(data)
@@ -159,31 +191,34 @@ def cross_product_terms(data, k: int, lam: float,
                          "(second-kind kernel is singular there)")
     if b <= a:
         raise ValueError("need a < b")
-    rule = _lam_rule(lam, a, b, quad)
     c_k = raw_to_normalized(k)
-    # one h evaluation on the rule's nodes feeds both kernel integrals
-    t, w = rule.points(a, b)
-    h_t = fn(t)
-    # series-backed normalized kernel is stable at small arguments
-    i_j = float(np.dot(w, c_k * sph_bessel_j(k, lam * t) * t * h_t))
-    i_y = float(np.dot(w, dp_cosc(k, lam * t) * t * h_t))
-    j_lam = raw_j(k, lam)
-    y_lam = raw_y(k, lam)
-    lhs = i_j * y_lam
-    rhs = i_y * j_lam
-    diff = abs(lhs - rhs)
-    if diff == 0.0:
-        return lhs, rhs, 0.0
-    scale = max(abs(i_j), abs(i_y)) * max(abs(j_lam), abs(y_lam))
-    den = max(abs(lhs), abs(rhs), _REL_FLOOR * scale)
-    if den == 0.0:
-        return lhs, rhs, 0.0
-    return lhs, rhs, diff / den
+
+    def terms(lam, rule, h_t):
+        # one h evaluation on the rule's nodes feeds both kernel integrals
+        t, w = rule.points(a, b)
+        # series-backed normalized kernel is stable at small arguments
+        i_j = float(np.dot(w, c_k * sph_bessel_j(k, lam * t) * t * h_t))
+        i_y = float(np.dot(w, dp_cosc(k, lam * t) * t * h_t))
+        j_lam = raw_j(k, lam)
+        y_lam = raw_y(k, lam)
+        lhs = i_j * y_lam
+        rhs = i_y * j_lam
+        diff = abs(lhs - rhs)
+        if diff == 0.0:
+            return lhs, rhs, 0.0
+        scale = max(abs(i_j), abs(i_y)) * max(abs(j_lam), abs(y_lam))
+        den = max(abs(lhs), abs(rhs), _REL_FLOOR * scale)
+        if den == 0.0:
+            return lhs, rhs, 0.0
+        return lhs, rhs, diff / den
+
+    sides = np.array(_per_lam(fn, lams, a, b, quad, terms), dtype=float).reshape(-1, 3)
+    return tuple(_shaped(column, shape) for column in sides.T)
 
 
-def cross_product_residual(data, k: int, lam: float,
+def cross_product_residual(data, k: int, lam,
                            quad: QuadratureRule = DEFAULT_QUAD,
-                           support=None) -> float:
+                           support=None):
     """Relative defect in the cross-product identity; see cross_product_terms."""
     return cross_product_terms(data, k, lam, quad, support)[2]
 
@@ -348,18 +383,16 @@ def bessel_zero_vanishing(data, dim: Dimension, m: int, count: int,
     `data` supplies h (object with .h and optionally .support, or a bare
     callable).  For data in the range of the spherical mean transform with a
     degree-m harmonic the returned magnitudes vanish up to quadrature error;
-    off-range data leaves visible mass at some zero.  Returns a list of
-    (zero, |transform|) pairs.
+    off-range data leaves visible mass at some zero.  The kernel of the
+    transform has order k (`hankel_h` with dim.k) for every m; the degree m
+    only moves the zeros.  Returns a list of (zero, |transform|) pairs, from
+    one `hankel_h` call over all the zeros.
     """
     if count < 1:
         raise ValueError("count >= 1")
     if m < 0:
         raise ValueError("m >= 0")
     fn = _h_callable(data)
-    a, b = _h_support(data, support)
-    out = []
-    for i in range(1, count + 1):
-        lam = bessel_zero(m + dim.k, i)
-        val = hankel_h(fn, dim.k, lam, quad, (a, b))
-        out.append((lam, abs(val)))
-    return out
+    lams = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
+    values = hankel_h(fn, dim.k, lams, quad, _h_support(data, support))
+    return [(lam, abs(val)) for lam, val in zip(lams.tolist(), values.tolist())]

@@ -1,6 +1,7 @@
-"""Batched entry points: every forward entry point given an array of t, and
-the kernel identity given arrays of (lam, t), returns exactly its
-elementwise scalar calls, bit for bit."""
+"""Batched entry points: every forward entry point given an array of t, the
+kernel identity given arrays of (lam, t), and the spectral transforms given
+an array of lam, return exactly their elementwise scalar calls, bit for
+bit."""
 
 import os
 import platform
@@ -265,3 +266,98 @@ def test_batched_calls_reuse_heap_memory():
                          text=True, check=True, timeout=120)
     # 96 blocks: churning costs thousands of faults, reuse a few dozen
     assert int(out.stdout) < 300
+
+
+# spectral transforms over arrays of lam: 7.0 keeps the base 8 panels on the
+# 1.6-wide support, 23.0 and 23.05 share 24 panels, 40.0 needs 41
+LAMS = np.array([0.5, 2.0, 7.0, 23.0, 23.05, 40.0, 7.1, 0.75])
+# the forward quadrature only sets the data's values, not the bits compared
+DATA_QUAD = tr.QuadratureRule(16, 2)
+
+
+def _spectral_data(n, m):
+    dim = tr.Dimension(n)
+    if m == 0:
+        return dim, tr.SmtProfile.from_profile(BUMP, dim, DATA_QUAD)
+    return dim, tr.HarmonicForwardData(BUMP, dim, m, DATA_QUAD)
+
+
+def _spectral(dim, m, data):
+    yield "hankel", lambda lam: sp.hankel(data.g, dim.k + 0.5, lam, support=data.support)
+    yield "hankel_h", lambda lam: sp.hankel_h(data.h, dim.k, lam, support=data.support)
+    yield "cross_product_terms", lambda lam: sp.cross_product_terms(data, dim.k + m, lam)
+
+
+def _floats(value):
+    """A float, or a tuple of floats, as a scalar lam's answer is."""
+    return type(value) is float or (type(value) is tuple
+                                    and all(type(v) is float for v in value))
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("m", [0, 2])
+def test_spectral_transforms_match_scalar_calls(n, m):
+    dim, data = _spectral_data(n, m)
+    for name, fn in _spectral(dim, m, data):
+        singles = [fn(lam) for lam in LAMS.tolist()]
+        assert all(_floats(v) for v in singles), name
+        # one column per lam (under one row per side of the cross product)
+        want = np.array(singles).T
+        assert np.array_equal(np.array(fn(LAMS)), want), name
+        assert np.array_equal(np.array(fn(LAMS.reshape(2, 4))),
+                              want.reshape(want.shape[:-1] + (2, 4))), name
+        assert np.array_equal(np.array(fn(LAMS[5:6])), want[..., 5:6]), name
+        zero_d = fn(np.array(LAMS[3]))
+        assert _floats(zero_d) and zero_d == singles[3], name
+
+
+class _CountedH:
+    """h of forward data, recording the size of every call."""
+
+    def __init__(self, data):
+        self.data, self.support, self.calls = data, data.support, []
+
+    def h(self, t):
+        self.calls.append(np.shape(t))
+        return self.data.h(t)
+
+
+def test_spectral_transforms_call_h_once_per_array():
+    _, data = _spectral_data(5, 0)
+    counted = _CountedH(data)
+    a, b = data.support
+    panels = {sp.oscillation_panels(lam, a, b, 8) for lam in LAMS.tolist()}
+    assert sorted(panels) == [8, 24, 41]
+    nodes = 32 * sum(panels)
+    for name, call in (
+            ("hankel", lambda lam: sp.hankel(counted.h, 1.5, lam, support=(a, b))),
+            ("hankel_h", lambda lam: sp.hankel_h(counted.h, 1, lam, support=(a, b))),
+            ("cross_product_terms", lambda lam: sp.cross_product_terms(counted, 1, lam))):
+        counted.calls.clear()
+        call(LAMS)
+        assert counted.calls == [(nodes,)], name
+        counted.calls.clear()
+        call(LAMS.reshape(4, 2))
+        assert counted.calls == [(nodes,)], name
+        counted.calls.clear()
+        call(np.array([7.1, 0.5, 2.0]))
+        assert counted.calls == [(32 * 8,)], name
+        # a negative lam anywhere is refused before h is called
+        counted.calls.clear()
+        with pytest.raises(ValueError, match="lam"):
+            call(np.array([1.0, 2.0, -3.0, 4.0]))
+        assert counted.calls == [], name
+    with pytest.raises(ValueError, match="lam > 0"):
+        sp.cross_product_terms(counted, 1, np.array([1.0, 0.0]))
+    assert sp.hankel_h(counted.h, 1, np.array([]), support=(a, b)).shape == (0,)
+    assert counted.calls == []
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_zero_vanishing_matches_the_per_zero_loop(m):
+    dim, data = _spectral_data(5, m)
+    loop = []
+    for i in range(1, 9):
+        lam = sf.bessel_zero(m + dim.k, i)
+        loop.append((lam, abs(sp.hankel_h(data.h, dim.k, lam, tr.DEFAULT_QUAD, data.support))))
+    assert sp.bessel_zero_vanishing(data, dim, m, 8) == loop

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact headers, reproducibility,
 and the file-based forward/invert round trip."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from sphmean import cli
-from sphmean.transform import BumpProfile
+from sphmean import spectral as sp
+from sphmean.specfun import bessel_zero
+from sphmean.transform import BumpProfile, Dimension, HarmonicForwardData
 
 
 def _write_profile(tmp_path, **extra):
@@ -469,3 +472,57 @@ def test_overflow_prints_only_its_error_line(tmp_path):
     assert run.returncode == 2
     assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
         run.stderr
+
+
+# sha256 of whole spectral artifacts from the README's profile.json: a
+# faster path through the transforms must not move a byte
+ARTIFACTS = {
+    "zeros": (["zeros", "--count", "10"],
+              "a0141aec7be8d5b2d9fc83c330835c7e377089271fba991878a3666d76117427"),
+    "cross-check": (["cross-check", "--grid", "20", "--lambda-max", "40"],
+                    "18e5e3ae453200cdd34451393b0bb78648224bff3663b4d5c09efbcfc7d2489f"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_spectral_artifact_bytes_are_pinned(tmp_path, capsys, command):
+    argv, digest = ARTIFACTS[command]
+    out = tmp_path / f"{command}.csv"
+    assert cli.main(argv + ["--config", _write_profile(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_zeros_scale_uses_the_transform_it_divides(tmp_path, capsys):
+    # for harmonic data the transform at the zeros has kernel order k, so
+    # its scale is the sweep of that same transform
+    out = tmp_path / "zeros.csv"
+    assert cli.main(["zeros", "--config", _write_profile(tmp_path), "--m", "2",
+                     "--count", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    dim = Dimension(3)
+    data = HarmonicForwardData(BumpProfile(0.55, 0.25), dim, 2)
+    grid = np.linspace(0.3, bessel_zero(2 + dim.k, 4) + 2.0, 40)
+    fmax = max(abs(sp.hankel_h(data.h, dim.k, float(lam), support=data.support))
+               for lam in grid)
+    assert f"# fmax {cli._fmt(fmax)}\n" in out.read_text()
+    rows = _data_rows(out)
+    assert np.array_equal(rows[:, 2], rows[:, 1] / fmax)
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["mk-check", "--seed", "-1"], None, "--seed must be >= 0"),
+    (["zeros", "--m", "-1"], {}, "--m must be >= 0"),
+    (["forward", "--n", "1"], {}, "--n must be >= 3"),
+    (["forward"], {"quadrature": {"nodes": 0}}, "'quadrature.nodes' must be >= 2"),
+    (["zeros"], {"quadrature": {"panels": 0}}, "'quadrature.panels' must be >= 1"),
+], ids=["seed", "m", "n", "quadrature.nodes", "quadrature.panels"])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, extra, message):
+    if extra is not None:
+        argv = argv + ["--config", _write_profile(tmp_path, **extra)]
+    assert message in _config_error(capsys, argv)
+
+
+def test_even_n_stays_a_domain_error(tmp_path, capsys):
+    assert cli.main(["forward", "--config", _write_profile(tmp_path), "--n", "4"]) == 2
+    assert capsys.readouterr().err.startswith("domain error: n must be odd")
