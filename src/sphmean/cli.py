@@ -35,6 +35,7 @@ from .transform import (
     HarmonicForwardData,
     QuadratureRule,
     SmtProfile,
+    g_from_h,
 )
 from . import ucp as ucp_mod
 
@@ -313,11 +314,12 @@ def _cmd_forward(args) -> int:
                  "derivatives": derivs, "seed": seed}
     cfg_hash = _config_hash(effective)
 
+    h = data.h(grid)
     columns = ["t", "g", "h"]
-    values = [grid, data.g(grid), data.h(grid)]
+    values = [grid, g_from_h(h, grid, n), h]
     if derivs:
         columns += [f"dp_h_{p}" for p in range(k + 1)]
-        values += [data.dp_h(grid, p) for p in range(k + 1)]
+        values += [h] + [data.dp_h(grid, p) for p in range(1, k + 1)]
     _emit_csv(opts["out"], columns, zip(*values), cfg_hash, seed)
     print(f"forward: n={n} m={m}, {count} rows")
     return 0

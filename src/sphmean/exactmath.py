@@ -185,11 +185,11 @@ class BiPoly:
         return BiPoly(out)
 
     def eval(self, tval, uval):
-        """Numeric evaluation (floats in, float out); for tests and kernels."""
+        """Numeric evaluation (floats in, float out), for tests."""
         return sum(float(c) * tval**i * uval**j for (i, j), c in self.coeffs.items())
 
     def terms(self):
-        """Sorted (i, j, coefficient) triples; stable order for compilation."""
+        """Sorted (i, j, coefficient) triples, in a stable order."""
         return [(i, j, c) for (i, j), c in sorted(self.coeffs.items())]
 
     def __repr__(self):
@@ -233,7 +233,7 @@ def q_poly() -> BiPoly:
 
 @lru_cache(maxsize=None)
 def dp_q_power(power: int, p: int) -> BiPoly:
-    """D^p (Q^power), exact; cached because kernels are reused across grids."""
+    """D^p (Q^power), exact and cached: the oracle of the sweeps and tests."""
     if p == 0:
         return q_poly() ** power
     return formal_D(dp_q_power(power, p - 1))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import Dimension, omega, q_kernel
+from .transform import Dimension, _front_constant, q_kernel
 
 R_FLOOR = 1e-3
 
@@ -116,13 +116,12 @@ def forward_matrix(dim: Dimension, cfg: InversionConfig):
     Returns (t_grid, u_nodes, u_weights, A); rows are collocation points
     t_i in (0, 1), columns the unknown nodal values f(u_j).
     """
-    k = dim.k
-    c_n = omega(dim.n - 1) / (4.0 ** k * omega(dim.n))
+    c_n = _front_constant(dim.n)
     u, w = unknown_grid(cfg.n_unknowns)
     cuts = collocation_cuts(cfg.n_unknowns, cfg.n_collocation)
     t_grid = np.sort(1.0 - cuts)
     T, U = np.meshgrid(t_grid, u, indexing="ij")
-    A = c_n * w[None, :] * U * q_kernel(T, U) ** k * (U >= 1.0 - T)
+    A = c_n * w[None, :] * U * q_kernel(T, U) ** dim.k * (U >= 1.0 - T)
     return t_grid, u, w, A
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from sphmean import cli
 from sphmean import spectral as sp
+from sphmean import transform as tr
 from sphmean.specfun import bessel_zero
 from sphmean.transform import BumpProfile, Dimension, HarmonicForwardData
 
@@ -148,6 +149,35 @@ def test_forward_derivative_columns(tmp_path, capsys):
     assert header == "t,g,h,dp_h_0"  # n=3 trusts no higher orders
 
 
+@pytest.mark.parametrize("m, extra, reader", [
+    (0, [], "forward_h"), (0, ["--derivatives"], "forward_h"),
+    (2, [], "forward_harmonic_h")])
+def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
+    # one quadrature for h; g and dp_h_0 are derived from it, bit for bit
+    calls = []
+    real = getattr(tr, reader)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, reader, counted)
+    cfg = _write_profile(tmp_path)
+    out = str(tmp_path / "fwd.csv")
+    assert cli.main(["forward", "--config", cfg, "--n", "9", "--m", str(m),
+                     "--grid", "30", "--out", out, *extra]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    rows = _data_rows(out)
+    bump, dim, t = BumpProfile(0.55, 0.25), Dimension(9), rows[:, 0]
+    h = tr.forward_harmonic_h(bump, dim, m, t) if m else tr.forward_h(bump, dim, t)
+    g = tr.forward_harmonic(bump, dim, m, t) if m else tr.forward_radial(bump, dim, t)
+    assert np.array_equal(rows[:, 1], g) and np.array_equal(rows[:, 2], h)
+    if extra:
+        assert np.array_equal(rows[:, 3], h)
+
+
 def test_seed_echoed_in_header(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "fwd.csv")
@@ -177,6 +207,12 @@ def test_range_check_profile_passes(tmp_path, capsys):
     assert report["verdict"] == "PASS"
     assert report["normalized"] <= 1e-6
     assert {"tool_version", "config_sha256", "seed"} <= set(report)
+
+
+def test_range_check_passes_exact_data_at_n25(tmp_path, capsys):
+    cfg = _write_profile(tmp_path)
+    assert cli.main(["range-check", "--config", cfg, "--n", "25"]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_range_check_csv_clean_and_perturbed(tmp_path, capsys):

@@ -253,16 +253,18 @@ def test_eq_and_hash_agree_across_int_and_integral_fraction():
     assert len({a, b, em.BiPoly.const(Fraction(-5, 1)), em.BiPoly.const(-5)}) == 2
 
 
-def test_kernel_terms_equal_the_fraction_reference():
-    # the float kernel terms the forward transform integrates are unchanged
-    # by storing integral coefficients as ints
-    q = _ref({(2, 2): 2, (2, 0): 2, (4, 0): -1, (0, 0): -1, (0, 2): 2, (0, 4): -1}.items())
+def test_factored_kernel_equals_the_exact_polynomial():
+    # the factored kernel of the forward transform, evaluated in exact
+    # rational arithmetic, equals D^p Q^power, on and off the integration
+    # range (t = 1, u = 0 and t > 1 + u included)
+    points = [(Fraction(t), Fraction(u)) for t in ("1/3", "1", "5/4", "19/10")
+              for u in ("0", "2/7", "1/2", "9/10")]
     for power in range(9):
-        cur = _ref_pow(q, power)
         for p in range(power + 1):
-            want = tuple((i, j, float(c)) for (i, j), c in sorted(cur.items()))
-            assert tr._kernel_terms(power, p) == want, (power, p)
-            cur = _ref_D(cur)
+            terms = em.dp_q_power(power, p).terms()
+            for t, u in points:
+                want = sum(c * t ** i * u ** j for i, j, c in terms)
+                assert tr._dp_q_kernel(power, p, t, u) == want, (power, p, t, u)
 
 
 # ---------------------------------------------------------------------------

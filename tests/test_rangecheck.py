@@ -72,6 +72,19 @@ def test_necessity_across_dimensions_and_bumps():
             assert rep.normalized <= 1e-6, (dim.n, prof.support, rep.normalized)
 
 
+def test_necessity_holds_for_every_odd_n_up_to_41():
+    # the kernel derivatives keep their digits as n grows: exact forward data
+    # on the README profile passes at the CLI's default tol, and a 1e-6
+    # half-space perturbation still reads 1e-6
+    for n in range(3, 42, 2):
+        prof = tr.SmtProfile.from_profile(BUMP, tr.Dimension(n))
+        rep = rc.range_residual(prof)
+        assert rep.passed(1e-6), (n, rep.normalized)
+        if n in (25, 41):
+            perturbed = rc.range_residual(rc.PerturbedH(prof, 1e-6)).normalized
+            assert perturbed == pytest.approx(1e-6, rel=1e-3), n
+
+
 def test_non_range_bump_after_one():
     # data supported only in (1.2, 1.6) cannot be symmetric about 1
     rep = rc.range_residual(rc.bump_h(1.4, 0.2), k=1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sphmean import exactmath as em
 from sphmean import transform as tr
 from sphmean.specfun import d_operator
 
@@ -191,9 +192,66 @@ def test_forward_h_dp_matches_numeric_derivative():
 
 
 def test_forward_h_dp_p0_is_forward_h():
-    assert tr.forward_h_dp(BUMP, D5, 0.8, 0) == pytest.approx(
-        tr.forward_h(BUMP, D5, 0.8), rel=1e-14
-    )
+    assert tr.forward_h_dp(BUMP, D5, 0.8, 0) == tr.forward_h(BUMP, D5, 0.8)
+
+
+def _exact_kernel(K, p, ts, u):
+    """D^p Q^K at every (t, u) node from the exact polynomial, rounded once.
+
+    Nodes are dyadic with at most 64 fractional bits, so after scaling by
+    2^64 every term is an integer; int / int rounds correctly.
+    """
+    terms = em.dp_q_power(K, p).terms()
+    deg = max(i + j for i, j, _ in terms)
+
+    def powers(x):
+        scaled = math.ldexp(x, 64)
+        assert scaled.is_integer()
+        return [int(scaled) ** e for e in range(deg + 1)]
+
+    out = np.empty(u.shape)
+    for r, t in enumerate(ts.tolist()):
+        tp = powers(t)
+        for c, x in enumerate(u[r].tolist()):
+            up = powers(x)
+            num = sum(coef * tp[i] * up[j] << 64 * (deg - i - j) for i, j, coef in terms)
+            out[r, c] = num / (1 << 64 * deg)
+    return out
+
+
+EXACT_QUAD = tr.QuadratureRule(8, 4)
+EXACT_TS = np.array([0.4, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5, 1.7])
+
+
+def _exact_kernel_integrals(K, p, weight):
+    def integrand(rows, u):
+        return weight(u) * BUMP(u) * _exact_kernel(K, p, EXACT_TS[rows], u)
+
+    a, b = tr._u_range(BUMP, EXACT_TS)
+    return EXACT_QUAD.integrate_rows(integrand, a, b)
+
+
+def _sup_relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, orders", [(13, (1, 3, 5)), (21, (1, 4, 9)), (31, (1, 7, 14))])
+def test_forward_h_dp_matches_exact_kernel_quadrature(n, orders):
+    # the same quadrature with exactly rounded kernel values: only the
+    # kernel's own rounding differs
+    dim = tr.Dimension(n)
+    for p in orders:
+        want = tr._front_constant(n) * _exact_kernel_integrals(dim.k, p, lambda u: u)
+        got = tr.forward_h_dp(BUMP, dim, EXACT_TS, p, EXACT_QUAD)
+        assert _sup_relative(got, want) < 1e-13, (n, p)
+
+
+def test_phi_harmonic_dp_matches_exact_kernel_quadrature():
+    dim, m = tr.Dimension(21), 2
+    for p in (0, 1, 5, 11):
+        want = _exact_kernel_integrals(m + dim.k, p, lambda u: u ** (1 - m))
+        got = tr.phi_harmonic_dp(BUMP, dim, m, EXACT_TS, p, EXACT_QUAD)
+        assert _sup_relative(got, want) < 1e-13, p
 
 
 def test_forward_h_dp_order_cap():
