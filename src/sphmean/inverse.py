@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import Dimension, _front_constant, q_kernel
+from .transform import Dimension, _front_constant, _gauss_nodes, q_kernel
 
 R_FLOOR = 1e-3
 
@@ -71,7 +71,7 @@ class InversionResult:
 
 def unknown_grid(n_unknowns: int):
     """Gauss-Legendre nodes and weights mapped to (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(n_unknowns)
+    x, w = _gauss_nodes(n_unknowns)
     return 0.5 + 0.5 * x, 0.5 * w
 
 
@@ -94,11 +94,8 @@ def collocation_cuts(n_unknowns: int, n_collocation: int) -> np.ndarray:
         inner = inner[(inner > lo) & (inner < hi)]
         want = n_collocation - 2
         if want <= len(inner):
-            idx = np.unique(np.linspace(0, len(inner) - 1, want).round().astype(int))
-            while len(idx) < want:
-                extra = np.setdiff1d(np.arange(len(inner)), idx)[: want - len(idx)]
-                idx = np.unique(np.concatenate([idx, extra]))
-            chosen = inner[idx]
+            # a step of at least one keeps the rounded indices distinct
+            chosen = inner[np.linspace(0, len(inner) - 1, want).round().astype(int)]
         else:
             j = np.arange(want - len(inner))
             fill = 0.5 - (0.5 - lo) * np.cos(np.pi * (j + 0.5) / max(1, len(j)))

@@ -34,6 +34,8 @@ from .exactmath import coeff_C
 # exceeds this multiple of the (unit-floored) result
 _CANCEL_LIMIT = 1e4
 
+_EPS = float(np.finfo(float).eps)
+
 
 # ---------------------------------------------------------------------------
 # exact coefficient table for D^p in terms of ordinary derivatives
@@ -330,26 +332,52 @@ def _escalate(closed_sum) -> float:
         dps += 40
 
 
-def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
-    cs, cc = _kind_coeffs(p, kind)
-    sx, cx = math.sin(x), math.cos(x)
-    scale = float(x) ** (-(2 * p + 1))
+def _trig_sum(cs, cc, x):
+    """The closed trig form times x^(2p+1) and its summed term magnitude,
+    (acc, mag), in floats.  x is a float or an array; each element of an
+    array equals the float call on it, bit for bit (numpy's sin, cos and
+    products round as libm's and Python's do)."""
+    sin, cos = (np.sin, np.cos) if isinstance(x, np.ndarray) else (math.sin, math.cos)
+    sx, cx = sin(x), cos(x)
     acc = 0.0
     mag = 0.0
     xp = 1.0
-    for l in range(p + 1):
-        term = (cs[l] * sx + cc[l] * cx) * xp
+    for s, c in zip(cs, cc):
+        term = (s * sx + c * cx) * xp
         acc += term
-        mag += abs(cs[l] * sx * xp) + abs(cc[l] * cx * xp)
+        mag += abs(s * sx * xp) + abs(c * cx * xp)
         xp *= x
+    return acc, mag
+
+
+def _dp_trig_float(p: int, x, kind: str):
+    """dp_sinc/dp_cosc at x (a float or an array) in floats, and whether the
+    cancellation guard trusts that value (an array of flags for an array)."""
+    acc, mag = _trig_sum(*_kind_coeffs(p, kind), x)
+    scale = _power(x, -(2 * p + 1))
     value = acc * scale
     # Relative guard: near a zero of the kernel the float sum cancels far
     # below the term magnitudes, so judge cancellation against the value
-    # itself and redo in mpmath whenever float64 cannot carry full digits.
-    if mag * abs(scale) <= _CANCEL_LIMIT * abs(value):
+    # itself; where float64 cannot carry full digits the guard fails.
+    return value, mag * abs(scale) <= _CANCEL_LIMIT * abs(value)
+
+
+def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
+    value, trusted = _dp_trig_float(p, x, kind)
+    if trusted:
         return value
     # cancellation beyond float64: redo in mpmath with enough digits
-    return _escalate(lambda: _trig_sum_mp(cs, cc, x))
+    return _escalate(lambda: _trig_sum_mp(*_kind_coeffs(p, kind), x))
+
+
+def _dp_trig_rows(p: int, x, kind: str):
+    """The scalar dp_sinc/dp_cosc at every element of the array x, bit for
+    bit: one float sum over the array, and the scalar route (mpmath) only
+    where the cancellation guard fails."""
+    value, trusted = _dp_trig_float(p, x, kind)
+    for i in np.flatnonzero(~trusted).tolist():
+        value[i] = _dp_trig_scalar(p, float(x[i]), kind)
+    return value
 
 
 def _dp_trig(p: int, x, kind: str):
@@ -577,7 +605,9 @@ def bessel_zero(k: int, i: int) -> float:
     (exactly pi at k = 0), so an upward scan with unit step cannot skip one.
     The scan starts below the first zero (which exceeds the order k + 1/2)
     and is capped a safe margin past the asymptotic location (i + k/2) pi;
-    each bracket is then bisected to 1e-12 absolute.
+    each bracket is then bisected to 1e-12 absolute.  Scan and bisection
+    read only the sign of raw_j, which for x > 0 is that of its float trig
+    sum wherever rounding cannot flip it, so mpmath runs only next to a zero.
     """
     if k < 0 or i < 1:
         raise ValueError("need k >= 0 and i >= 1")
@@ -585,7 +615,17 @@ def bessel_zero(k: int, i: int) -> float:
     if len(zeros) >= i:
         return zeros[i - 1]
 
-    f = lambda xx: raw_j(k, xx)
+    cs, cc = _trig_coeffs(k)
+
+    def f(xx):
+        # a float with the sign of raw_j(k, xx), all the bisection reads:
+        # the float sum's rounding error is below (k + 3) eps mag, so only
+        # a sum inside a 4 (k + 2) eps mag band needs raw_j (and mpmath)
+        acc, mag = _trig_sum(cs, cc, xx)
+        if abs(acc) > 4 * (k + 2) * _EPS * mag:
+            return acc
+        return raw_j(k, xx)
+
     if zeros:
         lo = zeros[-1] + 1e-9
     else:
@@ -616,7 +656,10 @@ def bessel_zero(k: int, i: int) -> float:
                 else:
                     a, fa = mid, fm
             zeros.append(0.5 * (a + b))
-            lo, flo = b + 1e-9, f(b + 1e-9)
+            # resume past the zero as a later call does, so that a zero does
+            # not depend on how many earlier ones the same call found
+            lo = zeros[-1] + 1e-9
+            flo = f(lo)
         else:
             lo, flo = hi, fhi
     return zeros[i - 1]

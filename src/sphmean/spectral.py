@@ -4,7 +4,8 @@ Three tools live here:
 
 * :func:`hankel` — the weighted Hankel-type transform of a profile against the
   normalized spherical Bessel kernel, with oscillation-aware paneling (an
-  array of lam reads the profile once, on the distinct rules' nodes);
+  array of lam reads the profile once, on the rule of its largest lam, and
+  each entry equals the call on that lam with the array's rule);
 * :func:`cross_product_residual` — the defect in the cross-product identity
   that ties the first- and second-kind kernel integrals of range data
   together;
@@ -28,10 +29,11 @@ from mpmath import mp
 from .exactmath import coeff_C
 from .specfun import (
     Jet,
+    _dp_trig_rows,
+    _power,
     bessel_zero,
     d_operator,
     dp_cosc,
-    dp_sinc,
     dp_trig_mp,
     raw_j,
     raw_j_jet,
@@ -39,7 +41,7 @@ from .specfun import (
     raw_y,
     sph_bessel_j,
 )
-from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
+from .transform import BLOCK_NODES, DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
 
 # residual denominators never drop below this fraction of the natural scale
 _REL_FLOOR = 1e-14
@@ -83,33 +85,37 @@ def _lam_array(lam, positive: bool = False):
     return lams.ravel(), lams.shape
 
 
-def _per_lam(fn, lams, a: float, b: float, quad: QuadratureRule, one) -> list:
-    """one(lam, rule, f_t) for every lam, with fn called once for them all.
+def _lam_blocks(fn, lams, a: float, b: float, quad: QuadratureRule):
+    """(rows, lam t, t, weights, f_t) for blocks of lams on one rule.
 
-    Each lam gets its oscillation rule on [a, b], and lams with the same
-    panel count share one rule.  fn is called once, on the nodes of the
-    distinct rules concatenated, so it must act elementwise; f_t is its
-    values on the nodes of the lam's own rule.
+    The rule is the oscillation rule on [a, b] of the largest lam
+    (`_lam_rule`), so no lam gets fewer panels than its own rule.  fn is
+    called once, on that rule's nodes t, so it must act elementwise; f_t is
+    its values.  A block holds about BLOCK_NODES (lam x t) products.  Its
+    callers sum each row by np.vecdot, so an entry does not depend on the
+    other lams: it equals the call on that lam with the array's rule.
     """
-    rules = [_lam_rule(lam, a, b, quad) for lam in lams.tolist()]
-    distinct = list(dict.fromkeys(rules))
-    if not distinct:
-        return []
-    nodes = [rule.points(a, b)[0] for rule in distinct]
-    values = np.split(fn(np.concatenate(nodes)), np.cumsum([t.size for t in nodes[:-1]]))
-    f_t = dict(zip(distinct, values))
-    return [one(lam, rule, f_t[rule]) for lam, rule in zip(lams.tolist(), rules)]
+    if not lams.size:
+        return
+    rule = _lam_rule(float(lams.max()), a, b, quad)
+    t, w = rule.points(a, b)
+    f_t = fn(t)
+    step = max(1, BLOCK_NODES // t.size)
+    for start in range(0, lams.size, step):
+        rows = slice(start, start + step)
+        yield rows, lams[rows, None] * t, t, w, f_t
 
 
 def _hankel_sums(fn, lam, support, quad: QuadratureRule, integrand):
-    """rule.integrate of integrand(lam, t, f_t) over the support, per lam."""
+    """The weighted sum of integrand(lam t, t, f_t) over the support, per lam."""
     lams, shape = _lam_array(lam)
     a, b = support
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
-    sums = _per_lam(fn, lams, a, b, quad, lambda lam, rule, f_t: rule.integrate(
-        lambda t: integrand(lam, t, f_t), a, b))
-    return _shaped(np.array(sums, dtype=float), shape)
+    sums = np.zeros(lams.size)
+    for rows, lam_t, t, w, f_t in _lam_blocks(fn, lams, a, b, quad):
+        sums[rows] = np.vecdot(w, integrand(lam_t, t, f_t))
+    return _shaped(sums, shape)
 
 
 def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
@@ -122,13 +128,13 @@ def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
 
     lam may be a scalar (the result is a float) or an array (the result has
     its shape).  g is called once for the whole array, on the nodes of the
-    distinct quadrature rules its lams need, and each entry equals the
-    scalar call on its lam, bit for bit.
+    oscillation rule of its largest lam, and each entry equals the call on
+    that lam with the array's rule.
     """
     k = _order_from_alpha(alpha)
     power = 2 * k + 2  # 2*alpha + 1 with alpha = k + 1/2
-    return _hankel_sums(g, lam, support, quad, lambda lam, t, g_t:
-                        g_t * sph_bessel_j(k, lam * t) * t ** power)
+    return _hankel_sums(g, lam, support, quad, lambda lam_t, t, g_t:
+                        g_t * sph_bessel_j(k, lam_t) * t ** power)
 
 
 def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
@@ -137,10 +143,11 @@ def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
 
     Equals hankel(g, k + 1/2, lam) when h and g are consistent; having both
     routes avoids dividing by t^(2k+1) near the origin.  lam may be a scalar
-    or an array, with one call to h for the array, as in `hankel`.
+    or an array, with one call to h for the array, as in `hankel`: each
+    entry equals the call on that lam with the array's rule.
     """
-    return _hankel_sums(h, lam, support, quad, lambda lam, t, h_t:
-                        h_t * sph_bessel_j(k, lam * t) * t)
+    return _hankel_sums(h, lam, support, quad, lambda lam_t, t, h_t:
+                        h_t * sph_bessel_j(k, lam_t) * t)
 
 
 def _h_callable(data):
@@ -169,17 +176,19 @@ def cross_product_terms(data, k: int, lam,
     With I_j = integral of raw_j(k, lam t) t h(t) dt and I_y the same with the
     second-kind kernel, range data satisfies I_j * raw_y(k, lam) =
     I_y * raw_j(k, lam) exactly.  Returns (lhs, rhs, residual) with residual
-    = |difference| / max(|sides|, floor) where the floor is a small multiple
-    of the natural product scale, so the ratio stays meaningful when lam
-    sits near a kernel zero.
+    = |lhs - rhs| / (A_j |raw_y(k, lam)| + A_y |raw_j(k, lam)|), where A_j
+    and A_y integrate |kernel t h| in place of kernel t h.  That denominator
+    bounds both sides and is the scale of their rounding error, so the ratio
+    stays meaningful where lam sits near a kernel zero or an integral cancels
+    far below its integrand.
 
     The second-kind kernel blows up like t^-(2k+1) at the origin, so the
     h-support must stay away from t = 0.
 
     lam may be a scalar (three floats come back) or an array (three arrays
     in its shape).  h is called once for the whole array, on the nodes of
-    the distinct quadrature rules its lams need, so it must act elementwise;
-    each entry equals the scalar call on its lam, bit for bit.
+    the oscillation rule of its largest lam, so it must act elementwise;
+    each entry equals the call on that lam with the array's rule.
     """
     lams, shape = _lam_array(lam, positive=True)
     if k < 0:
@@ -192,28 +201,21 @@ def cross_product_terms(data, k: int, lam,
     if b <= a:
         raise ValueError("need a < b")
     c_k = raw_to_normalized(k)
-
-    def terms(lam, rule, h_t):
-        # one h evaluation on the rule's nodes feeds both kernel integrals
-        t, w = rule.points(a, b)
+    i_j, a_j, i_y, a_y = np.zeros((4, lams.size))
+    for rows, lam_t, t, w, h_t in _lam_blocks(fn, lams, a, b, quad):
         # series-backed normalized kernel is stable at small arguments
-        i_j = float(np.dot(w, c_k * sph_bessel_j(k, lam * t) * t * h_t))
-        i_y = float(np.dot(w, dp_cosc(k, lam * t) * t * h_t))
-        j_lam = raw_j(k, lam)
-        y_lam = raw_y(k, lam)
-        lhs = i_j * y_lam
-        rhs = i_y * j_lam
-        diff = abs(lhs - rhs)
-        if diff == 0.0:
-            return lhs, rhs, 0.0
-        scale = max(abs(i_j), abs(i_y)) * max(abs(j_lam), abs(y_lam))
-        den = max(abs(lhs), abs(rhs), _REL_FLOOR * scale)
-        if den == 0.0:
-            return lhs, rhs, 0.0
-        return lhs, rhs, diff / den
-
-    sides = np.array(_per_lam(fn, lams, a, b, quad, terms), dtype=float).reshape(-1, 3)
-    return tuple(_shaped(column, shape) for column in sides.T)
+        j_block = c_k * sph_bessel_j(k, lam_t) * t * h_t
+        y_block = dp_cosc(k, lam_t) * t * h_t
+        i_j[rows], a_j[rows] = np.vecdot(w, j_block), np.vecdot(w, np.abs(j_block))
+        i_y[rows], a_y[rows] = np.vecdot(w, y_block), np.vecdot(w, np.abs(y_block))
+    j_lam = np.array([raw_j(k, v) for v in lams.tolist()])
+    y_lam = np.array([raw_y(k, v) for v in lams.tolist()])
+    lhs = i_j * y_lam
+    rhs = i_y * j_lam
+    den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)
+    # den bounds |lhs| and |rhs|, so it is 0 only where both sides are
+    res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(lams.size), where=den != 0.0)
+    return tuple(_shaped(column, shape) for column in (lhs, rhs, res))
 
 
 def cross_product_residual(data, k: int, lam,
@@ -240,9 +242,9 @@ def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = 80):
     """Both sides of the kernel identity and their scale.
 
     In floats, lam and t are arrays of points: the left side is one jet pass
-    over all of them, and the closed-form right side (with its own
-    cancellation guard) runs point by point.  With `use_mp`, one point is
-    evaluated in mpmath at `dps` digits.
+    over all of them, and so are the closed-form right side's trig sums
+    (a sum that fails its cancellation guard is redone by the scalar route).
+    With `use_mp`, one point is evaluated in mpmath at `dps` digits.
     """
     if use_mp:
         with mp.workdps(dps):
@@ -283,19 +285,13 @@ def _mk_lhs_value(k: int, lam, t):
 
 
 def _mk_rhs_value(k: int, lam, t, dps):
-    """Closed form: (-1)^k lam^(2k+1) (D^k sinc * y + D^k cosc * j)."""
-    if dps is None:
-        sinc = dp_sinc(k, lam * t)
-        cosc = dp_cosc(k, lam * t)
-        j_lam = raw_j(k, lam)
-        y_lam = raw_y(k, lam)
-        front = lam ** (2 * k + 1)
-    else:
-        sinc = dp_trig_mp(k, lam * t, "sin", dps)
-        cosc = dp_trig_mp(k, lam * t, "cos", dps)
-        j_lam = dp_trig_mp(k, lam, "sin", dps)
-        y_lam = dp_trig_mp(k, lam, "cos", dps)
-        front = mp.mpf(lam) ** (2 * k + 1)
+    """Closed form: (-1)^k lam^(2k+1) (D^k sinc * y + D^k cosc * j), and its
+    scale, at one point in mpmath at `dps` digits."""
+    sinc = dp_trig_mp(k, lam * t, "sin", dps)
+    cosc = dp_trig_mp(k, lam * t, "cos", dps)
+    j_lam = dp_trig_mp(k, lam, "sin", dps)
+    y_lam = dp_trig_mp(k, lam, "cos", dps)
+    front = mp.mpf(lam) ** (2 * k + 1)
     t1 = sinc * y_lam
     t2 = cosc * j_lam
     rhs = front * (t1 + t2)
@@ -306,9 +302,23 @@ def _mk_rhs_value(k: int, lam, t, dps):
 
 
 def _mk_rhs_rows(k: int, lams, ts):
-    """The float closed-form side and its scale at each point, one by one."""
-    rows = [_mk_rhs_value(k, lam, t, None) for lam, t in zip(lams.tolist(), ts.tolist())]
-    rhs, scale = np.array(rows, dtype=float).reshape(-1, 2).T
+    """The closed form of `_mk_rhs_value` and its scale at every point, in
+    floats.  Each kernel value equals its scalar dp_sinc/dp_cosc call
+    (`_dp_trig_rows`) and powers are taken per element in Python floats, so
+    each row equals the same sum over Python floats, bit for bit."""
+    # an overflowing point fails its guard and takes the scalar route
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinc = _dp_trig_rows(k, lams * ts, "sin")
+        cosc = _dp_trig_rows(k, lams * ts, "cos")
+        j_lam = _dp_trig_rows(k, lams, "sin")
+        y_lam = _dp_trig_rows(k, lams, "cos")
+        front = _power(lams, 2 * k + 1)
+        t1 = sinc * y_lam
+        t2 = cosc * j_lam
+        rhs = front * (t1 + t2)
+        if k % 2:
+            rhs = -rhs
+        scale = np.abs(front) * np.maximum(np.abs(t1), np.abs(t2))
     return rhs, scale
 
 
@@ -386,7 +396,7 @@ def bessel_zero_vanishing(data, dim: Dimension, m: int, count: int,
     off-range data leaves visible mass at some zero.  The kernel of the
     transform has order k (`hankel_h` with dim.k) for every m; the degree m
     only moves the zeros.  Returns a list of (zero, |transform|) pairs, from
-    one `hankel_h` call over all the zeros.
+    one `hankel_h` call over all the zeros, on the rule of the last zero.
     """
     if count < 1:
         raise ValueError("count >= 1")

@@ -231,6 +231,28 @@ def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
     assert any(retries)
 
 
+def _mk_rhs_point(k, lam, t):
+    """The float closed-form side and its scale at one point, from scalar
+    dp_sinc/dp_cosc calls and Python float powers."""
+    t1 = sf.dp_sinc(k, lam * t) * sf.dp_cosc(k, lam)
+    t2 = sf.dp_cosc(k, lam * t) * sf.dp_sinc(k, lam)
+    front = lam ** (2 * k + 1)
+    rhs = front * (t1 + t2)
+    return (-rhs if k % 2 else rhs), abs(front) * max(abs(t1), abs(t2))
+
+
+def test_kernel_identity_rhs_rows_equal_the_scalar_route():
+    # points near the kernel's zeros or at small arguments fail the float
+    # sums' cancellation guard and take the scalar route
+    rng = np.random.default_rng(5)
+    lam = np.concatenate([rng.uniform(0.5, 40.0, 400), [sf.bessel_zero(3, 2), 1e-3]])
+    t = np.concatenate([rng.uniform(-3.0, 3.0, 400), [1.0, 0.2]])
+    for k in range(9):
+        rhs, scale = sp._mk_rhs_rows(k, lam, t)
+        rows = np.array([_mk_rhs_point(k, a, b) for a, b in zip(lam.tolist(), t.tolist())])
+        assert np.array_equal(rhs, rows[:, 0]) and np.array_equal(scale, rows[:, 1]), k
+
+
 def test_kernel_identity_refuses_a_non_finite_residual():
     with pytest.raises(ArithmeticError, match="residual"):
         sp.mk_residual(2, np.array([2.0, 3.0]), np.array([0.5, np.nan]))
@@ -275,10 +297,15 @@ def _spectral_data(n, m):
     return dim, tr.HarmonicForwardData(BUMP, dim, m, DATA_QUAD)
 
 
-def _spectral(dim, m, data):
-    yield "hankel", lambda lam: sp.hankel(data.g, dim.k + 0.5, lam, support=data.support)
-    yield "hankel_h", lambda lam: sp.hankel_h(data.h, dim.k, lam, support=data.support)
-    yield "cross_product_terms", lambda lam: sp.cross_product_terms(data, dim.k + m, lam)
+def _spectral(dim, m, data, quad=tr.DEFAULT_QUAD):
+    yield "hankel", lambda lam: sp.hankel(data.g, dim.k + 0.5, lam, quad, data.support)
+    yield "hankel_h", lambda lam: sp.hankel_h(data.h, dim.k, lam, quad, data.support)
+    yield "cross_product_terms", lambda lam: sp.cross_product_terms(data, dim.k + m, lam, quad)
+
+
+def _array_rule(lams, support):
+    """The rule of an array of lam: the oscillation rule of its largest."""
+    return tr.QuadratureRule(32, sp.oscillation_panels(max(lams), *support, 8))
 
 
 def _floats(value):
@@ -291,8 +318,11 @@ def _floats(value):
 @pytest.mark.parametrize("m", [0, 2])
 def test_spectral_transforms_match_scalar_calls(n, m):
     dim, data = _spectral_data(n, m)
-    for name, fn in _spectral(dim, m, data):
-        singles = [fn(lam) for lam in LAMS.tolist()]
+    # every entry is the scalar call on its lam with the array's rule
+    quad = _array_rule(LAMS, data.support)
+    for (name, fn), (_, scalar) in zip(_spectral(dim, m, data),
+                                       _spectral(dim, m, data, quad)):
+        singles = [scalar(lam) for lam in LAMS.tolist()]
         assert all(_floats(v) for v in singles), name
         # one column per lam (under one row per side of the cross product)
         want = np.array(singles).T
@@ -301,7 +331,19 @@ def test_spectral_transforms_match_scalar_calls(n, m):
                               want.reshape(want.shape[:-1] + (2, 4))), name
         assert np.array_equal(np.array(fn(LAMS[5:6])), want[..., 5:6]), name
         zero_d = fn(np.array(LAMS[3]))
-        assert _floats(zero_d) and zero_d == singles[3], name
+        assert _floats(zero_d) and zero_d == fn(float(LAMS[3])), name
+
+
+def test_spectral_rows_do_not_depend_on_their_block():
+    # 60 lams on one 41-panel rule fill five kernel blocks
+    dim, data = _spectral_data(5, 0)
+    lams = np.linspace(0.5, 40.0, 60)
+    quad = _array_rule(lams, data.support)
+    assert lams.size * 32 * quad.panels > 4 * tr.BLOCK_NODES
+    for (name, fn), (_, scalar) in zip(_spectral(dim, 0, data),
+                                       _spectral(dim, 0, data, quad)):
+        want = np.array([scalar(lam) for lam in lams.tolist()]).T
+        assert np.array_equal(np.array(fn(lams)), want), name
 
 
 class _CountedH:
@@ -319,9 +361,9 @@ def test_spectral_transforms_call_h_once_per_array():
     _, data = _spectral_data(5, 0)
     counted = _CountedH(data)
     a, b = data.support
-    panels = {sp.oscillation_panels(lam, a, b, 8) for lam in LAMS.tolist()}
-    assert sorted(panels) == [8, 24, 41]
-    nodes = 32 * sum(panels)
+    # one rule for the array, that of its largest lam
+    assert _array_rule(LAMS, (a, b)).panels == 41
+    nodes = 32 * 41
     for name, call in (
             ("hankel", lambda lam: sp.hankel(counted.h, 1.5, lam, support=(a, b))),
             ("hankel_h", lambda lam: sp.hankel_h(counted.h, 1, lam, support=(a, b))),
@@ -349,8 +391,7 @@ def test_spectral_transforms_call_h_once_per_array():
 @pytest.mark.parametrize("m", [0, 2])
 def test_zero_vanishing_matches_the_per_zero_loop(m):
     dim, data = _spectral_data(5, m)
-    loop = []
-    for i in range(1, 9):
-        lam = sf.bessel_zero(m + dim.k, i)
-        loop.append((lam, abs(sp.hankel_h(data.h, dim.k, lam, tr.DEFAULT_QUAD, data.support))))
+    zeros = [sf.bessel_zero(m + dim.k, i) for i in range(1, 9)]
+    quad = _array_rule(zeros, data.support)
+    loop = [(lam, abs(sp.hankel_h(data.h, dim.k, lam, quad, data.support))) for lam in zeros]
     assert sp.bessel_zero_vanishing(data, dim, m, 8) == loop

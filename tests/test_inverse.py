@@ -1,6 +1,8 @@
 """Inversion round trips: the dimension-three closed form and the
 collocation least-squares route, plus configuration validation."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,43 @@ def test_collocation_grid_shapes():
     assert np.all((u > 0) & (u < 1))
     # indicator zeroes the block below the cut
     assert A[0, 0] == 0.0
+
+
+@lru_cache(maxsize=None)
+def _leggauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _cuts_with_dedup(n_unknowns, n_collocation):
+    """collocation_cuts as written with np.unique and a refill loop for
+    indices that rounding might merge."""
+    lo, hi = 1e-5, 1.0 - 1e-5
+    if n_collocation > n_unknowns + 1:
+        j = np.arange(n_collocation)
+        return np.sort(0.5 - (0.5 - lo) * np.cos(np.pi * (j + 0.5) / n_collocation))
+    inner = np.cumsum(0.5 * _leggauss(n_unknowns)[1])[:-1]
+    inner = inner[(inner > lo) & (inner < hi)]
+    want = n_collocation - 2
+    if want <= len(inner):
+        idx = np.unique(np.linspace(0, len(inner) - 1, want).round().astype(int))
+        while len(idx) < want:
+            extra = np.setdiff1d(np.arange(len(inner)), idx)[: want - len(idx)]
+            idx = np.unique(np.concatenate([idx, extra]))
+        chosen = inner[idx]
+    else:
+        j = np.arange(want - len(inner))
+        fill = 0.5 - (0.5 - lo) * np.cos(np.pi * (j + 0.5) / max(1, len(j)))
+        chosen = np.concatenate([inner, fill])
+    return np.sort(np.concatenate([[lo], chosen, [hi]]))
+
+
+def test_collocation_cuts_equal_the_dedup_formula():
+    # every index step is at least one, so no rounded index repeats
+    for n_unknowns in (2, 3, 4, 7, 16, 33, 80, 240):
+        for n_collocation in range(2, n_unknowns + 4):
+            assert np.array_equal(inv.collocation_cuts(n_unknowns, n_collocation),
+                                  _cuts_with_dedup(n_unknowns, n_collocation)), \
+                (n_unknowns, n_collocation)
 
 
 def test_n3_collocation_matches_closed_form():

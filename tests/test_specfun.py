@@ -4,6 +4,7 @@ jet arithmetic, the D^p coefficient table, closed-form kernels, and zeros."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
@@ -285,6 +286,55 @@ def test_no_common_zeros_scale_aware():
         for i in range(1, 11):
             z = sf.bessel_zero(k, i)
             assert abs(sf.raw_y(k, z)) * z ** (k + 1) > 1e-3
+
+
+def _zeros_by_raw_j(k, count):
+    """The first `count` zeros as one bessel_zero call per index finds them,
+    when scan and bisection called raw_j at every step (the form before the
+    sign test on the float sum)."""
+    f = lambda x: sf.raw_j(k, x)
+    zeros = []
+    lo = max(k + 0.5, 0.5)
+    flo = f(lo)
+    while len(zeros) < count:
+        hi = lo + 1.0
+        fhi = f(hi)
+        if flo == 0.0:
+            zeros.append(lo)
+            lo, flo = lo + 1e-9, f(lo + 1e-9)
+            continue
+        if flo * fhi < 0:
+            a, b, fa = lo, hi, flo
+            while b - a > 1e-13:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            zeros.append(0.5 * (a + b))
+            lo = zeros[-1] + 1e-9
+            flo = f(lo)
+        else:
+            lo, flo = hi, fhi
+    return zeros
+
+
+def test_zeros_equal_the_raw_j_bisection():
+    # the search reads signs from the float trig sum where rounding cannot
+    # flip them; every zero must be the one the raw_j search finds, bit for
+    # bit, whichever index a call asks for first
+    for k in range(13):
+        sf._zero_cache(k).clear()
+        last = sf.bessel_zero(k, 20)
+        zeros = [sf.bessel_zero(k, i) for i in range(1, 21)]
+        assert zeros[-1] == last, k
+        assert zeros == _zeros_by_raw_j(k, 20), k
+        for i, z in enumerate(zeros, start=1):
+            assert abs(z - float(mpmath.besseljzero(k + 0.5, i))) <= 1e-12, (k, i)
 
 
 def test_zero_argument_validation():

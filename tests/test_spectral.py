@@ -91,6 +91,26 @@ def test_cross_product_flags_perturbed_data():
     assert worst >= 1e-3
 
 
+def test_cross_product_passes_exact_data_where_the_integrals_cancel():
+    # README profile: at n = 9 (lam = 29.6) and n = 25 the first-kind integral
+    # cancels far below its integrand, and the identity holds to rounding
+    lams = np.linspace(0.5, 40.0, 20)
+    for n in (9, 25):
+        dim = Dimension(n)
+        data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), dim)
+        assert np.max(sp.cross_product_terms(data, dim.k, lams)[2]) <= 1e-12, n
+
+
+def test_cross_product_flags_a_small_perturbation():
+    lams = np.linspace(0.5, 40.0, 20)
+    for n in (5, 9):
+        dim = Dimension(n)
+        data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), dim)
+        bad = PerturbedH(data, 1e-6)
+        res = sp.cross_product_terms(bad, dim.k, lams, support=data.support)[2]
+        assert np.max(res) > 1e-7, n
+
+
 def test_cross_product_support_guard():
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
     with pytest.raises(ValueError):
@@ -107,8 +127,8 @@ def test_cross_product_zero_data():
 
 
 def test_cross_product_stays_finite_at_kernel_zero():
-    # at lam = a zero of j both sides collapse; the scale floor keeps the
-    # ratio defined and the quadrature keeps it small
+    # at lam = a zero of j both sides collapse; the cancellation scale keeps
+    # the ratio defined and the quadrature keeps it small
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
     lam = bessel_zero(D5.k, 2)
     res = sp.cross_product_residual(data, D5.k, lam)
