@@ -226,6 +226,8 @@ def _config_hash(effective: dict) -> str:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # np.float64 too: same text as float(value)
+        return "%.17g" % value
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -246,7 +248,7 @@ def _emit_csv(out, columns, rows, cfg_hash: str, seed: int, comments=()):
         if isinstance(row, str):  # pre-formatted comment line
             lines.append(row)
         else:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(_fmt, row)))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -319,8 +321,10 @@ def _cmd_forward(args) -> int:
     values = [grid, g_from_h(h, grid, n), h]
     if derivs:
         columns += [f"dp_h_{p}" for p in range(k + 1)]
-        values += [h] + [data.dp_h(grid, p) for p in range(1, k + 1)]
-    _emit_csv(opts["out"], columns, zip(*values), cfg_hash, seed)
+        values.append(h)
+        if k:  # D^1..D^k h in one sweep
+            values.extend(data.dp_h(grid, range(1, k + 1)))
+    _emit_csv(opts["out"], columns, zip(*(v.tolist() for v in values)), cfg_hash, seed)
     print(f"forward: n={n} m={m}, {count} rows")
     return 0
 
@@ -565,9 +569,9 @@ def _cmd_ucp_demo(args) -> int:
     if out is not None:
         base = os.path.splitext(out)[0]
         _emit_csv(base + "_g.csv", ["t", "g"],
-                  list(zip(report.grid, report.g_values)), cfg_hash, seed)
+                  zip(report.grid.tolist(), report.g_values.tolist()), cfg_hash, seed)
         _emit_csv(base + "_f.csv", ["r", "f"],
-                  list(zip(r_grid, f(r_grid))), cfg_hash, seed)
+                  zip(r_grid.tolist(), f(r_grid).tolist()), cfg_hash, seed)
         json_out = base + ".json"
     else:
         json_out = None

@@ -322,11 +322,13 @@ class AntiDerivativeChain:
         flat = ts.ravel()
         t_sq = flat * flat
 
-        def integrand(rows, s):
-            psi_s = np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
+        def psi(s):
+            return np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
+
+        def integrand(rows, s, psi_s):
             return self._integrand(s, psi_s, t_sq[rows, None], e)
 
-        values = self.quad.integrate_rows(integrand, self.lo, flat) / math.factorial(e)
+        values = self.quad.integrate_rows(psi, integrand, self.lo, flat) / math.factorial(e)
         return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
     def phi(self, t):

@@ -10,7 +10,7 @@ radial profile f supported in [0, 1),
 where Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2) is nonnegative on the
 integration range.  D-derivatives of the data (D = (1/t) d/dt) integrate
 the kernel D^p Q^k in factored form, Q^(k-p) times a Jacobi polynomial
-(`_dp_q_kernel`), never finite differences; checked for odd n <= 41.
+(`_dp_q_kernels`), never finite differences; checked for odd n <= 41.
 
 An independent Funk–Hecke evaluation in the angular variable provides a
 cross-check path that shares no code with the Q-kernel route.
@@ -122,23 +122,42 @@ class QuadratureRule:
         nodes, weights = self.points(a, b)
         return float(np.dot(weights, fn(nodes)))
 
-    def integrate_rows(self, integrand, a, b) -> np.ndarray:
-        """Integral over [a[r], b[r]] for every row r; 0 where b[r] <= a[r].
+    def integrate_rows(self, factor, integrand, a, b, shape=()) -> np.ndarray:
+        """Integral of factor(u) * rest over [a[r], b[r]] for every row r; 0
+        where b[r] <= a[r].
 
-        integrand(rows, u) gets a block of row indices (about BLOCK_NODES
-        nodes in all) and its (rows x nodes) node array.  np.vecdot sums each
-        row by its own BLAS dot, as np.dot in `integrate` does (a matrix
-        product or einsum sums in another order), so a row does not depend
-        on the batch it came in.
+        Adjacent live rows on the same interval form a run.  Nodes, weights
+        and factor(u) are computed once per run, on (runs x nodes) arrays of
+        at most BLOCK_NODES nodes, and gathered for each row.  integrand(rows,
+        u, f_u) gets a block of row indices (about BLOCK_NODES nodes in all),
+        their (rows x nodes) nodes and factor values, and returns the
+        integrand's `shape + (rows, nodes)` values; the result has shape
+        `shape + a.shape`.  np.vecdot sums each row by its own BLAS dot, as
+        np.dot in `integrate` does (a matrix product or einsum sums in
+        another order), so a row does not depend on the batch it came in.
         """
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        out = np.zeros(a.shape)
+        out = np.zeros(shape + a.shape)
         live = np.flatnonzero(b > a)
+        lo, hi = a[live], b[live]
+        new = np.ones(live.size, dtype=bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.append(np.flatnonzero(new), live.size)  # first row of each run
+        run = np.cumsum(new) - 1
         step = max(1, BLOCK_NODES // (self.nodes_per_panel * self.panels))
-        for start in range(0, live.size, step):
-            rows = live[start:start + step]
-            nodes, weights = self.points(a[rows], b[rows])
-            out[rows] = np.vecdot(weights, integrand(rows, nodes))
+        first = 0
+        while first < starts.size - 1:
+            # the runs of at most `step` rows, or one longer run
+            last = max(first + 1, int(np.searchsorted(starts, starts[first] + step, "right")) - 1)
+            nodes, weights = self.points(lo[starts[first:last]], hi[starts[first:last]])
+            f_u = factor(nodes)
+            one_each = starts[last] - starts[first] == last - first  # nothing to gather
+            for start in range(starts[first], starts[last], step):
+                block = slice(start, min(start + step, starts[last]))
+                rows, at = live[block], slice(None) if one_each else run[block] - first
+                values = integrand(rows, nodes[at], f_u[at])
+                out[..., rows] = np.vecdot(weights[at], values)
+            first = last
         return out
 
     def refined(self) -> "QuadratureRule":
@@ -270,10 +289,15 @@ class DerivativeProfile:
 # forward transform, radial case
 #
 # Every forward entry point answers a scalar t or an array of t with one
-# batched quadrature (QuadratureRule.integrate_rows); a scalar comes back as
-# a float.  Factors in t alone are computed per row in Python floats (libm
-# pow differs from numpy's square in the last bit at some t), so every row
-# equals its scalar evaluation bit for bit.
+# batched quadrature (QuadratureRule.integrate_rows), and the D^p entry
+# points answer a sequence of orders in the same sweep; a scalar t comes back
+# as a float and a scalar p as the one row of its order.  The u-only factor
+# (the profile times a power of u) is evaluated once per run of neighbouring
+# rows on one u-interval: every t with |1 - t| at most the support's inner
+# edge integrates over the same one.
+# Factors in t alone are computed per row in Python floats (libm pow differs
+# from numpy's square in the last bit at some t), so every row equals its
+# scalar evaluation bit for bit.
 
 
 def _batch(t):
@@ -301,6 +325,26 @@ def _u_range(profile, ts):
     return np.maximum(np.abs(1.0 - ts), r_lo), min(1.0, r_hi)
 
 
+def _orders(p, top: int, bound: str) -> tuple:
+    """The orders asked for, a scalar p being a sequence of one, each checked
+    to lie in [0, top]; `bound` states the range in the refusal."""
+    orders = tuple(np.atleast_1d(p).tolist())
+    if not orders:
+        raise ValueError(f"{bound} = {top}, got no order")
+    for order in orders:
+        if not 0 <= order <= top:
+            raise ValueError(f"{bound} = {top}, got {order}")
+    return orders
+
+
+def _by_order(values, p, shape):
+    """The (orders x t) values as asked: the row of a scalar p, shaped like
+    t, or one row per order of a sequence."""
+    if np.ndim(p) == 0:
+        return _shaped(values[0], shape)
+    return values.reshape(values.shape[:1] + shape)
+
+
 def g_from_h(h, t, n: int, what: str = "g(t)"):
     """g = h / t^(n-2) from the values h at t; refused below the floor."""
     ts, shape = _batch(t)
@@ -317,18 +361,7 @@ def _front_constant(n: int) -> float:
 
 def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     """h(t) = t^(n-2) g(t) for radial data, by the Q-kernel integral."""
-    ts, shape = _batch(t)
-    k = dim.k
-    plus = _rows(lambda s: (1 + s) ** 2, ts)
-    minus = _rows(lambda s: (1 - s) ** 2, ts)
-
-    def integrand(rows, u):
-        u2 = u ** 2
-        q = (plus[rows, None] - u2) * (u2 - minus[rows, None])
-        return u * profile(u) * q ** k
-
-    a, b = _u_range(profile, ts)
-    return _shaped(_front_constant(dim.n) * quad.integrate_rows(integrand, a, b), shape)
+    return _radial_dp(profile, dim, t, 0, quad)
 
 
 def forward_radial(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -351,59 +384,97 @@ def funk_hecke_forward(profile, dim: Dimension, t, quad: QuadratureRule = DEFAUL
     c = omega(dim.n - 1) / omega(dim.n)
     base = 1.0 + ts * ts
 
-    def integrand(rows, s):
+    def integrand(rows, s, weight):
         arg = np.sqrt(np.maximum(base[rows, None] + 2.0 * s * ts[rows, None], 0.0))
-        return profile(arg) * (1.0 - s * s) ** k
+        return profile(arg) * weight
 
-    return _shaped(c * quad.integrate_rows(integrand, s_lo, s_hi), shape)
+    values = quad.integrate_rows(lambda s: (1.0 - s * s) ** k, integrand, s_lo, s_hi)
+    return _shaped(c * values, shape)
 
 
-def _dp_q_kernel(K: int, p: int, t, u):
-    """[D^p Q^K](t, u), 0 <= p <= K, for floats, arrays or Fractions.
+def _dp_q_kernels(K: int, orders, t, u) -> list:
+    """[D^p Q^K](t, u) for each p in orders, 0 <= p <= K, for floats, arrays
+    or Fractions.
 
     With x = t^2, A = x - (1+u)^2, B = x - (1-u)^2, s = (A+B)/2, d = 2u:
     Q = -AB = d^2 - s^2 and D = 2 d/ds, so Rodrigues' formula for the Jacobi
     polynomials P_p^(a,a), a = K - p, gives D^p Q^K = (-4)^p p! Q^a R_p with
     R_p = d^p P_p^(a,a)(s/d): R_0 = 1, R_1 = (a+1) s, n (n+2a) R_n =
     (n+a) [(2n+2a-1) s R_(n-1) - (n+a-1) d^2 R_(n-2)].  Unlike monomials
-    t^i u^j or a Leibniz sum in A and B, nothing cancels as K grows.
+    t^i u^j or a Leibniz sum in A and B, nothing cancels as K grows.  A, B,
+    s and d^2 are shared; each order runs its own recurrence and Q^a chain.
     """
+    if not orders:
+        return []
     x_alpha = (t - 1 - u) * (t + 1 + u)
     x_beta = (t - 1 + u) * (t + 1 - u)
     s = (x_alpha + x_beta) / 2
     d_sq = 4 * u * u
-    a = K - p
-    r_prev, r = 1, (a + 1) * s
-    for n in range(2, p + 1):
-        step = (2 * n + 2 * a - 1) * s * r - (n + a - 1) * d_sq * r_prev
-        r_prev, r = r, step * (n + a) / (n * (n + 2 * a))
-    value = (-1) ** K * 4 ** p * math.factorial(p) * (r if p else r_prev)
     q = x_alpha * x_beta  # -Q
-    for _ in range(a):
-        value = value * q
-    return value
+    kernels = []
+    for p in orders:
+        a = K - p
+        r_prev, r = 1, (a + 1) * s
+        for n in range(2, p + 1):
+            step = (2 * n + 2 * a - 1) * s * r - (n + a - 1) * d_sq * r_prev
+            r_prev, r = r, step * (n + a) / (n * (n + 2 * a))
+        value = (-1) ** K * 4 ** p * math.factorial(p) * (r if p else r_prev)
+        for _ in range(a):
+            value = value * q
+        kernels.append(value)
+    return kernels
 
 
-def _kernel_integrals(profile, t, K: int, p: int, weight, quad: QuadratureRule):
-    """Integrals of weight(u) f(u) [D^p Q^K](t, u) over the support range."""
-    ts, shape = _batch(t)
+def _dp_q_kernel(K: int, p: int, t, u):
+    """[D^p Q^K](t, u) of the single order p (see `_dp_q_kernels`)."""
+    return _dp_q_kernels(K, (p,), t, u)[0]
 
-    def integrand(rows, u):
-        return weight(u) * profile(u) * _dp_q_kernel(K, p, ts[rows, None], u)
+
+def _kernel_integrals(profile, ts, orders, weight, kernels, quad: QuadratureRule):
+    """(orders x t) integrals of weight(u) f(u) K_p(t, u) over the support
+    range, all orders in one sweep; kernels(rows, u) lists the (rows x nodes)
+    kernel of each order."""
+
+    def integrand(rows, u, f_u):
+        values = np.empty((len(orders),) + u.shape)
+        for value, kernel in zip(values, kernels(rows, u)):
+            np.multiply(f_u, kernel, out=value)
+        return values
 
     a, b = _u_range(profile, ts)
-    return _shaped(quad.integrate_rows(integrand, a, b), shape)
+    return quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
+                               (len(orders),))
 
 
-def forward_h_dp(profile, dim: Dimension, t, p: int, quad: QuadratureRule = DEFAULT_QUAD):
-    """D^p h(t), p <= k, from the factored kernel (`_dp_q_kernel`; p = 0 is
-    `forward_h`): within 1e-13 of exact-kernel quadrature for odd n <= 31."""
+def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
+    """D^p h for forward_h and forward_h_dp; p = 0 integrates Q^k itself."""
     k = dim.k
-    if not (0 <= p <= k):
-        raise ValueError(f"kernel differentiation supports 0 <= p <= k = {k}, got {p}")
-    if p == 0:
-        return forward_h(profile, dim, t, quad)
-    return _front_constant(dim.n) * _kernel_integrals(profile, t, k, p, lambda u: u, quad)
+    orders = _orders(p, k, "kernel differentiation supports 0 <= p <= k")
+    ts, shape = _batch(t)
+    dp_orders = sorted(set(orders) - {0})
+    if 0 in orders:  # Q^k itself, from the row factors (1 +- t)^2
+        plus = _rows(lambda s: (1 + s) ** 2, ts)
+        minus = _rows(lambda s: (1 - s) ** 2, ts)
+
+    def kernels(rows, u):
+        by_order = dict(zip(dp_orders, _dp_q_kernels(k, dp_orders, ts[rows, None], u)))
+        if 0 in orders:
+            u2 = u ** 2
+            by_order[0] = ((plus[rows, None] - u2) * (u2 - minus[rows, None])) ** k
+        return [by_order[order] for order in orders]
+
+    values = _kernel_integrals(profile, ts, orders, lambda u: u, kernels, quad)
+    return _by_order(_front_constant(dim.n) * values, p, shape)
+
+
+def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_QUAD):
+    """D^p h(t), p <= k, from the factored kernel (`_dp_q_kernels`; p = 0 is
+    `forward_h`): within 1e-13 of exact-kernel quadrature for odd n <= 31.
+
+    p may be a sequence of orders: one row per order (in the shape of t) from
+    one sweep, each equal to its own scalar-p call bit for bit.
+    """
+    return _radial_dp(profile, dim, t, p, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +495,17 @@ def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule 
     c = omega(n - 1) / (omega(n) * gegenbauer_at_one(m, alpha))
     t_sq = ts * ts
 
-    def integrand(rows, u):
+    def integrand(rows, u, f_u):
         x_arg = (1.0 + u * u - t_sq[rows, None]) / (2.0 * u)
         if np.any(np.abs(x_arg) > 1.0 + 1e-12):
             raise FloatingPointError(
                 "Gegenbauer kernel argument left [-1, 1] on the integration range")
         x_arg = np.clip(x_arg, -1.0, 1.0)
-        return u ** (n - 2) * profile(u) * gegenbauer(m, alpha, x_arg) * (1.0 - x_arg * x_arg) ** k
+        return f_u * gegenbauer(m, alpha, x_arg) * (1.0 - x_arg * x_arg) ** k
 
     a, b = _u_range(profile, ts)
-    return _shaped(c * quad.integrate_rows(integrand, a, b), shape)
+    values = quad.integrate_rows(lambda u: u ** (n - 2) * profile(u), integrand, a, b)
+    return _shaped(c * values, shape)
 
 
 def forward_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -450,16 +522,25 @@ def phi_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFA
 
 
 def phi_harmonic_dp(
-    profile, dim: Dimension, m: int, t, p: int, quad: QuadratureRule = DEFAULT_QUAD
+    profile, dim: Dimension, m: int, t, p, quad: QuadratureRule = DEFAULT_QUAD
 ):
     """D^p phi_m(t), p <= m + k, from the factored kernel D^p Q^(m+k)
-    (`_dp_q_kernel`); within 1e-13 of exact-kernel quadrature at n = 21."""
+    (`_dp_q_kernels`); within 1e-13 of exact-kernel quadrature at n = 21.
+
+    p may be a sequence of orders: one row per order (in the shape of t) from
+    one sweep, each equal to its own scalar-p call bit for bit.
+    """
     if m < 0:
         raise ValueError("m >= 0")
     mk = m + dim.k
-    if not (0 <= p <= mk):
-        raise ValueError(f"phi kernel differentiation supports 0 <= p <= m+k = {mk}, got {p}")
-    return _kernel_integrals(profile, t, mk, p, lambda u: u ** (1 - m), quad)
+    orders = _orders(p, mk, "phi kernel differentiation supports 0 <= p <= m+k")
+    ts, shape = _batch(t)
+
+    def kernels(rows, u):
+        return _dp_q_kernels(mk, orders, ts[rows, None], u)
+
+    values = _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), kernels, quad)
+    return _by_order(values, p, shape)
 
 
 def const_Kmn(dim: Dimension, m: int) -> float:
@@ -494,7 +575,8 @@ def const_Kmn(dim: Dimension, m: int) -> float:
 
 class SmtProfile:
     """Forward data of a radial profile: h, g and analytic D^p h up to k, at
-    scalar or array t; h vanishes outside the t-interval `support`."""
+    scalar or array t (and a scalar p or a sequence of orders); h vanishes
+    outside the t-interval `support`."""
 
     def __init__(self, profile, dim: Dimension, quad: QuadratureRule = DEFAULT_QUAD):
         self.profile = profile
@@ -514,7 +596,7 @@ class SmtProfile:
     def g(self, t):
         return forward_radial(self.profile, self.dim, t, self.quad)
 
-    def dp_h(self, t, p: int):
+    def dp_h(self, t, p):
         return forward_h_dp(self.profile, self.dim, t, p, self.quad)
 
 
@@ -538,7 +620,7 @@ class HarmonicForwardData:
     def phi(self, t):
         return phi_harmonic(self.profile, self.dim, self.m, t, self.quad)
 
-    def phi_dp(self, t, p: int):
+    def phi_dp(self, t, p):
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)
 
     def phi_jet(self, t: float) -> Jet:
@@ -546,7 +628,7 @@ class HarmonicForwardData:
         by solving the triangular system D^p f = sum_j a[p][j] t^(j-2p) f^(j).
         """
         mk = self.m + self.dim.k
-        dvals = [self.phi_dp(t, p) for p in range(mk + 1)]
+        dvals = self.phi_dp(t, range(mk + 1)).tolist()
         table = d_coeff_table(max(mk, 1))
         derivs = [dvals[0]] + [0.0] * mk
         for p in range(1, mk + 1):

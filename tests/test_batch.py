@@ -24,10 +24,15 @@ ROWS = tr.BLOCK_NODES // (QUAD.nodes_per_panel * QUAD.panels)
 # u-support (0.3, 0.8): rows with t <= 0.2 or t >= 1.8 have nothing to integrate
 BUMP = tr.BumpProfile(0.55, 0.25)
 
+# rows with |1 - t| <= 0.3 all integrate over the u-interval [0.3, 0.8]
 T_ARRAYS = {
     "several blocks": np.linspace(0.05, 1.95, 2 * ROWS + 3),
     "all empty": np.array([0.05, 0.1, 1.85, 1.9]),
     "length one": np.array([0.7]),
+    "unsorted, equal intervals apart": np.array(
+        [1.0, 0.1, 0.9, 1.5, 1.2, 1.9, 0.75, 0.5, 1.0, 1.5, 0.15, 0.8, 0.4]),
+    "one interval over blocks": np.concatenate(
+        [np.linspace(0.72, 1.0, ROWS + 2), [0.1], np.linspace(1.01, 1.28, ROWS + 1)]),
 }
 
 
@@ -73,6 +78,88 @@ def test_arrays_span_blocks_and_empty_rows():
     a, b = tr._u_range(BUMP, ts)
     assert ts.size > 2 * ROWS
     assert np.any(b <= a) and np.any(b > a)
+    ts = T_ARRAYS["unsorted, equal intervals apart"]
+    a, b = tr._u_range(BUMP, ts)
+    assert np.any(np.diff(ts) < 0) and np.any(b <= a)
+    assert a[0] == a[2] == a[4] and a[3] == a[7] == a[9] and b > a[3]
+    ts = T_ARRAYS["one interval over blocks"]
+    a, b = tr._u_range(BUMP, ts)
+    live = b > a
+    assert np.all(a[live] == a[0]) and live.sum() > 2 * ROWS and not live.all()
+
+
+def _adjacent_runs(a, b):
+    """Runs of neighbouring live rows on one interval, counted row by row."""
+    runs, last = 0, None
+    for lo, hi in zip(a.tolist(), np.broadcast_to(b, a.shape).tolist()):
+        if hi > lo:
+            runs += (lo, hi) != last
+            last = (lo, hi)
+    return runs
+
+
+def test_factor_is_evaluated_once_per_interval_run():
+    # the CLI's 2001-point grid: every band row shares one interval
+    quad = tr.DEFAULT_QUAD
+    per_row = quad.nodes_per_panel * quad.panels
+    seen = []
+
+    def factor(u):
+        seen.append(u.shape)
+        return u * BUMP(u)
+
+    for ts in (np.linspace(0.05, 1.95, 2001), T_ARRAYS["unsorted, equal intervals apart"]):
+        a, b = tr._u_range(BUMP, ts)
+        seen.clear()
+        got = quad.integrate_rows(factor, lambda rows, u, f_u: f_u, a, b)
+        assert sum(rows for rows, _ in seen) == _adjacent_runs(a, b) < np.sum(b > a)
+        assert all(nodes == per_row and rows * nodes <= tr.BLOCK_NODES for rows, nodes in seen)
+        want = [quad.integrate(lambda u: u * BUMP(u), lo, b) for lo in a.tolist()]
+        assert np.array_equal(got, np.array(want))
+    seen.clear()
+    a, b = tr._u_range(BUMP, T_ARRAYS["all empty"])
+    assert np.all(quad.integrate_rows(factor, lambda rows, u, f_u: f_u, a, b) == 0.0)
+    assert seen == []
+
+
+@pytest.mark.parametrize("n", [5, 9, 25])
+def test_order_sequences_equal_their_scalar_orders(n):
+    dim = tr.Dimension(n)
+    k = dim.k
+    sequences = [tuple(range(1, k + 1)), (k, 0, 1, k)]
+    for ts in (T_ARRAYS["several blocks"], T_ARRAYS["unsorted, equal intervals apart"]):
+        for orders in sequences:
+            rows = tr.forward_h_dp(BUMP, dim, ts, orders, QUAD)
+            assert rows.shape == (len(orders),) + ts.shape
+            for row, p in zip(rows, orders):
+                assert np.array_equal(row, tr.forward_h_dp(BUMP, dim, ts, p, QUAD)), (orders, p)
+    one = tr.forward_h_dp(BUMP, dim, 0.9, range(k + 1), QUAD)
+    assert one.shape == (k + 1,)
+    assert np.array_equal(one, [tr.forward_h_dp(BUMP, dim, 0.9, p, QUAD) for p in range(k + 1)])
+    assert one[0] == tr.forward_h(BUMP, dim, 0.9, QUAD)
+
+
+def test_phi_order_sequences_equal_their_scalar_orders():
+    dim, m = tr.Dimension(5), 2
+    data = tr.HarmonicForwardData(BUMP, dim, m, QUAD)
+    ts = T_ARRAYS["several blocks"]
+    for orders in ((1, 2, 3), (0, 1, 2, 3), (3, 0, 3)):
+        rows = data.phi_dp(ts, orders)
+        for row, p in zip(rows, orders):
+            assert np.array_equal(row, data.phi_dp(ts, p)), (orders, p)
+
+
+def test_order_sequences_are_checked():
+    dim = tr.Dimension(9)
+    ts = np.array([0.5, 1.0])
+    for call in (lambda p: tr.forward_h_dp(BUMP, dim, ts, p),
+                 lambda p: tr.phi_harmonic_dp(BUMP, dim, 2, ts, p)):
+        with pytest.raises(ValueError, match="no order"):
+            call(())
+        with pytest.raises(ValueError, match="got 9"):
+            call((1, 9))
+        with pytest.raises(ValueError, match="got -1"):
+            call([-1])
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 25])

@@ -532,6 +532,36 @@ def test_spectral_artifact_bytes_are_pinned(tmp_path, capsys, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the forward-family artifacts: the README profile, except ucp-demo
+# (its own spec).  Forward data are summed per distinct u-interval and every
+# D^p order in one sweep; no row may move a bit.
+UCP_SPEC = {"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}
+FORWARD_ARTIFACTS = {
+    "forward-n9": (["forward", "--n", "9", "--grid", "2001", "--derivatives"], None,
+                   {"": "1f106a22f43bc90aaf7e5a4591b87649934fdee08353deb8ced15062ec2c8ede"}),
+    "forward-n5-m2": (["forward", "--n", "5", "--m", "2", "--grid", "2001"], None,
+                      {"": "f13bc5ed746a1b907b7be5af749599a8d58e4426f44dfa7bfa77d9de141d5fdc"}),
+    "ucp-demo": (["ucp-demo"], UCP_SPEC,
+                 {"_g": "05ce7215b38e5e3ec288139d91bc85eac27336550044043ddb2651a6d95fbb17",
+                  "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
+}
+
+
+@pytest.mark.parametrize("job", sorted(FORWARD_ARTIFACTS))
+def test_forward_artifact_bytes_are_pinned(tmp_path, capsys, job):
+    argv, spec, digests = FORWARD_ARTIFACTS[job]
+    if spec is None:
+        config = _write_profile(tmp_path)
+    else:
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec))
+    assert cli.main(argv + ["--config", str(config), "--out", str(tmp_path / "run.csv")]) == 0
+    capsys.readouterr()
+    for suffix, digest in digests.items():
+        artifact = tmp_path / f"run{suffix}.csv"
+        assert hashlib.sha256(artifact.read_bytes()).hexdigest() == digest, suffix
+
+
 def test_zeros_scale_uses_the_transform_it_divides(tmp_path, capsys):
     # for harmonic data the transform at the zeros has kernel order k, so
     # its scale is the sweep of that same transform

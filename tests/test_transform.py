@@ -224,11 +224,11 @@ EXACT_TS = np.array([0.4, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5, 1.7])
 
 
 def _exact_kernel_integrals(K, p, weight):
-    def integrand(rows, u):
-        return weight(u) * BUMP(u) * _exact_kernel(K, p, EXACT_TS[rows], u)
+    def integrand(rows, u, f_u):
+        return f_u * _exact_kernel(K, p, EXACT_TS[rows], u)
 
     a, b = tr._u_range(BUMP, EXACT_TS)
-    return EXACT_QUAD.integrate_rows(integrand, a, b)
+    return EXACT_QUAD.integrate_rows(lambda u: weight(u) * BUMP(u), integrand, a, b)
 
 
 def _sup_relative(got, want):
