@@ -1,5 +1,17 @@
 """Command-line front end: every check in the package as a subcommand.
 
+A subcommand is declared once.  `OPTIONS` lists its options, each both a
+--flag and a top-level key of the --config JSON file; `_COMMAND_OBJECTS`
+lists the config-only objects it takes, and `_OBJECTS` the library class
+each object builds.  Its handler in `_COMMANDS` receives a resolved `_Run`
+and keeps only its numerics and its artifact columns.  One class, `_Run`,
+does the rest for every subcommand: it resolves each option (flag, else
+config, else default; a float option is a float from then on), builds the
+declared objects with the library classes' own defaults for the keys left
+out, reads the --input samples, and derives the effective configuration and
+its hash from those resolved values; `_run` prints the handler's verdict
+line and maps the verdict to the exit code.
+
 Artifacts are reproducible by construction: each output file starts with a
 comment header carrying the tool version, a SHA-256 hash of the effective
 run configuration (canonical JSON), and the seed; floats are written with 17
@@ -7,8 +19,9 @@ significant digits, and JSON files use stable key ordering.  Identical
 configurations therefore produce byte-identical outputs on one platform.
 
 Exit codes: 0 when the run succeeds (and any verdict is PASS), 1 when a
-verdict is FAIL, 2 for usage, config, domain or numerical errors (reported
-as "config error:", "domain error:" and "numerical error:").
+verdict is FAIL (for a refused inversion, "invert: FAIL (...)" on stderr),
+2 for usage, config, domain or numerical errors (reported as
+"config error:", "domain error:" and "numerical error:").
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import numpy as np
 from . import __version__
 from .exactmath import identity_sweeps
 from .inverse import InversionConfig, invert_radial
-from .rangecheck import SampledH, default_grid, general_range_check, range_residual
+from .rangecheck import SampledH, default_grid, general_range_check
 from .specfun import bessel_zero
 from .spectral import cross_product_terms, hankel_h, mk_residual
 from .transform import (
@@ -47,13 +60,19 @@ class ConfigError(Exception):
     """Malformed or out-of-schema run configuration."""
 
 
+class _Refused(Exception):
+    """The method declined the run: a FAIL verdict, reported on stderr."""
+
+
 # ---------------------------------------------------------------------------
 # options and configuration
 
 # Each subcommand's options: name -> (type, default, least value, help).
 # Every option is both a --flag and a top-level config key; its value is the
-# flag's, else the config's, else the default.
-_N = (int, None, 3, "ambient dimension (odd, >= 3)")
+# flag's, else the config's, else the default.  A run refuses to start while
+# a REQUIRED option has no value.
+REQUIRED = object()
+_N = (int, REQUIRED, 3, "ambient dimension (odd, >= 3)")
 _M = (int, 0, 0, "harmonic degree of the data")
 _SHARED = {"seed": (int, DEFAULT_SEED, 0, "RNG seed, echoed in each artifact"),
            "out": (str, None, None, "output file path (default stdout)")}
@@ -61,7 +80,7 @@ OPTIONS = {command: {**options, **_SHARED} for command, options in {
     "forward": {"n": _N, "m": _M, "grid": (int, 201, 1, "number of t points"),
                 "derivatives": (bool, False, None,
                                 "also write dp_h_0..dp_h_k columns (m = 0)")},
-    "invert": {"n": _N, "input": (str, None, None, "CSV of (t, g) samples")},
+    "invert": {"n": _N, "input": (str, REQUIRED, None, "CSV of (t, g) samples")},
     "range-check": {"n": _N, "m": _M,
                     "input": (str, None, None, "CSV of (t, h) samples"),
                     "grid": (int, 101, 1, "number of check points"),
@@ -77,42 +96,53 @@ OPTIONS = {command: {**options, **_SHARED} for command, options in {
     "identities": {"max_k": (int, 8, 0, "sweep bound")},
     "zeros": {"n": _N, "m": _M, "count": (int, 10, 1, "number of kernel zeros"),
               "tol": (float, 1e-6, None, "verdict tolerance")},
-    "ucp-demo": {"n": _N, "epsilon": (float, None, None, "half-width of the band"),
-                 "m": (int, None, None, "derivative order of the profile"),
+    "ucp-demo": {"n": _N, "epsilon": (float, REQUIRED, None, "half-width of the band"),
+                 "m": (int, REQUIRED, None, "derivative order of the profile"),
                  "grid": (int, 201, 1, "number of t points"),
                  "tol": (float, None, None,
                          "verdict tolerance (default from the quadrature)")},
 }.items()}
 
-# config-only objects: the key schema of each, name -> (type, least value),
-# and the ones each subcommand takes ("bump" is a [center, width] pair)
+# config-only objects: the library class each builds, and its keys, name ->
+# (type, least value, the class's argument); keys left out keep the class's
+# defaults.  "bump" is UcpSpec's [center, width] pair.
 _OBJECTS = {
-    "profile": {"family": (str, None), "center": (float, None), "width": (float, None),
-                "amplitude": (float, None), "n": (int, 3), "m": (int, 0)},
-    "quadrature": {"nodes": (int, 2), "panels": (int, 1)},
-    "inversion": {"n_unknowns": (int, None), "n_collocation": (int, None),
-                  "svd_cutoff": (float, None)},
+    "profile": (BumpProfile, {"family": (str, None, None),
+                              "center": (float, None, "center"),
+                              "width": (float, None, "width"),
+                              "amplitude": (float, None, "amplitude"),
+                              "n": (int, 3, None), "m": (int, 0, None)}),
+    "quadrature": (QuadratureRule, {"nodes": (int, 2, "nodes_per_panel"),
+                                    "panels": (int, 1, "panels")}),
+    "inversion": (InversionConfig, {"n_unknowns": (int, None, "n_unknowns"),
+                                    "n_collocation": (int, None, "n_collocation"),
+                                    "svd_cutoff": (float, None, "svd_cutoff")}),
 }
 _COMMAND_OBJECTS = {"forward": {"profile", "quadrature"}, "invert": {"inversion"},
                     "range-check": {"profile", "quadrature"},
                     "cross-check": {"profile", "quadrature"}, "mk-check": set(),
                     "identities": set(), "zeros": {"profile", "quadrature"},
                     "ucp-demo": {"bump", "quadrature"}}
+# the rule a command's library entry integrates with by default
+_DEFAULT_QUAD = {"ucp-demo": ucp_mod.UCP_QUAD}
 _KINDS = {int: int, float: (int, float), str: str, bool: bool}
 
 
-def _check(value, kind, least, name):
-    """Raise ConfigError unless `value` is a `kind`, finite, and >= `least`."""
+def _checked(value, kind, least, name):
+    """`value` as a `kind` (an int given for a float becomes a float);
+    ConfigError unless it is a `kind`, finite, and >= `least`."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind]):
         raise ConfigError(f"{name} must be {kind.__name__}")
     if kind is float and not -math.inf < value < math.inf:
         raise ConfigError(f"{name} must be finite")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}")
+    return float(value) if kind is float else value
 
 
 def load_config(path: str, command: str) -> dict:
-    """Read and schema-validate a JSON run configuration for `command`."""
+    """Read and schema-validate a JSON run configuration for `command`;
+    every float value comes back as a float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -128,21 +158,21 @@ def load_config(path: str, command: str) -> dict:
     for key, value in cfg.items():
         if key in OPTIONS[command]:
             kind, _, least, _ = OPTIONS[command][key]
-            _check(value, kind, least, f"field '{key}'")
+            cfg[key] = _checked(value, kind, least, f"field '{key}'")
         elif key not in _COMMAND_OBJECTS[command]:
             raise ConfigError(f"unknown config key '{key}' for {command}")
         elif key == "bump":
             if not (isinstance(value, list) and len(value) == 2):
                 raise ConfigError("field 'bump' must be a [center, width] pair")
-            for v in value:
-                _check(v, float, None, "field 'bump'")
+            cfg[key] = [_checked(v, float, None, "field 'bump'") for v in value]
         elif not isinstance(value, dict):
             raise ConfigError(f"field '{key}' must be an object")
         else:
             for name, v in value.items():
-                if name not in _OBJECTS[key]:
+                if name not in _OBJECTS[key][1]:
                     raise ConfigError(f"unknown key '{key}.{name}'")
-                _check(v, *_OBJECTS[key][name], f"field '{key}.{name}'")
+                kind, least, _ = _OBJECTS[key][1][name]
+                value[name] = _checked(v, kind, least, f"field '{key}.{name}'")
     return cfg
 
 
@@ -162,7 +192,7 @@ def _options(args):
         if value is None:
             value = next((layer[name] for layer in layers if name in layer), default)
         else:
-            _check(value, kind, least, _flag(name))
+            value = _checked(value, kind, least, _flag(name))
         opts[name] = value
     return cfg, opts
 
@@ -171,42 +201,27 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _required(opts, name):
-    if opts[name] is None:
-        raise ConfigError(f"{_flag(name)} (or config key '{name}') is required")
-    return opts[name]
+def _build(name: str, block: dict):
+    """The library object a config block describes."""
+    cls, keys = _OBJECTS[name]
+    return cls(**{keys[key][2]: value for key, value in block.items() if keys[key][2]})
 
 
-def _quad_from(cfg: dict) -> QuadratureRule:
-    q = cfg.get("quadrature")
-    if q is None:
-        return DEFAULT_QUAD
-    return QuadratureRule(q.get("nodes", 32), q.get("panels", 8))
+def _hashed(name: str, obj) -> dict:
+    """An object's effective configuration: every key, defaults included."""
+    return {key: getattr(obj, arg) for key, (_, _, arg) in _OBJECTS[name][1].items() if arg}
 
 
-def _profile_from(cfg: dict, opts: dict):
-    """Build (profile, n, m) from the config's profile block and options."""
-    pcfg = cfg.get("profile")
-    if pcfg is None:
+def _profile(block):
+    if block is None:
         raise ConfigError("a profile spec is required "
                           "(--config with a 'profile' object)")
-    family = pcfg.get("family", "bump")
+    family = block.get("family", "bump")
     if family != "bump":
         raise ConfigError(f"unknown profile family '{family}'")
-    if "center" not in pcfg or "width" not in pcfg:
+    if "center" not in block or "width" not in block:
         raise ConfigError("profile needs 'center' and 'width'")
-    prof = BumpProfile(float(pcfg["center"]), float(pcfg["width"]),
-                       float(pcfg.get("amplitude", 1.0)))
-    return prof, _required(opts, "n"), opts["m"]
-
-
-def _profile_cfg(prof) -> dict:
-    return {"family": "bump", "center": prof.center, "width": prof.width,
-            "amplitude": prof.amplitude}
-
-
-def _quad_cfg(quad: QuadratureRule) -> dict:
-    return {"nodes": quad.nodes_per_panel, "panels": quad.panels}
+    return _build("profile", block)
 
 
 def _forward_data(prof, n: int, m: int, quad: QuadratureRule):
@@ -214,6 +229,74 @@ def _forward_data(prof, n: int, m: int, quad: QuadratureRule):
     if m == 0:
         return SmtProfile.from_profile(prof, dim, quad)
     return HarmonicForwardData(prof, dim, m, quad)
+
+
+class _Run:
+    """One resolved run: the handler's inputs, and the stamp of its artifacts.
+
+    `opts` holds every option's value.  `data` is the forward data of the
+    profile, `samples` the sorted --input rows, `quad` and `inversion` the
+    declared objects and `spec` ucp-demo's UcpSpec, each None where the
+    command takes none.  `effective` is the hashed configuration: the
+    command, every option but `out` and `input`, each built object with its
+    defaults, and for --input the row count (and, except for invert, which
+    never hashed it, the file's name).
+    """
+
+    def __init__(self, args):
+        command = args.command
+        cfg, opts = _options(args)
+        self.opts, self.seed, self.out = opts, opts["seed"], opts["out"]
+        declared = _COMMAND_OBJECTS[command]
+        self.data = self.samples = self.quad = self.inversion = self.spec = None
+        effective = {"command": command}
+        effective.update((k, v) for k, v in opts.items() if k not in ("out", "input"))
+        profile = None
+        if "profile" in declared and opts.get("input") is None:
+            profile = _profile(cfg.get("profile"))
+            effective["profile"] = {"family": "bump", **_hashed("profile", profile)}
+        if "quadrature" in declared:
+            self.quad = (_build("quadrature", cfg["quadrature"]) if "quadrature" in cfg
+                         else _DEFAULT_QUAD.get(command, DEFAULT_QUAD))
+            effective["quadrature"] = _hashed("quadrature", self.quad)
+        if "inversion" in declared:
+            self.inversion = _build("inversion", cfg.get("inversion", {}))
+            effective["inversion"] = _hashed("inversion", self.inversion)
+        for name, value in opts.items():
+            if value is REQUIRED:
+                raise ConfigError(f"{_flag(name)} (or config key '{name}') is required")
+        if profile is not None:
+            self.data = _forward_data(profile, opts["n"], opts["m"], self.quad)
+        if opts.get("input") is not None:
+            self.samples = _read_csv_columns(opts["input"], 2)
+            effective["rows"] = len(self.samples)
+            if command != "invert":
+                effective["input"] = os.path.basename(opts["input"])
+        if "bump" in declared:
+            bump = {"bump": tuple(cfg["bump"])} if "bump" in cfg else {}
+            try:
+                self.spec = ucp_mod.UcpSpec(n=opts["n"], epsilon=opts["epsilon"],
+                                            m=opts["m"], **bump)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            effective["bump"] = list(self.spec.bump)
+        self.effective = effective
+        self.hash = _config_hash(effective)
+
+    def emit_csv(self, columns, rows, out=None, comments=()):
+        """A CSV artifact at `out` (default the run's --out, else stdout);
+        a str row is written as it is (a comment line)."""
+        lines = [f"# smt {__version__}", f"# config sha256:{self.hash}",
+                 f"# seed {self.seed}", *(f"# {c}" for c in comments), ",".join(columns)]
+        lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row))
+                     for row in rows)
+        _write(out or self.out, "\n".join(lines) + "\n")
+
+    def emit_json(self, payload: dict, out=None):
+        """A JSON artifact at `out` (default the run's --out, else stdout)."""
+        payload = {**payload, "tool_version": __version__,
+                   "config_sha256": self.hash, "seed": self.seed}
+        _write(out or self.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +320,8 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _emit_csv(out, columns, rows, cfg_hash: str, seed: int, comments=()):
-    """Write a CSV artifact; `out` may be a path or None for stdout."""
-    lines = [f"# smt {__version__}",
-             f"# config sha256:{cfg_hash}",
-             f"# seed {seed}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        if isinstance(row, str):  # pre-formatted comment line
-            lines.append(row)
-        else:
-            lines.append(",".join(map(_fmt, row)))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_json(out, payload: dict, cfg_hash: str, seed: int):
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    payload["config_sha256"] = cfg_hash
-    payload["seed"] = seed
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(out, text: str):
+    """Write `text` to the path `out`, or to stdout for None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -300,33 +359,23 @@ def _read_csv_columns(path: str, expect: int):
 # subcommands
 
 
-def _cmd_forward(args) -> int:
-    cfg, opts = _options(args)
-    prof, n, m = _profile_from(cfg, opts)
-    quad = _quad_from(cfg)
-    count, seed, derivs = opts["grid"], opts["seed"], opts["derivatives"]
-    if derivs and m != 0:
+def _cmd_forward(run):
+    n, m, count = run.opts["n"], run.opts["m"], run.opts["grid"]
+    if run.opts["derivatives"] and m != 0:
         raise ConfigError("dp_h columns are only available for radial data (m=0)")
-    data = _forward_data(prof, n, m, quad)
+    data = run.data
     k = data.dim.k
     grid = np.linspace(0.05, 1.95, count)
-
-    effective = {"command": "forward", "n": n, "m": m, "grid": count,
-                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad),
-                 "derivatives": derivs, "seed": seed}
-    cfg_hash = _config_hash(effective)
-
     h = data.h(grid)
     columns = ["t", "g", "h"]
     values = [grid, g_from_h(h, grid, n), h]
-    if derivs:
+    if run.opts["derivatives"]:
         columns += [f"dp_h_{p}" for p in range(k + 1)]
         values.append(h)
         if k:  # D^1..D^k h in one sweep
             values.extend(data.dp_h(grid, range(1, k + 1)))
-    _emit_csv(opts["out"], columns, zip(*(v.tolist() for v in values)), cfg_hash, seed)
-    print(f"forward: n={n} m={m}, {count} rows")
-    return 0
+    run.emit_csv(columns, zip(*(v.tolist() for v in values)))
+    return None, f"n={n} m={m}, {count} rows"
 
 
 class _CsvH:
@@ -340,133 +389,60 @@ class _CsvH:
         return np.interp(t, self._t, self._h, left=0.0, right=0.0)
 
 
-def _cmd_invert(args) -> int:
-    cfg, opts = _options(args)
-    n, inp, seed = _required(opts, "n"), _required(opts, "input"), opts["seed"]
-    icfg = cfg.get("inversion", {})
-    inv_cfg = InversionConfig(
-        n_unknowns=int(icfg.get("n_unknowns", 240)),
-        n_collocation=int(icfg.get("n_collocation", 241)),
-        svd_cutoff=float(icfg.get("svd_cutoff", 1e-5)))
-
-    samples = _read_csv_columns(inp, 2)
-    t_in, g_in = samples[:, 0], samples[:, 1]
-    data = _CsvH(t_in, g_in * t_in ** (n - 2))
-
-    effective = {"command": "invert", "n": n,
-                 "inversion": {"n_unknowns": inv_cfg.n_unknowns,
-                               "n_collocation": inv_cfg.n_collocation,
-                               "svd_cutoff": inv_cfg.svd_cutoff},
-                 "rows": len(t_in), "seed": seed}
-    cfg_hash = _config_hash(effective)
-
+def _cmd_invert(run):
+    n, inv = run.opts["n"], run.inversion
+    t_in, g_in = run.samples.T
     try:
-        res = invert_radial(data, Dimension(n), inv_cfg)
-    except RuntimeError as exc:
-        print(f"invert: FAIL ({exc})", file=sys.stderr)
-        return 1
-
-    out = opts["out"]
-    rows = [(float(r), float(f)) for r, f in zip(res.nodes, res.values)]
-    _emit_csv(out, ["r", "f"], rows, cfg_hash, seed)
-    diag = {"rank": res.rank, "residual": res.residual,
-            "n_unknowns": inv_cfg.n_unknowns,
-            "n_collocation": inv_cfg.n_collocation,
-            "svd_cutoff": inv_cfg.svd_cutoff,
-            "singular_value_max": float(res.singular_values[0]),
-            "singular_value_min": float(res.singular_values[-1])}
-    if out is not None:
-        _emit_json(os.path.splitext(out)[0] + ".json", diag, cfg_hash, seed)
-    print(f"invert: rank {res.rank}, residual {res.residual:.3e}")
-    return 0
+        res = invert_radial(_CsvH(t_in, g_in * t_in ** (n - 2)), Dimension(n), inv)
+    except RuntimeError as exc:  # an ill-posed configuration
+        raise _Refused(exc) from exc
+    run.emit_csv(["r", "f"], [(float(r), float(f)) for r, f in zip(res.nodes, res.values)])
+    if run.out is not None:
+        run.emit_json({"rank": res.rank, "residual": res.residual,
+                       **run.effective["inversion"],
+                       "singular_value_max": float(res.singular_values[0]),
+                       "singular_value_min": float(res.singular_values[-1])},
+                      os.path.splitext(run.out)[0] + ".json")
+    return None, f"rank {res.rank}, residual {res.residual:.3e}"
 
 
-def _cmd_range_check(args) -> int:
-    cfg, opts = _options(args)
-    tol = float(opts["tol"])
-    count, seed, inp = opts["grid"], opts["seed"], opts["input"]
-    quad = _quad_from(cfg)
-    grid = default_grid(count)
-
-    if inp is not None:
-        n, m = _required(opts, "n"), opts["m"]
-        k = Dimension(n).k
-        samples = _read_csv_columns(inp, 2)
-        interp = _CsvH(samples[:, 0], samples[:, 1])
-        lo = max(0.01, float(samples[0, 0]))
-        hi = min(1.99, float(samples[-1, 0]))
-        data = SampledH.from_function(interp.h, a=lo, b=hi, k_eff=max(k, 2))
-        source = {"input": os.path.basename(inp), "rows": len(samples)}
-    else:
-        prof, n, m = _profile_from(cfg, opts)
-        data = _forward_data(prof, n, m, quad)
-        k = data.dim.k
-        source = {"profile": _profile_cfg(prof)}
-
-    effective = {"command": "range-check", "n": n, "m": m, "tol": tol,
-                 "grid": count, "seed": seed, "quadrature": _quad_cfg(quad),
-                 **source}
-    cfg_hash = _config_hash(effective)
-
-    if m == 0:
-        report = range_residual(data, k=k, grid=grid)
-        defects = []
-        ok = report.passed(tol)
-    else:
-        greport = general_range_check(data, m, k=k, grid=grid)
-        report = greport.range_report
-        defects = [float(d) for d in greport.moment_defects]
-        ok = report.passed(tol) and greport.defects_passed()
-
-    payload = {"n": n, "m": m, "k_used": report.k_used,
-               "sup_residual": report.sup_residual,
-               "normalized": report.normalized, "scale": report.scale,
-               "defects": defects, "tol": tol,
-               "verdict": "PASS" if ok else "FAIL"}
-    _emit_json(opts["out"], payload, cfg_hash, seed)
-    print(f"range-check: {payload['verdict']} "
-          f"normalized {report.normalized:.3e} (tol {tol:g})")
-    return 0 if ok else 1
+def _cmd_range_check(run):
+    n, m, tol = run.opts["n"], run.opts["m"], run.opts["tol"]
+    k = Dimension(n).k
+    data = run.data
+    if data is None:  # sampled (t, h), resampled on a Chebyshev grid
+        t_in, h_in = run.samples.T
+        lo, hi = max(0.01, float(t_in[0])), min(1.99, float(t_in[-1]))
+        data = SampledH.from_function(_CsvH(t_in, h_in).h, a=lo, b=hi, k_eff=max(k, 2))
+    greport = general_range_check(data, m, k=k, grid=default_grid(run.opts["grid"]))
+    report = greport.range_report
+    ok = report.passed(tol) and greport.defects_passed()
+    run.emit_json({"n": n, "m": m, "k_used": report.k_used,
+                   "sup_residual": report.sup_residual,
+                   "normalized": report.normalized, "scale": report.scale,
+                   "defects": [float(d) for d in greport.moment_defects], "tol": tol,
+                   "verdict": _word(ok)})
+    return ok, f"normalized {report.normalized:.3e} (tol {tol:g})"
 
 
-def _cmd_cross_check(args) -> int:
-    cfg, opts = _options(args)
-    prof, n, m = _profile_from(cfg, opts)
-    quad = _quad_from(cfg)
-    tol, lam_max = float(opts["tol"]), float(opts["lambda_max"])
-    count, seed = opts["grid"], opts["seed"]
+def _cmd_cross_check(run):
+    lam_max, tol = run.opts["lambda_max"], run.opts["tol"]
     if lam_max <= 0.5:
         raise ConfigError("lambda-max must exceed 0.5")
-    data = _forward_data(prof, n, m, quad)
-    k = data.dim.k + m  # harmonic data shifts the kernel order by m
-    lams = np.linspace(0.5, lam_max, count)
-
-    effective = {"command": "cross-check", "n": n, "m": m, "tol": tol,
-                 "lambda_max": lam_max, "grid": count, "seed": seed,
-                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
-    cfg_hash = _config_hash(effective)
-
-    lhs, rhs, res = cross_product_terms(data, k, lams, quad)
+    lams = np.linspace(0.5, lam_max, run.opts["grid"])
+    k = run.data.dim.k + run.opts["m"]  # harmonic data shifts the kernel order by m
+    lhs, rhs, res = cross_product_terms(run.data, k, lams, run.quad)
     # np.max keeps a NaN, which max() would drop and so read as a PASS
     worst = float(np.max(res))
-    rows = zip(lams.tolist(), lhs.tolist(), rhs.tolist(), res.tolist())
-    _emit_csv(opts["out"], ["lambda", "lhs", "rhs", "residual"], rows, cfg_hash, seed)
-    ok = worst <= tol
-    print(f"cross-check: {'PASS' if ok else 'FAIL'} "
-          f"worst residual {worst:.3e} (tol {tol:g})")
-    return 0 if ok else 1
+    run.emit_csv(["lambda", "lhs", "rhs", "residual"],
+                 zip(lams.tolist(), lhs.tolist(), rhs.tolist(), res.tolist()))
+    return worst <= tol, f"worst residual {worst:.3e} (tol {tol:g})"
 
 
-def _cmd_mk_check(args) -> int:
-    _, opts = _options(args)
-    k_max, count, seed = opts["k"], opts["count"], opts["seed"]
-    lam_max, tol = float(opts["lambda_max"]), float(opts["tol"])
-
-    effective = {"command": "mk-check", "k": k_max, "count": count,
-                 "lambda_max": lam_max, "tol": tol, "seed": seed}
-    cfg_hash = _config_hash(effective)
-    rng = np.random.default_rng(seed)
-
+def _cmd_mk_check(run):
+    k_max, count = run.opts["k"], run.opts["count"]
+    lam_max, tol = run.opts["lambda_max"], run.opts["tol"]
+    rng = np.random.default_rng(run.seed)
     rows = []
     residuals = []
     for k in range(k_max + 1):
@@ -485,106 +461,71 @@ def _cmd_mk_check(args) -> int:
     # np.max keeps a NaN, which max() would drop and so read as a PASS
     worst = float(np.max(np.concatenate(residuals)))
     worst_k0 = float(np.max(residuals[0]))
-    ok = worst <= tol and worst_k0 <= 1e-14
-    _emit_csv(opts["out"], ["lambda", "t", "residual"], rows, cfg_hash, seed)
-    print(f"mk-check: {'PASS' if ok else 'FAIL'} worst {worst:.3e} "
-          f"(k=0 worst {worst_k0:.3e}, tol {tol:g})")
-    return 0 if ok else 1
+    run.emit_csv(["lambda", "t", "residual"], rows)
+    return (worst <= tol and worst_k0 <= 1e-14,
+            f"worst {worst:.3e} (k=0 worst {worst_k0:.3e}, tol {tol:g})")
 
 
-def _cmd_identities(args) -> int:
-    _, opts = _options(args)
-    k_max, seed, out = opts["max_k"], opts["seed"], opts["out"]
-    effective = {"command": "identities", "max_k": k_max, "seed": seed}
-    cfg_hash = _config_hash(effective)
-
+def _cmd_identities(run):
     rows = []
-    all_ok = True
-    for name, desc, ok, witness in identity_sweeps(k_max):
-        all_ok &= ok
-        status = "PASS" if ok else f"FAIL at {witness}"
-        print(f"{name:28s} {desc:24s} {status}")
-        rows.append((name, desc, "PASS" if ok else "FAIL"))
-    if out is not None:
-        _emit_csv(out, ["identity", "range", "status"], rows, cfg_hash, seed)
-    print(f"identities: {'PASS' if all_ok else 'FAIL'} ({len(rows)} sweeps)")
-    return 0 if all_ok else 1
+    for name, desc, ok, witness in identity_sweeps(run.opts["max_k"]):
+        print(f"{name:28s} {desc:24s} {'PASS' if ok else f'FAIL at {witness}'}")
+        rows.append((name, desc, _word(ok)))
+    if run.out is not None:
+        run.emit_csv(["identity", "range", "status"], rows)
+    return all(row[2] == "PASS" for row in rows), f"({len(rows)} sweeps)"
 
 
-def _cmd_zeros(args) -> int:
-    cfg, opts = _options(args)
-    prof, n, m = _profile_from(cfg, opts)
-    quad = _quad_from(cfg)
-    count, tol, seed = opts["count"], float(opts["tol"]), opts["seed"]
-    data = _forward_data(prof, n, m, quad)
-    dim = data.dim
-
-    effective = {"command": "zeros", "n": n, "m": m, "count": count,
-                 "tol": tol, "seed": seed,
-                 "profile": _profile_cfg(prof), "quadrature": _quad_cfg(quad)}
-    cfg_hash = _config_hash(effective)
-
+def _cmd_zeros(run):
+    data, m, count, tol = run.data, run.opts["m"], run.opts["count"], run.opts["tol"]
+    k = data.dim.k
     # the transform (kernel order k for every m) at the order-(m+k) kernel
     # zeros, and its magnitude scale over a lambda sweep up past the last zero
-    zeros = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
+    zeros = np.array([bessel_zero(m + k, i) for i in range(1, count + 1)])
     lam_grid = np.linspace(0.3, zeros[-1] + 2.0, 40)
-    values = np.abs(hankel_h(data.h, dim.k, np.concatenate([zeros, lam_grid]),
-                             quad, data.support))
+    values = np.abs(hankel_h(data.h, k, np.concatenate([zeros, lam_grid]),
+                             run.quad, data.support))
     fmax = float(np.max(values[count:]))
     rows = [(lam, val, val / fmax)
             for lam, val in zip(zeros.tolist(), values[:count].tolist())]
     worst = max(r[2] for r in rows)
-    _emit_csv(opts["out"], ["lambda", "absF", "ratio"], rows, cfg_hash, seed,
-              comments=[f"fmax {_fmt(fmax)}"])
-    ok = worst <= tol
-    print(f"zeros: {'PASS' if ok else 'FAIL'} worst ratio {worst:.3e} "
-          f"(tol {tol:g})")
-    return 0 if ok else 1
+    run.emit_csv(["lambda", "absF", "ratio"], rows, comments=[f"fmax {_fmt(fmax)}"])
+    return worst <= tol, f"worst ratio {worst:.3e} (tol {tol:g})"
 
 
-def _cmd_ucp_demo(args) -> int:
-    cfg, opts = _options(args)
-    n, epsilon, m = (_required(opts, key) for key in ("n", "epsilon", "m"))
-    bump = cfg.get("bump", [0.6, 0.15])
-    try:
-        spec = ucp_mod.UcpSpec(n=n, epsilon=float(epsilon), m=m,
-                               bump=(float(bump[0]), float(bump[1])))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    quad = (_quad_from(cfg) if "quadrature" in cfg else ucp_mod.UCP_QUAD)
-    count, tol, seed = opts["grid"], opts["tol"], opts["seed"]
-
-    effective = {"command": "ucp-demo", "n": spec.n, "epsilon": spec.epsilon,
-                 "m": spec.m, "bump": list(spec.bump), "grid": count,
-                 "tol": tol, "seed": seed, "quadrature": _quad_cfg(quad)}
-    cfg_hash = _config_hash(effective)
-
-    grid = ucp_mod.default_grid(count)
+def _cmd_ucp_demo(run):
+    spec = run.spec
     report = ucp_mod.verify_counterexample(
-        spec, quad, grid, tol=None if tol is None else float(tol))
-    f = ucp_mod.build_counterexample(spec)
-    r_grid = np.linspace(0.0, 1.0, 501)
-
-    out = opts["out"]
-    if out is not None:
-        base = os.path.splitext(out)[0]
-        _emit_csv(base + "_g.csv", ["t", "g"],
-                  zip(report.grid.tolist(), report.g_values.tolist()), cfg_hash, seed)
-        _emit_csv(base + "_f.csv", ["r", "f"],
-                  zip(r_grid.tolist(), f(r_grid).tolist()), cfg_hash, seed)
+        spec, run.quad, ucp_mod.default_grid(run.opts["grid"]), tol=run.opts["tol"])
+    json_out = None
+    if run.out is not None:
+        base = os.path.splitext(run.out)[0]
+        f = ucp_mod.build_counterexample(spec)
+        r_grid = np.linspace(0.0, 1.0, 501)
+        run.emit_csv(["t", "g"], zip(report.grid.tolist(), report.g_values.tolist()),
+                     base + "_g.csv")
+        run.emit_csv(["r", "f"], zip(r_grid.tolist(), f(r_grid).tolist()), base + "_f.csv")
         json_out = base + ".json"
-    else:
-        json_out = None
-    payload = {"n": spec.n, "epsilon": spec.epsilon, "m": spec.m,
-               "bump": list(spec.bump), "ratio_inside": report.ratio_inside,
-               "max_inside": report.max_inside,
-               "max_global": report.max_global, "tol": report.tol,
-               "trivial": report.trivial,
-               "verdict": "PASS" if report.passed else "FAIL"}
-    _emit_json(json_out, payload, cfg_hash, seed)
-    print(f"ucp-demo: {payload['verdict']} ratio_inside "
-          f"{report.ratio_inside:.3e} (tol {report.tol:g})")
-    return 0 if report.passed else 1
+    run.emit_json({"n": spec.n, "epsilon": spec.epsilon, "m": spec.m,
+                   "bump": list(spec.bump), "ratio_inside": report.ratio_inside,
+                   "max_inside": report.max_inside,
+                   "max_global": report.max_global, "tol": report.tol,
+                   "trivial": report.trivial, "verdict": _word(report.passed)},
+                  json_out)
+    return report.passed, f"ratio_inside {report.ratio_inside:.3e} (tol {report.tol:g})"
+
+
+def _word(ok) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _run(args) -> int:
+    """Run one subcommand: its handler returns (verdict, summary), verdict
+    None for a table with no verdict."""
+    ok, summary = args.fn(_Run(args))
+    print(f"{args.command}: {summary}" if ok is None
+          else f"{args.command}: {_word(ok)} {summary}")
+    return 0 if ok is None or ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "key of the --config file; a flag wins.")
         p.add_argument("--config", help="JSON run configuration")
         for name, (kind, default, _, text) in OPTIONS[command].items():
-            if default not in (None, False):
+            if default not in (None, False, REQUIRED):
                 text = f"{text} (default {default})"
             if kind is bool:
                 p.add_argument(_flag(name), action="store_true", default=None,
@@ -637,7 +578,10 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.fn(args)
+        return _run(args)
+    except _Refused as exc:
+        print(f"{args.command}: FAIL ({exc})", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

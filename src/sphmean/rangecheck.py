@@ -113,15 +113,13 @@ def _symmetry_report(h_dp, k: int, grid) -> RangeReport:
 
 
 def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -> RangeReport:
-    """Symmetry residual sup_t |[L_k h](1-t) - [L_k h](1+t)| over the grid.
+    """Symmetry residual sup_t |[L_k h](1-t) - [L_k h](1+t)| over the grid:
+    the m = 0 case of general_range_check.
 
     `data` needs a dp_h(t, p) method for p <= k that accepts arrays of t
     (SmtProfile, SampledH, JetH, or any perturbation wrapper of those).
     """
-    k = _resolve_k(data, k)
-    if grid is None:
-        grid = default_grid()
-    return _symmetry_report(data.dp_h, k, grid)
+    return general_range_check(data, 0, k, grid).range_report
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +193,20 @@ class SampledH:
 
     def _interpolate(self, values, t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        diff = ts[:, None] - self.t_nodes[None, :]
+        out = np.zeros(ts.shape)
+        # only points in [a, b]: far outside, the barycentric sum cancels to 0
+        inside = (ts >= self.a) & (ts <= self.b)
+        diff = ts[inside, None] - self.t_nodes[None, :]
         exact = np.abs(diff) < 1e-14
         diff = np.where(exact, 1.0, diff)
         q = self._bary_weights[None, :] / diff
         # one BLAS dot per t, as for a single t: a matrix product would sum
         # in another order and change the last bits
-        out = np.vecdot(q, values) / q.sum(axis=1)
+        part = np.vecdot(q, values) / q.sum(axis=1)
         hit_rows = exact.any(axis=1)
         if np.any(hit_rows):
-            out[hit_rows] = values[np.argmax(exact[hit_rows], axis=1)]
-        out = np.where((ts < self.a) | (ts > self.b), 0.0, out)
+            part[hit_rows] = values[np.argmax(exact[hit_rows], axis=1)]
+        out[inside] = part
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def h(self, t):
@@ -345,11 +346,14 @@ class AntiDerivativeChain:
 
     def _defects(self):
         """Weights and integrands of the defect integrals over [lo, 2], all
-        from one evaluation of psi."""
+        from one evaluation of psi; m = 0 has none and needs no nodes."""
         if self._defect_terms is None:
-            s, w = self.quad.points(self.lo, 2.0)
-            psi_s = self.psi(s) if self.m else None
-            self._defect_terms = w, [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
+            w, terms = None, []
+            if self.m:
+                s, w = self.quad.points(self.lo, 2.0)
+                psi_s = self.psi(s)
+                terms = [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
+            self._defect_terms = w, terms
         return self._defect_terms
 
     def moment_defects(self):
@@ -396,9 +400,10 @@ def general_range_check(
     """L_{m+k} symmetry of the m-fold antiderivative plus moment defects.
 
     Forward-generated harmonic data (HarmonicForwardData) uses its analytic
-    phi derivatives.  Anything else with an h(t) method is treated as sampled
-    data: phi comes from anti_D integrals and orders above m from spectral
-    differentiation of h.
+    phi derivatives.  Otherwise phi comes from anti_D integrals of h, and
+    orders p >= m are the data's own dp_h(t, p - m); data with only an h(t)
+    method is first resampled (SampledH.from_function) and differentiated
+    spectrally.  At m = 0 the chain is empty and this is range_residual.
     """
     if grid is None:
         grid = default_grid()
@@ -409,16 +414,16 @@ def general_range_check(
         chain = AntiDerivativeChain(data.h, m, quad)
     else:
         k = _resolve_k(data, k)
-        if isinstance(data, SampledH):
-            sampled = data
+        if hasattr(data, "dp_h"):
+            dp_h = data.dp_h
         else:
-            sampled = SampledH.from_function(data.h, degree=128)
-        chain = AntiDerivativeChain(sampled.h, m, quad)
+            dp_h = SampledH.from_function(data.h, degree=128).dp_h
+        chain = AntiDerivativeChain(lambda t: dp_h(t, 0), m, quad)
 
         def phi_dp(t, p):
-            if p <= m:
+            if p < m:
                 return chain.dp_phi(t, p)
-            return sampled.dp_h(t, p - m)
+            return dp_h(t, p - m)
 
     report = _symmetry_report(phi_dp, m + k, grid)
     return GeneralRangeReport(report, chain.moment_defects(), chain.defect_scales())

@@ -12,10 +12,11 @@ where the constant cancels.
 
 Numerical note: the trig closed forms cancel catastrophically for small x at
 high derivative order (the true value can be 30 decimal digits below the
-individual terms).  Scalar evaluations estimate the cancellation from the sum
-of term magnitudes and transparently re-run in mpmath at sufficient precision
-when float64 cannot reach ~1e-11 absolute-or-relative accuracy.  Array
-evaluations stay in float64 (their callers control the argument range).
+individual terms).  Evaluations estimate the cancellation from the sum of
+term magnitudes and transparently re-run in mpmath at sufficient precision
+when float64 cannot reach ~1e-11 absolute-or-relative accuracy.  An array
+call equals the scalar call at each element, bit for bit; only the private
+`_dp_trig_horner`, for callers that bound their arguments, skips the guard.
 """
 
 from __future__ import annotations
@@ -380,16 +381,26 @@ def _dp_trig_rows(p: int, x, kind: str):
     return value
 
 
+def _dp_trig_horner(p: int, x, kind: str):
+    """dp_sinc/dp_cosc over a float array by Horner's rule, with no
+    cancellation guard.  Only for callers whose arguments keep the sum well
+    conditioned: sph_bessel_j above its switch radius (first kind, error
+    <= 6.4e-15 of the sup on x <= 40 for k <= 12, against mpmath) and the
+    second-kind block of spectral.cross_product_terms (<= 8.3e-15 of the
+    envelope hypot(raw_j, raw_y) on [0.01, 100] for k <= 12)."""
+    cs, cc = _kind_coeffs(p, kind)
+    val = _poly_eval(cs, x) * np.sin(x) + _poly_eval(cc, x) * np.cos(x)
+    return val * x ** (-(2 * p + 1))
+
+
 def _dp_trig(p: int, x, kind: str):
     if p < 0:
         raise ValueError("p >= 0")
     if isinstance(x, np.ndarray):
         if np.any(x == 0):
             raise ValueError("x = 0 is outside the domain")
-        cs, cc = _kind_coeffs(p, kind)
         xs = np.asarray(x, dtype=float)
-        val = _poly_eval(cs, xs) * np.sin(xs) + _poly_eval(cc, xs) * np.cos(xs)
-        return val * xs ** (-(2 * p + 1))
+        return _dp_trig_rows(p, xs.ravel(), kind).reshape(xs.shape)
     if x == 0:
         raise ValueError("x = 0 is outside the domain")
     return _dp_trig_scalar(p, float(x), kind)
@@ -537,7 +548,7 @@ def sph_bessel_j(k: int, x):
         if np.any(small):
             out[small] = _series_j(k, xs[small])
         if np.any(~small):
-            out[~small] = dp_sinc(k, xs[~small]) / ck
+            out[~small] = _dp_trig_horner(k, xs[~small], "sin") / ck
         return out
     xf = float(x)
     if abs(xf) < sw:

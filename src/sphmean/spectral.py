@@ -29,11 +29,11 @@ from mpmath import mp
 from .exactmath import coeff_C
 from .specfun import (
     Jet,
+    _dp_trig_horner,
     _dp_trig_rows,
     _power,
     bessel_zero,
     d_operator,
-    dp_cosc,
     dp_trig_mp,
     raw_j,
     raw_j_jet,
@@ -205,11 +205,10 @@ def cross_product_terms(data, k: int, lam,
     for rows, lam_t, t, w, h_t in _lam_blocks(fn, lams, a, b, quad):
         # series-backed normalized kernel is stable at small arguments
         j_block = c_k * sph_bessel_j(k, lam_t) * t * h_t
-        y_block = dp_cosc(k, lam_t) * t * h_t
+        y_block = _dp_trig_horner(k, lam_t, "cos") * t * h_t
         i_j[rows], a_j[rows] = np.vecdot(w, j_block), np.vecdot(w, np.abs(j_block))
         i_y[rows], a_y[rows] = np.vecdot(w, y_block), np.vecdot(w, np.abs(y_block))
-    j_lam = np.array([raw_j(k, v) for v in lams.tolist()])
-    y_lam = np.array([raw_y(k, v) for v in lams.tolist()])
+    j_lam, y_lam = raw_j(k, lams), raw_y(k, lams)
     lhs = i_j * y_lam
     rhs = i_y * j_lam
     den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)

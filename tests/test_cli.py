@@ -595,3 +595,97 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, extra, me
 def test_even_n_stays_a_domain_error(tmp_path, capsys):
     assert cli.main(["forward", "--config", _write_profile(tmp_path), "--n", "4"]) == 2
     assert capsys.readouterr().err.startswith("domain error: n must be odd")
+
+
+# config hashes of the other five subcommands (small runs: the hash covers
+# the effective configuration, not the numbers)
+GOLDEN.update({
+    "invert": "de90c4b76c4d8753f23a9eae89f3008e5b6bb6d47f7a77b2d9006d0c8141b155",
+    "range-check": "627f51d60ed09cf916eb5f8fb0d546178520c84fef57b8cfa72c297d73158bb9",
+    "cross-check": "7b52999e0cd5bee9faaf4b12874ce8f347294fcfaafb92bc18370e980be37bc3",
+    "identities": "655ffd00284729fe3d7369c51acc6a9fd8a5f20a1d86fb65a3c1705cc64dd3f4",
+    "zeros": "1aaccc8a387bbdf71989222259a1fd31976313e517323bcfebcd2ce9499b5371",
+})
+
+
+def _config_hash_of(path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config_sha256"]
+    return text.split("# config sha256:", 1)[1].split("\n", 1)[0]
+
+
+def test_every_subcommand_config_hash_is_pinned(tmp_path, capsys):
+    profile = _write_profile(tmp_path)
+    fwd = tmp_path / "fwd.csv"
+    assert cli.main(["forward", "--config", profile, "--grid", "301", "--out", str(fwd)]) == 0
+    runs = {"invert": ["invert", "--n", "3", "--input", str(fwd)],
+            "range-check": ["range-check", "--config", profile, "--grid", "11"],
+            "cross-check": ["cross-check", "--config", profile, "--grid", "3",
+                            "--lambda-max", "10"],
+            "identities": ["identities", "--max-k", "2"],
+            "zeros": ["zeros", "--config", profile, "--count", "2"]}
+    for command, argv in runs.items():
+        out = tmp_path / (f"{command}.json" if command == "range-check" else f"{command}.csv")
+        assert cli.main(argv + ["--out", str(out)]) == 0, command
+        assert _config_hash_of(out) == GOLDEN[command], (command, _config_hash_of(out))
+    capsys.readouterr()
+
+
+def test_ucp_demo_hashes_a_config_tol_as_its_flag(tmp_path, capsys):
+    # an integer tol in the config is the same run as --tol 1
+    digests = []
+    for name, config, flags in (("cfg", {**UCP_SPEC, "tol": 1}, []),
+                                ("flag", UCP_SPEC, ["--tol", "1"])):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(config))
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["ucp-demo", "--config", str(spec), "--grid", "16",
+                         "--out", str(out), *flags]) == 0
+        digests.append(_config_hash_of(tmp_path / f"{name}.json"))
+    capsys.readouterr()
+    assert digests[0] == digests[1] == (
+        "e618cdfb64b8d88be46710b5a8ab4ea0f8d1a8d3db785e7c124b3dcfe4bee1fc"), digests
+
+
+# sha256 of the artifacts of the other subcommands on the README profile
+# (invert and range-check --input read its 2001-point forward table): the
+# shared run assembly (cli._Run) must not move a byte
+RUN_ARTIFACTS = {
+    "invert": (["invert", "--n", "3", "--input", "FWD"], "rec.csv", 0, {
+        "rec.csv": "cb0fc55e8c95e56eae087e75637812bf6300d287a02bb34aeeddadd258434ee7",
+        "rec.json": "77583c94a5919c769afafc338ecf615b639368e947cbfaa2281560e8b101e332"}),
+    "range-check-m0": (["range-check", "--config", "PROFILE"], "rc.json", 0, {
+        "rc.json": "4a358a2ab7cfb1d55e0f12bc84d018161a6cf698ec29f4e63aaab1d1acabf998"}),
+    "range-check-m2": (["range-check", "--config", "PROFILE", "--m", "2"], "rc.json", 0, {
+        "rc.json": "a8c2b32ac7221027fab396b1dd5c51126c2ec2fc36aceb55bd7bb91430271a30"}),
+    "range-check-input": (["range-check", "--n", "3", "--input", "SAMPLES"], "rc.json", 0, {
+        "rc.json": "098c1ee7d274733fcdf1e14d9031644fc603f1085490a8128cb502f29ed35274"}),
+    "range-check-input-m2": (
+        ["range-check", "--n", "3", "--m", "2", "--input", "SAMPLES"], "rc.json", 1, {
+            "rc.json": "b7cba2612f63c1791e2095dadcafbe7b72c3baa6b60bec2b64f7b0cb59c32af3"}),
+    "identities": (["identities"], "ids.csv", 0, {
+        "ids.csv": "d8f9f3664f81b94bfeae980470371c4c52bab31b4e8f4b291303f83d1b3abf2c"}),
+    "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
+        "zeros.csv": "57508bb8b5012bf16cd3b151f2647f4e90f18b7c74276e37af36b9fbece793e5"}),
+}
+
+
+@pytest.mark.parametrize("job", sorted(RUN_ARTIFACTS))
+def test_run_artifact_bytes_are_pinned(tmp_path, capsys, job):
+    argv, out, code, digests = RUN_ARTIFACTS[job]
+    files = {"PROFILE": _write_profile(tmp_path)}
+    if "FWD" in argv or "SAMPLES" in argv:
+        fwd = tmp_path / "fwd.csv"
+        assert cli.main(["forward", "--config", files["PROFILE"], "--grid", "2001",
+                         "--out", str(fwd)]) == 0
+        rows = [line.split(",") for line in fwd.read_text().splitlines()
+                if not line.startswith(("#", "t"))]
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t,h\n" + "".join(f"{t},{h}\n" for t, _, h in rows))
+        files.update(FWD=str(fwd), SAMPLES=str(samples))
+    assert cli.main([files.get(a, a) for a in argv] + ["--out", str(tmp_path / out)]) == code
+    capsys.readouterr()
+    for name, digest in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, (name, got)

@@ -1,6 +1,8 @@
 """Range operator and residuals: coefficient anchors, necessity on forward
 data, perturbation detection, antiderivative chains, and the sampled path."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,39 @@ def test_general_check_m0_reduces_to_radial_residual():
     assert rep.range_report.normalized <= 1e-6
     assert abs(rep.range_report.normalized - direct.normalized) < 1e-6
     assert rep.moment_defects == []
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 25])
+def test_general_check_at_m0_is_the_radial_residual(n):
+    # orders p >= m come from the data's own dp_h, so m = 0 reads the exact
+    # kernel derivatives, bit for bit, not a resampled copy
+    data = tr.SmtProfile.from_profile(BUMP, tr.Dimension(n))
+    grid = rc.default_grid()
+    direct = rc._symmetry_report(data.dp_h, data.dim.k, grid)
+    rep = rc.general_range_check(data, 0)
+    assert rep.range_report.residual.tobytes() == direct.residual.tobytes()
+    assert rep.range_report.normalized == direct.normalized
+    assert rep.moment_defects == [] and rep.defects_passed()
+    assert rc.range_residual(data).normalized == direct.normalized
+
+
+def test_general_check_reads_jets_of_data_with_derivatives():
+    # bump_h sits on one side of t = 1, so exact jets read exactly 1
+    rep = rc.general_range_check(rc.bump_h(1.4, 0.2), 1)
+    assert rep.range_report.normalized == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sampled_h_is_zero_below_a_without_warnings():
+    # far outside [a, b] the barycentric sum cancels to 0; such points are
+    # not interpolated, so no divide-by-zero reaches the chain's callers
+    samp = rc.SampledH.from_function(lambda t: np.exp(-20 * (t - 1) ** 2), a=0.05, b=1.95)
+    below = np.geomspace(1e-9, 0.04, 5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(samp.h(below) == 0.0) and np.all(samp.dp_h(below, 2) == 0.0)
+        assert samp.h(0.01) == 0.0
+        phi = rc.AntiDerivativeChain(samp.h, 2).phi(np.linspace(0.01, 1.0, 50))
+    assert np.all(np.isfinite(phi))
 
 
 def test_general_check_sampled_route():

@@ -161,9 +161,22 @@ def test_dp_vector_matches_scalar():
     for p in (0, 2, 5):
         vec = sf.dp_sinc(p, xs)
         scal = np.array([sf.dp_sinc(p, float(x)) for x in xs])
-        # scalar path may escalate precision; the float64 vector path keeps
-        # mild cancellation noise at small x, so compare at the 1e-10 level
+        # both paths escalate precision where the float sum cancels; they
+        # agree bit for bit (test_array_calls_equal_scalar_calls)
         assert np.max(np.abs(vec - scal) / np.maximum(1.0, np.abs(scal))) < 1e-10
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_array_calls_equal_scalar_calls(k):
+    # one float pass over the array, and the scalar route (mpmath) wherever
+    # its cancellation guard fails: every element is its scalar call, bit
+    # for bit, also at small x and high k where the closed form cancels (an
+    # unguarded float sum gives 0.0 for dp_sinc(6, [0.05]), not 7.4e-6)
+    xs = np.concatenate([np.linspace(0.05, 40.0, 300), np.geomspace(0.05, 40.0, 150)])
+    for fn in (sf.dp_sinc, sf.dp_cosc, sf.raw_j, sf.raw_y):
+        want = np.array([fn(k, float(x)) for x in xs])
+        assert np.array_equal(fn(k, xs), want), fn.__name__
+        assert np.array_equal(fn(k, xs.reshape(3, -1)), want.reshape(3, -1)), fn.__name__
 
 
 def test_dp_against_jet_operator_moderate_regime():
