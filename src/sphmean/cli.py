@@ -330,11 +330,12 @@ def _write(out, text: str):
 
 
 def _read_csv_columns(path: str, expect: int):
-    """Read a 2-column numeric CSV, skipping '#' comments and a header row."""
-    rows = []
+    """Read a 2-column numeric CSV, skipping '#' comments; the first other
+    row may be a header, and any later row that is not numeric is an error."""
+    rows, first = [], True
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -345,7 +346,10 @@ def _read_csv_columns(path: str, expect: int):
                 try:
                     rows.append([float(p) for p in parts[:expect]])
                 except ValueError:
-                    continue  # header row
+                    if not first:
+                        raise ConfigError(f"{path}, line {number}: not a numeric row: "
+                                          f"{line!r}") from None
+                first = False
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not rows:

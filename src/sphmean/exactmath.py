@@ -110,20 +110,15 @@ class BiPoly:
 
     # -- ring operations
     def __add__(self, other) -> "BiPoly":
-        other = _as_poly(other)
         out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BiPoly(out)
+        for key, c in _as_poly(other).coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return _normalized(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self.coeffs.items()})
+        return _normalized({key: -c for key, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "BiPoly":
         return self + (-_as_poly(other))
@@ -132,17 +127,14 @@ class BiPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "BiPoly":
-        other = _as_poly(other)
+        other = list(_as_poly(other).coeffs.items())
         out: dict[tuple[int, int], int | Fraction] = {}
+        get = out.get
         for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
+            for (i2, j2), c2 in other:
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BiPoly(out)
+                out[key] = get(key, 0) + c1 * c2
+        return _normalized(out)
 
     __rmul__ = __mul__
 
@@ -154,8 +146,9 @@ class BiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -169,20 +162,18 @@ class BiPoly:
 
     # -- substitution and evaluation
     def subs_t_affine(self, a, b) -> "BiPoly":
-        """Substitute t -> a + b*t, expanding exactly."""
+        """Substitute t -> a + b*t, expanding exactly: one row of
+        C(i,r) a^(i-r) b^r per t-degree i, summed into one column per u-degree."""
         a, b = _exact(a), _exact(b)
-        out: dict[tuple[int, int], int | Fraction] = {}
+        rows, cols = {}, {}
         for (i, j), c in self.coeffs.items():
-            for r in range(i + 1):
-                coef = c * math.comb(i, r) * a ** (i - r) * b**r
-                if coef:
-                    key = (r, j)
-                    s = out.get(key, 0) + coef
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return BiPoly(out)
+            if i not in rows:
+                rows[i] = [math.comb(i, r) * a ** (i - r) * b**r for r in range(i + 1)]
+            col = cols.setdefault(j, [])
+            col.extend([0] * (i + 1 - len(col)))
+            for r, w in enumerate(rows[i]):
+                col[r] += c * w
+        return _normalized({(r, j): v for j, col in cols.items() for r, v in enumerate(col)})
 
     def eval(self, tval, uval):
         """Numeric evaluation (floats in, float out), for tests."""
@@ -205,6 +196,15 @@ def _as_poly(v) -> BiPoly:
     return BiPoly.const(v)
 
 
+def _normalized(coeffs: dict) -> BiPoly:
+    """A BiPoly over exact int/Fraction sums, normalized once: zero terms
+    dropped, integral Fractions stored as ints."""
+    poly = BiPoly.__new__(BiPoly)
+    poly.coeffs = {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                   for key, c in coeffs.items() if c}
+    return poly
+
+
 def formal_D(poly: BiPoly) -> BiPoly:
     """Formal D = (1/t) d/dt on polynomials with even t-degrees only.
 
@@ -218,7 +218,7 @@ def formal_D(poly: BiPoly) -> BiPoly:
         if i:
             key = (i - 2, j)
             out[key] = out.get(key, 0) + c * i
-    return BiPoly(out)
+    return _normalized(out)
 
 
 def q_poly() -> BiPoly:
@@ -232,10 +232,22 @@ def q_poly() -> BiPoly:
 
 
 @lru_cache(maxsize=None)
+def _power(base: str, n: int) -> BiPoly:
+    """Q^n, (1-t)^n or R^n for base "Q", "1-t" or "R", exact and cached; each
+    power is the one below times the base.  R = Q(2-t) - Q(t) + 16(1-t)^2 is
+    the reflection difference of verify_dp_expansion."""
+    if n != 1:
+        return _power(base, n - 1) * _power(base, 1) if n else BiPoly.const(1)
+    if base == "R":
+        return q_poly().subs_t_affine(2, -1) - q_poly() + 16 * _power("1-t", 2)
+    return q_poly() if base == "Q" else BiPoly({(0, 0): 1, (1, 0): -1})
+
+
+@lru_cache(maxsize=None)
 def dp_q_power(power: int, p: int) -> BiPoly:
     """D^p (Q^power), exact and cached: the oracle of the sweeps and tests."""
     if p == 0:
-        return q_poly() ** power
+        return _power("Q", power)
     return formal_D(dp_q_power(power, p - 1))
 
 
@@ -290,13 +302,12 @@ def verify_necessity_identity(k: int) -> bool:
     """
     if k < 0:
         raise ValueError("k >= 0")
-    one_minus_t = BiPoly({(0, 0): 1, (1, 0): -1})
     total = BiPoly()
     for p in range(k + 1):
         dp = dp_q_power(k, p)
         reflected = dp.subs_t_affine(2, -1)
-        inner = dp + BiPoly.const((-1) ** (p + 1)) * reflected
-        total = total + BiPoly.const(coeff_C(k, p)) * one_minus_t**p * inner
+        inner = dp + reflected if p % 2 else dp - reflected
+        total = total + BiPoly.const(coeff_C(k, p)) * _power("1-t", p) * inner
     return total.is_zero()
 
 
@@ -308,13 +319,11 @@ def verify_dp_expansion(k: int, p: int) -> bool:
     K(p,q) = k! p! (-4)^(p-q) / ((k-q)! (2q-p)! (p-q)! 2^(2q-p)).
 
     Compared after multiplying both sides by (1-t)^p to clear denominators.
+    The powers of Q, R and (1-t) are exact, so each is built once and shared.
     """
     if not 0 <= p <= k:
         raise ValueError("need 0 <= p <= k")
-    Q = q_poly()
-    one_minus_t = BiPoly({(0, 0): 1, (1, 0): -1})
-    R = Q.subs_t_affine(2, -1) - Q + BiPoly.const(16) * one_minus_t**2
-    lhs = dp_q_power(k, p) * one_minus_t**p
+    lhs = dp_q_power(k, p) * _power("1-t", p)
     rhs = BiPoly()
     for q in range((p + 1) // 2, p + 1):
         K = Fraction(
@@ -324,9 +333,9 @@ def verify_dp_expansion(k: int, p: int) -> bool:
             * math.factorial(p - q)
             * 2 ** (2 * q - p),
         )
-        rhs = rhs + BiPoly.const(K) * one_minus_t ** (2 * (p - q)) * Q ** (k - q) * R ** (
-            2 * q - p
-        )
+        # the products stay over ints; the one Fraction scales their result
+        rhs = rhs + (_power("1-t", 2 * (p - q)) * _power("Q", k - q)
+                     * _power("R", 2 * q - p)) * K
     return lhs == rhs
 
 
@@ -386,77 +395,25 @@ def identity_sweeps(max_k: int = 8):
     """Run every exact sweep; yields (name, range-description, ok, witness).
 
     witness is None on success, else the first failing parameter tuple.
+    Each sweep's parameters are generated only when it runs.
     """
-    kk = max_k
-
-    def sweep(pairs, fn):
-        for args in pairs:
-            if not fn(*args):
-                return False, args
-        return True, None
-
-    yield (
-        "alternating-vandermonde",
-        f"0<=s<=l<=k<={max(kk, 12)}",
-        *sweep(
-            [
-                (k, l, s)
-                for k in range(max(kk, 12) + 1)
-                for l in range(k + 1)
-                for s in range(l + 1)
-            ],
-            verify_lemma35a,
-        ),
+    k12, k6, k10 = max(max_k, 12), min(max_k, 6), max(max_k, 10)
+    table = (
+        ("alternating-vandermonde", f"0<=s<=l<=k<={k12}", verify_lemma35a,
+         ((k, l, s) for k in range(k12 + 1) for l in range(k + 1) for s in range(l + 1))),
+        ("alternating-AB-collapse", "l<=14", verify_lemma35b, ((l,) for l in range(15))),
+        ("abel-aigner-convolution", "p<=12, r+s<=p-1", verify_abel_aigner,
+         ((p, r, s) for p in range(1, 13) for r in range(p) for s in range(p - r))),
+        ("range-necessity-cancellation", f"k<={max_k}", verify_necessity_identity,
+         ((k,) for k in range(max_k + 1))),
+        ("dp-kernel-expansion", f"p<=k<={k6}", verify_dp_expansion,
+         ((k, p) for k in range(k6 + 1) for p in range(k + 1))),
+        ("cj-closed-form", f"even u<=2k, k<={k6}", verify_Cj_closed_form,
+         ((k, u, j) for k in range(k6 + 1) for u in range(0, 2 * k + 1, 2)
+          for j in range(u + 1))),
+        ("gamma-coefficient-extraction", f"m<=k<={k10}", verify_gamma_contour,
+         ((k, m) for k in range(k10 + 1) for m in range(k + 1))),
     )
-    yield (
-        "alternating-AB-collapse",
-        "l<=14",
-        *sweep([(l,) for l in range(15)], verify_lemma35b),
-    )
-    yield (
-        "abel-aigner-convolution",
-        "p<=12, r+s<=p-1",
-        *sweep(
-            [
-                (p, r, s)
-                for p in range(1, 13)
-                for r in range(p)
-                for s in range(p - r)
-            ],
-            verify_abel_aigner,
-        ),
-    )
-    yield (
-        "range-necessity-cancellation",
-        f"k<={kk}",
-        *sweep([(k,) for k in range(kk + 1)], verify_necessity_identity),
-    )
-    yield (
-        "dp-kernel-expansion",
-        f"p<=k<={min(kk, 6)}",
-        *sweep(
-            [(k, p) for k in range(min(kk, 6) + 1) for p in range(k + 1)],
-            verify_dp_expansion,
-        ),
-    )
-    yield (
-        "cj-closed-form",
-        f"even u<=2k, k<={min(kk, 6)}",
-        *sweep(
-            [
-                (k, u, j)
-                for k in range(min(kk, 6) + 1)
-                for u in range(0, 2 * k + 1, 2)
-                for j in range(u + 1)
-            ],
-            verify_Cj_closed_form,
-        ),
-    )
-    yield (
-        "gamma-coefficient-extraction",
-        f"m<=k<={max(kk, 10)}",
-        *sweep(
-            [(k, m) for k in range(max(kk, 10) + 1) for m in range(k + 1)],
-            verify_gamma_contour,
-        ),
-    )
+    for name, desc, verify, params in table:
+        witness = next((args for args in params if not verify(*args)), None)
+        yield name, desc, witness is None, witness

@@ -80,6 +80,12 @@ def _exp(v):
     return np.exp(v)
 
 
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of Pascal's triangle: _pascal(n)[j][i] = C(j, i)."""
+    return tuple(tuple(math.comb(j, i) for i in range(j + 1)) for j in range(n + 1))
+
+
 class Jet:
     """Value plus ordinary derivatives f(x), f'(x), ..., f^(order)(x).
 
@@ -142,13 +148,13 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.x, [other * a for a in self.derivs])
-        o = self._wrap(other)
-        n = self.order
+        a, b = self.derivs, self._wrap(other).derivs
         out = []
-        for j in range(n + 1):
-            acc = self.derivs[0] * o.derivs[j] * 0
-            for i in range(j + 1):
-                acc = acc + math.comb(j, i) * self.derivs[i] * o.derivs[j - i]
+        for j, row in enumerate(_pascal(self.order)):
+            acc = a[0] * b[j]
+            for i in range(1, j + 1):
+                c = row[i]
+                acc = acc + (a[i] if c == 1 else c * a[i]) * b[j - i]
             out.append(acc)
         return Jet(self.x, out)
 
@@ -181,8 +187,9 @@ class Jet:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- analytic functions

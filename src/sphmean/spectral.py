@@ -268,17 +268,18 @@ def _mk_lhs_value(k: int, lam, t):
     arg = w * lam
     rj = raw_j_jet(k, arg)
     core = rj / x
+    # w ** n for n = 1..k+1, bit for bit as Jet.__pow__ builds each (the
+    # squarings of w at n's bits, lowest first), sharing squarings and prefixes
+    squares, powers = [w], [w ** 0]
+    for n in range(1, k + 2):
+        top = n.bit_length() - 1
+        if top == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        powers.append(powers[n - (1 << top)] * squares[top])
     acc = None
     for p in range(k + 1):
-        term_jet = w ** (p + 1) * core
-        coeff = coeff_C(k, p)
-        if isinstance(t, mpmath.mpf):
-            c = mp.mpf(coeff)
-        else:
-            c = float(coeff)
-        val = c * d_operator(term_jet, p)
-        if p % 2:
-            val = -val
+        c = mp.mpf(coeff_C(k, p)) if isinstance(t, mpmath.mpf) else float(coeff_C(k, p))
+        val = (-c if p % 2 else c) * d_operator(powers[p + 1] * core, p)
         acc = val if acc is None else acc + val
     return acc
 

@@ -235,6 +235,23 @@ def test_range_check_csv_clean_and_perturbed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_only_the_first_csv_row_may_be_a_header(tmp_path, capsys):
+    # a corrupt data row is refused by file and line, not dropped as a header
+    t = np.linspace(0.05, 1.95, 201)
+    lines = ["# t, h samples", "t,h"] + [f"{v:.17g},{np.exp(-v):.17g}" for v in t]
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(lines) + "\n")
+    lines[101] = "1.0,nan?"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["range-check", "--n", "3", "--input", str(good)]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+    for command in ("range-check", "invert"):
+        assert cli.main([command, "--n", "3", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}, line 102: not a numeric row")
+
+
 def test_cross_check_columns_and_verdict(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "cross.csv")
@@ -666,6 +683,9 @@ RUN_ARTIFACTS = {
             "rc.json": "b7cba2612f63c1791e2095dadcafbe7b72c3baa6b60bec2b64f7b0cb59c32af3"}),
     "identities": (["identities"], "ids.csv", 0, {
         "ids.csv": "d8f9f3664f81b94bfeae980470371c4c52bab31b4e8f4b291303f83d1b3abf2c"}),
+    # 11 of its rows take the mpmath retry of mk_residual
+    "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
+        "mk.csv": "aa2e4256b18b6222372f50222be3b6f86f5f34ceb6be4bc070732dd1b094c0a4"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
         "zeros.csv": "57508bb8b5012bf16cd3b151f2647f4e90f18b7c74276e37af36b9fbece793e5"}),
 }

@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: binomial conventions, C(k,p) coefficients, the
 bivariate polynomial ring, and the seven identity verifiers."""
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -218,16 +219,36 @@ def _ints_where_integral(poly):
     return all(type(c) is int or c.denominator != 1 for c in poly.coeffs.values())
 
 
+@contextlib.contextmanager
+def _counted_products():
+    calls, mul = [], em.BiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    em.BiPoly.__mul__ = counted
+    try:
+        yield calls
+    finally:
+        em.BiPoly.__mul__ = mul
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st_exact, min_size=6, max_size=6), st.lists(st_exact, min_size=6, max_size=6),
-       st.integers(0, 3), st_exact, st_exact)
+       st.integers(0, 7), st_exact, st_exact)
 def test_bipoly_matches_a_fraction_reference(ca, cb, n, x, y):
     a, b = em.BiPoly(dict(zip(EVEN_BASIS, ca))), em.BiPoly(dict(zip(EVEN_BASIS, cb)))
     ra, rb = _ref(zip(EVEN_BASIS, ca)), _ref(zip(EVEN_BASIS, cb))
+    # a ** n: one product per set bit of n, one squaring per bit below the top one
+    with _counted_products() as calls:
+        power = a ** n
+    assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") if n else 0)
     for got, want in ((a, ra),
                       (a + b, _ref_add(ra, rb)),
+                      (a - b, _ref_add(ra, {key: -c for key, c in rb.items()})),
                       (a * b, _ref_mul(ra, rb)),
-                      (a ** n, _ref_pow(ra, n)),
+                      (power, _ref_pow(ra, n)),
                       (a.subs_t_affine(x, y), _ref_subs(ra, x, y)),
                       (em.formal_D(a * b), _ref_D(_ref_mul(ra, rb)))):
         assert got.coeffs == want

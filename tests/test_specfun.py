@@ -113,6 +113,57 @@ def test_jet_mpmath_components():
             assert relerr(float(a), b) < 1e-12
 
 
+def _leibniz(a, b):
+    """The plain Leibniz sum of C(j, i) a_i b_(j-i), term i = 0 first."""
+    out = []
+    for j in range(len(a)):
+        acc = math.comb(j, 0) * a[0] * b[j]
+        for i in range(1, j + 1):
+            acc = acc + math.comb(j, i) * a[i] * b[j - i]
+        out.append(acc)
+    return out
+
+
+def _bits(v):
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.tobytes()
+    return v._mpf_ if isinstance(v, mpmath.mpf) else float(v).hex()
+
+
+def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
+    rng = np.random.default_rng(3)
+    signed = [-0.0, 1.5, -0.0, -2.25, 0.0, 1e-300, -3.0]  # a0 * b0 = -0.0
+    cases = [(signed, [2.0, -0.0, 0.7, -0.0, 5.5, -1e-10, 0.0]),
+             (list(rng.standard_normal(7)), list(rng.standard_normal(7))),
+             ([np.array(signed) * s for s in rng.standard_normal(7)],
+              [rng.standard_normal(7) for _ in range(7)])]
+    with mp.workdps(30):
+        cases.append(([mp.mpf(v) / 3 for v in signed], [mp.mpf(v) / 7 for v in range(-3, 4)]))
+        for a, b in cases:
+            got = (sf.Jet(0.5, a) * sf.Jet(0.5, b)).derivs
+            assert [_bits(v) for v in got] == [_bits(v) for v in _leibniz(a, b)]
+    assert float((sf.Jet(0.5, signed) * sf.Jet(0.5, signed)).derivs[0]).hex() == "0x0.0p+0"
+    assert float((sf.Jet(0.5, signed) * sf.Jet(0.5, [1.0] * 7)).derivs[0]).hex() == "-0x0.0p+0"
+
+
+def test_jet_power_makes_only_the_needed_products(monkeypatch):
+    # one product per set bit of n, one squaring per bit below the top one
+    calls, mul = [], sf.Jet.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(sf.Jet, "__mul__", counted)
+    x = sf.Jet.variable(1.3, 4)
+    for n in range(-9, 20):
+        calls.clear()
+        power = x ** n
+        m = abs(n)
+        assert len(calls) == (m.bit_length() - 1 + bin(m).count("1") if m else 0)
+        assert power.derivs[0] == pytest.approx(1.3 ** n, rel=1e-14)
+
+
 def test_jet_division_by_zero_value_raises():
     x = sf.Jet.variable(0.0, 2)
     with pytest.raises(ZeroDivisionError):
