@@ -40,7 +40,6 @@ from .specfun import (
 )
 from .spectral import (
     bessel_zero_vanishing,
-    cross_product_residual,
     cross_product_terms,
     hankel,
     hankel_h,
@@ -71,7 +70,7 @@ __all__ = [
     "general_range_check", "range_residual",
     "Jet", "bessel_zero", "d_operator", "dp_cosc", "dp_sinc",
     "raw_j", "raw_y", "sph_bessel_j", "sph_bessel_y",
-    "bessel_zero_vanishing", "cross_product_residual", "cross_product_terms",
+    "bessel_zero_vanishing", "cross_product_terms",
     "hankel", "hankel_h", "mk_residual",
     "DEFAULT_QUAD", "BumpProfile", "DerivativeProfile", "Dimension",
     "HarmonicForwardData", "PolynomialProfile", "QuadratureRule",

@@ -39,8 +39,7 @@ from . import __version__
 from .exactmath import identity_sweeps
 from .inverse import InversionConfig, invert_radial
 from .rangecheck import SampledH, default_grid, general_range_check
-from .specfun import bessel_zero
-from .spectral import cross_product_terms, hankel_h, mk_residual
+from .spectral import bessel_zero_vanishing, cross_product_terms, mk_residual
 from .transform import (
     DEFAULT_QUAD,
     BumpProfile,
@@ -331,7 +330,8 @@ def _write(out, text: str):
 
 def _read_csv_columns(path: str, expect: int):
     """Read a 2-column numeric CSV, skipping '#' comments; the first other
-    row may be a header, and any later row that is not numeric is an error."""
+    row may be a header, and any later row that is not numeric, or holds a
+    value that is not finite, is an error."""
     rows, first = [], True
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -344,11 +344,16 @@ def _read_csv_columns(path: str, expect: int):
                     raise ConfigError(
                         f"{path}: expected {expect} columns, got {len(parts)}")
                 try:
-                    rows.append([float(p) for p in parts[:expect]])
+                    row = [float(p) for p in parts[:expect]]
                 except ValueError:
                     if not first:
                         raise ConfigError(f"{path}, line {number}: not a numeric row: "
                                           f"{line!r}") from None
+                else:
+                    if not all(map(math.isfinite, row)):
+                        raise ConfigError(f"{path}, line {number}: not a finite row: "
+                                          f"{line!r}")
+                    rows.append(row)
                 first = False
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -481,17 +486,10 @@ def _cmd_identities(run):
 
 
 def _cmd_zeros(run):
-    data, m, count, tol = run.data, run.opts["m"], run.opts["count"], run.opts["tol"]
-    k = data.dim.k
-    # the transform (kernel order k for every m) at the order-(m+k) kernel
-    # zeros, and its magnitude scale over a lambda sweep up past the last zero
-    zeros = np.array([bessel_zero(m + k, i) for i in range(1, count + 1)])
-    lam_grid = np.linspace(0.3, zeros[-1] + 2.0, 40)
-    values = np.abs(hankel_h(data.h, k, np.concatenate([zeros, lam_grid]),
-                             run.quad, data.support))
-    fmax = float(np.max(values[count:]))
-    rows = [(lam, val, val / fmax)
-            for lam, val in zip(zeros.tolist(), values[:count].tolist())]
+    tol = run.opts["tol"]
+    pairs, fmax = bessel_zero_vanishing(run.data, run.data.dim, run.opts["m"],
+                                        run.opts["count"], run.quad)
+    rows = [(lam, val, val / fmax) for lam, val in pairs]
     worst = max(r[2] for r in rows)
     run.emit_csv(["lambda", "absF", "ratio"], rows, comments=[f"fmax {_fmt(fmax)}"])
     return worst <= tol, f"worst ratio {worst:.3e} (tol {tol:g})"

@@ -20,23 +20,14 @@ from functools import lru_cache
 # binomials
 
 
-def binom(n: int, k: int, mode: str = "standard") -> int:
-    """Binomial coefficient with explicit convention handling.
-
-    standard: usual value for n >= 0 (zero when k < 0 or k > n); negative n is
-    an error.  contour: additionally admits binom(-1, -1) = 1, the single
-    negative pair that coefficient-extraction arguments assign a value to.
-    Any other negative pair is an error, not a guess.
-    """
-    if mode not in ("standard", "contour"):
-        raise ValueError(f"unknown binomial mode {mode!r}")
-    if n >= 0:
-        if k < 0 or k > n:
-            return 0
-        return math.comb(n, k)
-    if mode == "contour" and n == -1 and k == -1:
-        return 1
-    raise ValueError(f"binomial ({n}, {k}) undefined in {mode} mode")
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k) for n >= 0, zero when k < 0 or k > n;
+    negative n is an error, not a guess."""
+    if n < 0:
+        raise ValueError(f"binomial ({n}, {k}) undefined for negative n")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 def binom_half(m2: int, k: int) -> Fraction:

@@ -158,7 +158,7 @@ def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
     x = Vt[:rank].T @ ((U_[:, :rank].T @ b) / s[:rank])
     fit = A @ x - b
     b_norm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(fit)) / b_norm if b_norm > 0 else 0.0
+    residual = float(np.linalg.norm(fit)) / b_norm if b_norm != 0 else 0.0
     return InversionResult(nodes=u, weights=w, values=x, residual=residual,
                            rank=rank, singular_values=s)
 

@@ -106,9 +106,10 @@ def _symmetry_report(h_dp, k: int, grid) -> RangeReport:
     sides = apply_Lk(h_dp, k, np.concatenate([1.0 - grid, 1.0 + grid]))
     left, right = sides[: grid.size], sides[grid.size :]
     residual = np.abs(left - right)
+    # np.max keeps a NaN on either side, so NaN data reads NaN, a FAIL
     sup_residual = float(np.max(residual))
-    scale = float(max(np.max(np.abs(left)), np.max(np.abs(right))))
-    normalized = sup_residual / scale if scale > 0 else 0.0
+    scale = float(np.max(np.abs(sides)))
+    normalized = sup_residual / scale if scale != 0 else 0.0
     return RangeReport(k, grid, residual, sup_residual, scale, normalized)
 
 
@@ -273,6 +274,10 @@ class PerturbedH:
         if dim is not None:
             self.dim = dim
 
+    @property
+    def support(self):
+        return self.base.support
+
     def _factor(self, t):
         return np.where(np.asarray(t) > 1.0, 1.0 + self.delta, 1.0)
 
@@ -309,7 +314,7 @@ class AntiDerivativeChain:
         self.m = m
         self.quad = quad
         self.lo = lo
-        self._defect_terms = None
+        self._defect_sums = None
 
     @staticmethod
     def _integrand(s, psi_s, t_sq, e: int):
@@ -317,19 +322,20 @@ class AntiDerivativeChain:
             return s * psi_s
         return ((t_sq - s * s) / 2.0) ** e * s * psi_s
 
+    def _psi(self, s):
+        """psi on an array of s of any shape, through its flat-array call."""
+        return np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
+
     def _kernel_integral(self, t, e: int):
         """The order-e chain integral from lo to every t at once."""
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
         t_sq = flat * flat
 
-        def psi(s):
-            return np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
-
         def integrand(rows, s, psi_s):
             return self._integrand(s, psi_s, t_sq[rows, None], e)
 
-        values = self.quad.integrate_rows(psi, integrand, self.lo, flat) / math.factorial(e)
+        values = self.quad.integrate_rows(self._psi, integrand, self.lo, flat) / math.factorial(e)
         return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
     def phi(self, t):
@@ -345,26 +351,29 @@ class AntiDerivativeChain:
         return self._kernel_integral(t, self.m - p - 1)
 
     def _defects(self):
-        """Weights and integrands of the defect integrals over [lo, 2], all
-        from one evaluation of psi; m = 0 has none and needs no nodes."""
-        if self._defect_terms is None:
-            w, terms = None, []
+        """The m defect integrals over [lo, 2], then the same with |integrand|,
+        each over its factorial: one integrate_rows row, so psi is read once;
+        m = 0 has none and needs no nodes."""
+        if self._defect_sums is None:
+            self._defect_sums = []
             if self.m:
-                s, w = self.quad.points(self.lo, 2.0)
-                psi_s = self.psi(s)
-                terms = [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
-            self._defect_terms = w, terms
-        return self._defect_terms
+                def integrand(rows, s, psi_s):
+                    terms = [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
+                    return np.array(terms + [np.abs(v) for v in terms])
+
+                sums = self.quad.integrate_rows(self._psi, integrand, self.lo, [2.0],
+                                                (2 * self.m,))[:, 0]
+                self._defect_sums = [float(v) / math.factorial(i % self.m)
+                                     for i, v in enumerate(sums.tolist())]
+        return self._defect_sums
 
     def moment_defects(self):
         """Values of the 1st..m-th antiderivatives at t = 2 (must be ~0)."""
-        w, terms = self._defects()
-        return [float(np.dot(w, v)) / math.factorial(i) for i, v in enumerate(terms)]
+        return self._defects()[: self.m]
 
     def defect_scales(self):
         """Same integrals with |integrand|: the natural comparison scale."""
-        w, terms = self._defects()
-        return [float(np.dot(w, np.abs(v))) / math.factorial(i) for i, v in enumerate(terms)]
+        return self._defects()[self.m :]
 
 
 def anti_D(psi, m: int, quad: QuadratureRule = CHAIN_QUAD):

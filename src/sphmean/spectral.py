@@ -1,14 +1,17 @@
 """Frequency-side checks for spherical mean data.
 
-Three tools live here:
+Four tools live here:
 
 * :func:`hankel` — the weighted Hankel-type transform of a profile against the
-  normalized spherical Bessel kernel, with oscillation-aware paneling (an
-  array of lam reads the profile once, on the rule of its largest lam, and
-  each entry equals the call on that lam with the array's rule);
-* :func:`cross_product_residual` — the defect in the cross-product identity
-  that ties the first- and second-kind kernel integrals of range data
-  together;
+  normalized spherical Bessel kernel, with oscillation-aware paneling.  Every
+  lam of an array is one row of `QuadratureRule.integrate_rows` on the rule
+  of its largest lam: the profile is read once, on a (1, nodes) array, and
+  each entry equals the call on that lam with the array's rule;
+* :func:`cross_product_terms` — both sides of the cross-product identity that
+  ties the first- and second-kind kernel integrals of range data together,
+  and their defect (the third of its results);
+* :func:`bessel_zero_vanishing` — the transform at the kernel's Bessel zeros,
+  which vanishes on range data;
 * :func:`mk_residual` — the defect in the closed-form evaluation of the
   boundary operator applied to the shifted first-kind kernel (the two sides
   are computed by entirely different routes: derivative jets on the left,
@@ -41,7 +44,7 @@ from .specfun import (
     raw_y,
     sph_bessel_j,
 )
-from .transform import BLOCK_NODES, DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
+from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
 
 # residual denominators never drop below this fraction of the natural scale
 _REL_FLOOR = 1e-14
@@ -85,25 +88,23 @@ def _lam_array(lam, positive: bool = False):
     return lams.ravel(), lams.shape
 
 
-def _lam_blocks(fn, lams, a: float, b: float, quad: QuadratureRule):
-    """(rows, lam t, t, weights, f_t) for blocks of lams on one rule.
+def _lam_sums(fn, lams, a: float, b: float, quad: QuadratureRule, integrand,
+              shape=()):
+    """The weighted sums over [a, b] of integrand(lam t, t, f_t), one row per
+    lam, by `QuadratureRule.integrate_rows`.
 
-    The rule is the oscillation rule on [a, b] of the largest lam
-    (`_lam_rule`), so no lam gets fewer panels than its own rule.  fn is
-    called once, on that rule's nodes t, so it must act elementwise; f_t is
-    its values.  A block holds about BLOCK_NODES (lam x t) products.  Its
-    callers sum each row by np.vecdot, so an entry does not depend on the
-    other lams: it equals the call on that lam with the array's rule.
+    Every row is on the oscillation rule of the largest lam (`_lam_rule`),
+    so no lam gets fewer panels than its own rule.  fn is called once, on
+    that rule's (1, nodes) array of t, so it must act elementwise; f_t is its
+    values.  integrand returns `shape + (lams, nodes)` values, and the result
+    has shape `shape + lams.shape`.  Each row is summed by its own dot, so an
+    entry does not depend on the other lams: it equals the call on that lam
+    with the array's rule.
     """
-    if not lams.size:
-        return
-    rule = _lam_rule(float(lams.max()), a, b, quad)
-    t, w = rule.points(a, b)
-    f_t = fn(t)
-    step = max(1, BLOCK_NODES // t.size)
-    for start in range(0, lams.size, step):
-        rows = slice(start, start + step)
-        yield rows, lams[rows, None] * t, t, w, f_t
+    rule = _lam_rule(float(lams.max(initial=0.0)), a, b, quad)
+    return rule.integrate_rows(
+        fn, lambda rows, t, f_t: integrand(lams[rows, None] * t, t, f_t),
+        np.full(lams.size, a), b, shape)
 
 
 def _hankel_sums(fn, lam, support, quad: QuadratureRule, integrand):
@@ -112,10 +113,7 @@ def _hankel_sums(fn, lam, support, quad: QuadratureRule, integrand):
     a, b = support
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
-    sums = np.zeros(lams.size)
-    for rows, lam_t, t, w, f_t in _lam_blocks(fn, lams, a, b, quad):
-        sums[rows] = np.vecdot(w, integrand(lam_t, t, f_t))
-    return _shaped(sums, shape)
+    return _shaped(_lam_sums(fn, lams, a, b, quad, integrand), shape)
 
 
 def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
@@ -127,9 +125,9 @@ def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
     so the integrand is regular at t = 0 and the support may start there.
 
     lam may be a scalar (the result is a float) or an array (the result has
-    its shape).  g is called once for the whole array, on the nodes of the
-    oscillation rule of its largest lam, and each entry equals the call on
-    that lam with the array's rule.
+    its shape).  g is called once for the whole array, on the (1, nodes)
+    array of the oscillation rule of its largest lam, and each entry equals
+    the call on that lam with the array's rule.
     """
     k = _order_from_alpha(alpha)
     power = 2 * k + 2  # 2*alpha + 1 with alpha = k + 1/2
@@ -150,27 +148,7 @@ def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
                         h_t * sph_bessel_j(k, lam_t) * t)
 
 
-def _h_callable(data):
-    fn = getattr(data, "h", None)
-    if callable(fn):
-        return fn
-    if callable(data):
-        return data
-    raise TypeError("expected a callable h(t) or an object exposing .h")
-
-
-def _h_support(data, support):
-    if support is not None:
-        return support
-    sup = getattr(data, "support", None)
-    if sup is not None:
-        return sup
-    return (0.0, 2.0)
-
-
-def cross_product_terms(data, k: int, lam,
-                        quad: QuadratureRule = DEFAULT_QUAD,
-                        support=None):
+def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
     """Both sides of the cross-product identity and their relative defect.
 
     With I_j = integral of raw_j(k, lam t) t h(t) dt and I_y the same with the
@@ -182,32 +160,34 @@ def cross_product_terms(data, k: int, lam,
     stays meaningful where lam sits near a kernel zero or an integral cancels
     far below its integrand.
 
-    The second-kind kernel blows up like t^-(2k+1) at the origin, so the
-    h-support must stay away from t = 0.
+    `data` supplies `data.h` and its t-support `data.support`.  The
+    second-kind kernel blows up like t^-(2k+1) at the origin, so the support
+    must stay away from t = 0.
 
     lam may be a scalar (three floats come back) or an array (three arrays
-    in its shape).  h is called once for the whole array, on the nodes of
-    the oscillation rule of its largest lam, so it must act elementwise;
-    each entry equals the call on that lam with the array's rule.
+    in its shape).  h is called once for the whole array, on the (1, nodes)
+    array of the oscillation rule of its largest lam, so it must act
+    elementwise; each entry equals the call on that lam with the array's
+    rule.
     """
     lams, shape = _lam_array(lam, positive=True)
     if k < 0:
         raise ValueError("k >= 0")
-    fn = _h_callable(data)
-    a, b = _h_support(data, support)
+    a, b = data.support
     if a <= 0.0:
         raise ValueError("h-support must stay away from t = 0 "
                          "(second-kind kernel is singular there)")
     if b <= a:
         raise ValueError("need a < b")
     c_k = raw_to_normalized(k)
-    i_j, a_j, i_y, a_y = np.zeros((4, lams.size))
-    for rows, lam_t, t, w, h_t in _lam_blocks(fn, lams, a, b, quad):
+
+    def integrand(lam_t, t, h_t):
         # series-backed normalized kernel is stable at small arguments
         j_block = c_k * sph_bessel_j(k, lam_t) * t * h_t
         y_block = _dp_trig_horner(k, lam_t, "cos") * t * h_t
-        i_j[rows], a_j[rows] = np.vecdot(w, j_block), np.vecdot(w, np.abs(j_block))
-        i_y[rows], a_y[rows] = np.vecdot(w, y_block), np.vecdot(w, np.abs(y_block))
+        return np.array([j_block, np.abs(j_block), y_block, np.abs(y_block)])
+
+    i_j, a_j, i_y, a_y = _lam_sums(data.h, lams, a, b, quad, integrand, (4,))
     j_lam, y_lam = raw_j(k, lams), raw_y(k, lams)
     lhs = i_j * y_lam
     rhs = i_y * j_lam
@@ -215,13 +195,6 @@ def cross_product_terms(data, k: int, lam,
     # den bounds |lhs| and |rhs|, so it is 0 only where both sides are
     res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(lams.size), where=den != 0.0)
     return tuple(_shaped(column, shape) for column in (lhs, rhs, res))
-
-
-def cross_product_residual(data, k: int, lam,
-                           quad: QuadratureRule = DEFAULT_QUAD,
-                           support=None):
-    """Relative defect in the cross-product identity; see cross_product_terms."""
-    return cross_product_terms(data, k, lam, quad, support)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +358,27 @@ def mk_residual(k: int, lam, t):
 
 
 def bessel_zero_vanishing(data, dim: Dimension, m: int, count: int,
-                          quad: QuadratureRule = DEFAULT_QUAD,
-                          support=None):
+                          quad: QuadratureRule = DEFAULT_QUAD):
     """Transform magnitudes at the first `count` zeros of the order-(m+k)
-    first-kind kernel.
+    first-kind kernel, and the scale to compare them with.
 
-    `data` supplies h (object with .h and optionally .support, or a bare
-    callable).  For data in the range of the spherical mean transform with a
-    degree-m harmonic the returned magnitudes vanish up to quadrature error;
-    off-range data leaves visible mass at some zero.  The kernel of the
-    transform has order k (`hankel_h` with dim.k) for every m; the degree m
-    only moves the zeros.  Returns a list of (zero, |transform|) pairs, from
-    one `hankel_h` call over all the zeros, on the rule of the last zero.
+    `data` supplies `data.h` and its t-support `data.support`.  For data in
+    the range of the spherical mean transform with a degree-m harmonic the
+    magnitudes vanish up to quadrature error; off-range data leaves visible
+    mass at some zero.  The kernel of the transform has order k (`hankel_h`
+    with dim.k) for every m; the degree m only moves the zeros.
+
+    Returns (pairs, fmax): pairs lists (zero, |transform|), and fmax is the
+    largest |transform| over 40 lam from 0.3 to 2 past the last zero.  All
+    come from one `hankel_h` call, on the rule of its largest lam.
     """
     if count < 1:
         raise ValueError("count >= 1")
     if m < 0:
         raise ValueError("m >= 0")
-    fn = _h_callable(data)
-    lams = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
-    values = hankel_h(fn, dim.k, lams, quad, _h_support(data, support))
-    return [(lam, abs(val)) for lam, val in zip(lams.tolist(), values.tolist())]
+    zeros = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
+    lam_grid = np.linspace(0.3, zeros[-1] + 2.0, 40)
+    values = np.abs(hankel_h(data.h, dim.k, np.concatenate([zeros, lam_grid]),
+                             quad, data.support))
+    fmax = float(np.max(values[count:]))
+    return list(zip(zeros.tolist(), values[:count].tolist())), fmax

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import Jet, d_coeff_table, d_operator, gegenbauer, gegenbauer_at_one
+from .specfun import Jet, gegenbauer, gegenbauer_at_one
 
 T_FLOOR = 1e-3  # below this, dividing h by t^(n-2) is refused
 
@@ -623,23 +623,6 @@ class HarmonicForwardData:
     def phi_dp(self, t, p):
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)
 
-    def phi_jet(self, t: float) -> Jet:
-        """Jet of phi in the ordinary-derivative sense, rebuilt from D-powers
-        by solving the triangular system D^p f = sum_j a[p][j] t^(j-2p) f^(j).
-        """
-        mk = self.m + self.dim.k
-        dvals = self.phi_dp(t, range(mk + 1)).tolist()
-        table = d_coeff_table(max(mk, 1))
-        derivs = [dvals[0]] + [0.0] * mk
-        for p in range(1, mk + 1):
-            acc = dvals[p]
-            row = table[p]
-            for j in range(1, p):
-                acc -= float(row[j]) * derivs[j] * t ** (j - 2 * p)
-            derivs[p] = acc / (float(row[p]) * t ** (p - 2 * p))
-        return Jet(t, derivs)
-
     def h_from_phi(self, t: float) -> float:
         """h_m(t) via the D^m phi route with the closed-form constant."""
-        jet = self.phi_jet(t)
-        return const_Kmn(self.dim, self.m) * d_operator(jet, self.m)
+        return const_Kmn(self.dim, self.m) * self.phi_dp(t, self.m)

@@ -89,7 +89,7 @@ def test_04_cross_product_identity():
     for dim in (D3, D5, D7):
         data = tr.SmtProfile.from_profile(BUMPS[0], dim)
         for lam in np.linspace(0.5, 40.0, 20):
-            worst = max(worst, sp.cross_product_residual(data, dim.k, float(lam)))
+            worst = max(worst, sp.cross_product_terms(data, dim.k, float(lam))[2])
     ok = worst <= 1e-8
     _verdict(ok, "[4] cross-product identity",
              f"worst residual {worst:.3e} <= 1e-8 over n in {{3,5,7}}, 20 lambda in [0.5,40]")
@@ -119,14 +119,14 @@ def test_05_mk_identity_seeded():
 
 def test_06_bessel_zero_oracle():
     data = tr.SmtProfile.from_profile(BUMPS[0], D3)
-    pairs = sp.bessel_zero_vanishing(data, D3, 0, 10)
+    pairs, _ = sp.bessel_zero_vanishing(data, D3, 0, 10)
     scan = np.linspace(0.3, pairs[-1][0] + 2.0, 40)
     fmax = max(abs(sp.hankel_h(data.h, D3.k, float(l), support=data.support))
                for l in scan)
     worst_in = max(v for _, v in pairs) / fmax
 
     off = rc.bump_h(1.4, 0.2)  # supported in (1.2, 1.6): outside the range
-    pairs_off = sp.bessel_zero_vanishing(off, D3, 0, 10)
+    pairs_off, _ = sp.bessel_zero_vanishing(off, D3, 0, 10)
     fmax_off = max(abs(sp.hankel_h(off.h, D3.k, float(l))) for l in scan)
     best_off = max(v for _, v in pairs_off) / fmax_off
 

@@ -252,6 +252,20 @@ def test_only_the_first_csv_row_may_be_a_header(tmp_path, capsys):
         assert err.startswith(f"config error: {bad}, line 102: not a numeric row")
 
 
+def test_a_non_finite_csv_value_is_refused(tmp_path, capsys):
+    # a nan used to read as PASS (range-check) or as residual 0 (invert)
+    t = np.linspace(0.05, 1.95, 201)
+    for line, cell in ((66, "nan"), (136, "inf"), (136, "-Infinity")):
+        lines = ["t,h"] + [f"{v:.17g},{np.exp(-v):.17g}" for v in t]
+        lines[line - 1] = f"{t[line - 2]:.17g},{cell}"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for command in ("range-check", "invert"):
+            assert cli.main([command, "--n", "3", "--input", str(bad)]) == 2, cell
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {bad}, line {line}: not a finite row"), err
+
+
 def test_cross_check_columns_and_verdict(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "cross.csv")
@@ -688,6 +702,11 @@ RUN_ARTIFACTS = {
         "mk.csv": "aa2e4256b18b6222372f50222be3b6f86f5f34ceb6be4bc070732dd1b094c0a4"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
         "zeros.csv": "57508bb8b5012bf16cd3b151f2647f4e90f18b7c74276e37af36b9fbece793e5"}),
+    "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
+        "zeros.csv": "da6fc3eaa06af5e134178d5f4de8cd72bdce0a020682199555de5a225bd2aa4b"}),
+    # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
+    "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
+        "cc.csv": "f53f4c72de36b892ae8dcecd0ee7d68a403927d60c51eddab60ec765da76cd62"}),
 }
 
 

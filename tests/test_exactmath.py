@@ -31,13 +31,6 @@ def test_binom_negative_rejected_in_standard_mode():
     assert em.binom(3, -2) == 0
 
 
-def test_binom_contour_convention():
-    # the only pair the contour extension is used for
-    assert em.binom(-1, -1, mode="contour") == 1
-    with pytest.raises(ValueError):
-        em.binom(-2, -1, mode="contour")
-
-
 def test_binom_half_integer():
     # C(1/2, 2) = (1/2)(-1/2)/2 = -1/8
     assert em.binom_half(1, 2) == Fraction(-1, 8)

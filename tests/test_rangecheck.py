@@ -67,6 +67,20 @@ def test_zero_data_zero_report():
     assert rep.normalized == 0.0
 
 
+def test_nan_data_fails_on_either_side():
+    # a NaN on the t < 1 side used to read as scale NaN, normalized 0: PASS
+    prof = tr.SmtProfile.from_profile(BUMP, D3)
+    for side in (0.7, 1.3):
+        class Holed:
+            k_eff = 0
+
+            def dp_h(self, t, p):
+                return np.where(np.abs(t - side) < 0.01, np.nan, prof.dp_h(t, p))
+
+        rep = rc.range_residual(Holed())
+        assert np.isnan(rep.normalized) and not rep.passed(1e-6), side
+
+
 def test_necessity_across_dimensions_and_bumps():
     for dim in (D3, D5, D7):
         for prof in BUMPS:

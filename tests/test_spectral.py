@@ -3,6 +3,7 @@ relation on range data, the boundary-operator kernel identity, and vanishing
 at Bessel zeros."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,14 +81,13 @@ def test_cross_product_on_forward_data():
                       (D7, BumpProfile(0.66, 0.25))):
         data = SmtProfile.from_profile(prof, dim)
         for lam in (0.5, 3.0, 11.0, 27.0, 40.0):
-            assert sp.cross_product_residual(data, dim.k, lam) <= 1e-8
+            assert sp.cross_product_terms(data, dim.k, lam)[2] <= 1e-8
 
 
 def test_cross_product_flags_perturbed_data():
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
     bad = PerturbedH(data, 0.1)
-    worst = max(sp.cross_product_residual(bad, D5.k, lam, support=data.support)
-                for lam in (2.0, 5.0, 11.0))
+    worst = max(sp.cross_product_terms(bad, D5.k, lam)[2] for lam in (2.0, 5.0, 11.0))
     assert worst >= 1e-3
 
 
@@ -107,23 +107,24 @@ def test_cross_product_flags_a_small_perturbation():
         dim = Dimension(n)
         data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), dim)
         bad = PerturbedH(data, 1e-6)
-        res = sp.cross_product_terms(bad, dim.k, lams, support=data.support)[2]
+        res = sp.cross_product_terms(bad, dim.k, lams)[2]
         assert np.max(res) > 1e-7, n
 
 
 def test_cross_product_support_guard():
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
     with pytest.raises(ValueError):
-        sp.cross_product_residual(data, D5.k, 3.0, support=(0.0, 2.0))
-    # PerturbedH carries no support of its own: defaults to (0,2) and refuses
+        sp.cross_product_terms(SimpleNamespace(h=data.h, support=(0.0, 2.0)), D5.k, 3.0)
+    # PerturbedH reads its base's support, which stays away from t = 0
     bad = PerturbedH(data, 0.1)
-    with pytest.raises(ValueError):
-        sp.cross_product_residual(bad, D5.k, 3.0)
+    assert bad.support == data.support
+    assert math.isfinite(sp.cross_product_terms(bad, D5.k, 3.0)[2])
 
 
 def test_cross_product_zero_data():
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    assert sp.cross_product_residual(z, 1, 3.0, support=(0.3, 1.7)) == 0.0
+    zero = SimpleNamespace(h=z, support=(0.3, 1.7))
+    assert sp.cross_product_terms(zero, 1, 3.0)[2] == 0.0
 
 
 def test_cross_product_stays_finite_at_kernel_zero():
@@ -131,7 +132,7 @@ def test_cross_product_stays_finite_at_kernel_zero():
     # the ratio defined and the quadrature keeps it small
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
     lam = bessel_zero(D5.k, 2)
-    res = sp.cross_product_residual(data, D5.k, lam)
+    res = sp.cross_product_terms(data, D5.k, lam)[2]
     assert math.isfinite(res)
 
 
@@ -212,18 +213,21 @@ def _transform_max(h_fn, k, lam_hi, support, samples=40):
 
 def test_zero_vanishing_radial_range_data():
     data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
-    pairs = sp.bessel_zero_vanishing(data, D5, 0, 10)
+    pairs, scale = sp.bessel_zero_vanishing(data, D5, 0, 10)
     assert [z for z, _ in pairs] == pytest.approx(
         [bessel_zero(D5.k, i) for i in range(1, 11)])
     fmax = _transform_max(data.h, D5.k, pairs[-1][0], data.support)
     assert fmax > 0
+    # the scale is the same scan up to 2 past the last zero, on one rule
+    scan = _transform_max(data.h, D5.k, pairs[-1][0] + 2.0, data.support)
+    assert scale == pytest.approx(scan, rel=1e-10)
     for _, mag in pairs:
         assert mag <= 1e-8 * fmax
 
 
 def test_zero_vanishing_harmonic_range_data():
     hd = HarmonicForwardData(BumpProfile(0.5, 0.25), D3, 1)
-    pairs = sp.bessel_zero_vanishing(hd, D3, 1, 4)
+    pairs, _ = sp.bessel_zero_vanishing(hd, D3, 1, 4)
     fmax = _transform_max(hd.h, D3.k, pairs[-1][0], hd.support, samples=20)
     for _, mag in pairs:
         assert mag <= 1e-8 * fmax
@@ -233,7 +237,7 @@ def test_zero_vanishing_flags_off_range_data():
     # a bump living on t in (1.2, 1.6) is not spherical mean data of any
     # profile supported in the unit ball; mass survives at the kernel zeros
     off = bump_h(1.4, 0.2)
-    pairs = sp.bessel_zero_vanishing(off, D5, 0, 10)
+    pairs, _ = sp.bessel_zero_vanishing(off, D5, 0, 10)
     fmax = _transform_max(off.h, D5.k, pairs[-1][0], off.support)
     assert max(mag for _, mag in pairs) >= 1e-2 * fmax
 
@@ -244,5 +248,6 @@ def test_zero_vanishing_validation():
         sp.bessel_zero_vanishing(data, D5, 0, 0)
     with pytest.raises(ValueError):
         sp.bessel_zero_vanishing(data, D5, -1, 3)
-    with pytest.raises(TypeError):
+    # data is read through .h and .support only
+    with pytest.raises(AttributeError):
         sp.bessel_zero_vanishing(object(), D5, 0, 3)

@@ -8,7 +8,6 @@ import pytest
 
 from sphmean import exactmath as em
 from sphmean import transform as tr
-from sphmean.specfun import d_operator
 
 from _reference import REFERENCE as REF
 
@@ -297,13 +296,6 @@ def test_harmonic_two_route_consistency():
         H = tr.HarmonicForwardData(BUMP, dim, m)
         for t in (0.55, 0.95, 1.3):
             assert abs(H.h_from_phi(t) - H.h(t)) <= 1e-8 * max(1.0, abs(H.h(t)))
-
-
-def test_phi_jet_roundtrip():
-    H = tr.HarmonicForwardData(BUMP, D3, 2)
-    jet = H.phi_jet(0.9)
-    for p in range(3):
-        assert d_operator(jet, p) == pytest.approx(H.phi_dp(0.9, p), rel=1e-10)
 
 
 def test_phi_dp_order_cap():
