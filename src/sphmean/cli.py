@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -287,8 +289,7 @@ class _Run:
         a str row is written as it is (a comment line)."""
         lines = [f"# smt {__version__}", f"# config sha256:{self.hash}",
                  f"# seed {self.seed}", *(f"# {c}" for c in comments), ",".join(columns)]
-        lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row))
-                     for row in rows)
+        lines.extend(row if isinstance(row, str) else _fmt(*row) for row in rows)
         _write(out or self.out, "\n".join(lines) + "\n")
 
     def emit_json(self, payload: dict, out=None):
@@ -307,16 +308,18 @@ def _config_hash(effective: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # np.float64 too: same text as float(value)
-        return "%.17g" % value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+@lru_cache(maxsize=None)
+def _row_format(kinds) -> str:
+    """One % format for a row of cells of types `kinds`: a str as it is, a
+    bool as 1/0, an int as str(int(v)) (%.17g would round it above 2^53),
+    and a float, or anything else, as %.17g of float(v)."""
+    return ",".join("%s" if issubclass(k, str) else "%d" if issubclass(
+        k, (int, np.integer, np.bool_)) else "%.17g" for k in kinds)
+
+
+def _fmt(*cells) -> str:
+    """The CSV text of a row of cells, in one % format."""
+    return _row_format(tuple(map(type, cells))) % cells
 
 
 def _write(out, text: str):
@@ -331,37 +334,47 @@ def _write(out, text: str):
 def _read_csv_columns(path: str, expect: int):
     """Read a 2-column numeric CSV, skipping '#' comments; the first other
     row may be a header, and any later row that is not numeric, or holds a
-    value that is not finite, is an error."""
-    rows, first = [], True
+    value that is not finite, is an error.  Every cell is converted by one
+    float() pass; the lines are scanned row by row only to name a fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) < expect:
-                    raise ConfigError(
-                        f"{path}: expected {expect} columns, got {len(parts)}")
-                try:
-                    row = [float(p) for p in parts[:expect]]
-                except ValueError:
-                    if not first:
-                        raise ConfigError(f"{path}, line {number}: not a numeric row: "
-                                          f"{line!r}") from None
-                else:
-                    if not all(map(math.isfinite, row)):
-                        raise ConfigError(f"{path}, line {number}: not a finite row: "
-                                          f"{line!r}")
-                    rows.append(row)
-                first = False
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    cells = [line.split(",")[:expect] for line in body]
+    data = None
+    if all(len(row) == expect for row in cells):
+        for header in (0, 1):  # only the first row may be a header
+            try:
+                data = np.fromiter(map(float, itertools.chain(*cells[header:])), float)
+                break
+            except ValueError:
+                pass
+    if data is None or not np.isfinite(data).all():
+        _csv_fault(path, expect, lines)
+    if not data.size:
         raise ConfigError(f"{path}: no numeric rows found")
-    data = np.asarray(rows, dtype=float)
-    order = np.argsort(data[:, 0])
-    return data[order]
+    data = data.reshape(-1, expect)
+    return data[np.argsort(data[:, 0])]
+
+
+def _csv_fault(path: str, expect: int, lines):
+    """Raise the error of the first faulty row among a CSV's `lines`."""
+    body = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
+            if line and not line.startswith("#")]
+    for index, (number, line) in enumerate(body):
+        parts = line.split(",")
+        if len(parts) < expect:
+            raise ConfigError(f"{path}, line {number}: expected {expect} columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts[:expect]]
+        except ValueError:
+            if index:
+                raise ConfigError(f"{path}, line {number}: not a numeric row: {line!r}") from None
+        else:
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,36 @@ def q_kernel(t, u):
 # quadrature
 
 
+def _legval(x, c):
+    """Legendre series sum c[i] P_i(x), by numpy's `legval` Clenshaw loop
+    operation for operation (len(c) >= 2)."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        nd = nd - 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
-def _gauss_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gauss_nodes(n: int):
+    """Gauss–Legendre nodes and weights (n >= 2) by the arithmetic of numpy's
+    `leggauss`, bit for bit, without importing `numpy.polynomial`: companion
+    eigenvalues, one Newton step, weights from P_n' and P_(n-1), symmetrized."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * n + [1.0]
+    # P_n' = sum of (2i+1) P_i over i < n with n-1-i even, exactly as `legder`
+    dp_n = [float(2 * i + 1) if (n - 1 - i) % 2 == 0 else 0.0 for i in range(n)]
+    df = _legval(x, dp_n)
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w
 
 

@@ -3,6 +3,7 @@ and the file-based forward/invert round trip."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,6 +265,85 @@ def test_a_non_finite_csv_value_is_refused(tmp_path, capsys):
             assert cli.main([command, "--n", "3", "--input", str(bad)]) == 2, cell
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {bad}, line {line}: not a finite row"), err
+
+
+def test_a_short_csv_row_is_refused_by_line(tmp_path, capsys):
+    lines = ["# t, h samples", "t,h", "0.5,1.0", "0.75", "1.5,2.0"]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["range-check", "--n", "3", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}, line 4: expected 2 columns, got 1"), err
+
+
+# cells that float() reads or refuses in its own way: the one-pass reader
+# must take each exactly as a per-cell float() does
+CSV_CELLS = [" 1.5", "1.5 ", "+2", "-0", ".5", "5.", "1e-320", "1_000", "１", "1d3",
+             "1e309", "Infinity", "nan", "abc", ""]
+
+
+@pytest.mark.parametrize("cell", CSV_CELLS)
+def test_csv_cells_read_as_float_reads_them(tmp_path, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"t,h\n0.25,1.0\n0.5,{cell},extra\n0.75,3.0\n")
+    try:
+        want = float(cell)
+    except ValueError:
+        want = None
+    if want is None or not math.isfinite(want):
+        reason = "not a numeric row" if want is None else "not a finite row"
+        with pytest.raises(cli.ConfigError, match=f"line 3: {reason}"):
+            cli._read_csv_columns(str(path), 2)
+        return
+    data = cli._read_csv_columns(str(path), 2)
+    expected = np.array([[0.25, 1.0], [0.5, want], [0.75, 3.0]])
+    assert np.array_equal(data.view(np.int64), expected.view(np.int64))
+
+
+def _cell_text(value) -> str:
+    """The per-cell rule a CSV row's one % format must reproduce."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def test_a_csv_row_is_written_as_its_cells_would_be():
+    from fractions import Fraction
+
+    cells = [1.5, -0.0, 1e-320, float("inf"), float("nan"), np.float64(-2.5),
+             np.float64("nan"), "PASS", "", True, False, np.True_, np.False_, 0, -7,
+             2 ** 70 + 1, -(2 ** 64) - 1, np.int64(-7), np.uint64(2 ** 64 - 1), np.int8(3),
+             np.float32(0.1), Fraction(1, 3)]
+    assert cli._fmt(*cells) == ",".join(map(_cell_text, cells))
+    for cell in cells:
+        assert cli._fmt(cell) == _cell_text(cell), repr(cell)
+
+
+def test_integrating_commands_never_import_numpy_polynomial(tmp_path):
+    # numpy.polynomial is 9 modules; the Gauss rules need none of them
+    profile, fwd, ucp = _write_profile(tmp_path), str(tmp_path / "fwd.csv"), tmp_path / "ucp.json"
+    ucp.write_text(json.dumps({"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}))
+    runs = [["forward", "--config", profile, "--grid", "201", "--out", fwd],
+            ["range-check", "--config", profile],
+            ["cross-check", "--config", profile, "--grid", "5"],
+            ["zeros", "--config", profile, "--count", "3"],
+            ["ucp-demo", "--config", str(ucp)],
+            ["invert", "--n", "3", "--input", fwd]]
+    code = ("import sys\n"
+            "from sphmean import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, 'numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False", run.stdout
 
 
 def test_cross_check_columns_and_verdict(tmp_path, capsys):

@@ -60,6 +60,17 @@ def test_quadrature_rule_validation_and_exactness():
     assert q.integrate(lambda x: x, 1.0, 1.0) == 0.0
 
 
+def test_gauss_nodes_equal_numpy_leggauss_bit_for_bit():
+    # numpy's leggauss is the oracle here only; src/ computes the rule itself
+    from numpy.polynomial.legendre import leggauss
+
+    for n in [*range(2, 301), 400, 512]:
+        x, w = tr._gauss_nodes(n)
+        ref_x, ref_w = leggauss(n)
+        assert np.array_equal(x.view(np.int64), ref_x.view(np.int64)), n
+        assert np.array_equal(w.view(np.int64), ref_w.view(np.int64)), n
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
