@@ -228,7 +228,7 @@ def _profile(block):
 def _forward_data(prof, n: int, m: int, quad: QuadratureRule):
     dim = Dimension(n)
     if m == 0:
-        return SmtProfile.from_profile(prof, dim, quad)
+        return SmtProfile(prof, dim, quad)
     return HarmonicForwardData(prof, dim, m, quad)
 
 
@@ -435,7 +435,7 @@ def _cmd_range_check(run):
     if data is None:  # sampled (t, h), resampled on a Chebyshev grid
         t_in, h_in = run.samples.T
         lo, hi = max(0.01, float(t_in[0])), min(1.99, float(t_in[-1]))
-        data = SampledH.from_function(_CsvH(t_in, h_in).h, a=lo, b=hi, k_eff=max(k, 2))
+        data = SampledH.from_function(_CsvH(t_in, h_in).h, a=lo, b=hi)
     greport = general_range_check(data, m, k=k, grid=default_grid(run.opts["grid"]))
     report = greport.range_report
     ok = report.passed(tol) and greport.defects_passed()
@@ -502,8 +502,10 @@ def _cmd_zeros(run):
     tol = run.opts["tol"]
     pairs, fmax = bessel_zero_vanishing(run.data, run.data.dim, run.opts["m"],
                                         run.opts["count"], run.quad)
-    rows = [(lam, val, val / fmax) for lam, val in pairs]
-    worst = max(r[2] for r in rows)
+    # zero data has fmax 0: its ratios read 0, as cross_product_terms does
+    rows = [(lam, val, val / fmax if fmax != 0 else 0.0) for lam, val in pairs]
+    # np.max keeps a NaN, which max() would drop after the first row
+    worst = float(np.max([r[2] for r in rows]))
     run.emit_csv(["lambda", "absF", "ratio"], rows, comments=[f"fmax {_fmt(fmax)}"])
     return worst <= tol, f"worst ratio {worst:.3e} (tol {tol:g})"
 

@@ -172,9 +172,10 @@ def _h_prime(data):
     if isinstance(data, tuple) and len(data) == 2 and all(callable(c) for c in data):
         return np.vectorize(data[1], otypes=[float])  # a function of one t
     dp_h = getattr(data, "dp_h", None)
-    # dp_h is trusted only up to k_eff orders; dimension-three forward data
-    # advertises k_eff = 0, in which case the difference stencil takes over
-    if callable(dp_h) and getattr(data, "k_eff", 1) >= 1:
+    # dp_h reaches order 1 only where k >= 1: for dimension-three forward
+    # data (k = 0) the difference stencil takes over
+    dim = getattr(data, "dim", None)
+    if callable(dp_h) and (dim is None or dim.k >= 1):
         # D h = h'/t, so h'(t) = t * (D h)(t)
         return lambda t: t * dp_h(t, 1)
     h = getattr(data, "h", None)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exactmath import coeff_C
 from .specfun import Jet, d_operator
-from .transform import QuadratureRule
+from .transform import QuadratureRule, _by_order
 
 # antiderivative integrands carry boundary layers from high bump derivatives;
 # the chain uses a finer composite rule than the forward transform needs
@@ -46,10 +46,11 @@ def lk_coefficients(k: int) -> tuple:
 
 
 def apply_Lk(h_dp, k: int, tau):
-    """[L_k h](tau) from a derivative oracle h_dp(t, p) -> D^p h(t).
+    """[L_k h](tau) from a derivative oracle h_dp(t, orders) that returns one
+    row D^p h(t) per order p of a sequence.
 
-    tau may be an array: the oracle is asked once per order p for all tau
-    in (0, 2), and L_k is a coefficient dot (in order of p) on that
+    tau may be an array: the oracle is asked once, for the orders 0..k at
+    every tau in (0, 2), and L_k is a coefficient dot (in order of p) on that
     derivative block.  Compactly supported data vanishes identically near 0
     and 2, so tau outside (0, 2) evaluates to 0 without the oracle.
     """
@@ -59,10 +60,11 @@ def apply_Lk(h_dp, k: int, tau):
     out = np.zeros(flat.shape)
     if live.any():
         t_live = flat[live]
+        rows = h_dp(t_live, tuple(range(k + 1)))
         acc = np.zeros(t_live.shape)
         for p, c in enumerate(lk_coefficients(k)):
             weight = np.array([float(c) * (1.0 - t) ** p for t in t_live.tolist()])
-            acc = acc + weight * h_dp(t_live, p)
+            acc = acc + weight * rows[p]
         out[live] = acc
     return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 
@@ -91,15 +93,6 @@ def default_grid(points: int = 101, t_min: float = 0.01) -> np.ndarray:
     return np.linspace(t_min, 1.0, points)
 
 
-def _resolve_k(data, k):
-    if k is None:
-        dim = getattr(data, "dim", None)
-        k = dim.k if dim is not None else getattr(data, "k_eff", None)
-    if k is None:
-        raise ValueError("cannot infer k; pass it explicitly")
-    return k
-
-
 def _symmetry_report(h_dp, k: int, grid) -> RangeReport:
     """L_k on both sides 1 -+ t of the grid, in one derivative block."""
     grid = np.asarray(grid, dtype=float)
@@ -117,8 +110,9 @@ def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -
     """Symmetry residual sup_t |[L_k h](1-t) - [L_k h](1+t)| over the grid:
     the m = 0 case of general_range_check.
 
-    `data` needs a dp_h(t, p) method for p <= k that accepts arrays of t
-    (SmtProfile, SampledH, JetH, or any perturbation wrapper of those).
+    `data` needs a dp_h(t, p) method that takes an array of t and an order
+    or a sequence of orders p <= k (SmtProfile, SampledH, JetH, PerturbedH).
+    k is the caller's, else data.dim.k.
     """
     return general_range_check(data, 0, k, grid).range_report
 
@@ -151,7 +145,7 @@ class SampledH:
     h is extended by zero outside [a, b] (the support must sit inside).
     """
 
-    def __init__(self, values, a: float, b: float, k_eff: int = 8):
+    def __init__(self, values, a: float, b: float):
         values = np.asarray(values, dtype=float)
         if not (0.0 < a < b < 2.0):
             raise ValueError("need 0 < a < b < 2")
@@ -163,13 +157,12 @@ class SampledH:
         self.t_nodes = (a + b) / 2 + (b - a) / 2 * x
         self._Dt = D * (2.0 / (b - a))
         self._derivs = [values]
-        self.k_eff = k_eff
 
     @classmethod
-    def from_function(cls, fn, a: float = 0.01, b: float = 1.99, degree: int = 128, k_eff: int = 8):
+    def from_function(cls, fn, a: float = 0.01, b: float = 1.99, degree: int = 128):
         x, _ = _cheb_matrix(degree)
         t = (a + b) / 2 + (b - a) / 2 * x
-        return cls(np.full(t.shape, fn(t), dtype=float), a, b, k_eff)
+        return cls(np.full(t.shape, fn(t), dtype=float), a, b)
 
     @property
     def noise_floor(self) -> float:
@@ -192,31 +185,32 @@ class SampledH:
         w[N] *= 0.5
         return w
 
-    def _interpolate(self, values, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(ts.shape)
+    def h(self, t):
+        return self.dp_h(t, 0)
+
+    def dp_h(self, t, p):
+        """D^p h at t for an order p, or one row per order of a sequence; the
+        barycentric weights of the t are built once for all orders."""
+        ts = np.asarray(t, dtype=float).ravel()
+        orders = np.atleast_1d(p).tolist()
+        out = np.zeros((len(orders), ts.size))
         # only points in [a, b]: far outside, the barycentric sum cancels to 0
         inside = (ts >= self.a) & (ts <= self.b)
         diff = ts[inside, None] - self.t_nodes[None, :]
         exact = np.abs(diff) < 1e-14
         diff = np.where(exact, 1.0, diff)
         q = self._bary_weights[None, :] / diff
-        # one BLAS dot per t, as for a single t: a matrix product would sum
-        # in another order and change the last bits
-        part = np.vecdot(q, values) / q.sum(axis=1)
+        q_sum = q.sum(axis=1)
         hit_rows = exact.any(axis=1)
-        if np.any(hit_rows):
-            part[hit_rows] = values[np.argmax(exact[hit_rows], axis=1)]
-        out[inside] = part
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def h(self, t):
-        return self._interpolate(self._derivs[0], t)
-
-    def dp_h(self, t, p: int):
-        if p == 0:
-            return self.h(t)
-        return self._interpolate(self._deriv_values(p), t)
+        hits = np.argmax(exact[hit_rows], axis=1)
+        for row, order in zip(out, orders):
+            values = self._deriv_values(order)
+            # one BLAS dot per t, as for a single t: a matrix product would
+            # sum in another order and change the last bits
+            part = np.vecdot(q, values) / q_sum
+            part[hit_rows] = values[hits]
+            row[inside] = part
+        return _by_order(out, p, np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +220,26 @@ class SampledH:
 class JetH:
     """h given directly as a smooth jet-capable profile in the t variable."""
 
-    def __init__(self, jet_fn, support, k_eff: int = 8):
+    def __init__(self, jet_fn, support):
         self._jet_fn = jet_fn
         self.support = support
-        self.k_eff = k_eff
 
     def h(self, t):
         return self.dp_h(t, 0)
 
-    def dp_h(self, t, p: int):
-        ts = np.asarray(t, dtype=float)
+    def dp_h(self, t, p):
+        """D^p h at t for an order p, or one row per order of a sequence, all
+        from one jet of the top order (its low entries do not depend on it)."""
+        ts = np.asarray(t, dtype=float).ravel()
+        orders = np.atleast_1d(p).tolist()
         lo, hi = self.support
         inside = (ts > lo) & (ts < hi)
-        out = np.zeros(ts.shape)
+        out = np.zeros((len(orders), ts.size))
         if inside.any():
-            jet = self._jet_fn(ts[inside], max(p, 1))
-            out[inside] = jet.derivs[0] if p == 0 else d_operator(jet, p)
-        return float(out) if ts.ndim == 0 else out
+            jet = self._jet_fn(ts[inside], max(max(orders), 1))
+            for row, order in zip(out, orders):
+                row[inside] = d_operator(jet, order)
+        return _by_order(out, p, np.shape(t))
 
 
 def bump_h(center: float, width: float, amplitude: float = 1.0) -> JetH:
@@ -269,7 +266,6 @@ class PerturbedH:
     def __init__(self, base, delta: float):
         self.base = base
         self.delta = delta
-        self.k_eff = getattr(base, "k_eff", None)
         dim = getattr(base, "dim", None)
         if dim is not None:
             self.dim = dim
@@ -408,31 +404,35 @@ def general_range_check(
 ) -> GeneralRangeReport:
     """L_{m+k} symmetry of the m-fold antiderivative plus moment defects.
 
-    Forward-generated harmonic data (HarmonicForwardData) uses its analytic
-    phi derivatives.  Otherwise phi comes from anti_D integrals of h, and
-    orders p >= m are the data's own dp_h(t, p - m); data with only an h(t)
-    method is first resampled (SampledH.from_function) and differentiated
-    spectrally.  At m = 0 the chain is empty and this is range_residual.
+    k is the caller's, else data.dim.k.  Forward-generated harmonic data
+    (HarmonicForwardData) uses its analytic phi derivatives.  Otherwise phi
+    comes from anti_D integrals of h, and orders p >= m are the data's own
+    dp_h(t, p - m), all read in one call; data with only an h(t) method is
+    first resampled (SampledH.from_function) and differentiated spectrally.
+    At m = 0 the chain is empty and this is range_residual.
     """
     if grid is None:
         grid = default_grid()
+    if k is None:
+        if getattr(data, "dim", None) is None:
+            raise ValueError("cannot infer k; pass it explicitly")
+        k = data.dim.k
 
     if hasattr(data, "phi_dp"):  # analytic forward route
-        k = data.dim.k if k is None else k
         phi_dp = data.phi_dp
         chain = AntiDerivativeChain(data.h, m, quad)
     else:
-        k = _resolve_k(data, k)
         if hasattr(data, "dp_h"):
             dp_h = data.dp_h
         else:
             dp_h = SampledH.from_function(data.h, degree=128).dp_h
         chain = AntiDerivativeChain(lambda t: dp_h(t, 0), m, quad)
 
-        def phi_dp(t, p):
-            if p < m:
-                return chain.dp_phi(t, p)
-            return dp_h(t, p - m)
+        def chained(t, orders):
+            high = iter(dp_h(t, [p - m for p in orders if p >= m]))
+            return np.array([chain.dp_phi(t, p) if p < m else next(high) for p in orders])
+
+        phi_dp = chained if m else dp_h
 
     report = _symmetry_report(phi_dp, m + k, grid)
     return GeneralRangeReport(report, chain.moment_defects(), chain.defect_scales())

@@ -452,11 +452,6 @@ def _dp_q_kernels(K: int, orders, t, u) -> list:
     return kernels
 
 
-def _dp_q_kernel(K: int, p: int, t, u):
-    """[D^p Q^K](t, u) of the single order p (see `_dp_q_kernels`)."""
-    return _dp_q_kernels(K, (p,), t, u)[0]
-
-
 def _kernel_integrals(profile, ts, orders, weight, kernels, quad: QuadratureRule):
     """(orders x t) integrals of weight(u) f(u) K_p(t, u) over the support
     range, all orders in one sweep; kernels(rows, u) lists the (rows x nodes)
@@ -609,13 +604,8 @@ class SmtProfile:
         self.profile = profile
         self.dim = dim
         self.quad = quad
-        self.k_eff = dim.k
         r_hi = profile.support[1]
         self.support = (1.0 - r_hi, 1.0 + r_hi)
-
-    @classmethod
-    def from_profile(cls, profile, dim: Dimension, quad: QuadratureRule = DEFAULT_QUAD):
-        return cls(profile, dim, quad)
 
     def h(self, t):
         return forward_h(self.profile, self.dim, t, self.quad)

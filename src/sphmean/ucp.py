@@ -139,7 +139,7 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
     if tol is None:
         tol = 1e-7 * max(1.0, quad.panels / 8.0)
     f = build_counterexample(spec) if profile is None else profile
-    data = SmtProfile.from_profile(f, spec.dim, quad)
+    data = SmtProfile(f, spec.dim, quad)
     g = data.g(grid)
 
     lo, hi_ = spec.band

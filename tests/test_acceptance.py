@@ -56,7 +56,7 @@ def test_02_range_necessity():
     worst = 0.0
     for dim in (D3, D5, D7):
         for prof in BUMPS:
-            data = tr.SmtProfile.from_profile(prof, dim)
+            data = tr.SmtProfile(prof, dim)
             rep = rc.range_residual(data, grid=grid)
             worst = max(worst, rep.normalized)
     elapsed = time.perf_counter() - t0
@@ -71,7 +71,7 @@ def test_02_range_necessity():
 def test_03_range_detection():
     results = []
     for dim in (D3, D5):
-        data = tr.SmtProfile.from_profile(BUMPS[0], dim)
+        data = tr.SmtProfile(BUMPS[0], dim)
         for delta in (1e-3, 1e-2, 1e-1):
             rep = rc.range_residual(rc.PerturbedH(data, delta))
             results.append((dim.n, delta, rep.normalized))
@@ -87,7 +87,7 @@ def test_03_range_detection():
 def test_04_cross_product_identity():
     worst = 0.0
     for dim in (D3, D5, D7):
-        data = tr.SmtProfile.from_profile(BUMPS[0], dim)
+        data = tr.SmtProfile(BUMPS[0], dim)
         for lam in np.linspace(0.5, 40.0, 20):
             worst = max(worst, sp.cross_product_terms(data, dim.k, float(lam))[2])
     ok = worst <= 1e-8
@@ -118,7 +118,7 @@ def test_05_mk_identity_seeded():
 
 
 def test_06_bessel_zero_oracle():
-    data = tr.SmtProfile.from_profile(BUMPS[0], D3)
+    data = tr.SmtProfile(BUMPS[0], D3)
     pairs, _ = sp.bessel_zero_vanishing(data, D3, 0, 10)
     scan = np.linspace(0.3, pairs[-1][0] + 2.0, 40)
     fmax = max(abs(sp.hankel_h(data.h, D3.k, float(l), support=data.support))
@@ -163,7 +163,7 @@ def test_07_general_case():
 
 
 def test_08_inversion_round_trips():
-    data3 = tr.SmtProfile.from_profile(BUMPS[0], D3)
+    data3 = tr.SmtProfile(BUMPS[0], D3)
     rs = np.linspace(0.05, 0.95, 91)
     rec = inv.invert_radial_n3(data3, rs)
     truth = BUMPS[0](rs)
@@ -171,7 +171,7 @@ def test_08_inversion_round_trips():
 
     r3 = inv.invert_radial(data3, D3, inv.InversionConfig(400, 401, 1e-8))
     e3 = r3.rel_l2_error(BUMPS[0])
-    data5 = tr.SmtProfile.from_profile(BUMPS[0], D5)
+    data5 = tr.SmtProfile(BUMPS[0], D5)
     r5 = inv.invert_radial(data5, D5, inv.InversionConfig(240, 241, 1e-5))
     e5 = r5.rel_l2_error(BUMPS[0])
 

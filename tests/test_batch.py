@@ -38,7 +38,7 @@ T_ARRAYS = {
 
 def _radial(n):
     dim = tr.Dimension(n)
-    data = tr.SmtProfile.from_profile(BUMP, dim, QUAD)
+    data = tr.SmtProfile(BUMP, dim, QUAD)
     yield "forward_h", lambda t: tr.forward_h(BUMP, dim, t, QUAD)
     yield "forward_radial", lambda t: tr.forward_radial(BUMP, dim, t, QUAD)
     yield "funk_hecke_forward", lambda t: tr.funk_hecke_forward(BUMP, dim, t, QUAD)
@@ -188,7 +188,7 @@ def test_rows_equal_the_plain_scalar_rule():
         return c * tr.DEFAULT_QUAD.integrate(lambda u: u * BUMP(u) * kernel(t, u), a, b)
 
     want_h = [plain(t, lambda t, u: tr.q_kernel(t, u) ** dim.k) for t in ts.tolist()]
-    want_dp = [plain(t, lambda t, u: tr._dp_q_kernel(dim.k, 1, t, u)) for t in ts.tolist()]
+    want_dp = [plain(t, lambda t, u: tr._dp_q_kernels(dim.k, (1,), t, u)[0]) for t in ts.tolist()]
     assert np.array_equal(tr.forward_h(BUMP, dim, ts), np.array(want_h))
     assert np.array_equal(tr.forward_h_dp(BUMP, dim, ts, 1), np.array(want_dp))
 
@@ -208,11 +208,51 @@ def test_array_with_a_point_outside_domain_is_refused():
         tr.forward_radial(BUMP, tr.Dimension(3), np.array([0.5, 1e-4]))
 
 
+def _range_data():
+    dim = tr.Dimension(9)
+    fwd = tr.SmtProfile(BUMP, dim, QUAD)
+    yield "SmtProfile.dp_h", fwd.dp_h, dim.k
+    yield "HarmonicForwardData.phi_dp", tr.HarmonicForwardData(
+        BUMP, tr.Dimension(5), 2, QUAD).phi_dp, 3
+    yield "SampledH.dp_h", rc.SampledH.from_function(fwd.h, degree=64).dp_h, 8
+    yield "JetH.dp_h", rc.bump_h(1.1, 0.4).dp_h, 8
+    yield "PerturbedH.dp_h", rc.PerturbedH(fwd, 0.1).dp_h, dim.k
+
+
+def test_range_data_order_sequences_equal_their_scalar_orders():
+    # the one protocol of the range check: dp_h(t, orders) is the stack of
+    # the per-order calls, bit for bit, for a scalar t and for an array
+    ts = T_ARRAYS["unsorted, equal intervals apart"]
+    for name, dp_h, top in _range_data():
+        for orders in (tuple(range(top + 1)), (top, 0, 1, top)):
+            rows = dp_h(ts, orders)
+            assert rows.shape == (len(orders),) + ts.shape, name
+            assert np.array_equal(rows, np.array([dp_h(ts, p) for p in orders])), (name, orders)
+            one = dp_h(0.9, orders)
+            assert np.array_equal(one, np.array([dp_h(0.9, p) for p in orders])), (name, orders)
+
+
+def test_range_check_reads_the_data_once(monkeypatch):
+    # apply_Lk asks for every order in one call: one forward sweep for the
+    # radial residual, one phi sweep for the harmonic check at m = 2
+    calls = []
+    for name in ("forward_h_dp", "phi_harmonic_dp"):
+        def counted(*args, fn=getattr(tr, name), name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(tr, name, counted)
+    rc.range_residual(tr.SmtProfile(BUMP, tr.Dimension(9)))
+    assert calls == ["forward_h_dp"]
+    calls.clear()
+    rc.general_range_check(tr.HarmonicForwardData(BUMP, tr.Dimension(5), 2), 2)
+    assert calls == ["phi_harmonic_dp"]
+
+
 def test_range_data_wrappers_match_scalar_calls():
     ts = np.linspace(0.05, 1.95, 13)
     base = rc.bump_h(1.1, 0.4)
     chain = rc.AntiDerivativeChain(base.h, 2)
-    perturbed = rc.PerturbedH(tr.SmtProfile.from_profile(BUMP, tr.Dimension(5)), 0.1)
+    perturbed = rc.PerturbedH(tr.SmtProfile(BUMP, tr.Dimension(5)), 0.1)
     for name, fn in (("JetH.dp_h", lambda t: base.dp_h(t, 2)),
                      ("AntiDerivativeChain.phi", chain.phi),
                      ("AntiDerivativeChain.dp_phi", lambda t: chain.dp_phi(t, 1)),
@@ -264,7 +304,7 @@ def test_data_reads_match_the_per_point_loops():
     for n in (3, 5, 9):
         dim = tr.Dimension(n)
         t_grid, _, _, A = inv.forward_matrix(dim, cfg)
-        fwd = tr.SmtProfile.from_profile(BUMP, dim)
+        fwd = tr.SmtProfile(BUMP, dim)
         routes = {"h": (Data(fwd.h), [float(fwd.h(float(t))) for t in t_grid]),
                   "g": (g, [float(g(float(t))) * t ** (n - 2) for t in t_grid])}
         for route, (data, loop) in routes.items():
@@ -276,7 +316,7 @@ def test_data_reads_match_the_per_point_loops():
             assert np.array_equal(res.values, x), (n, route)
 
     r = np.linspace(0.05, 0.95, 181)
-    data = tr.SmtProfile.from_profile(BUMP, tr.Dimension(3))
+    data = tr.SmtProfile(BUMP, tr.Dimension(3))
     hp = inv._h_prime(data)
     loop = [2.0 * hp(1.0 - float(rr)) / float(rr) for rr in r]
     assert np.array_equal(inv.invert_radial_n3(data, r), np.array(loop))
@@ -380,7 +420,7 @@ DATA_QUAD = tr.QuadratureRule(16, 2)
 def _spectral_data(n, m):
     dim = tr.Dimension(n)
     if m == 0:
-        return dim, tr.SmtProfile.from_profile(BUMP, dim, DATA_QUAD)
+        return dim, tr.SmtProfile(BUMP, dim, DATA_QUAD)
     return dim, tr.HarmonicForwardData(BUMP, dim, m, DATA_QUAD)
 
 

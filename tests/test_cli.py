@@ -389,6 +389,20 @@ def test_zeros_in_range_data_passes(tmp_path, capsys):
     assert np.all(rows[:, 2] <= 1e-6)
 
 
+def test_zero_data_passes_every_analysis(tmp_path, capsys):
+    # zero data has no scale (fmax 0): zeros writes ratio 0, as cross-check
+    # does, where it used to exit 2 on a division by zero
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"profile": {"family": "bump", "center": 0.55,
+                                           "width": 0.25, "n": 3, "amplitude": 0}}))
+    for cmd in ("zeros", "range-check", "cross-check"):
+        assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 0, cmd
+    capsys.readouterr()
+    assert "# fmax 0\n" in (tmp_path / "zeros").read_text()
+    rows = _data_rows(tmp_path / "zeros")
+    assert rows.shape == (10, 3) and np.all(rows[:, 1:] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # file round trip: forward -> invert
 

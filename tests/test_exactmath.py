@@ -278,7 +278,7 @@ def test_factored_kernel_equals_the_exact_polynomial():
             terms = em.dp_q_power(power, p).terms()
             for t, u in points:
                 want = sum(c * t ** i * u ** j for i, j, c in terms)
-                assert tr._dp_q_kernel(power, p, t, u) == want, (power, p, t, u)
+                assert tr._dp_q_kernels(power, (p,), t, u)[0] == want, (power, p, t, u)
 
 
 # ---------------------------------------------------------------------------

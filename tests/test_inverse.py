@@ -35,7 +35,7 @@ def test_n3_bump_round_trip_analytic_derivative():
     # h' carries the boundary term of the shrinking integration interval:
     # h(t) = (1/2) int_{1-t}^1 u f(u) du gives h'(t) = (1-t) f(1-t) / 2
     prof = BumpProfile(0.55, 0.25)
-    data = SmtProfile.from_profile(prof, D3)
+    data = SmtProfile(prof, D3)
     hp = lambda t: (1.0 - t) * float(prof(1.0 - t)) / 2.0
     r = np.linspace(0.05, 0.95, 181)
     f_rec = inv.invert_radial_n3((data.h, hp), r)
@@ -46,7 +46,7 @@ def test_n3_bump_round_trip_analytic_derivative():
 def test_n3_bump_round_trip_from_h_alone():
     # no derivative supplied: the stencil route still clears 1e-8 rel sup
     prof = BumpProfile(0.55, 0.25)
-    data = SmtProfile.from_profile(prof, D3)
+    data = SmtProfile(prof, D3)
     r = np.linspace(0.05, 0.95, 181)
     f_rec = inv.invert_radial_n3(data, r)
     f_true = prof(r)
@@ -55,7 +55,7 @@ def test_n3_bump_round_trip_from_h_alone():
 
 def test_n3_accepts_sampled_data():
     prof = BumpProfile(0.55, 0.25)
-    data = SmtProfile.from_profile(prof, D3)
+    data = SmtProfile(prof, D3)
     # the bump's interpolation error decays root-exponentially; degree 256
     # brings the spectral-derivative route to ~5e-5 on this window
     sampled = SampledH.from_function(data.h, degree=256)
@@ -141,7 +141,7 @@ def test_n3_collocation_matches_closed_form():
     # needs r >= 1e-3, and its difference stencil needs 1 - r clear of 0,
     # so the extreme Gauss nodes are skipped)
     prof = BumpProfile(0.55, 0.25)
-    data = SmtProfile.from_profile(prof, D3)
+    data = SmtProfile(prof, D3)
     cfg = inv.InversionConfig(400, 401, 1e-8)
     res = inv.invert_radial(data, D3, cfg)
     m = (res.nodes >= inv.R_FLOOR) & (res.nodes <= 1.0 - inv.R_FLOOR)
@@ -154,7 +154,7 @@ def test_n3_collocation_matches_closed_form():
 def test_round_trip_three_bumps_n3():
     cfg = inv.InversionConfig(400, 401, 1e-8)
     for prof in TRIO:
-        data = SmtProfile.from_profile(prof, D3)
+        data = SmtProfile(prof, D3)
         res = inv.invert_radial(data, D3, cfg)
         assert res.rel_l2_error(prof) <= 1e-3
         assert res.residual <= 1e-6
@@ -163,7 +163,7 @@ def test_round_trip_three_bumps_n3():
 def test_round_trip_three_bumps_n5():
     cfg = inv.InversionConfig(240, 241, 1e-5)
     for prof in TRIO:
-        data = SmtProfile.from_profile(prof, D5)
+        data = SmtProfile(prof, D5)
         res = inv.invert_radial(data, D5, cfg)
         assert res.rel_l2_error(prof) <= 1e-3
 
@@ -171,7 +171,7 @@ def test_round_trip_three_bumps_n5():
 def test_n5_pinned_example_config():
     # 80 unknowns, 160 collocation points: the documented working size
     cfg = inv.InversionConfig(80, 160, 3e-5)
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.25), D5)
     res = inv.invert_radial(data, D5, cfg)
     assert res.rel_l2_error(BumpProfile(0.55, 0.25)) <= 1e-3
     assert res.rank >= 20
@@ -197,8 +197,8 @@ class _ComboData:
 
 def test_linearity_of_inversion():
     cfg = inv.InversionConfig(120, 121, 1e-6)
-    d1 = SmtProfile.from_profile(BumpProfile(0.55, 0.25), D5)
-    d2 = SmtProfile.from_profile(BumpProfile(0.5, 0.22), D5)
+    d1 = SmtProfile(BumpProfile(0.55, 0.25), D5)
+    d2 = SmtProfile(BumpProfile(0.5, 0.22), D5)
     r1 = inv.invert_radial(d1, D5, cfg)
     r2 = inv.invert_radial(d2, D5, cfg)
     rc = inv.invert_radial(_ComboData(d1, d2, 2.0, -0.5), D5, cfg)
@@ -210,7 +210,7 @@ def test_linearity_of_inversion():
 def test_rank_collapse_detected():
     # a cutoff just below 1 keeps almost nothing: flagged as ill-posed
     cfg = inv.InversionConfig(60, 61, 0.9)
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.25), D5)
     with pytest.raises(RuntimeError):
         inv.invert_radial(data, D5, cfg)
 
@@ -219,7 +219,7 @@ def test_invert_accepts_plain_callable():
     # a bare g(t) works too: the weighted data t^(n-2) g(t) it induces
     # must match the .h route up to rounding in the weighting
     cfg = inv.InversionConfig(120, 121, 1e-6)
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.25), D5)
     g_fn = lambda t: data.h(t) / t ** 3
     res_fn = inv.invert_radial(g_fn, D5, cfg)
     res_obj = inv.invert_radial(data, D5, cfg)

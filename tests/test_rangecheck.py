@@ -26,13 +26,13 @@ def test_lk_coefficients_closed_forms():
 
 
 def test_apply_Lk_identity_for_k0():
-    hdp = lambda t, p: t ** 3 if p == 0 else 3 * t
+    hdp = lambda t, orders: np.array([t ** 3 if p == 0 else 3 * t for p in orders])
     assert rc.apply_Lk(hdp, 0, 0.7) == pytest.approx(0.7 ** 3)
 
 
 def test_apply_Lk_hand_example_k1():
     # h(t) = t^2 has D h = 2, so [L_1 h](tau) = (1-tau) 2 + tau^2
-    hdp = lambda t, p: t * t if p == 0 else (2.0 if p == 1 else 0.0)
+    hdp = lambda t, orders: np.array([t * t if p == 0 else 2.0 + 0 * t for p in orders])
     tau = 0.63
     assert rc.apply_Lk(hdp, 1, tau) == pytest.approx((1 - tau) * 2 + tau * tau, rel=1e-15)
 
@@ -49,7 +49,7 @@ def test_apply_Lk_outside_domain_is_zero():
 
 def test_symmetric_closed_form_has_zero_residual():
     # n=3 constant profile: h(t) = (2t - t^2)/4 is even about t = 1
-    prof = tr.SmtProfile.from_profile(tr.PolynomialProfile([1.0]), D3)
+    prof = tr.SmtProfile(tr.PolynomialProfile([1.0]), D3)
     rep = rc.range_residual(prof)
     assert rep.sup_residual <= 1e-14
     assert rep.k_used == 0
@@ -57,10 +57,8 @@ def test_symmetric_closed_form_has_zero_residual():
 
 def test_zero_data_zero_report():
     class Zero:
-        k_eff = 3
-
         def dp_h(self, t, p):
-            return 0.0
+            return np.zeros(np.shape(p) + np.shape(t))
 
     rep = rc.range_residual(Zero(), k=2)
     assert rep.sup_residual == 0.0
@@ -69,22 +67,20 @@ def test_zero_data_zero_report():
 
 def test_nan_data_fails_on_either_side():
     # a NaN on the t < 1 side used to read as scale NaN, normalized 0: PASS
-    prof = tr.SmtProfile.from_profile(BUMP, D3)
+    prof = tr.SmtProfile(BUMP, D3)
     for side in (0.7, 1.3):
         class Holed:
-            k_eff = 0
-
             def dp_h(self, t, p):
                 return np.where(np.abs(t - side) < 0.01, np.nan, prof.dp_h(t, p))
 
-        rep = rc.range_residual(Holed())
+        rep = rc.range_residual(Holed(), k=0)
         assert np.isnan(rep.normalized) and not rep.passed(1e-6), side
 
 
 def test_necessity_across_dimensions_and_bumps():
     for dim in (D3, D5, D7):
         for prof in BUMPS:
-            rep = rc.range_residual(tr.SmtProfile.from_profile(prof, dim))
+            rep = rc.range_residual(tr.SmtProfile(prof, dim))
             assert rep.normalized <= 1e-6, (dim.n, prof.support, rep.normalized)
 
 
@@ -93,7 +89,7 @@ def test_necessity_holds_for_every_odd_n_up_to_41():
     # on the README profile passes at the CLI's default tol, and a 1e-6
     # half-space perturbation still reads 1e-6
     for n in range(3, 42, 2):
-        prof = tr.SmtProfile.from_profile(BUMP, tr.Dimension(n))
+        prof = tr.SmtProfile(BUMP, tr.Dimension(n))
         rep = rc.range_residual(prof)
         assert rep.passed(1e-6), (n, rep.normalized)
         if n in (25, 41):
@@ -108,7 +104,7 @@ def test_non_range_bump_after_one():
 
 
 def test_detection_of_half_perturbation():
-    prof = tr.SmtProfile.from_profile(BUMP, D5)
+    prof = tr.SmtProfile(BUMP, D5)
     for delta in (1e-3, 1e-2, 1e-1):
         rep = rc.range_residual(rc.PerturbedH(prof, delta))
         assert rep.normalized > delta / 10
@@ -162,7 +158,7 @@ def test_chain_order_cap():
 
 
 def test_sampled_h_reproduces_values():
-    prof = tr.SmtProfile.from_profile(BUMP, D5)
+    prof = tr.SmtProfile(BUMP, D5)
     samp = rc.SampledH.from_function(prof.h, degree=128)
     # truncation error of the degree-128 interpolant is ~1e-9 absolute
     # against a data scale of ~2e-2
@@ -173,7 +169,7 @@ def test_sampled_h_reproduces_values():
 
 
 def test_sampled_h_vector_matches_scalar():
-    prof = tr.SmtProfile.from_profile(BUMP, D5)
+    prof = tr.SmtProfile(BUMP, D5)
     samp = rc.SampledH.from_function(prof.h, degree=96)
     ts = np.linspace(0.25, 1.75, 31)
     vec = samp.h(ts)
@@ -184,7 +180,7 @@ def test_sampled_h_vector_matches_scalar():
 def test_spectral_derivative_matches_analytic():
     # the invariant: sampled-spectral and analytic-kernel derivative paths
     # agree to 1e-5 of the derivative scale on forward data
-    prof = tr.SmtProfile.from_profile(tr.BumpProfile(0.45, 0.35), D5)
+    prof = tr.SmtProfile(tr.BumpProfile(0.45, 0.35), D5)
     samp = rc.SampledH.from_function(prof.h, degree=128)
     ts = np.linspace(0.3, 1.7, 29)
     scale = max(abs(prof.dp_h(t, 1)) for t in ts)
@@ -196,8 +192,8 @@ def test_sampled_range_residual_matches_analytic_verdict():
     # once the grid resolves the data (degree 192 here), the sampled-path
     # residual agrees with the analytic verdict well below any detection
     # threshold
-    prof = tr.SmtProfile.from_profile(tr.BumpProfile(0.45, 0.35), D5)
-    samp = rc.SampledH.from_function(prof.h, degree=192, k_eff=1)
+    prof = tr.SmtProfile(tr.BumpProfile(0.45, 0.35), D5)
+    samp = rc.SampledH.from_function(prof.h, degree=192)
     rep_s = rc.range_residual(samp, k=1)
     rep_a = rc.range_residual(prof)
     assert rep_s.normalized <= 1e-5
@@ -231,7 +227,7 @@ def test_general_check_analytic_route():
 def test_general_check_m0_reduces_to_radial_residual():
     H = tr.HarmonicForwardData(BUMP, D5, 0)
     rep = rc.general_range_check(H, 0)
-    direct = rc.range_residual(tr.SmtProfile.from_profile(BUMP, D5))
+    direct = rc.range_residual(tr.SmtProfile(BUMP, D5))
     assert rep.range_report.normalized <= 1e-6
     assert abs(rep.range_report.normalized - direct.normalized) < 1e-6
     assert rep.moment_defects == []
@@ -241,7 +237,7 @@ def test_general_check_m0_reduces_to_radial_residual():
 def test_general_check_at_m0_is_the_radial_residual(n):
     # orders p >= m come from the data's own dp_h, so m = 0 reads the exact
     # kernel derivatives, bit for bit, not a resampled copy
-    data = tr.SmtProfile.from_profile(BUMP, tr.Dimension(n))
+    data = tr.SmtProfile(BUMP, tr.Dimension(n))
     grid = rc.default_grid()
     direct = rc._symmetry_report(data.dp_h, data.dim.k, grid)
     rep = rc.general_range_check(data, 0)
@@ -253,7 +249,7 @@ def test_general_check_at_m0_is_the_radial_residual(n):
 
 def test_general_check_reads_jets_of_data_with_derivatives():
     # bump_h sits on one side of t = 1, so exact jets read exactly 1
-    rep = rc.general_range_check(rc.bump_h(1.4, 0.2), 1)
+    rep = rc.general_range_check(rc.bump_h(1.4, 0.2), 1, k=8)
     assert rep.range_report.normalized == pytest.approx(1.0, abs=1e-12)
 
 
@@ -274,8 +270,6 @@ def test_general_check_sampled_route():
     H = tr.HarmonicForwardData(BUMP, D3, 1)
 
     class DataOnly:
-        k_eff = 8
-
         def h(self, t):
             return H.h(t)
 
@@ -288,8 +282,6 @@ def test_general_check_flags_broken_consistency():
     H = tr.HarmonicForwardData(BUMP, D3, 1)
 
     class Broken:
-        k_eff = 8
-
         def h(self, t):
             return (1.0 + 0.3 * (np.asarray(t) > 1)) * H.h(t)
 

@@ -54,7 +54,7 @@ def test_hankel_alpha_must_be_half_integer():
 
 def test_hankel_two_routes_agree():
     # integral of g j t^(2a+1) versus integral of h j t with h = t^(2k+1) g
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     for lam in (0.5, 7.0, 23.0, 40.0):
         a = sp.hankel(data.g, D5.k + 0.5, lam, support=data.support)
         b = sp.hankel_h(data.h, D5.k, lam, support=data.support)
@@ -62,7 +62,7 @@ def test_hankel_two_routes_agree():
 
 
 def test_hankel_panel_doubling_converged():
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     lo, hi = data.support
     need = sp.oscillation_panels(40.0, lo, hi)
     base = sp.hankel_h(data.h, D5.k, 40.0, support=data.support)
@@ -79,13 +79,13 @@ def test_cross_product_on_forward_data():
     for dim, prof in ((D3, BumpProfile(0.55, 0.3)),
                       (D5, BumpProfile(0.4, 0.2)),
                       (D7, BumpProfile(0.66, 0.25))):
-        data = SmtProfile.from_profile(prof, dim)
+        data = SmtProfile(prof, dim)
         for lam in (0.5, 3.0, 11.0, 27.0, 40.0):
             assert sp.cross_product_terms(data, dim.k, lam)[2] <= 1e-8
 
 
 def test_cross_product_flags_perturbed_data():
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     bad = PerturbedH(data, 0.1)
     worst = max(sp.cross_product_terms(bad, D5.k, lam)[2] for lam in (2.0, 5.0, 11.0))
     assert worst >= 1e-3
@@ -97,7 +97,7 @@ def test_cross_product_passes_exact_data_where_the_integrals_cancel():
     lams = np.linspace(0.5, 40.0, 20)
     for n in (9, 25):
         dim = Dimension(n)
-        data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), dim)
+        data = SmtProfile(BumpProfile(0.55, 0.25), dim)
         assert np.max(sp.cross_product_terms(data, dim.k, lams)[2]) <= 1e-12, n
 
 
@@ -105,14 +105,14 @@ def test_cross_product_flags_a_small_perturbation():
     lams = np.linspace(0.5, 40.0, 20)
     for n in (5, 9):
         dim = Dimension(n)
-        data = SmtProfile.from_profile(BumpProfile(0.55, 0.25), dim)
+        data = SmtProfile(BumpProfile(0.55, 0.25), dim)
         bad = PerturbedH(data, 1e-6)
         res = sp.cross_product_terms(bad, dim.k, lams)[2]
         assert np.max(res) > 1e-7, n
 
 
 def test_cross_product_support_guard():
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     with pytest.raises(ValueError):
         sp.cross_product_terms(SimpleNamespace(h=data.h, support=(0.0, 2.0)), D5.k, 3.0)
     # PerturbedH reads its base's support, which stays away from t = 0
@@ -130,7 +130,7 @@ def test_cross_product_zero_data():
 def test_cross_product_stays_finite_at_kernel_zero():
     # at lam = a zero of j both sides collapse; the cancellation scale keeps
     # the ratio defined and the quadrature keeps it small
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     lam = bessel_zero(D5.k, 2)
     res = sp.cross_product_terms(data, D5.k, lam)[2]
     assert math.isfinite(res)
@@ -212,7 +212,7 @@ def _transform_max(h_fn, k, lam_hi, support, samples=40):
 
 
 def test_zero_vanishing_radial_range_data():
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     pairs, scale = sp.bessel_zero_vanishing(data, D5, 0, 10)
     assert [z for z, _ in pairs] == pytest.approx(
         [bessel_zero(D5.k, i) for i in range(1, 11)])
@@ -243,7 +243,7 @@ def test_zero_vanishing_flags_off_range_data():
 
 
 def test_zero_vanishing_validation():
-    data = SmtProfile.from_profile(BumpProfile(0.55, 0.3), D5)
+    data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     with pytest.raises(ValueError):
         sp.bessel_zero_vanishing(data, D5, 0, 0)
     with pytest.raises(ValueError):

@@ -315,12 +315,12 @@ def test_phi_dp_order_cap():
 
 
 def test_smt_profile_wrapper():
-    prof = tr.SmtProfile.from_profile(BUMP, D5)
+    prof = tr.SmtProfile(BUMP, D5)
     t = 0.85
     assert prof.h(t) == pytest.approx(tr.forward_h(BUMP, D5, t), rel=1e-14)
     assert prof.g(t) == pytest.approx(tr.forward_radial(BUMP, D5, t), rel=1e-14)
     assert prof.dp_h(t, 1) == pytest.approx(tr.forward_h_dp(BUMP, D5, t, 1), rel=1e-14)
-    assert prof.k_eff == 1
+    assert prof.dim.k == 1
     with pytest.raises(ValueError):
         prof.dp_h(t, 2)
     # compact support in (0, 2) at both ends
