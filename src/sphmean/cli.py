@@ -10,7 +10,9 @@ config, else default; a float option is a float from then on), builds the
 declared objects with the library classes' own defaults for the keys left
 out, reads the --input samples, and derives the effective configuration and
 its hash from those resolved values; `_run` prints the handler's verdict
-line and maps the verdict to the exit code.
+line and maps the verdict to the exit code.  A run builds only its own
+subcommand's parser; no command, --help, --version or an unknown command
+gets the parser of all eight.
 
 Artifacts are reproducible by construction: each output file starts with a
 comment header carrying the tool version, a SHA-256 hash of the effective
@@ -99,7 +101,7 @@ OPTIONS = {command: {**options, **_SHARED} for command, options in {
               "tol": (float, 1e-6, None, "verdict tolerance")},
     "ucp-demo": {"n": _N, "epsilon": (float, REQUIRED, None, "half-width of the band"),
                  "m": (int, REQUIRED, None, "derivative order of the profile"),
-                 "grid": (int, 201, 1, "number of t points"),
+                 "grid": (int, 201, ucp_mod.MIN_GRID, "number of t points"),
                  "tol": (float, None, None,
                          "verdict tolerance (default from the quadrature)")},
 }.items()}
@@ -561,7 +563,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The `smt` parser with the subcommands `commands` registered.  With one
+    registered, a fixed metavar keeps every subcommand in the usage line that
+    a usage error prints."""
     parser = argparse.ArgumentParser(
         prog="smt",
         description="Spherical mean transform toolkit: forward data, range "
@@ -569,8 +574,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "vanishing-band construction.")
     parser.add_argument("--version", action="version",
                         version=f"smt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (fn, text) in _COMMANDS.items():
+    one = {"metavar": "{%s}" % ",".join(_COMMANDS)} if len(commands) == 1 else {}
+    sub = parser.add_subparsers(dest="command", required=True, **one)
+    for command in commands:
+        fn, text = _COMMANDS[command]
         p = sub.add_parser(command, help=text,
                            description=f"{text}. Each option is also a top-level "
                                        "key of the --config file; a flag wins.")
@@ -588,7 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run builds only its own subcommand's parser; anything else (no
+    # command, --help, --version, an unknown command) gets all of them
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help

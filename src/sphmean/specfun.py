@@ -424,9 +424,17 @@ def dp_cosc(p: int, x):
 
 
 def _poly_eval_jet(coeffs, xjet: Jet) -> Jet:
-    acc = xjet._wrap(0.0)
-    for c in reversed(coeffs):
-        acc = acc * xjet + c
+    """Jet of sum c_l x^l at a linear jet x, by Horner's rule from the
+    leading coefficient.  Entry j of acc * x is then two terms,
+    (j a_(j-1)) x_1 + a_j x_0: the nonzero terms of `Jet.__mul__`, in its
+    order."""
+    x0, x1 = (xjet.derivs + [None])[:2]  # an order-0 jet has no x1
+    acc = xjet._wrap(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        a = acc.derivs
+        prod = [a[0] * x0] + [(j * a[j - 1] if j > 1 else a[0]) * x1 + a[j] * x0
+                              for j in range(1, len(a))]
+        acc = Jet(xjet.x, prod) + c
     return acc
 
 
@@ -434,8 +442,12 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
     """Jet of raw_j(k, .) composed with the jet argument (chain rule included).
 
     Uses the exact integer-coefficient trig form; valid for float and mpmath
-    jet components alike.  The argument value must be nonzero.
+    jet components alike.  The argument must be linear (entries of order 2
+    and up zero, as for lam * (1 + t)) with a nonzero value.
     """
+    # abs(d) > 0, not d != 0: a NaN point goes through, for the caller to report
+    if any(np.any(abs(d) > 0) for d in xjet.derivs[2:]):
+        raise ValueError("raw_j_jet needs a linear argument jet")
     cs, cc = _trig_coeffs(k)
     s, c = xjet.sin_cos()
     num = _poly_eval_jet(cs, xjet) * s + _poly_eval_jet(cc, xjet) * c

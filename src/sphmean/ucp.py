@@ -91,10 +91,14 @@ def build_counterexample(spec: UcpSpec) -> DerivativeProfile:
 UCP_QUAD = QuadratureRule(nodes_per_panel=32, panels=48)
 
 
+# fewest radii a verification grid may hold
+MIN_GRID = 16
+
+
 def default_grid(count: int = 201) -> np.ndarray:
     """Radii spread over (0, 2), clear of the endpoints and the g floor."""
-    if count < 16:
-        raise ValueError("grid needs at least 16 points")
+    if count < MIN_GRID:
+        raise ValueError(f"grid needs at least {MIN_GRID} points")
     return np.linspace(0.05, 1.95, count)
 
 

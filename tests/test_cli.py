@@ -51,6 +51,44 @@ def test_help_exits_0(capsys):
     assert "forward" in out and "ucp-demo" in out
 
 
+# help, usage and error output of the parser that registers all eight
+# subcommands, 80 columns wide: argv, exit code, stdout and stderr
+with open(os.path.join(os.path.dirname(__file__), "cli_surface.json"), encoding="utf-8") as fh:
+    SURFACE = json.load(fh)
+
+
+def _surface_id(case):
+    return " ".join(case["argv"]) or "(none)"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently across Python versions")
+@pytest.mark.parametrize("case", SURFACE, ids=_surface_id)
+def test_cli_surface_is_pinned(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(case["argv"]) == case["rc"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", SURFACE, ids=_surface_id)
+def test_a_run_prints_what_the_full_parser_prints(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen, build_one = [], cli._build_parser
+    for build in (build_one, lambda commands: build_one()):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        seen.append((cli.main(case["argv"]), capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+def test_a_run_registers_only_its_own_subcommand(monkeypatch, capsys):
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(build(*a)) or built[-1])
+    assert cli.main(["identities", "--max-k", "1"]) == 0
+    capsys.readouterr()
+    [parser] = built
+    assert list(parser._subparsers._group_actions[0].choices) == ["identities"]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"profile": {"family": "bump",}')
@@ -710,7 +748,9 @@ def test_zeros_scale_uses_the_transform_it_divides(tmp_path, capsys):
     (["forward", "--n", "1"], {}, "--n must be >= 3"),
     (["forward"], {"quadrature": {"nodes": 0}}, "'quadrature.nodes' must be >= 2"),
     (["zeros"], {"quadrature": {"panels": 0}}, "'quadrature.panels' must be >= 1"),
-], ids=["seed", "m", "n", "quadrature.nodes", "quadrature.panels"])
+    (["ucp-demo", "--n", "5", "--epsilon", "0.2", "--m", "6", "--grid", "1"], None,
+     "--grid must be >= 16"),
+], ids=["seed", "m", "n", "quadrature.nodes", "quadrature.panels", "ucp-demo.grid"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, extra, message):
     if extra is not None:
         argv = argv + ["--config", _write_profile(tmp_path, **extra)]

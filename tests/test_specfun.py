@@ -146,6 +146,32 @@ def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
     assert float((sf.Jet(0.5, signed) * sf.Jet(0.5, [1.0] * 7)).derivs[0]).hex() == "-0x0.0p+0"
 
 
+def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
+    # the reference: Horner's rule from a zero jet, each step a full product
+    def horner(coeffs, x):
+        acc = x._wrap(0.0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0, -1.0, -2.0, 1e-300]])
+    with mp.workdps(30):
+        for k in range(13):
+            for base, lam in ((t, rng.uniform(0.5, 20.0, t.size)), (-2.5, 7.25),
+                              (mp.mpf(-2.5), mp.mpf(7.25))):
+                x = (sf.Jet.variable(base, k) + 1) * lam
+                for coeffs in sf._trig_coeffs(k):
+                    got = sf._poly_eval_jet(coeffs, x).derivs
+                    assert [_bits(v) for v in got] == [_bits(v) for v in horner(coeffs, x).derivs]
+
+
+def test_raw_j_jet_refuses_a_nonlinear_argument():
+    x = sf.Jet.variable(0.7, 3)
+    with pytest.raises(ValueError, match="linear"):
+        sf.raw_j_jet(2, x * x)
+
+
 def test_jet_power_makes_only_the_needed_products(monkeypatch):
     # one product per set bit of n, one squaring per bit below the top one
     calls, mul = [], sf.Jet.__mul__
