@@ -55,7 +55,6 @@ from .transform import (
     QuadratureRule,
     SmtProfile,
     forward_radial,
-    funk_hecke_forward,
 )
 from .ucp import UcpSpec, build_counterexample, verify_counterexample
 
@@ -74,6 +73,6 @@ __all__ = [
     "hankel", "hankel_h", "mk_residual",
     "DEFAULT_QUAD", "BumpProfile", "DerivativeProfile", "Dimension",
     "HarmonicForwardData", "PolynomialProfile", "QuadratureRule",
-    "SmtProfile", "forward_radial", "funk_hecke_forward",
+    "SmtProfile", "forward_radial",
     "UcpSpec", "build_counterexample", "verify_counterexample",
 ]

@@ -390,14 +390,14 @@ def _cmd_forward(run):
     data = run.data
     k = data.dim.k
     grid = np.linspace(0.05, 1.95, count)
-    h = data.h(grid)
-    columns = ["t", "g", "h"]
-    values = [grid, g_from_h(h, grid, n), h]
-    if run.opts["derivatives"]:
+    columns, dp = ["t", "g", "h"], []
+    if run.opts["derivatives"]:  # h and D^1..D^k h in one sweep
         columns += [f"dp_h_{p}" for p in range(k + 1)]
-        values.append(h)
-        if k:  # D^1..D^k h in one sweep
-            values.extend(data.dp_h(grid, range(1, k + 1)))
+        dp = data.dp_h(grid, range(k + 1))
+        h = dp[0]
+    else:
+        h = data.h(grid)
+    values = [grid, g_from_h(h, grid, n), h, *dp]
     run.emit_csv(columns, zip(*(v.tolist() for v in values)))
     return None, f"n={n} m={m}, {count} rows"
 

@@ -22,6 +22,7 @@ call equals the scalar call at each element, bit for bit; only the private
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -86,21 +87,37 @@ def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(j, i) for i in range(j + 1)) for j in range(n + 1))
 
 
+def _finite(v) -> bool:
+    if isinstance(v, (int, float)):
+        return math.isfinite(v)
+    if isinstance(v, mpmath.mpf):
+        return mp.isfinite(v)
+    return bool(np.isfinite(v).all())
+
+
 class Jet:
     """Value plus ordinary derivatives f(x), f'(x), ..., f^(order)(x).
 
     Components may be floats, numpy arrays (elementwise jets over a grid), or
     mpmath floats; arithmetic is the usual Leibniz algebra on derivative
     sequences.  Division requires a nonvanishing denominator value.
+
+    `top` is the highest order whose entry can be nonzero (the full order
+    unless given).  Products, quotients, exp and sin_cos sum only the terms
+    whose factors can be nonzero, in the plain Leibniz order; every skipped
+    term is a product with an exact zero, so each nonzero entry keeps the
+    bits of the full sum, and a zero entry may differ only in its sign.
+    Entries above `top` share one zero.
     """
 
-    __slots__ = ("x", "derivs")
+    __slots__ = ("x", "derivs", "top")
 
-    def __init__(self, x, derivs):
+    def __init__(self, x, derivs, top=None):
         self.x = x
         self.derivs = list(derivs)
         if not self.derivs:
             raise ValueError("a jet needs at least the value entry")
+        self.top = self.order if top is None else top
 
     @property
     def order(self) -> int:
@@ -108,18 +125,13 @@ class Jet:
 
     @staticmethod
     def variable(x, order: int) -> "Jet":
-        d = [x * 0 + 0.0 if not isinstance(x, mpmath.mpf) else mp.mpf(0) for _ in range(order + 1)]
-        d[0] = x
-        if order >= 1:
-            d[1] = x * 0 + 1.0 if not isinstance(x, mpmath.mpf) else mp.mpf(1)
-        return Jet(x, d)
+        mpf = isinstance(x, mpmath.mpf)
+        zero, one = (mp.mpf(0), mp.mpf(1)) if mpf else (x * 0 + 0.0, x * 0 + 1.0)
+        return Jet(x, [x, one] + [zero] * (order - 1) if order else [x], min(order, 1))
 
     @staticmethod
     def constant(c, x, order: int) -> "Jet":
-        zero = c * 0
-        d = [zero] * (order + 1)
-        d[0] = c
-        return Jet(x, d)
+        return Jet(x, [c] + [c * 0] * order, 0)
 
     def _wrap(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -128,15 +140,21 @@ class Jet:
             return other
         return Jet.constant(other + self.derivs[0] * 0, self.x, self.order)
 
+    def _entries(self, top, fn, *others) -> "Jet":
+        """The jet of fn applied to the entries of each order, up to `top`;
+        fn's (zero) entry at top + 1 stands for every order above."""
+        out = list(map(fn, self.derivs[:top + 2], *(o.derivs for o in others)))
+        return Jet(self.x, out + out[-1:] * (self.order - top - 1), top)
+
     # -- linear operations
     def __add__(self, other):
         o = self._wrap(other)
-        return Jet(self.x, [a + b for a, b in zip(self.derivs, o.derivs)])
+        return self._entries(max(self.top, o.top), operator.add, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.x, [-a for a in self.derivs])
+        return self._entries(self.top, operator.neg)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -147,31 +165,40 @@ class Jet:
     # -- products and quotients (Leibniz)
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.x, [other * a for a in self.derivs])
-        a, b = self.derivs, self._wrap(other).derivs
+            top = self.top if _finite(other) else self.order
+            return self._entries(top, lambda a: other * a)
+        o = self._wrap(other)
+        a, b, ta, tb = self.derivs, o.derivs, self.top, o.top
+        top = min(ta + tb, self.order)
         out = []
-        for j, row in enumerate(_pascal(self.order)):
-            acc = a[0] * b[j]
-            for i in range(1, j + 1):
+        for j, row in enumerate(_pascal(top)):
+            lo = max(0, j - tb)  # terms i in [lo, min(j, ta)] can be nonzero
+            acc = (a[lo] if row[lo] == 1 else row[lo] * a[lo]) * b[j - lo]
+            for i in range(lo + 1, min(j, ta) + 1):
                 c = row[i]
                 acc = acc + (a[i] if c == 1 else c * a[i]) * b[j - i]
             out.append(acc)
-        return Jet(self.x, out)
+        if top < self.order:
+            out += [a[0] * b[top + 1]] * (self.order - top)
+        return Jet(self.x, out, top)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.x, [a / other for a in self.derivs])
+            top = self.top if _finite(other) and np.all(other != 0) else self.order
+            return self._entries(top, lambda a: a / other)
         o = self._wrap(other)
         g0 = o.derivs[0]
         bad = np.any(np.asarray(g0) == 0) if not isinstance(g0, mpmath.mpf) else g0 == 0
         if bad:
             raise ZeroDivisionError("jet division by a jet with vanishing value")
+        if o.top == 0:  # a constant jet divides as its value
+            return self / g0
         out = []
         for j in range(self.order + 1):
             acc = self.derivs[j]
-            for i in range(j):
+            for i in range(max(0, j - o.top), j):
                 acc = acc - math.comb(j, i) * out[i] * o.derivs[j - i]
             out.append(acc / g0)
         return Jet(self.x, out)
@@ -195,20 +222,19 @@ class Jet:
     # -- analytic functions
     def sin_cos(self) -> tuple["Jet", "Jet"]:
         """Jets of sin(f) and cos(f), via the shared first-order recurrence."""
-        n = self.order
-        s = [None] * (n + 1)
-        c = [None] * (n + 1)
-        s[0] = _sin(self.derivs[0])
-        c[0] = _cos(self.derivs[0])
+        n, f, t = self.order, self.derivs, self.top
+        s, c = [_sin(f[0])], [_cos(f[0])]
+        zero = s[0] * 0
         for j in range(1, n + 1):
-            sa = s[0] * 0
-            ca = sa
-            for i in range(j):
+            sa = ca = zero
+            for i in range(max(0, j - t), j):
                 b = math.comb(j - 1, i)
-                sa = sa + b * c[i] * self.derivs[j - i]
-                ca = ca - b * s[i] * self.derivs[j - i]
-            s[j], c[j] = sa, ca
-        return Jet(self.x, s), Jet(self.x, c)
+                sa = sa + b * c[i] * f[j - i]
+                ca = ca - b * s[i] * f[j - i]
+            s.append(sa)
+            c.append(ca)
+        top = n if t else 0
+        return Jet(self.x, s, top), Jet(self.x, c, top)
 
     def sin(self) -> "Jet":
         return self.sin_cos()[0]
@@ -217,15 +243,15 @@ class Jet:
         return self.sin_cos()[1]
 
     def exp(self) -> "Jet":
-        n = self.order
-        e = [None] * (n + 1)
-        e[0] = _exp(self.derivs[0])
+        n, f, t = self.order, self.derivs, self.top
+        e = [_exp(f[0])]
+        zero = e[0] * 0
         for j in range(1, n + 1):
-            acc = e[0] * 0
-            for i in range(j):
-                acc = acc + math.comb(j - 1, i) * e[i] * self.derivs[j - i]
-            e[j] = acc
-        return Jet(self.x, e)
+            acc = zero
+            for i in range(max(0, j - t), j):
+                acc = acc + math.comb(j - 1, i) * e[i] * f[j - i]
+            e.append(acc)
+        return Jet(self.x, e, n if t else 0)
 
     def __repr__(self):
         return f"Jet(x={self.x!r}, derivs={self.derivs!r})"
@@ -424,17 +450,12 @@ def dp_cosc(p: int, x):
 
 
 def _poly_eval_jet(coeffs, xjet: Jet) -> Jet:
-    """Jet of sum c_l x^l at a linear jet x, by Horner's rule from the
-    leading coefficient.  Entry j of acc * x is then two terms,
-    (j a_(j-1)) x_1 + a_j x_0: the nonzero terms of `Jet.__mul__`, in its
-    order."""
-    x0, x1 = (xjet.derivs + [None])[:2]  # an order-0 jet has no x1
+    """Jet of sum c_l x^l at the jet x, by Horner's rule from the leading
+    coefficient; each partial sum's top grows by x's, so a product by a
+    linear x takes two terms per entry."""
     acc = xjet._wrap(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        a = acc.derivs
-        prod = [a[0] * x0] + [(j * a[j - 1] if j > 1 else a[0]) * x1 + a[j] * x0
-                              for j in range(1, len(a))]
-        acc = Jet(xjet.x, prod) + c
+        acc = acc * xjet + c
     return acc
 
 
@@ -442,12 +463,9 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
     """Jet of raw_j(k, .) composed with the jet argument (chain rule included).
 
     Uses the exact integer-coefficient trig form; valid for float and mpmath
-    jet components alike.  The argument must be linear (entries of order 2
-    and up zero, as for lam * (1 + t)) with a nonzero value.
+    jet components alike.  The argument needs a nonzero value; its known
+    zeros (a linear argument, as for lam * (1 + t)) cut the work, not the bits.
     """
-    # abs(d) > 0, not d != 0: a NaN point goes through, for the caller to report
-    if any(np.any(abs(d) > 0) for d in xjet.derivs[2:]):
-        raise ValueError("raw_j_jet needs a linear argument jet")
     cs, cc = _trig_coeffs(k)
     s, c = xjet.sin_cos()
     num = _poly_eval_jet(cs, xjet) * s + _poly_eval_jet(cc, xjet) * c

@@ -11,9 +11,6 @@ where Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2) is nonnegative on the
 integration range.  D-derivatives of the data (D = (1/t) d/dt) integrate
 the kernel D^p Q^k in factored form, Q^(k-p) times a Jacobi polynomial
 (`_dp_q_kernels`), never finite differences; checked for odd n <= 41.
-
-An independent Funk–Hecke evaluation in the angular variable provides a
-cross-check path that shares no code with the Q-kernel route.
 """
 
 from __future__ import annotations
@@ -396,29 +393,6 @@ def forward_radial(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QU
     return g_from_h(forward_h(profile, dim, t, quad), t, dim.n)
 
 
-def funk_hecke_forward(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """g(t) by the angular-variable integral (independent cross-check path).
-
-    g(t) = (omega_{n-1}/omega_n) * integral f(sqrt(1 + t^2 + 2 s t))
-           (1 - s^2)^k ds over the s-interval where the argument is in
-           the profile support (clipped to [-1, 1]).
-    """
-    ts, shape = _batch(t)
-    r_lo, r_hi = profile.support
-    s_lo = np.maximum(-1.0, (r_lo ** 2 - 1.0 - ts * ts) / (2.0 * ts))
-    s_hi = np.minimum(1.0, (r_hi ** 2 - 1.0 - ts * ts) / (2.0 * ts))
-    k = dim.k
-    c = omega(dim.n - 1) / omega(dim.n)
-    base = 1.0 + ts * ts
-
-    def integrand(rows, s, weight):
-        arg = np.sqrt(np.maximum(base[rows, None] + 2.0 * s * ts[rows, None], 0.0))
-        return profile(arg) * weight
-
-    values = quad.integrate_rows(lambda s: (1.0 - s * s) ** k, integrand, s_lo, s_hi)
-    return _shaped(c * values, shape)
-
-
 def _dp_q_kernels(K: int, orders, t, u) -> list:
     """[D^p Q^K](t, u) for each p in orders, 0 <= p <= K, for floats, arrays
     or Fractions.
@@ -639,7 +613,3 @@ class HarmonicForwardData:
 
     def phi_dp(self, t, p):
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)
-
-    def h_from_phi(self, t: float) -> float:
-        """h_m(t) via the D^m phi route with the closed-form constant."""
-        return const_Kmn(self.dim, self.m) * self.phi_dp(t, self.m)

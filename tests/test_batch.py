@@ -18,6 +18,8 @@ from sphmean import specfun as sf
 from sphmean import spectral as sp
 from sphmean import transform as tr
 
+from _oracles import funk_hecke_forward
+
 # 1024 nodes per row, so a block holds BLOCK_NODES // 1024 rows
 QUAD = tr.QuadratureRule(32, 32)
 ROWS = tr.BLOCK_NODES // (QUAD.nodes_per_panel * QUAD.panels)
@@ -41,7 +43,7 @@ def _radial(n):
     data = tr.SmtProfile(BUMP, dim, QUAD)
     yield "forward_h", lambda t: tr.forward_h(BUMP, dim, t, QUAD)
     yield "forward_radial", lambda t: tr.forward_radial(BUMP, dim, t, QUAD)
-    yield "funk_hecke_forward", lambda t: tr.funk_hecke_forward(BUMP, dim, t, QUAD)
+    yield "funk_hecke_forward", lambda t: funk_hecke_forward(BUMP, dim, t, QUAD)
     yield "SmtProfile.h", data.h
     yield "SmtProfile.g", data.g
     for p in range(dim.k + 1):

@@ -192,29 +192,31 @@ def test_forward_derivative_columns(tmp_path, capsys):
     (0, [], "forward_h"), (0, ["--derivatives"], "forward_h"),
     (2, [], "forward_harmonic_h")])
 def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
-    # one quadrature for h; g and dp_h_0 are derived from it, bit for bit
-    calls = []
-    real = getattr(tr, reader)
+    # one quadrature sweep per table: g, h and every dp_h_p column come from
+    # it, and each equals its own entry point's call bit for bit
+    sweeps = []
+    real = tr.QuadratureRule.integrate_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        sweeps.append(args)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(tr, reader, counted)
+    monkeypatch.setattr(tr.QuadratureRule, "integrate_rows", counted)
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "fwd.csv")
     assert cli.main(["forward", "--config", cfg, "--n", "9", "--m", str(m),
                      "--grid", "30", "--out", out, *extra]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(sweeps) == 1
     monkeypatch.undo()
     rows = _data_rows(out)
     bump, dim, t = BumpProfile(0.55, 0.25), Dimension(9), rows[:, 0]
-    h = tr.forward_harmonic_h(bump, dim, m, t) if m else tr.forward_h(bump, dim, t)
+    h = getattr(tr, reader)(bump, dim, *([m] if m else []), t)
     g = tr.forward_harmonic(bump, dim, m, t) if m else tr.forward_radial(bump, dim, t)
     assert np.array_equal(rows[:, 1], g) and np.array_equal(rows[:, 2], h)
     if extra:
         assert np.array_equal(rows[:, 3], h)
+        assert np.array_equal(rows[:, 4:].T, tr.forward_h_dp(bump, dim, t, range(1, dim.k + 1)))
 
 
 def test_seed_echoed_in_header(tmp_path, capsys):
@@ -707,6 +709,15 @@ FORWARD_ARTIFACTS = {
     "ucp-demo": (["ucp-demo"], UCP_SPEC,
                  {"_g": "05ce7215b38e5e3ec288139d91bc85eac27336550044043ddb2651a6d95fbb17",
                   "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
+    # h and D^p h in one sweep: k = 0 (n = 3) and k = 1 (n = 5)
+    "forward-n3": (["forward", "--n", "3", "--grid", "2001", "--derivatives"], None,
+                   {"": "1d5d6eddb34a65d1749975e4ebb64352b4a5091277c14b673f4eb653cd19b6ab"}),
+    "forward-n5": (["forward", "--n", "5", "--grid", "2001", "--derivatives"], None,
+                   {"": "6ab6f509689dda53ab91fa108ac543c1591800136fa5da17dc2b0f73a6b7b1d9"}),
+    # order-2 jets of the bump
+    "ucp-demo-n3-m2": (["ucp-demo", "--n", "3", "--m", "2", "--epsilon", "0.2"], {},
+                       {"_g": "84bdb0dfdff07cc0142bc490701ff3464ff832cd1edb155fade60d7822343fd7",
+                        "_f": "507568e1efd2ec63465eb3c1b7473eee09be2c055fd6bcbd56c5de892011e15d"}),
 }
 
 

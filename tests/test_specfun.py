@@ -11,6 +11,7 @@ from mpmath import mp
 
 from sphmean import specfun as sf
 
+from _oracles import DenseJet
 from _reference import REFERENCE as REF
 
 
@@ -166,10 +167,126 @@ def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
                     assert [_bits(v) for v in got] == [_bits(v) for v in horner(coeffs, x).derivs]
 
 
-def test_raw_j_jet_refuses_a_nonlinear_argument():
-    x = sf.Jet.variable(0.7, 3)
-    with pytest.raises(ValueError, match="linear"):
-        sf.raw_j_jet(2, x * x)
+def _assert_dense_bits(got, want) -> int:
+    """Every entry that the dense loops give as nonzero has their bits; every
+    other entry, and every entry above `got.top`, is zero of either sign.
+    Returns the number of entries compared."""
+    assert got.order == want.order
+    count = 0
+    for j, (g, w) in enumerate(zip(got.derivs, want.derivs)):
+        if j > got.top:
+            assert np.all(w == 0) and np.all(g == 0), j
+        if isinstance(w, mpmath.mpf):
+            assert g == 0 if w == 0 else g._mpf_ == w._mpf_, j
+            count += 1
+            continue
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        nonzero = w != 0
+        assert g.shape == w.shape and np.all(g[~nonzero] == 0), j
+        assert np.array_equal(g[nonzero].view(np.int64), w[nonzero].view(np.int64)), j
+        count += w.size
+    return count
+
+
+def _finite(jet) -> bool:
+    return all(mp.isfinite(v) if isinstance(v, mpmath.mpf) else np.all(np.isfinite(v))
+               for v in jet.derivs)
+
+
+_SCALARS = (2.0, -0.5, 0.0, -0.0, 1e-300, 3, -1.25, 7.5)
+_DIVISORS = (2.0, -0.5, 1e-300, 3, -1.25)
+_STEPS = {
+    "affine": lambda v, w, a, b, n: v * a + b,
+    "rsub": lambda v, w, a, b, n: b - v,
+    "neg": lambda v, w, a, b, n: -v,
+    "add": lambda v, w, a, b, n: v + w,
+    "sub": lambda v, w, a, b, n: v - w,
+    "mul": lambda v, w, a, b, n: v * w,
+    "div": lambda v, w, a, b, n: v / w,
+    "rdiv": lambda v, w, a, b, n: b / v,
+    "sdiv": lambda v, w, a, b, n: v / _DIVISORS[n % len(_DIVISORS)],
+    "pow": lambda v, w, a, b, n: v ** (n % 7 - 2),
+    "exp": lambda v, w, a, b, n: v.exp(),
+    "sin": lambda v, w, a, b, n: v.sin_cos()[0],
+    "cos": lambda v, w, a, b, n: v.sin_cos()[1],
+}
+
+
+def _run_program(program, jet_type, x, order, scalar):
+    """Apply the steps to the variable jet at x, each to earlier results;
+    a step that raises is recorded as its exception type."""
+    vals, outcomes = [jet_type.variable(x, order)], []
+    for name, i, j, a, b, n in program:
+        v, w = vals[i % len(vals)], vals[j % len(vals)]
+        a, b = scalar(_SCALARS[a % len(_SCALARS)]), scalar(_SCALARS[b % len(_SCALARS)])
+        try:
+            out = _STEPS[name](v, w, a, b, n)
+        except (ZeroDivisionError, OverflowError) as exc:
+            outcomes.append(type(exc))
+            continue
+        vals.append(out)
+        outcomes.append(out)
+    return outcomes
+
+
+def test_jet_algebra_keeps_the_dense_bits():
+    # random compositions, orders 0-12, on float arrays with signed zeros,
+    # a tiny value and negative bases, on Python floats and on mpf values
+    rng = np.random.default_rng(2024)
+    bases = np.array([0.0, -0.0, 1e-300, -1.5, 0.7, -3.0, 2.25, 0.3])
+    compared = 0
+    with mp.workdps(30), np.errstate(all="ignore"):
+        for order in range(13):
+            for _ in range(8):
+                program = [(str(rng.choice(sorted(_STEPS))), *rng.integers(0, 64, 5).tolist())
+                           for _ in range(12)]
+                point = float(rng.choice(bases))
+                for x, scalar in ((bases, float), (point, float),
+                                  (mp.mpf(point) + mp.mpf("0.125"), mp.mpf)):
+                    got = _run_program(program, sf.Jet, x, order, scalar)
+                    want = _run_program(program, DenseJet, x, order, scalar)
+                    for g, w in zip(got, want):
+                        if isinstance(w, type):
+                            assert g is w
+                        elif _finite(w):
+                            compared += _assert_dense_bits(g, w)
+    assert compared > 50000, compared
+
+
+def test_jet_top_follows_the_algebra():
+    x = sf.Jet.variable(0.7, 6)
+    c = x._wrap(2.0)
+    tops = {"variable": x.top, "constant": c.top, "scaled": (x * 3).top,
+            "sum": (x + c).top, "square": (x * x).top, "cubic": (x * x * x - x).top,
+            "over a constant": (x * x / c).top, "by inf": (x * float("inf")).top,
+            "quotient": (x / (x + 1)).top, "exp of a constant": c.exp().top,
+            "exp": x.exp().top, "cos of a constant": c.sin_cos()[1].top}
+    assert tops == {"variable": 1, "constant": 0, "scaled": 1, "sum": 1, "square": 2,
+                    "cubic": 3, "over a constant": 2, "by inf": 6, "quotient": 6,
+                    "exp of a constant": 0, "exp": 6, "cos of a constant": 0}
+
+
+def test_raw_j_jet_of_a_quadratic_argument_is_the_dense_composition():
+    def dense_raw_j(k, x):
+        def horner(coeffs):
+            acc = x._wrap(coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                acc = acc * x + c
+            return acc
+        cs, cc = sf._trig_coeffs(k)
+        s, c = x.sin_cos()
+        return (horner(cs) * s + horner(cc) * c) * x ** (-(2 * k + 1))
+
+    def quadratic(v):
+        return v * v * 0.5 + v * 1.5 + 2.0
+
+    t = np.array([0.3, -0.0, 1.7, -2.2, 1e-300])
+    with mp.workdps(30):
+        for k in range(7):
+            for base in (t, 0.45, mp.mpf("0.45")):
+                got = sf.raw_j_jet(k, quadratic(sf.Jet.variable(base, k + 2)))
+                want = dense_raw_j(k, quadratic(DenseJet.variable(base, k + 2)))
+                _assert_dense_bits(got, want)
 
 
 def test_jet_power_makes_only_the_needed_products(monkeypatch):
