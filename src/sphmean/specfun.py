@@ -13,27 +13,29 @@ where the constant cancels.
 Numerical note: the trig closed forms cancel catastrophically for small x at
 high derivative order (the true value can be 30 decimal digits below the
 individual terms).  Evaluations estimate the cancellation from the sum of
-term magnitudes and transparently re-run in mpmath at sufficient precision
-when float64 cannot reach ~1e-11 absolute-or-relative accuracy.  An array
-call equals the scalar call at each element, bit for bit; only the private
+term magnitudes and transparently re-run in decimal arithmetic (the
+standard library's `decimal`) at sufficient precision when float64 cannot
+reach ~1e-11 absolute-or-relative accuracy.  An array call equals the
+scalar call at each element, bit for bit; only the private
 `_dp_trig_horner`, for callers that bound their arguments, skips the guard.
+All Decimal work runs under `decimal_context`, which sets every field of
+the context itself.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from mpmath import mp
 
 from .exactmath import coeff_C
 
-# escalate a scalar closed-form sum to mpmath when the term-magnitude sum
-# exceeds this multiple of the (unit-floored) result
+# escalate a scalar closed-form sum to decimal arithmetic when the
+# term-magnitude sum exceeds this multiple of the (unit-floored) result
 _CANCEL_LIMIT = 1e4
 
 _EPS = float(np.finfo(float).eps)
@@ -60,24 +62,107 @@ def d_coeff_table(pmax: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# high-precision scalars: the standard library's decimal (libmpdec)
+
+# pi to 600 significant digits: enough to reduce every finite float argument
+# at up to 270 working digits (see decimal_sin_cos)
+_PI_DIGITS = (
+    "3.1415926535897932384626433832795028841971693993751058209749"
+    "445923078164062862089986280348253421170679821480865132823066"
+    "470938446095505822317253594081284811174502841027019385211055"
+    "596446229489549303819644288109756659334461284756482337867831"
+    "652712019091456485669234603486104543266482133936072602491412"
+    "737245870066063155881748815209209628292540917153643678925903"
+    "600113305305488204665213841469519415116094330572703657595919"
+    "530921861173819326117931051185480744623799627495673518857527"
+    "248912279381830119491298336733624406566430860213949463952247"
+    "371907021798609437027705392171762931767523846748184676694051"
+    "3")
+_PI = Decimal(_PI_DIGITS)
+_REDUCE_GUARD = 20  # digits of the reduced argument past the precision
+_SERIES_GUARD = 8   # digits carried through the series and the doublings
+_HALVINGS = 6
+
+
+@lru_cache(maxsize=None)
+def _context(prec: int) -> Context:
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX,
+                   capitals=1, clamp=0, flags=[], traps=[])
+
+
+def decimal_context(prec: int):
+    """Context manager for Decimal work at `prec` significant digits.
+
+    Every field is set here and none is inherited from the caller's
+    context: round half even, the widest exponent range, and no traps, so
+    that, as in float arithmetic, a NaN or an infinity propagates and the
+    caller's finiteness checks judge it.
+    """
+    return localcontext(_context(prec))
+
+
+def to_decimal(v) -> Decimal:
+    """A float, int, Fraction or Decimal scalar as a Decimal: exact, except
+    that a Fraction rounds to the working precision."""
+    if isinstance(v, Fraction):
+        return Decimal(v.numerator) / v.denominator
+    return Decimal(v)
+
+
+def decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x, each rounded to the working precision.
+
+    x is reduced by the nearest multiple of pi/2, against `_PI`, with the
+    reduced argument right to 20 digits past the precision (so relative
+    accuracy holds next to every multiple for float x).  The sine of the
+    reduced argument over 2^6 is its Taylor series, the cosine follows from
+    it, and six doublings go back.
+    """
+    if not x.is_finite():
+        nan = Decimal("NaN")
+        return nan, nan
+    prec = getcontext().prec
+    digits = prec + _REDUCE_GUARD + max(0, x.adjusted() + 2)
+    if digits > len(_PI_DIGITS) - 1:
+        raise ValueError(f"sin/cos of {x:.3e} at {prec} digits needs more digits of pi")
+    with decimal_context(digits):
+        half_pi = _PI / 2
+        q = (x / half_pi).to_integral_value()
+        r = x - q * half_pi
+    with decimal_context(prec + _SERIES_GUARD):
+        a = r / (1 << _HALVINGS)
+        a2 = a * a
+        s = term = a
+        floor = a.adjusted() - prec - _SERIES_GUARD
+        n = 1
+        while term and term.adjusted() >= floor:
+            term = term * a2 / -((n + 1) * (n + 2))
+            s += term
+            n += 2
+        c = (1 - s * s).sqrt()
+        for _ in range(_HALVINGS):
+            s, c = 2 * s * c, 1 - 2 * s * s
+    quadrant = int(q) % 4
+    if quadrant & 1:
+        s, c = c, -s
+    if quadrant & 2:
+        s, c = -s, -c
+    return +s, +c
+
+
+# ---------------------------------------------------------------------------
 # Taylor jets
 
 
-def _sin(v):
-    if isinstance(v, mpmath.mpf):
-        return mp.sin(v)
-    return np.sin(v)
-
-
-def _cos(v):
-    if isinstance(v, mpmath.mpf):
-        return mp.cos(v)
-    return np.cos(v)
+def _sin_cos(v):
+    if isinstance(v, Decimal):
+        return decimal_sin_cos(v)
+    return np.sin(v), np.cos(v)
 
 
 def _exp(v):
-    if isinstance(v, mpmath.mpf):
-        return mp.exp(v)
+    if isinstance(v, Decimal):
+        return v.exp()
     return np.exp(v)
 
 
@@ -90,8 +175,8 @@ def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
 def _finite(v) -> bool:
     if isinstance(v, (int, float)):
         return math.isfinite(v)
-    if isinstance(v, mpmath.mpf):
-        return mp.isfinite(v)
+    if isinstance(v, Decimal):
+        return v.is_finite()
     return bool(np.isfinite(v).all())
 
 
@@ -99,7 +184,8 @@ class Jet:
     """Value plus ordinary derivatives f(x), f'(x), ..., f^(order)(x).
 
     Components may be floats, numpy arrays (elementwise jets over a grid), or
-    mpmath floats; arithmetic is the usual Leibniz algebra on derivative
+    Decimals (worked under `decimal_context`, with Decimal or integer
+    scalars); arithmetic is the usual Leibniz algebra on derivative
     sequences.  Division requires a nonvanishing denominator value.
 
     `top` is the highest order whose entry can be nonzero (the full order
@@ -125,8 +211,8 @@ class Jet:
 
     @staticmethod
     def variable(x, order: int) -> "Jet":
-        mpf = isinstance(x, mpmath.mpf)
-        zero, one = (mp.mpf(0), mp.mpf(1)) if mpf else (x * 0 + 0.0, x * 0 + 1.0)
+        dec = isinstance(x, Decimal)
+        zero, one = (Decimal(0), Decimal(1)) if dec else (x * 0 + 0.0, x * 0 + 1.0)
         return Jet(x, [x, one] + [zero] * (order - 1) if order else [x], min(order, 1))
 
     @staticmethod
@@ -190,8 +276,7 @@ class Jet:
             return self._entries(top, lambda a: a / other)
         o = self._wrap(other)
         g0 = o.derivs[0]
-        bad = np.any(np.asarray(g0) == 0) if not isinstance(g0, mpmath.mpf) else g0 == 0
-        if bad:
+        if np.any(np.asarray(g0) == 0):
             raise ZeroDivisionError("jet division by a jet with vanishing value")
         if o.top == 0:  # a constant jet divides as its value
             return self / g0
@@ -223,8 +308,9 @@ class Jet:
     def sin_cos(self) -> tuple["Jet", "Jet"]:
         """Jets of sin(f) and cos(f), via the shared first-order recurrence."""
         n, f, t = self.order, self.derivs, self.top
-        s, c = [_sin(f[0])], [_cos(f[0])]
-        zero = s[0] * 0
+        s0, c0 = _sin_cos(f[0])
+        s, c = [s0], [c0]
+        zero = s0 * 0
         for j in range(1, n + 1):
             sa = ca = zero
             for i in range(max(0, j - t), j):
@@ -258,9 +344,10 @@ class Jet:
 
 
 def _coeff_like(frac: Fraction, like):
-    """Fraction -> the scalar type of `like` (mpf stays exact to working dps)."""
-    if isinstance(like, mpmath.mpf):
-        return mp.mpf(frac.numerator) / frac.denominator
+    """Fraction -> the scalar type of `like` (a Decimal rounds to the working
+    precision)."""
+    if isinstance(like, Decimal):
+        return to_decimal(frac)
     return float(frac)
 
 
@@ -336,13 +423,12 @@ def _kind_coeffs(p: int, kind: str):
 
 
 def _trig_sum_mp(cs, cc, x):
-    """The closed trig form and its summed term magnitude, in mpmath at the
-    working precision."""
-    xm = mp.mpf(x)
-    sx, cx = mp.sin(xm), mp.cos(xm)
-    acc = mp.mpf(0)
-    mag = mp.mpf(0)
-    xp = mp.mpf(1)
+    """The closed trig form and its summed term magnitude, in Decimals at
+    the working precision."""
+    xm = to_decimal(x)
+    sx, cx = decimal_sin_cos(xm)
+    acc = mag = Decimal(0)
+    xp = Decimal(1)
     for s, c in zip(cs, cc):
         term = (s * sx + c * cx) * xp
         acc += term
@@ -358,10 +444,10 @@ def _escalate(closed_sum) -> float:
     dps - 20 digits, or at 200 digits."""
     dps = 40
     while True:
-        with mp.workdps(dps):
+        with decimal_context(dps):
             acc, mag = closed_sum()
-            lost = mag / max(abs(acc), mp.mpf(10) ** (-dps))
-            if lost < mp.mpf(10) ** (dps - 20) or dps >= 200:
+            lost = mag / max(abs(acc), Decimal(10) ** -dps)
+            if lost < 10 ** (dps - 20) or dps >= 200:
                 return float(acc)
         dps += 40
 
@@ -400,13 +486,13 @@ def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
     value, trusted = _dp_trig_float(p, x, kind)
     if trusted:
         return value
-    # cancellation beyond float64: redo in mpmath with enough digits
+    # cancellation beyond float64: redo in Decimals with enough digits
     return _escalate(lambda: _trig_sum_mp(*_kind_coeffs(p, kind), x))
 
 
 def _dp_trig_rows(p: int, x, kind: str):
     """The scalar dp_sinc/dp_cosc at every element of the array x, bit for
-    bit: one float sum over the array, and the scalar route (mpmath) only
+    bit: one float sum over the array, and the scalar route (Decimals) only
     where the cancellation guard fails."""
     value, trusted = _dp_trig_float(p, x, kind)
     for i in np.flatnonzero(~trusted).tolist():
@@ -418,7 +504,7 @@ def _dp_trig_horner(p: int, x, kind: str):
     """dp_sinc/dp_cosc over a float array by Horner's rule, with no
     cancellation guard.  Only for callers whose arguments keep the sum well
     conditioned: sph_bessel_j above its switch radius (first kind, error
-    <= 6.4e-15 of the sup on x <= 40 for k <= 12, against mpmath) and the
+    <= 6.4e-15 of the sup on x <= 40 for k <= 12, against high precision) and the
     second-kind block of spectral.cross_product_terms (<= 8.3e-15 of the
     envelope hypot(raw_j, raw_y) on [0.01, 100] for k <= 12)."""
     cs, cc = _kind_coeffs(p, kind)
@@ -462,7 +548,7 @@ def _poly_eval_jet(coeffs, xjet: Jet) -> Jet:
 def raw_j_jet(k: int, xjet: Jet) -> Jet:
     """Jet of raw_j(k, .) composed with the jet argument (chain rule included).
 
-    Uses the exact integer-coefficient trig form; valid for float and mpmath
+    Uses the exact integer-coefficient trig form; valid for float and Decimal
     jet components alike.  The argument needs a nonzero value; its known
     zeros (a linear argument, as for lam * (1 + t)) cut the work, not the bits.
     """
@@ -473,60 +559,14 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
 
 
 def dp_trig_mp(p: int, x, kind: str, dps: int = 60):
-    """dp_sinc/dp_cosc evaluated in mpmath at a fixed working precision.
+    """dp_sinc/dp_cosc evaluated in Decimals at a fixed working precision.
 
-    Returns an mpf computed under `dps` digits; the caller owns any rounding.
+    Returns a Decimal computed under `dps` digits; the caller owns any
+    rounding.
     """
     cs, cc = _kind_coeffs(p, kind)
-    with mp.workdps(dps):
+    with decimal_context(dps):
         return _trig_sum_mp(cs, cc, x)[0]
-
-
-def _binom_conv(n: int, r: int) -> int:
-    """C(n, r) with the convention C(-1, 0) = 1 (and C(n<r, r>=1) = 0)."""
-    if r == 0:
-        return 1
-    if n < r:
-        return 0
-    return math.comb(n, r)
-
-
-def dp_inv_poly(m: int, d: int, t) -> float:
-    """D^m ( 1 / (t (t+1)^d) ) as the closed alternating sum.
-
-    Valid for t not in {0, -1}; d >= 0 with the C(-1,0) = 1 convention.
-    """
-    if m < 0 or d < 0:
-        raise ValueError("m, d >= 0")
-    t = float(t)
-    if t == 0.0 or t == -1.0:
-        raise ValueError("t in {0, -1} is outside the domain")
-    terms = [
-        Fraction((-1) ** m)
-        * coeff_C(m, r) * _binom_conv(d + r - 1, r) * math.factorial(r)
-        for r in range(m + 1)
-    ]
-    acc = 0.0
-    mag = 0.0
-    for r, c in enumerate(terms):
-        term = float(c) / (t ** (2 * m + 1 - r) * (t + 1) ** (d + r))
-        acc += term
-        mag += abs(term)
-    if mag <= _CANCEL_LIMIT * max(1.0, abs(acc)):
-        return acc
-
-    def closed_sum():
-        tm = mp.mpf(t)
-        accm = mp.mpf(0)
-        magm = mp.mpf(0)
-        for r, c in enumerate(terms):
-            term = (mp.mpf(c.numerator) / c.denominator) / (
-                tm ** (2 * m + 1 - r) * (tm + 1) ** (d + r))
-            accm += term
-            magm += abs(term)
-        return accm, magm
-
-    return _escalate(closed_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +695,7 @@ def bessel_zero(k: int, i: int) -> float:
     and is capped a safe margin past the asymptotic location (i + k/2) pi;
     each bracket is then bisected to 1e-12 absolute.  Scan and bisection
     read only the sign of raw_j, which for x > 0 is that of its float trig
-    sum wherever rounding cannot flip it, so mpmath runs only next to a zero.
+    sum wherever rounding cannot flip it, so Decimals run only next to a zero.
     """
     if k < 0 or i < 1:
         raise ValueError("need k >= 0 and i >= 1")
@@ -668,7 +708,7 @@ def bessel_zero(k: int, i: int) -> float:
     def f(xx):
         # a float with the sign of raw_j(k, xx), all the bisection reads:
         # the float sum's rounding error is below (k + 3) eps mag, so only
-        # a sum inside a 4 (k + 2) eps mag band needs raw_j (and mpmath)
+        # a sum inside a 4 (k + 2) eps mag band needs raw_j (and Decimals)
         acc, mag = _trig_sum(cs, cc, xx)
         if abs(acc) > 4 * (k + 2) * _EPS * mag:
             return acc

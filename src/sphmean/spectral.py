@@ -25,24 +25,25 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
-from mpmath import mp
 
 from .exactmath import coeff_C
 from .specfun import (
     Jet,
+    _coeff_like,
     _dp_trig_horner,
     _dp_trig_rows,
     _power,
     bessel_zero,
     d_operator,
+    decimal_context,
     dp_trig_mp,
     raw_j,
     raw_j_jet,
     raw_to_normalized,
     raw_y,
     sph_bessel_j,
+    to_decimal,
 )
 from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
 
@@ -54,6 +55,8 @@ _MP_RETRY = 1e-9
 # k = 0 is the plain angle-addition identity and is held to a tighter bar,
 # so its retry threshold is the bar itself
 _MP_RETRY_K0 = 1e-14
+# working digits of that recomputation
+_MP_DPS = 80
 
 
 def oscillation_panels(lam: float, a: float, b: float, base: int = 8) -> int:
@@ -210,18 +213,18 @@ def _mk_points(lam, t):
     return lams.ravel(), ts.ravel(), ts.shape
 
 
-def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = 80):
+def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = _MP_DPS):
     """Both sides of the kernel identity and their scale.
 
     In floats, lam and t are arrays of points: the left side is one jet pass
     over all of them, and so are the closed-form right side's trig sums
     (a sum that fails its cancellation guard is redone by the scalar route).
-    With `use_mp`, one point is evaluated in mpmath at `dps` digits.
+    With `use_mp`, one point is evaluated in Decimals at `dps` digits.
     """
     if use_mp:
-        with mp.workdps(dps):
-            lam_v = mp.mpf(lam)
-            t_v = mp.mpf(t)
+        with decimal_context(dps):
+            lam_v = to_decimal(lam)
+            t_v = to_decimal(t)
             lhs = _mk_lhs_value(k, lam_v, t_v)
             rhs, scale = _mk_rhs_value(k, lam_v, t_v, dps)
             return lhs, rhs, scale
@@ -234,7 +237,7 @@ def _mk_lhs_value(k: int, lam, t):
 
     Term p is C(k,p) (-1)^p D^p of (1+t)^(p+1) raw_j(k, lam (1+t)) / t,
     evaluated through a derivative jet of order k at the base point t
-    (float arrays of points, or one mpf point).
+    (float arrays of points, or one Decimal point).
     """
     x = Jet.variable(t, k)
     w = x + 1
@@ -251,7 +254,7 @@ def _mk_lhs_value(k: int, lam, t):
         powers.append(powers[n - (1 << top)] * squares[top])
     acc = None
     for p in range(k + 1):
-        c = mp.mpf(coeff_C(k, p)) if isinstance(t, mpmath.mpf) else float(coeff_C(k, p))
+        c = _coeff_like(coeff_C(k, p), t)
         val = (-c if p % 2 else c) * d_operator(powers[p + 1] * core, p)
         acc = val if acc is None else acc + val
     return acc
@@ -259,12 +262,12 @@ def _mk_lhs_value(k: int, lam, t):
 
 def _mk_rhs_value(k: int, lam, t, dps):
     """Closed form: (-1)^k lam^(2k+1) (D^k sinc * y + D^k cosc * j), and its
-    scale, at one point in mpmath at `dps` digits."""
+    scale, at one Decimal point at `dps` digits."""
     sinc = dp_trig_mp(k, lam * t, "sin", dps)
     cosc = dp_trig_mp(k, lam * t, "cos", dps)
     j_lam = dp_trig_mp(k, lam, "sin", dps)
     y_lam = dp_trig_mp(k, lam, "cos", dps)
-    front = mp.mpf(lam) ** (2 * k + 1)
+    front = lam ** (2 * k + 1)
     t1 = sinc * y_lam
     t2 = cosc * j_lam
     rhs = front * (t1 + t2)
@@ -318,12 +321,12 @@ def mk_residual(k: int, lam, t):
 
     Float arithmetic first; when cancellation pushes the float residual above
     the retry threshold (1e-9, or 1e-14 for the k = 0 angle-addition case),
-    both sides are recomputed with mpmath jets at 80 digits and the residual
-    is re-measured there.
+    both sides are recomputed with Decimal jets at 80 digits and the
+    residual is re-measured there.
 
     lam and t may be arrays of points (broadcast together).  The float left
     side is then one jet pass over all of them, and only the rows over the
-    retry threshold are recomputed in mpmath, one by one.  Each row equals
+    retry threshold are recomputed in Decimals, one by one.  Each row equals
     the scalar call on its point, bit for bit; a scalar call returns a float.
     A residual that is still not finite after the retry raises
     ArithmeticError.
@@ -342,9 +345,10 @@ def mk_residual(k: int, lam, t):
     retry_at = _MP_RETRY if k > 0 else _MP_RETRY_K0
     # NaN compares False, so a non-finite row is retried too
     for i in np.flatnonzero(~(res <= retry_at)).tolist():
-        lhs_i, rhs_i, scale_i = _mk_sides(k, lams[i], ts[i], use_mp=True)
-        den_i = max(abs(lhs_i), abs(rhs_i), _REL_FLOOR * scale_i)
-        res[i] = 0.0 if den_i == 0 else float(abs(lhs_i - rhs_i) / den_i)
+        with decimal_context(_MP_DPS):
+            lhs_i, rhs_i, scale_i = _mk_sides(k, lams[i], ts[i], use_mp=True)
+            den_i = max(abs(lhs_i), abs(rhs_i), to_decimal(_REL_FLOOR) * scale_i)
+            res[i] = 0.0 if den_i == 0 else float(abs(lhs_i - rhs_i) / den_i)
     finite = np.isfinite(res)
     if not finite.all():
         i = int(np.argmin(finite))

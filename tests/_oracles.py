@@ -5,20 +5,35 @@
 - `funk_hecke_forward`: g(t) by the angular-variable integral, a second
   route to the radial forward transform.
 - `h_from_phi`: h_m(t) of single-harmonic data by the D^m phi route.
+- `dp_inv_poly`: D^m (1 / (t (t+1)^d)) as a closed alternating sum.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from mpmath import mp
 
+from sphmean import specfun as sf
 from sphmean import transform as tr
-from sphmean.specfun import _cos, _exp, _sin
+from sphmean.exactmath import coeff_C
+
+
+def _sin_cos(v):
+    if isinstance(v, mpmath.mpf):
+        return mp.sin(v), mp.cos(v)
+    return sf._sin_cos(v)
+
+
+def _exp(v):
+    return mp.exp(v) if isinstance(v, mpmath.mpf) else sf._exp(v)
 
 
 class DenseJet:
-    """f(x), f'(x), ..., f^(order)(x) with dense Leibniz loops."""
+    """f(x), f'(x), ..., f^(order)(x) with dense Leibniz loops, on floats,
+    arrays, Decimals or mpmath floats."""
 
     def __init__(self, x, derivs):
         self.x = x
@@ -30,11 +45,14 @@ class DenseJet:
 
     @staticmethod
     def variable(x, order: int) -> "DenseJet":
-        mpf = isinstance(x, mpmath.mpf)
-        d = [mp.mpf(0) if mpf else x * 0 + 0.0 for _ in range(order + 1)]
+        if isinstance(x, (mpmath.mpf, Decimal)):
+            zero, one = type(x)(0), type(x)(1)
+        else:
+            zero, one = x * 0 + 0.0, x * 0 + 1.0
+        d = [zero] * (order + 1)
         d[0] = x
         if order >= 1:
-            d[1] = mp.mpf(1) if mpf else x * 0 + 1.0
+            d[1] = one
         return DenseJet(x, d)
 
     def _wrap(self, other) -> "DenseJet":
@@ -76,7 +94,7 @@ class DenseJet:
         if not isinstance(other, DenseJet):
             return DenseJet(self.x, [a / other for a in self.derivs])
         g0 = other.derivs[0]
-        if np.any(np.asarray(g0) == 0) if not isinstance(g0, mpmath.mpf) else g0 == 0:
+        if np.any(np.asarray(g0) == 0):
             raise ZeroDivisionError("jet division by a jet with vanishing value")
         out = []
         for j in range(self.order + 1):
@@ -103,7 +121,8 @@ class DenseJet:
 
     def sin_cos(self):
         n, f = self.order, self.derivs
-        s, c = [_sin(f[0])], [_cos(f[0])]
+        s0, c0 = _sin_cos(f[0])
+        s, c = [s0], [c0]
         for j in range(1, n + 1):
             sa = s[0] * 0
             ca = sa
@@ -155,3 +174,32 @@ def h_from_phi(data, t: float) -> float:
     """h_m(t) of `HarmonicForwardData` via D^m phi_m and the closed-form
     constant."""
     return tr.const_Kmn(data.dim, data.m) * data.phi_dp(t, data.m)
+
+
+def dp_inv_poly(m: int, d: int, t) -> float:
+    """D^m ( 1 / (t (t+1)^d) ) as the closed alternating sum, with the
+    convention C(-1, 0) = 1; t not in {0, -1}.  The sum is taken in floats,
+    or at 60 mpmath digits where it cancels more than 4 digits."""
+    if m < 0 or d < 0:
+        raise ValueError("m, d >= 0")
+    t = float(t)
+    if t == 0.0 or t == -1.0:
+        raise ValueError("t in {0, -1} is outside the domain")
+
+    def binom(n, r):
+        return 1 if r == 0 else 0 if n < r else math.comb(n, r)
+
+    terms = [Fraction((-1) ** m) * coeff_C(m, r) * binom(d + r - 1, r) * math.factorial(r)
+             for r in range(m + 1)]
+    tf = Fraction(t)
+
+    def closed_sum(num):
+        parts = [num(c) / (num(tf) ** (2 * m + 1 - r) * (num(tf) + 1) ** (d + r))
+                 for r, c in enumerate(terms)]
+        return sum(parts), sum(abs(p) for p in parts)
+
+    acc, mag = closed_sum(float)
+    if mag <= 1e4 * max(1.0, abs(acc)):
+        return acc
+    with mp.workdps(60):
+        return float(closed_sum(lambda v: mp.mpf(v.numerator) / v.denominator)[0])

@@ -332,7 +332,7 @@ def _kernel_points():
     lam = rng.uniform(0.5, 20.0, 15)
     t = rng.uniform(0.1, 3.0, 15) * rng.choice([-1.0, 1.0], 15)
     t = np.where(np.abs(t + 1.0) < 0.1, t + 0.5, t)
-    # next to t = -1 the float jets cancel and those rows take the mpmath retry
+    # next to t = -1 the float jets cancel and those rows take the 80-digit retry
     near = np.array([-1 + 1e-3, -1 - 1e-3, -1 + 1e-4])
     return np.concatenate([lam, [20.0, 9.0, 0.7]]), np.concatenate([t, near])
 

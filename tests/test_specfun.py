@@ -1,7 +1,10 @@
 """Special functions: Bessel values against frozen high-precision references,
 jet arithmetic, the D^p coefficient table, closed-form kernels, and zeros."""
 
+import decimal
+import hashlib
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +14,7 @@ from mpmath import mp
 
 from sphmean import specfun as sf
 
-from _oracles import DenseJet
+from _oracles import DenseJet, dp_inv_poly
 from _reference import REFERENCE as REF
 
 
@@ -105,13 +108,19 @@ def test_jet_array_components_broadcast():
 
 
 def test_jet_mpmath_components():
-    with mp.workdps(40):
-        x = sf.Jet.variable(mp.mpf("0.3"), 4)
-        s = x.sin() / x
-        t = sf.Jet.variable(0.3, 4)
-        sd = t.sin() / t
-        for a, b in zip(s.derivs, sd.derivs):
+    # Decimal jets at 40 digits against float jets, and against mpmath jets
+    # (the dense oracle) at twice the digits
+    with sf.decimal_context(40):
+        x = sf.Jet.variable(Decimal("0.3"), 4)
+        s = x.sin() / x * x.exp()
+    t = sf.Jet.variable(0.3, 4)
+    sd = t.sin() / t * t.exp()
+    with mp.workdps(80):
+        xm = DenseJet.variable(mp.mpf("0.3"), 4)
+        sm = xm.sin_cos()[0] / xm * xm.exp()
+        for a, b, c in zip(s.derivs, sd.derivs, sm.derivs):
             assert relerr(float(a), b) < 1e-12
+            assert abs(mp.mpf(str(a)) - c) <= mp.mpf(10) ** -36 * abs(c)
 
 
 def _leibniz(a, b):
@@ -128,7 +137,8 @@ def _leibniz(a, b):
 def _bits(v):
     if isinstance(v, np.ndarray):
         return v.dtype.str, v.tobytes()
-    return v._mpf_ if isinstance(v, mpmath.mpf) else float(v).hex()
+    # a Decimal's exponent is not part of its value: 1.50 == 1.5
+    return (v.is_signed(), v) if isinstance(v, Decimal) else float(v).hex()
 
 
 def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
@@ -138,8 +148,8 @@ def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
              (list(rng.standard_normal(7)), list(rng.standard_normal(7))),
              ([np.array(signed) * s for s in rng.standard_normal(7)],
               [rng.standard_normal(7) for _ in range(7)])]
-    with mp.workdps(30):
-        cases.append(([mp.mpf(v) / 3 for v in signed], [mp.mpf(v) / 7 for v in range(-3, 4)]))
+    with sf.decimal_context(30):
+        cases.append(([Decimal(v) / 3 for v in signed], [Decimal(v) / 7 for v in range(-3, 4)]))
         for a, b in cases:
             got = (sf.Jet(0.5, a) * sf.Jet(0.5, b)).derivs
             assert [_bits(v) for v in got] == [_bits(v) for v in _leibniz(a, b)]
@@ -150,17 +160,17 @@ def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
 def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
     # the reference: Horner's rule from a zero jet, each step a full product
     def horner(coeffs, x):
-        acc = x._wrap(0.0)
+        acc = x._wrap(0)
         for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
     rng = np.random.default_rng(11)
     t = np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0, -1.0, -2.0, 1e-300]])
-    with mp.workdps(30):
+    with sf.decimal_context(30):
         for k in range(13):
             for base, lam in ((t, rng.uniform(0.5, 20.0, t.size)), (-2.5, 7.25),
-                              (mp.mpf(-2.5), mp.mpf(7.25))):
+                              (Decimal(-2.5), Decimal(7.25))):
                 x = (sf.Jet.variable(base, k) + 1) * lam
                 for coeffs in sf._trig_coeffs(k):
                     got = sf._poly_eval_jet(coeffs, x).derivs
@@ -176,8 +186,8 @@ def _assert_dense_bits(got, want) -> int:
     for j, (g, w) in enumerate(zip(got.derivs, want.derivs)):
         if j > got.top:
             assert np.all(w == 0) and np.all(g == 0), j
-        if isinstance(w, mpmath.mpf):
-            assert g == 0 if w == 0 else g._mpf_ == w._mpf_, j
+        if isinstance(w, Decimal):
+            assert g == 0 if w == 0 else _bits(g) == _bits(w), j
             count += 1
             continue
         g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
@@ -189,26 +199,26 @@ def _assert_dense_bits(got, want) -> int:
 
 
 def _finite(jet) -> bool:
-    return all(mp.isfinite(v) if isinstance(v, mpmath.mpf) else np.all(np.isfinite(v))
+    return all(v.is_finite() if isinstance(v, Decimal) else np.all(np.isfinite(v))
                for v in jet.derivs)
 
 
 _SCALARS = (2.0, -0.5, 0.0, -0.0, 1e-300, 3, -1.25, 7.5)
 _DIVISORS = (2.0, -0.5, 1e-300, 3, -1.25)
 _STEPS = {
-    "affine": lambda v, w, a, b, n: v * a + b,
-    "rsub": lambda v, w, a, b, n: b - v,
-    "neg": lambda v, w, a, b, n: -v,
-    "add": lambda v, w, a, b, n: v + w,
-    "sub": lambda v, w, a, b, n: v - w,
-    "mul": lambda v, w, a, b, n: v * w,
-    "div": lambda v, w, a, b, n: v / w,
-    "rdiv": lambda v, w, a, b, n: b / v,
-    "sdiv": lambda v, w, a, b, n: v / _DIVISORS[n % len(_DIVISORS)],
-    "pow": lambda v, w, a, b, n: v ** (n % 7 - 2),
-    "exp": lambda v, w, a, b, n: v.exp(),
-    "sin": lambda v, w, a, b, n: v.sin_cos()[0],
-    "cos": lambda v, w, a, b, n: v.sin_cos()[1],
+    "affine": lambda v, w, a, b, n, d: v * a + b,
+    "rsub": lambda v, w, a, b, n, d: b - v,
+    "neg": lambda v, w, a, b, n, d: -v,
+    "add": lambda v, w, a, b, n, d: v + w,
+    "sub": lambda v, w, a, b, n, d: v - w,
+    "mul": lambda v, w, a, b, n, d: v * w,
+    "div": lambda v, w, a, b, n, d: v / w,
+    "rdiv": lambda v, w, a, b, n, d: b / v,
+    "sdiv": lambda v, w, a, b, n, d: v / d,
+    "pow": lambda v, w, a, b, n, d: v ** (n % 7 - 2),
+    "exp": lambda v, w, a, b, n, d: v.exp(),
+    "sin": lambda v, w, a, b, n, d: v.sin_cos()[0],
+    "cos": lambda v, w, a, b, n, d: v.sin_cos()[1],
 }
 
 
@@ -220,8 +230,8 @@ def _run_program(program, jet_type, x, order, scalar):
         v, w = vals[i % len(vals)], vals[j % len(vals)]
         a, b = scalar(_SCALARS[a % len(_SCALARS)]), scalar(_SCALARS[b % len(_SCALARS)])
         try:
-            out = _STEPS[name](v, w, a, b, n)
-        except (ZeroDivisionError, OverflowError) as exc:
+            out = _STEPS[name](v, w, a, b, n, scalar(_DIVISORS[n % len(_DIVISORS)]))
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
             outcomes.append(type(exc))
             continue
         vals.append(out)
@@ -231,18 +241,18 @@ def _run_program(program, jet_type, x, order, scalar):
 
 def test_jet_algebra_keeps_the_dense_bits():
     # random compositions, orders 0-12, on float arrays with signed zeros,
-    # a tiny value and negative bases, on Python floats and on mpf values
+    # a tiny value and negative bases, on Python floats and on Decimals
     rng = np.random.default_rng(2024)
     bases = np.array([0.0, -0.0, 1e-300, -1.5, 0.7, -3.0, 2.25, 0.3])
     compared = 0
-    with mp.workdps(30), np.errstate(all="ignore"):
+    with sf.decimal_context(30), np.errstate(all="ignore"):
         for order in range(13):
             for _ in range(8):
                 program = [(str(rng.choice(sorted(_STEPS))), *rng.integers(0, 64, 5).tolist())
                            for _ in range(12)]
                 point = float(rng.choice(bases))
                 for x, scalar in ((bases, float), (point, float),
-                                  (mp.mpf(point) + mp.mpf("0.125"), mp.mpf)):
+                                  (Decimal(point) + Decimal("0.125"), Decimal)):
                     got = _run_program(program, sf.Jet, x, order, scalar)
                     want = _run_program(program, DenseJet, x, order, scalar)
                     for g, w in zip(got, want):
@@ -277,15 +287,15 @@ def test_raw_j_jet_of_a_quadratic_argument_is_the_dense_composition():
         s, c = x.sin_cos()
         return (horner(cs) * s + horner(cc) * c) * x ** (-(2 * k + 1))
 
-    def quadratic(v):
-        return v * v * 0.5 + v * 1.5 + 2.0
+    def quadratic(v, num):
+        return v * v * num(0.5) + v * num(1.5) + num(2.0)
 
     t = np.array([0.3, -0.0, 1.7, -2.2, 1e-300])
-    with mp.workdps(30):
+    with sf.decimal_context(30):
         for k in range(7):
-            for base in (t, 0.45, mp.mpf("0.45")):
-                got = sf.raw_j_jet(k, quadratic(sf.Jet.variable(base, k + 2)))
-                want = dense_raw_j(k, quadratic(DenseJet.variable(base, k + 2)))
+            for base, num in ((t, float), (0.45, float), (Decimal("0.45"), Decimal)):
+                got = sf.raw_j_jet(k, quadratic(sf.Jet.variable(base, k + 2), num))
+                want = dense_raw_j(k, quadratic(DenseJet.variable(base, k + 2), num))
                 _assert_dense_bits(got, want)
 
 
@@ -314,6 +324,102 @@ def test_jet_division_by_zero_value_raises():
 
 
 # ---------------------------------------------------------------------------
+# the Decimal layer, against mpmath at twice the digits
+
+
+def _sin_cos_points():
+    """0, +-1e-30, the floats next to multiples of pi/2 (on either side),
+    arguments up to 1e4, and the largest floats."""
+    rng = np.random.default_rng(17)
+    with mp.workdps(60):
+        near = [float(mp.pi * k / 2) for k in (1, 2, 3, 4, 5, 7, 100, 6366)]
+    near += [math.nextafter(v, math.inf) for v in near] + [math.nextafter(v, 0) for v in near]
+    wide = [0.37, 13.7, 1e4, *rng.uniform(-1e4, 1e4, 8).tolist(), 1e300, 1.7e308]
+    return [0.0, 1e-30, -1e-30, *near, *(-v for v in near), *wide]
+
+
+@pytest.mark.parametrize("prec", [20, 40, 80, 120, 200])
+def test_decimal_sin_cos_against_mpmath(prec):
+    for x in _sin_cos_points():
+        with sf.decimal_context(prec):
+            got = sf.decimal_sin_cos(Decimal(x))
+        with mp.workdps(2 * prec):
+            want = mp.sin(mp.mpf(x)), mp.cos(mp.mpf(x))
+            for g, w in zip(got, want):
+                assert len(g.as_tuple().digits) <= prec, (x, g)
+                assert abs(mp.mpf(str(g)) - w) <= mp.mpf(10) ** (1 - prec) * abs(w), (x, g, w)
+
+
+def test_decimal_sin_cos_edges():
+    with sf.decimal_context(40):
+        assert sf.decimal_sin_cos(Decimal(0)) == (0, 1)
+        assert all(v.is_nan() for v in sf.decimal_sin_cos(Decimal("NaN")))
+        assert all(v.is_nan() for v in sf.decimal_sin_cos(Decimal("-Infinity")))
+    # 1e300 at 300 digits would need 620 digits of pi: refused, not guessed
+    with sf.decimal_context(300), pytest.raises(ValueError, match="digits of pi"):
+        sf.decimal_sin_cos(Decimal(1e300))
+
+
+def test_stored_pi_digits():
+    assert len(sf._PI_DIGITS) == 601
+    with mp.workdps(1200):
+        assert abs(mp.mpf(sf._PI_DIGITS) - mp.pi) < mp.mpf(10) ** -599
+
+
+def test_decimal_context_ignores_the_callers_context():
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.Emax = 5, decimal.ROUND_FLOOR, 10
+        for trap in (decimal.InvalidOperation, decimal.Inexact, decimal.FloatOperation):
+            ctx.traps[trap] = True
+        assert sf.dp_sinc(10, 0.3).hex() == "0x1.3f3faa1756566p-34"
+        with sf.decimal_context(30):
+            assert decimal.getcontext().prec == 30
+            assert decimal.getcontext().rounding == decimal.ROUND_HALF_EVEN
+            assert not any(decimal.getcontext().traps.values())
+            assert sf.decimal_sin_cos(Decimal("NaN"))[0].is_nan()
+
+
+# (p, x, kind) over a grid of small and moderate x; the scalar float sum
+# fails its cancellation guard at each of these points and escalates
+_ESCALATION_XS = np.concatenate([np.geomspace(0.01, 40.0, 300), [0.3, 0.5, 1e-3, 3.0, 7.5]])
+
+
+def test_escalated_values_keep_their_floats():
+    # the floats these escalations gave when they ran in mpmath, bit for bit
+    values = [sf._dp_trig_scalar(p, x, kind)
+              for p in range(13) for kind in ("sin", "cos") for x in _ESCALATION_XS.tolist()
+              if not sf._dp_trig_float(p, x, kind)[1]]
+    assert len(values) == 2333
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == "bf4aea374dec5e40c13722bb9fc7a8a6fc7f64ad6aaa5db1d3e31d3ab68b1b46"
+    assert [v.hex() for v in (sf.dp_sinc(10, 0.3), sf.dp_cosc(7, 0.5), sf.raw_j(3, 0.5),
+                              sf.dp_sinc(6, 0.05), sf.dp_sinc(3, 1e100),
+                              sf.dp_cosc(12, 0.01))] == [
+        "0x1.3f3faa1756566p-34", "-0x1.0a7ce56506720p+32", "-0x1.33c42f57d06bep-7",
+        "0x1.f09090b2310bap-18", "-0x0.0p+0", "0x1.3ade95895619bp+204"]
+
+
+def _closed_form_mp(p, x, kind):
+    """dp_sinc/dp_cosc and its summed term magnitude in mpmath."""
+    cs, cc = sf._kind_coeffs(p, kind)
+    xm = mp.mpf(x)
+    terms = [(s * mp.sin(xm) + c * mp.cos(xm)) * xm ** l for l, (s, c) in enumerate(zip(cs, cc))]
+    scale = xm ** -(2 * p + 1)
+    return mp.fsum(terms) * scale, mp.fsum(abs(t) for t in terms) * abs(scale)
+
+
+@pytest.mark.parametrize("dps", [30, 60, 120])
+def test_dp_trig_mp_against_mpmath(dps):
+    for p, x, kind in ((10, 0.3, "sin"), (7, 0.5, "cos"), (3, 0.5, "sin"), (12, 0.01, "cos"),
+                       (6, 0.05, "sin"), (4, 17.25, "cos"), (0, 1e4, "sin")):
+        got = sf.dp_trig_mp(p, x, kind, dps)
+        assert isinstance(got, Decimal) and len(got.as_tuple().digits) <= dps
+        with mp.workdps(2 * dps):
+            want, mag = _closed_form_mp(p, x, kind)
+            assert abs(mp.mpf(str(got)) - want) <= mp.mpf(10) ** (3 - dps) * mag, (p, x, kind)
+
+
+# ---------------------------------------------------------------------------
 # closed-form kernels
 
 
@@ -330,24 +436,24 @@ def test_dp_cosc_reference_values():
 
 
 def test_dp_inv_poly_reference_values():
-    assert relerr(sf.dp_inv_poly(3, 2, 0.7), REF["dp_inv_m3_d2_t0_7"]) < 1e-13
-    assert relerr(sf.dp_inv_poly(2, 5, -0.4), REF["dp_inv_m2_d5_tm0_4"]) < 1e-13
+    assert relerr(dp_inv_poly(3, 2, 0.7), REF["dp_inv_m3_d2_t0_7"]) < 1e-13
+    assert relerr(dp_inv_poly(2, 5, -0.4), REF["dp_inv_m2_d5_tm0_4"]) < 1e-13
 
 
 def test_dp_inv_poly_base_case():
     # m = 0, d = 0: just 1/t
-    assert sf.dp_inv_poly(0, 0, 2.0) == pytest.approx(0.5)
+    assert dp_inv_poly(0, 0, 2.0) == pytest.approx(0.5)
     # m = 1, d = 0: D(1/t) = -1/t^3
-    assert sf.dp_inv_poly(1, 0, 2.0) == pytest.approx(-1 / 8)
+    assert dp_inv_poly(1, 0, 2.0) == pytest.approx(-1 / 8)
 
 
 def test_dp_domain_errors():
     with pytest.raises(ValueError):
         sf.dp_sinc(2, 0.0)
     with pytest.raises(ValueError):
-        sf.dp_inv_poly(1, 1, 0.0)
+        dp_inv_poly(1, 1, 0.0)
     with pytest.raises(ValueError):
-        sf.dp_inv_poly(1, 1, -1.0)
+        dp_inv_poly(1, 1, -1.0)
 
 
 def test_dp_vector_matches_scalar():
