@@ -16,14 +16,10 @@ from .exactmath import (
     verify_lemma35b,
     verify_necessity_identity,
 )
-from .inverse import InversionConfig, InversionResult, invert_radial, invert_radial_n3
+from .inverse import InversionConfig, InversionResult, invert_radial
 from .rangecheck import (
-    JetH,
-    PerturbedH,
     RangeReport,
     SampledH,
-    anti_D,
-    bump_h,
     general_range_check,
     range_residual,
 )
@@ -36,7 +32,6 @@ from .specfun import (
     raw_j,
     raw_y,
     sph_bessel_j,
-    sph_bessel_y,
 )
 from .spectral import (
     bessel_zero_vanishing,
@@ -51,10 +46,8 @@ from .transform import (
     DerivativeProfile,
     Dimension,
     HarmonicForwardData,
-    PolynomialProfile,
     QuadratureRule,
     SmtProfile,
-    forward_radial,
 )
 from .ucp import UcpSpec, build_counterexample, verify_counterexample
 
@@ -64,15 +57,13 @@ __all__ = [
     "verify_Cj_closed_form", "verify_abel_aigner", "verify_dp_expansion",
     "verify_gamma_contour", "verify_lemma35a", "verify_lemma35b",
     "verify_necessity_identity",
-    "InversionConfig", "InversionResult", "invert_radial", "invert_radial_n3",
-    "JetH", "PerturbedH", "RangeReport", "SampledH", "anti_D", "bump_h",
-    "general_range_check", "range_residual",
+    "InversionConfig", "InversionResult", "invert_radial",
+    "RangeReport", "SampledH", "general_range_check", "range_residual",
     "Jet", "bessel_zero", "d_operator", "dp_cosc", "dp_sinc",
-    "raw_j", "raw_y", "sph_bessel_j", "sph_bessel_y",
+    "raw_j", "raw_y", "sph_bessel_j",
     "bessel_zero_vanishing", "cross_product_terms",
     "hankel", "hankel_h", "mk_residual",
     "DEFAULT_QUAD", "BumpProfile", "DerivativeProfile", "Dimension",
-    "HarmonicForwardData", "PolynomialProfile", "QuadratureRule",
-    "SmtProfile", "forward_radial",
+    "HarmonicForwardData", "QuadratureRule", "SmtProfile",
     "UcpSpec", "build_counterexample", "verify_counterexample",
 ]

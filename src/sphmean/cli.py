@@ -336,8 +336,10 @@ def _write(out, text: str):
 def _read_csv_columns(path: str, expect: int):
     """Read a 2-column numeric CSV, skipping '#' comments; the first other
     row may be a header, and any later row that is not numeric, or holds a
-    value that is not finite, is an error.  Every cell is converted by one
-    float() pass; the lines are scanned row by row only to name a fault."""
+    value that is not finite, is an error, as are fewer than two rows and a
+    repeated t (the rows are interpolated in t).  Every cell is converted by
+    one float() pass; the lines are scanned row by row only to name a
+    fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -358,7 +360,11 @@ def _read_csv_columns(path: str, expect: int):
     if not data.size:
         raise ConfigError(f"{path}: no numeric rows found")
     data = data.reshape(-1, expect)
-    return data[np.argsort(data[:, 0])]
+    order = np.argsort(data[:, 0])
+    t = data[order, 0]
+    if t.size < 2 or (t[1:] == t[:-1]).any():
+        _t_fault(path, lines, data[:, 0].tolist())
+    return data[order]
 
 
 def _csv_fault(path: str, expect: int, lines):
@@ -377,6 +383,21 @@ def _csv_fault(path: str, expect: int, lines):
         else:
             if not all(map(math.isfinite, row)):
                 raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
+
+
+def _t_fault(path: str, lines, t):
+    """Raise the error of a CSV whose numeric rows, the last len(t) of its
+    `lines` with first cells t, are too few to interpolate or repeat a t."""
+    numbers = [number for number, line in enumerate(map(str.strip, lines), 1)
+               if line and not line.startswith("#")][-len(t):]
+    if len(t) < 2:
+        raise ConfigError(f"{path}, line {numbers[0]}: need at least two rows to "
+                          "interpolate, got one")
+    first = {}
+    for number, value in zip(numbers, t):
+        if value in first:
+            raise ConfigError(f"{path}, line {number}: t = {value!r} repeats line {first[value]}")
+        first[value] = number
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,9 @@
 """Recovering the radial profile from its spherical mean data.
 
-Two routes:
-
-* :func:`invert_radial_n3` — the closed-form inversion available in dimension
-  three, f(r) = 2 h'(1-r) / r, using an analytic derivative when the data
-  carries one and a high-order difference stencil otherwise;
-* :func:`invert_radial` — regularized collocation for any odd dimension: the
-  forward integral is discretized on a Gauss grid in u, collocated at points
-  t_i in (0, 1) (half data), and the resulting first-kind system is solved by
-  truncated-SVD least squares.
+:func:`invert_radial` is regularized collocation for any odd dimension: the
+forward integral is discretized on a Gauss grid in u, collocated at points
+t_i in (0, 1) (half data), and the resulting first-kind system is solved by
+truncated-SVD least squares.
 
 The collocation grid matters: each row truncates the global Gauss sum at the
 cut u = 1 - t_i, and a cut landing mid-cell costs an O(spacing) quadrature
@@ -24,8 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .transform import Dimension, _front_constant, _gauss_nodes, q_kernel
-
-R_FLOOR = 1e-3
 
 # collocation cuts stay inside [CUT_LO, 1 - CUT_LO]; tight enough that every
 # Gauss cell boundary survives at the grid sizes used here
@@ -162,51 +155,3 @@ def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
     return InversionResult(nodes=u, weights=w, values=x, residual=residual,
                            rank=rank, singular_values=s)
 
-
-# ---------------------------------------------------------------------------
-# dimension-three closed form
-
-
-def _h_prime(data):
-    """Return a callable h'(t) from whatever derivative access `data` has."""
-    if isinstance(data, tuple) and len(data) == 2 and all(callable(c) for c in data):
-        return np.vectorize(data[1], otypes=[float])  # a function of one t
-    dp_h = getattr(data, "dp_h", None)
-    # dp_h reaches order 1 only where k >= 1: for dimension-three forward
-    # data (k = 0) the difference stencil takes over
-    dim = getattr(data, "dim", None)
-    if callable(dp_h) and (dim is None or dim.k >= 1):
-        # D h = h'/t, so h'(t) = t * (D h)(t)
-        return lambda t: t * dp_h(t, 1)
-    h = getattr(data, "h", None)
-    if not callable(h):
-        h = data
-    if not callable(h):
-        raise TypeError("expected an (h, h') pair, dp_h access, or callable h")
-
-    def fd(t):
-        # five-point stencil: truncation O(step^4), roundoff ~ eps/step
-        step = 6e-6
-        return (h(t - 2 * step) - 8 * h(t - step)
-                + 8 * h(t + step) - h(t + 2 * step)) / (12 * step)
-
-    return fd
-
-
-def invert_radial_n3(data, r):
-    """f(r) = 2 h'(1-r) / r — the closed-form inversion in dimension three.
-
-    `data` supplies h: an object with dp_h (analytic derivative, preferred),
-    a pair (h, h') of functions of one t, or a bare callable h (differenced
-    numerically).  Except for the pair, h is read in one call on the array of
-    1 - r.  `r` may be a scalar or an array with entries in [1e-3, 1).
-    """
-    hp = _h_prime(data)
-    rs = np.asarray(r, dtype=float)
-    if np.any(rs < R_FLOOR) or np.any(rs >= 1.0):
-        raise ValueError(f"radius must lie in [{R_FLOOR}, 1)")
-    flat = np.atleast_1d(rs)
-    out = 2.0 * np.full(flat.shape, hp(1.0 - flat), dtype=float) / flat
-    if rs.ndim == 0:
-        return float(out[0])
-    return out

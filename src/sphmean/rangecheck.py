@@ -12,8 +12,7 @@ the m compact-support moment defects are part of the verdict.
 
 Two data paths feed the residual: forward-generated profiles carry analytic
 kernel derivatives; externally sampled data is differentiated spectrally on a
-Chebyshev grid (noise floor ~ machine-eps * degree^2, documented in
-SampledH.noise_floor).
+Chebyshev grid (SampledH), whose rounding grows like machine-eps * degree^2.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exactmath import coeff_C
-from .specfun import Jet, d_operator
 from .transform import QuadratureRule, _by_order
 
 # antiderivative integrands carry boundary layers from high bump derivatives;
@@ -86,11 +84,9 @@ class RangeReport:
         return self.normalized <= tol
 
 
-def default_grid(points: int = 101, t_min: float = 0.01) -> np.ndarray:
-    """Uniform t-grid on [t_min, 1]; t = 1 kept as a trivial sanity anchor."""
-    if t_min < 1e-3:
-        raise ValueError("t_min >= 1e-3")
-    return np.linspace(t_min, 1.0, points)
+def default_grid(points: int = 101) -> np.ndarray:
+    """Uniform t-grid on [0.01, 1]; t = 1 kept as a trivial sanity anchor."""
+    return np.linspace(0.01, 1.0, points)
 
 
 def _symmetry_report(h_dp, k: int, grid) -> RangeReport:
@@ -111,7 +107,7 @@ def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -
     the m = 0 case of general_range_check.
 
     `data` needs a dp_h(t, p) method that takes an array of t and an order
-    or a sequence of orders p <= k (SmtProfile, SampledH, JetH, PerturbedH).
+    or a sequence of orders p <= k (SmtProfile, SampledH).
     k is the caller's, else data.dim.k.
     """
     return general_range_check(data, 0, k, grid).range_report
@@ -164,11 +160,6 @@ class SampledH:
         t = (a + b) / 2 + (b - a) / 2 * x
         return cls(np.full(t.shape, fn(t), dtype=float), a, b)
 
-    @property
-    def noise_floor(self) -> float:
-        """Residual claims below this are meaningless for this grid."""
-        return np.finfo(float).eps * self.degree ** 2
-
     def _deriv_values(self, p: int):
         if p > self.degree - 2:
             raise ValueError(f"degree {self.degree} insufficient for {p} D-derivatives")
@@ -214,77 +205,6 @@ class SampledH:
 
 
 # ---------------------------------------------------------------------------
-# synthetic and perturbed data
-
-
-class JetH:
-    """h given directly as a smooth jet-capable profile in the t variable."""
-
-    def __init__(self, jet_fn, support):
-        self._jet_fn = jet_fn
-        self.support = support
-
-    def h(self, t):
-        return self.dp_h(t, 0)
-
-    def dp_h(self, t, p):
-        """D^p h at t for an order p, or one row per order of a sequence, all
-        from one jet of the top order (its low entries do not depend on it)."""
-        ts = np.asarray(t, dtype=float).ravel()
-        orders = np.atleast_1d(p).tolist()
-        lo, hi = self.support
-        inside = (ts > lo) & (ts < hi)
-        out = np.zeros((len(orders), ts.size))
-        if inside.any():
-            jet = self._jet_fn(ts[inside], max(max(orders), 1))
-            for row, order in zip(out, orders):
-                row[inside] = d_operator(jet, order)
-        return _by_order(out, p, np.shape(t))
-
-
-def bump_h(center: float, width: float, amplitude: float = 1.0) -> JetH:
-    """A bump in the t variable (anywhere in (0,2)); used as non-range data."""
-    if not (0.0 < center - width and center + width < 2.0):
-        raise ValueError("bump must sit inside (0, 2)")
-
-    def jet_fn(t, order: int) -> Jet:
-        tj = Jet.variable(t, order)
-        y = (tj - center) * (1.0 / width)
-        y.derivs[0] = np.clip(y.derivs[0], -1 + 1e-8, 1 - 1e-8)
-        return ((-1.0) / (1.0 - y * y)).exp() * amplitude
-
-    return JetH(jet_fn, (center - width, center + width))
-
-
-class PerturbedH:
-    """Multiplies the data by (1 + delta) on t > 1, leaving t < 1 alone.
-
-    Models a half-space calibration error; breaks the range symmetry by an
-    amount proportional to delta.
-    """
-
-    def __init__(self, base, delta: float):
-        self.base = base
-        self.delta = delta
-        dim = getattr(base, "dim", None)
-        if dim is not None:
-            self.dim = dim
-
-    @property
-    def support(self):
-        return self.base.support
-
-    def _factor(self, t):
-        return np.where(np.asarray(t) > 1.0, 1.0 + self.delta, 1.0)
-
-    def h(self, t):
-        return self._factor(t) * self.base.h(t)
-
-    def dp_h(self, t, p: int):
-        return self._factor(t) * self.base.dp_h(t, p)
-
-
-# ---------------------------------------------------------------------------
 # D-antiderivatives and compact-support defects
 
 
@@ -301,15 +221,11 @@ class AntiDerivativeChain:
     supported in (0,2)).  psi must accept flat arrays of s.
     """
 
-    def __init__(self, psi, m: int, quad: QuadratureRule = CHAIN_QUAD, lo: float = 0.0):
+    def __init__(self, psi, m: int):
         if m < 0:
             raise ValueError("m >= 0")
-        if not lo < 2.0:
-            raise ValueError("lo < 2")
         self.psi = psi
         self.m = m
-        self.quad = quad
-        self.lo = lo
         self._defect_sums = None
 
     @staticmethod
@@ -323,7 +239,7 @@ class AntiDerivativeChain:
         return np.asarray(self.psi(s.ravel()), dtype=float).reshape(s.shape)
 
     def _kernel_integral(self, t, e: int):
-        """The order-e chain integral from lo to every t at once."""
+        """The order-e chain integral from 0 to every t at once."""
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
         t_sq = flat * flat
@@ -331,7 +247,7 @@ class AntiDerivativeChain:
         def integrand(rows, s, psi_s):
             return self._integrand(s, psi_s, t_sq[rows, None], e)
 
-        values = self.quad.integrate_rows(self._psi, integrand, self.lo, flat) / math.factorial(e)
+        values = CHAIN_QUAD.integrate_rows(self._psi, integrand, 0.0, flat) / math.factorial(e)
         return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
     def phi(self, t):
@@ -347,7 +263,7 @@ class AntiDerivativeChain:
         return self._kernel_integral(t, self.m - p - 1)
 
     def _defects(self):
-        """The m defect integrals over [lo, 2], then the same with |integrand|,
+        """The m defect integrals over [0, 2], then the same with |integrand|,
         each over its factorial: one integrate_rows row, so psi is read once;
         m = 0 has none and needs no nodes."""
         if self._defect_sums is None:
@@ -357,8 +273,8 @@ class AntiDerivativeChain:
                     terms = [self._integrand(s, psi_s, 4.0, i) for i in range(self.m)]
                     return np.array(terms + [np.abs(v) for v in terms])
 
-                sums = self.quad.integrate_rows(self._psi, integrand, self.lo, [2.0],
-                                                (2 * self.m,))[:, 0]
+                sums = CHAIN_QUAD.integrate_rows(self._psi, integrand, 0.0, [2.0],
+                                                 (2 * self.m,))[:, 0]
                 self._defect_sums = [float(v) / math.factorial(i % self.m)
                                      for i, v in enumerate(sums.tolist())]
         return self._defect_sums
@@ -370,12 +286,6 @@ class AntiDerivativeChain:
     def defect_scales(self):
         """Same integrals with |integrand|: the natural comparison scale."""
         return self._defects()[self.m :]
-
-
-def anti_D(psi, m: int, quad: QuadratureRule = CHAIN_QUAD):
-    """(phi, moment_defects) with D^m phi = psi; defects flag non-compact phi."""
-    chain = AntiDerivativeChain(psi, m, quad)
-    return chain.phi, chain.moment_defects()
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +310,16 @@ def general_range_check(
     m: int,
     k: int | None = None,
     grid: np.ndarray | None = None,
-    quad: QuadratureRule = CHAIN_QUAD,
 ) -> GeneralRangeReport:
     """L_{m+k} symmetry of the m-fold antiderivative plus moment defects.
 
     k is the caller's, else data.dim.k.  Forward-generated harmonic data
-    (HarmonicForwardData) uses its analytic phi derivatives.  Otherwise phi
-    comes from anti_D integrals of h, and orders p >= m are the data's own
-    dp_h(t, p - m), all read in one call; data with only an h(t) method is
-    first resampled (SampledH.from_function) and differentiated spectrally.
-    At m = 0 the chain is empty and this is range_residual.
+    (HarmonicForwardData) uses its analytic phi derivatives.  Any other data
+    needs a dp_h(t, orders) method: phi comes from AntiDerivativeChain
+    integrals of dp_h(t, 0), and orders p >= m are the data's own
+    dp_h(t, p - m), all read in one call.  Data known only by samples or by
+    a function h(t) is wrapped in SampledH first.  At m = 0 the chain is
+    empty and this is range_residual.
     """
     if grid is None:
         grid = default_grid()
@@ -420,13 +330,10 @@ def general_range_check(
 
     if hasattr(data, "phi_dp"):  # analytic forward route
         phi_dp = data.phi_dp
-        chain = AntiDerivativeChain(data.h, m, quad)
+        chain = AntiDerivativeChain(data.h, m)
     else:
-        if hasattr(data, "dp_h"):
-            dp_h = data.dp_h
-        else:
-            dp_h = SampledH.from_function(data.h, degree=128).dp_h
-        chain = AntiDerivativeChain(lambda t: dp_h(t, 0), m, quad)
+        dp_h = data.dp_h
+        chain = AntiDerivativeChain(lambda t: dp_h(t, 0), m)
 
         def chained(t, orders):
             high = iter(dp_h(t, [p - m for p in orders if p >= m]))

@@ -322,12 +322,6 @@ class Jet:
         top = n if t else 0
         return Jet(self.x, s, top), Jet(self.x, c, top)
 
-    def sin(self) -> "Jet":
-        return self.sin_cos()[0]
-
-    def cos(self) -> "Jet":
-        return self.sin_cos()[1]
-
     def exp(self) -> "Jet":
         n, f, t = self.order, self.derivs, self.top
         e = [_exp(f[0])]
@@ -631,22 +625,6 @@ def sph_bessel_j(k: int, x):
     if abs(xf) < sw:
         return float(_series_j(k, xf))
     return dp_sinc(k, xf) / ck
-
-
-def sph_bessel_y(k: int, x):
-    """Normalized second-kind function (same constant c_k as the first kind).
-
-    Pole of order 2k+1 at x = 0; x = 0 is a domain error.
-    """
-    if k < 0:
-        raise ValueError("k >= 0")
-    if isinstance(x, np.ndarray):
-        if np.any(x == 0):
-            raise ValueError("x = 0: pole of the second-kind function")
-        return dp_cosc(k, np.asarray(x, dtype=float)) / raw_to_normalized(k)
-    if x == 0:
-        raise ValueError("x = 0: pole of the second-kind function")
-    return dp_cosc(k, float(x)) / raw_to_normalized(k)
 
 
 # ---------------------------------------------------------------------------

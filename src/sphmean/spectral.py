@@ -298,24 +298,6 @@ def _mk_rhs_rows(k: int, lams, ts):
     return rhs, scale
 
 
-def mk_lhs(k: int, lam, t):
-    """Left side of the kernel identity (jet route), float precision.
-
-    lam and t may be arrays (broadcast together); see mk_residual.
-    """
-    lams, ts, shape = _mk_points(lam, t)
-    return _shaped(_mk_lhs_value(k, lams, ts), shape)
-
-
-def mk_rhs(k: int, lam, t):
-    """Right side of the kernel identity (closed trig route).
-
-    lam and t may be arrays (broadcast together); see mk_residual.
-    """
-    lams, ts, shape = _mk_points(lam, t)
-    return _shaped(_mk_rhs_rows(k, lams, ts)[0], shape)
-
-
 def mk_residual(k: int, lam, t):
     """Relative defect between the two routes through the kernel identity.
 

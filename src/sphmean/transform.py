@@ -241,46 +241,6 @@ class BumpProfile:
         return Jet(rs, comps)
 
 
-class PolynomialProfile:
-    """Polynomial in r truncated at r_hi (not smooth at the cut).
-
-    Admitted only where a closed-form answer exists to compare against; the
-    discontinuity at r_hi sits at an integration endpoint in those tests.
-    """
-
-    def __init__(self, coeffs, r_hi: float = 1.0):
-        self.coeffs = [float(c) for c in coeffs]
-        if not (0 < r_hi <= 1):
-            raise ValueError("0 < r_hi <= 1")
-        self.r_hi = r_hi
-
-    @property
-    def support(self):
-        return (0.0, self.r_hi)
-
-    def __call__(self, r):
-        rs = np.asarray(r, dtype=float)
-        acc = np.zeros_like(rs)
-        for c in reversed(self.coeffs):
-            acc = acc * rs + c
-        acc = acc * (rs < self.r_hi)
-        return acc if isinstance(r, np.ndarray) else float(acc)
-
-    def jet(self, r, order: int) -> Jet:
-        rs = np.asarray(r, dtype=float)
-        mask = (rs < self.r_hi).astype(float)
-        derivs = []
-        for p in range(order + 1):
-            acc = np.zeros_like(rs)
-            for i in range(p, len(self.coeffs)):
-                fall = math.prod(range(i - p + 1, i + 1))
-                acc = acc + fall * self.coeffs[i] * rs ** (i - p)
-            derivs.append(acc * mask)
-        if not isinstance(r, np.ndarray):
-            return Jet(float(rs), [float(c) for c in derivs])
-        return Jet(rs, derivs)
-
-
 class DerivativeProfile:
     """The m-th ordinary derivative F^(m) of a base profile F.
 
@@ -386,11 +346,6 @@ def _front_constant(n: int) -> float:
 def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     """h(t) = t^(n-2) g(t) for radial data, by the Q-kernel integral."""
     return _radial_dp(profile, dim, t, 0, quad)
-
-
-def forward_radial(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """g(t) = h(t) / t^(n-2); refuses t below the division floor."""
-    return g_from_h(forward_h(profile, dim, t, quad), t, dim.n)
 
 
 def _dp_q_kernels(K: int, orders, t, u) -> list:
@@ -504,19 +459,6 @@ def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule 
     return _shaped(c * values, shape)
 
 
-def forward_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """g_m(t): the radial factor of the transform of f(|x|) Y_m(x/|x|).
-
-    m = 0 reduces to forward_radial.
-    """
-    return g_from_h(forward_harmonic_h(profile, dim, m, t, quad), t, dim.n, "g_m(t)")
-
-
-def phi_harmonic(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """phi_m(t) = integral u^(1-m) f(u) Q(t,u)^(m+k) du over [|1-t|, 1]."""
-    return phi_harmonic_dp(profile, dim, m, t, 0, quad)
-
-
 def phi_harmonic_dp(
     profile, dim: Dimension, m: int, t, p, quad: QuadratureRule = DEFAULT_QUAD
 ):
@@ -539,32 +481,6 @@ def phi_harmonic_dp(
     return _by_order(values, p, shape)
 
 
-def const_Kmn(dim: Dimension, m: int) -> float:
-    """The scalar with h_m(t) = const_Kmn * D^m phi_m(t).
-
-    Product of the Gegenbauer-expansion constant and the kernel prefactor;
-    positive for all valid inputs (checked).
-    """
-    if m < 0:
-        raise ValueError("m >= 0")
-    n, k, alpha = dim.n, dim.k, dim.alpha
-    K = (
-        (-1) ** m
-        * math.gamma(alpha + 0.5)
-        * math.gamma(m + 2 * alpha)
-        / (2 ** m * math.factorial(m) * math.gamma(2 * alpha) * math.gamma(m + alpha + 0.5))
-    )
-    value = (
-        K
-        * (-1) ** m
-        * omega(n - 1)
-        / (4 ** (m + k) * omega(n) * gegenbauer_at_one(m, alpha))
-    )
-    if not value > 0:
-        raise FloatingPointError(f"const_Kmn(n={n}, m={m}) = {value} is not positive")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # packaged data views
 
@@ -585,14 +501,14 @@ class SmtProfile:
         return forward_h(self.profile, self.dim, t, self.quad)
 
     def g(self, t):
-        return forward_radial(self.profile, self.dim, t, self.quad)
+        return g_from_h(forward_h(self.profile, self.dim, t, self.quad), t, self.dim.n)
 
     def dp_h(self, t, p):
         return forward_h_dp(self.profile, self.dim, t, p, self.quad)
 
 
 class HarmonicForwardData:
-    """Forward data of a single-harmonic profile: h_m, phi_m, and D^p phi_m."""
+    """Forward data of a single-harmonic profile: g_m, h_m and D^p phi_m."""
 
     def __init__(self, profile, dim: Dimension, m: int, quad: QuadratureRule = DEFAULT_QUAD):
         self.profile = profile
@@ -603,13 +519,11 @@ class HarmonicForwardData:
         self.support = (1.0 - r_hi, 1.0 + r_hi)
 
     def g(self, t):
-        return forward_harmonic(self.profile, self.dim, self.m, t, self.quad)
+        h = forward_harmonic_h(self.profile, self.dim, self.m, t, self.quad)
+        return g_from_h(h, t, self.dim.n, "g_m(t)")
 
     def h(self, t):
         return forward_harmonic_h(self.profile, self.dim, self.m, t, self.quad)
-
-    def phi(self, t):
-        return phi_harmonic(self.profile, self.dim, self.m, t, self.quad)
 
     def phi_dp(self, t, p):
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)

@@ -139,7 +139,7 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= T_FLOOR) or np.any(grid >= 2.0):
-        raise ValueError("grid radii must lie in (T_FLOOR, 2)")
+        raise ValueError(f"grid radii must lie in ({T_FLOOR}, 2)")
     if tol is None:
         tol = 1e-7 * max(1.0, quad.panels / 8.0)
     f = build_counterexample(spec) if profile is None else profile

@@ -6,6 +6,15 @@
   route to the radial forward transform.
 - `h_from_phi`: h_m(t) of single-harmonic data by the D^m phi route.
 - `dp_inv_poly`: D^m (1 / (t (t+1)^d)) as a closed alternating sum.
+- `PolynomialProfile`: a truncated polynomial profile, for the closed-form
+  transforms of the tests.
+- `const_Kmn`: the constant with h_m = const_Kmn * D^m phi_m, which
+  `h_from_phi` uses.
+- `JetH`, `bump_h` and `PerturbedH`: range-check data given directly in t,
+  a bump that is not range data, and range data broken by a factor
+  1 + delta on t > 1.
+- `invert_radial_n3`, with `_h_prime` and `R_FLOOR`: the closed-form
+  inversion in dimension three, f(r) = 2 h'(1-r) / r.
 """
 
 import math
@@ -173,7 +182,7 @@ def funk_hecke_forward(profile, dim, t, quad=tr.DEFAULT_QUAD):
 def h_from_phi(data, t: float) -> float:
     """h_m(t) of `HarmonicForwardData` via D^m phi_m and the closed-form
     constant."""
-    return tr.const_Kmn(data.dim, data.m) * data.phi_dp(t, data.m)
+    return const_Kmn(data.dim, data.m) * data.phi_dp(t, data.m)
 
 
 def dp_inv_poly(m: int, d: int, t) -> float:
@@ -203,3 +212,195 @@ def dp_inv_poly(m: int, d: int, t) -> float:
         return acc
     with mp.workdps(60):
         return float(closed_sum(lambda v: mp.mpf(v.numerator) / v.denominator)[0])
+
+
+# ---------------------------------------------------------------------------
+# forward-side fixtures
+
+
+class PolynomialProfile:
+    """Polynomial in r truncated at r_hi (not smooth at the cut).
+
+    Admitted only where a closed-form answer exists to compare against; the
+    discontinuity at r_hi sits at an integration endpoint in those tests.
+    """
+
+    def __init__(self, coeffs, r_hi: float = 1.0):
+        self.coeffs = [float(c) for c in coeffs]
+        if not (0 < r_hi <= 1):
+            raise ValueError("0 < r_hi <= 1")
+        self.r_hi = r_hi
+
+    @property
+    def support(self):
+        return (0.0, self.r_hi)
+
+    def __call__(self, r):
+        rs = np.asarray(r, dtype=float)
+        acc = np.zeros_like(rs)
+        for c in reversed(self.coeffs):
+            acc = acc * rs + c
+        acc = acc * (rs < self.r_hi)
+        return acc if isinstance(r, np.ndarray) else float(acc)
+
+    def jet(self, r, order: int) -> sf.Jet:
+        rs = np.asarray(r, dtype=float)
+        mask = (rs < self.r_hi).astype(float)
+        derivs = []
+        for p in range(order + 1):
+            acc = np.zeros_like(rs)
+            for i in range(p, len(self.coeffs)):
+                fall = math.prod(range(i - p + 1, i + 1))
+                acc = acc + fall * self.coeffs[i] * rs ** (i - p)
+            derivs.append(acc * mask)
+        if not isinstance(r, np.ndarray):
+            return sf.Jet(float(rs), [float(c) for c in derivs])
+        return sf.Jet(rs, derivs)
+
+
+def const_Kmn(dim, m: int) -> float:
+    """The scalar with h_m(t) = const_Kmn * D^m phi_m(t).
+
+    Product of the Gegenbauer-expansion constant and the kernel prefactor;
+    positive for all valid inputs (checked).
+    """
+    if m < 0:
+        raise ValueError("m >= 0")
+    n, k, alpha = dim.n, dim.k, dim.alpha
+    K = (
+        (-1) ** m
+        * math.gamma(alpha + 0.5)
+        * math.gamma(m + 2 * alpha)
+        / (2 ** m * math.factorial(m) * math.gamma(2 * alpha) * math.gamma(m + alpha + 0.5))
+    )
+    value = (
+        K
+        * (-1) ** m
+        * tr.omega(n - 1)
+        / (4 ** (m + k) * tr.omega(n) * sf.gegenbauer_at_one(m, alpha))
+    )
+    if not value > 0:
+        raise FloatingPointError(f"const_Kmn(n={n}, m={m}) = {value} is not positive")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# range-check data given in t
+
+
+class JetH:
+    """h given directly as a smooth jet-capable profile in the t variable."""
+
+    def __init__(self, jet_fn, support):
+        self._jet_fn = jet_fn
+        self.support = support
+
+    def h(self, t):
+        return self.dp_h(t, 0)
+
+    def dp_h(self, t, p):
+        """D^p h at t for an order p, or one row per order of a sequence, all
+        from one jet of the top order (its low entries do not depend on it)."""
+        ts = np.asarray(t, dtype=float).ravel()
+        orders = np.atleast_1d(p).tolist()
+        lo, hi = self.support
+        inside = (ts > lo) & (ts < hi)
+        out = np.zeros((len(orders), ts.size))
+        if inside.any():
+            jet = self._jet_fn(ts[inside], max(max(orders), 1))
+            for row, order in zip(out, orders):
+                row[inside] = sf.d_operator(jet, order)
+        return tr._by_order(out, p, np.shape(t))
+
+
+def bump_h(center: float, width: float, amplitude: float = 1.0) -> JetH:
+    """A bump in the t variable (anywhere in (0,2)); used as non-range data."""
+    if not (0.0 < center - width and center + width < 2.0):
+        raise ValueError("bump must sit inside (0, 2)")
+
+    def jet_fn(t, order: int) -> sf.Jet:
+        tj = sf.Jet.variable(t, order)
+        y = (tj - center) * (1.0 / width)
+        y.derivs[0] = np.clip(y.derivs[0], -1 + 1e-8, 1 - 1e-8)
+        return ((-1.0) / (1.0 - y * y)).exp() * amplitude
+
+    return JetH(jet_fn, (center - width, center + width))
+
+
+class PerturbedH:
+    """Multiplies the data by (1 + delta) on t > 1, leaving t < 1 alone.
+
+    Models a half-space calibration error; breaks the range symmetry by an
+    amount proportional to delta.
+    """
+
+    def __init__(self, base, delta: float):
+        self.base = base
+        self.delta = delta
+        dim = getattr(base, "dim", None)
+        if dim is not None:
+            self.dim = dim
+
+    @property
+    def support(self):
+        return self.base.support
+
+    def _factor(self, t):
+        return np.where(np.asarray(t) > 1.0, 1.0 + self.delta, 1.0)
+
+    def h(self, t):
+        return self._factor(t) * self.base.h(t)
+
+    def dp_h(self, t, p: int):
+        return self._factor(t) * self.base.dp_h(t, p)
+
+
+# ---------------------------------------------------------------------------
+# dimension-three closed-form inversion
+
+R_FLOOR = 1e-3
+
+
+def _h_prime(data):
+    """Return a callable h'(t) from whatever derivative access `data` has."""
+    if isinstance(data, tuple) and len(data) == 2 and all(callable(c) for c in data):
+        return np.vectorize(data[1], otypes=[float])  # a function of one t
+    dp_h = getattr(data, "dp_h", None)
+    # dp_h reaches order 1 only where k >= 1: for dimension-three forward
+    # data (k = 0) the difference stencil takes over
+    dim = getattr(data, "dim", None)
+    if callable(dp_h) and (dim is None or dim.k >= 1):
+        # D h = h'/t, so h'(t) = t * (D h)(t)
+        return lambda t: t * dp_h(t, 1)
+    h = getattr(data, "h", None)
+    if not callable(h):
+        h = data
+    if not callable(h):
+        raise TypeError("expected an (h, h') pair, dp_h access, or callable h")
+
+    def fd(t):
+        # five-point stencil: truncation O(step^4), roundoff ~ eps/step
+        step = 6e-6
+        return (h(t - 2 * step) - 8 * h(t - step)
+                + 8 * h(t + step) - h(t + 2 * step)) / (12 * step)
+
+    return fd
+
+
+def invert_radial_n3(data, r):
+    """f(r) = 2 h'(1-r) / r — the closed-form inversion in dimension three.
+
+    `data` supplies h: an object with dp_h (analytic derivative, preferred),
+    a pair (h, h') of functions of one t, or a bare callable h (differenced
+    numerically).  Except for the pair, h is read in one call on the array of
+    1 - r.  `r` may be a scalar or an array with entries in [1e-3, 1).
+    """
+    hp = _h_prime(data)
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs < R_FLOOR) or np.any(rs >= 1.0):
+        raise ValueError(f"radius must lie in [{R_FLOOR}, 1)")
+    flat = np.atleast_1d(rs)
+    out = 2.0 * np.full(flat.shape, hp(1.0 - flat), dtype=float) / flat
+    if rs.ndim == 0:
+        return float(out[0])
+    return out

@@ -18,7 +18,7 @@ from sphmean import specfun as sf
 from sphmean import spectral as sp
 from sphmean import transform as tr
 
-from _oracles import funk_hecke_forward
+from _oracles import PerturbedH, _h_prime, bump_h, funk_hecke_forward, invert_radial_n3
 
 # 1024 nodes per row, so a block holds BLOCK_NODES // 1024 rows
 QUAD = tr.QuadratureRule(32, 32)
@@ -42,7 +42,6 @@ def _radial(n):
     dim = tr.Dimension(n)
     data = tr.SmtProfile(BUMP, dim, QUAD)
     yield "forward_h", lambda t: tr.forward_h(BUMP, dim, t, QUAD)
-    yield "forward_radial", lambda t: tr.forward_radial(BUMP, dim, t, QUAD)
     yield "funk_hecke_forward", lambda t: funk_hecke_forward(BUMP, dim, t, QUAD)
     yield "SmtProfile.h", data.h
     yield "SmtProfile.g", data.g
@@ -55,11 +54,8 @@ def _harmonic(n, m):
     dim = tr.Dimension(n)
     data = tr.HarmonicForwardData(BUMP, dim, m, QUAD)
     yield "forward_harmonic_h", lambda t: tr.forward_harmonic_h(BUMP, dim, m, t, QUAD)
-    yield "forward_harmonic", lambda t: tr.forward_harmonic(BUMP, dim, m, t, QUAD)
-    yield "phi_harmonic", lambda t: tr.phi_harmonic(BUMP, dim, m, t, QUAD)
     yield "HarmonicForwardData.h", data.h
     yield "HarmonicForwardData.g", data.g
-    yield "HarmonicForwardData.phi", data.phi
     for p in range(m + dim.k + 1):
         yield f"phi_harmonic_dp p={p}", lambda t, p=p: tr.phi_harmonic_dp(BUMP, dim, m, t, p, QUAD)
         yield f"HarmonicForwardData.phi_dp p={p}", lambda t, p=p: data.phi_dp(t, p)
@@ -207,7 +203,7 @@ def test_array_with_a_point_outside_domain_is_refused():
     with pytest.raises(ValueError, match="t must lie in"):
         tr.forward_h(BUMP, tr.Dimension(3), np.array([0.5, 2.0]))
     with pytest.raises(ValueError, match="division guard"):
-        tr.forward_radial(BUMP, tr.Dimension(3), np.array([0.5, 1e-4]))
+        tr.SmtProfile(BUMP, tr.Dimension(3)).g(np.array([0.5, 1e-4]))
 
 
 def _range_data():
@@ -217,8 +213,8 @@ def _range_data():
     yield "HarmonicForwardData.phi_dp", tr.HarmonicForwardData(
         BUMP, tr.Dimension(5), 2, QUAD).phi_dp, 3
     yield "SampledH.dp_h", rc.SampledH.from_function(fwd.h, degree=64).dp_h, 8
-    yield "JetH.dp_h", rc.bump_h(1.1, 0.4).dp_h, 8
-    yield "PerturbedH.dp_h", rc.PerturbedH(fwd, 0.1).dp_h, dim.k
+    yield "JetH.dp_h", bump_h(1.1, 0.4).dp_h, 8
+    yield "PerturbedH.dp_h", PerturbedH(fwd, 0.1).dp_h, dim.k
 
 
 def test_range_data_order_sequences_equal_their_scalar_orders():
@@ -252,9 +248,9 @@ def test_range_check_reads_the_data_once(monkeypatch):
 
 def test_range_data_wrappers_match_scalar_calls():
     ts = np.linspace(0.05, 1.95, 13)
-    base = rc.bump_h(1.1, 0.4)
+    base = bump_h(1.1, 0.4)
     chain = rc.AntiDerivativeChain(base.h, 2)
-    perturbed = rc.PerturbedH(tr.SmtProfile(BUMP, tr.Dimension(5)), 0.1)
+    perturbed = PerturbedH(tr.SmtProfile(BUMP, tr.Dimension(5)), 0.1)
     for name, fn in (("JetH.dp_h", lambda t: base.dp_h(t, 2)),
                      ("AntiDerivativeChain.phi", chain.phi),
                      ("AntiDerivativeChain.dp_phi", lambda t: chain.dp_phi(t, 1)),
@@ -267,7 +263,7 @@ def test_range_data_wrappers_match_scalar_calls():
 def test_jet_data_rows_match_scalar_calls():
     # D^p of jet data takes the powers t^(j-2p) per element in Python floats,
     # as a jet at one float base point does
-    data = rc.bump_h(1.1, 0.4)
+    data = bump_h(1.1, 0.4)
     ts = np.linspace(0.72, 1.48, 201)
     for p in range(7):
         singles = np.array([data.dp_h(float(t), p) for t in ts])
@@ -319,11 +315,11 @@ def test_data_reads_match_the_per_point_loops():
 
     r = np.linspace(0.05, 0.95, 181)
     data = tr.SmtProfile(BUMP, tr.Dimension(3))
-    hp = inv._h_prime(data)
+    hp = _h_prime(data)
     loop = [2.0 * hp(1.0 - float(rr)) / float(rr) for rr in r]
-    assert np.array_equal(inv.invert_radial_n3(data, r), np.array(loop))
+    assert np.array_equal(invert_radial_n3(data, r), np.array(loop))
     z = lambda t: 0.0  # a scalar answer holds on the whole grid
-    assert np.array_equal(inv.invert_radial_n3((z, z), r), np.zeros(r.shape))
+    assert np.array_equal(invert_radial_n3((z, z), r), np.zeros(r.shape))
     assert np.all(inv.invert_radial(z, tr.Dimension(5), cfg).values == 0.0)
 
 
@@ -348,15 +344,19 @@ def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
     monkeypatch.setattr(sp, "_mk_sides", counted)
     lam, t = _kernel_points()
     for k in range(9):
-        for fn in (sp.mk_residual, sp.mk_lhs, sp.mk_rhs):
-            singles = [fn(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
-            assert all(type(v) is float for v in singles), (fn.__name__, k)
-            assert np.array_equal(fn(k, lam, t), np.array(singles)), (fn.__name__, k)
-            one = fn(k, lam[-1:], t[-1:])
-            assert one.shape == (1,) and one[0] == singles[-1], (fn.__name__, k)
+        singles = [sp.mk_residual(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
+        assert all(type(v) is float for v in singles), k
+        assert np.array_equal(sp.mk_residual(k, lam, t), np.array(singles)), k
+        one = sp.mk_residual(k, lam[-1:], t[-1:])
+        assert one.shape == (1,) and one[0] == singles[-1], k
+        # each side's rows equal its call on one point
+        lhs, rhs = sp._mk_lhs_value(k, lam, t), sp._mk_rhs_rows(k, lam, t)[0]
+        points = [(np.array([a]), np.array([b])) for a, b in zip(lam.tolist(), t.tolist())]
+        assert np.array_equal(lhs, [sp._mk_lhs_value(k, *pt)[0] for pt in points]), k
+        assert np.array_equal(rhs, [sp._mk_rhs_rows(k, *pt)[0][0] for pt in points]), k
         # the jet side equals jets over one Python-float point each
         plain = [sp._mk_lhs_value(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
-        assert np.array_equal(sp.mk_lhs(k, lam, t), np.array(plain)), k
+        assert np.array_equal(lhs, np.array(plain)), k
     assert any(retries)
 
 

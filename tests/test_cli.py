@@ -212,7 +212,8 @@ def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
     rows = _data_rows(out)
     bump, dim, t = BumpProfile(0.55, 0.25), Dimension(9), rows[:, 0]
     h = getattr(tr, reader)(bump, dim, *([m] if m else []), t)
-    g = tr.forward_harmonic(bump, dim, m, t) if m else tr.forward_radial(bump, dim, t)
+    data = tr.HarmonicForwardData(bump, dim, m) if m else tr.SmtProfile(bump, dim)
+    g = data.g(t)
     assert np.array_equal(rows[:, 1], g) and np.array_equal(rows[:, 2], h)
     if extra:
         assert np.array_equal(rows[:, 3], h)
@@ -314,6 +315,23 @@ def test_a_short_csv_row_is_refused_by_line(tmp_path, capsys):
     assert cli.main(["range-check", "--n", "3", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {bad}, line 4: expected 2 columns, got 1"), err
+
+
+@pytest.mark.parametrize("lines, line, reason", [
+    (["0.5,1.0"], 1, "need at least two rows to interpolate, got one"),
+    (["# t, h samples", "t,h", "0.5,1.0"], 3, "need at least two rows to interpolate, got one"),
+    (["t,h", "0.5,1.0", "# again", "0.5,2.0"], 4, "t = 0.5 repeats line 2"),
+    (["1.5,1.0", "0.5,1.0", "1.0,3.0", "0.5,2.0"], 4, "t = 0.5 repeats line 2")],
+    ids=["one row", "one row after a header", "repeated t", "repeated t, unsorted"])
+def test_csv_rows_that_cannot_be_interpolated_are_refused(tmp_path, capsys, lines, line, reason):
+    # both subcommands interpolate the rows in t; one row used to invert to
+    # f = 0 with exit 0, and a repeated t to read one of its values at random
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in ("range-check", "invert"):
+        assert cli.main([command, "--n", "3", "--input", str(bad)]) == 2, command
+        err = capsys.readouterr().err
+        assert err == f"config error: {bad}, line {line}: {reason}\n", (command, err)
 
 
 # cells that float() reads or refuses in its own way: the one-pass reader

@@ -10,6 +10,8 @@ from sphmean import inverse as inv
 from sphmean.rangecheck import SampledH
 from sphmean.transform import BumpProfile, Dimension, SmtProfile
 
+from _oracles import R_FLOOR, invert_radial_n3
+
 D3, D5 = Dimension(3), Dimension(5)
 TRIO = [BumpProfile(0.55, 0.25), BumpProfile(0.5, 0.22), BumpProfile(0.65, 0.2)]
 
@@ -23,12 +25,12 @@ def test_n3_constant_profile_closed_form():
     h = lambda t: (2 * t - t * t) / 4
     hp = lambda t: (1 - t) / 2
     for r in (0.05, 0.3, 0.72, 0.99):
-        assert inv.invert_radial_n3((h, hp), r) == pytest.approx(1.0, rel=1e-14)
+        assert invert_radial_n3((h, hp), r) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_n3_zero_data():
     z = lambda t: 0.0
-    assert inv.invert_radial_n3((z, z), 0.5) == 0.0
+    assert invert_radial_n3((z, z), 0.5) == 0.0
 
 
 def test_n3_bump_round_trip_analytic_derivative():
@@ -38,7 +40,7 @@ def test_n3_bump_round_trip_analytic_derivative():
     data = SmtProfile(prof, D3)
     hp = lambda t: (1.0 - t) * float(prof(1.0 - t)) / 2.0
     r = np.linspace(0.05, 0.95, 181)
-    f_rec = inv.invert_radial_n3((data.h, hp), r)
+    f_rec = invert_radial_n3((data.h, hp), r)
     f_true = prof(r)
     assert np.max(np.abs(f_rec - f_true)) <= 1e-12 * np.max(np.abs(f_true))
 
@@ -48,7 +50,7 @@ def test_n3_bump_round_trip_from_h_alone():
     prof = BumpProfile(0.55, 0.25)
     data = SmtProfile(prof, D3)
     r = np.linspace(0.05, 0.95, 181)
-    f_rec = inv.invert_radial_n3(data, r)
+    f_rec = invert_radial_n3(data, r)
     f_true = prof(r)
     assert np.max(np.abs(f_rec - f_true)) <= 1e-8 * np.max(np.abs(f_true))
 
@@ -60,18 +62,18 @@ def test_n3_accepts_sampled_data():
     # brings the spectral-derivative route to ~5e-5 on this window
     sampled = SampledH.from_function(data.h, degree=256)
     r = np.linspace(0.15, 0.85, 41)
-    f_rec = inv.invert_radial_n3(sampled, r)
+    f_rec = invert_radial_n3(sampled, r)
     assert np.max(np.abs(f_rec - prof(r))) <= 1e-4
 
 
 def test_n3_radius_domain():
     h = lambda t: t
     with pytest.raises(ValueError):
-        inv.invert_radial_n3((h, h), 1e-4)
+        invert_radial_n3((h, h), 1e-4)
     with pytest.raises(ValueError):
-        inv.invert_radial_n3((h, h), 1.0)
+        invert_radial_n3((h, h), 1.0)
     with pytest.raises(TypeError):
-        inv.invert_radial_n3(object(), 0.5)
+        invert_radial_n3(object(), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,8 @@ def test_n3_collocation_matches_closed_form():
     data = SmtProfile(prof, D3)
     cfg = inv.InversionConfig(400, 401, 1e-8)
     res = inv.invert_radial(data, D3, cfg)
-    m = (res.nodes >= inv.R_FLOOR) & (res.nodes <= 1.0 - inv.R_FLOOR)
-    f_n3 = inv.invert_radial_n3(data, res.nodes[m])
+    m = (res.nodes >= R_FLOOR) & (res.nodes <= 1.0 - R_FLOOR)
+    f_n3 = invert_radial_n3(data, res.nodes[m])
     num = np.sqrt(np.sum(res.weights[m] * (res.values[m] - f_n3) ** 2))
     den = np.sqrt(np.sum(res.weights[m] * f_n3 ** 2))
     assert num / den <= 1e-4

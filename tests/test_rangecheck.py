@@ -9,6 +9,8 @@ import pytest
 from sphmean import rangecheck as rc
 from sphmean import transform as tr
 
+from _oracles import PerturbedH, PolynomialProfile, bump_h
+
 D3, D5, D7 = tr.Dimension(3), tr.Dimension(5), tr.Dimension(7)
 BUMP = tr.BumpProfile(0.55, 0.25)
 BUMPS = [tr.BumpProfile(0.55, 0.25), tr.BumpProfile(0.4, 0.15), tr.BumpProfile(0.66, 0.2)]
@@ -49,7 +51,7 @@ def test_apply_Lk_outside_domain_is_zero():
 
 def test_symmetric_closed_form_has_zero_residual():
     # n=3 constant profile: h(t) = (2t - t^2)/4 is even about t = 1
-    prof = tr.SmtProfile(tr.PolynomialProfile([1.0]), D3)
+    prof = tr.SmtProfile(PolynomialProfile([1.0]), D3)
     rep = rc.range_residual(prof)
     assert rep.sup_residual <= 1e-14
     assert rep.k_used == 0
@@ -93,26 +95,21 @@ def test_necessity_holds_for_every_odd_n_up_to_41():
         rep = rc.range_residual(prof)
         assert rep.passed(1e-6), (n, rep.normalized)
         if n in (25, 41):
-            perturbed = rc.range_residual(rc.PerturbedH(prof, 1e-6)).normalized
+            perturbed = rc.range_residual(PerturbedH(prof, 1e-6)).normalized
             assert perturbed == pytest.approx(1e-6, rel=1e-3), n
 
 
 def test_non_range_bump_after_one():
     # data supported only in (1.2, 1.6) cannot be symmetric about 1
-    rep = rc.range_residual(rc.bump_h(1.4, 0.2), k=1)
+    rep = rc.range_residual(bump_h(1.4, 0.2), k=1)
     assert rep.normalized >= 0.5
 
 
 def test_detection_of_half_perturbation():
     prof = tr.SmtProfile(BUMP, D5)
     for delta in (1e-3, 1e-2, 1e-1):
-        rep = rc.range_residual(rc.PerturbedH(prof, delta))
+        rep = rc.range_residual(PerturbedH(prof, delta))
         assert rep.normalized > delta / 10
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        rc.default_grid(t_min=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +117,28 @@ def test_grid_validation():
 
 
 def test_anti_D_inverts_D_powers():
-    base = rc.bump_h(0.9, 0.3)
+    base = bump_h(0.9, 0.3)
     grid = np.linspace(0.3, 1.6, 40)
     for m in (1, 2, 3):
-        psi = lambda s, m=m: base.dp_h(s, m)
-        phi, defects = rc.anti_D(psi, m)
+        phi = rc.AntiDerivativeChain(lambda s, m=m: base.dp_h(s, m), m).phi
         sup = max(abs(phi(t) - base.h(t)) for t in grid)
         assert sup <= 1e-9, (m, sup)
     # compact-support defect of the m=1 inverse pair is numerically zero
-    _, defs1 = rc.anti_D(lambda s: base.dp_h(s, 1), 1)
+    defs1 = rc.AntiDerivativeChain(lambda s: base.dp_h(s, 1), 1).moment_defects()
     assert abs(defs1[0]) <= 1e-9
 
 
 def test_anti_D_m0_is_identity():
-    psi = lambda s: np.sin(np.asarray(s))
-    phi, defects = rc.anti_D(psi, 0)
-    assert defects == []
-    assert phi(0.7) == pytest.approx(np.sin(0.7))
+    chain = rc.AntiDerivativeChain(lambda s: np.sin(np.asarray(s)), 0)
+    assert chain.moment_defects() == []
+    assert chain.phi(0.7) == pytest.approx(np.sin(0.7))
 
 
 def test_anti_D_flags_noncompact_antiderivative():
     # a plain bump has nonzero first moment: its antiderivative cannot be
     # compactly supported
-    base = rc.bump_h(0.9, 0.3)
-    _, defects = rc.anti_D(base.h, 1)
+    base = bump_h(0.9, 0.3)
+    defects = rc.AntiDerivativeChain(base.h, 1).moment_defects()
     assert abs(defects[0]) > 1e-3
 
 
@@ -198,8 +193,8 @@ def test_sampled_range_residual_matches_analytic_verdict():
     rep_a = rc.range_residual(prof)
     assert rep_s.normalized <= 1e-5
     assert abs(rep_s.normalized - rep_a.normalized) <= 1e-5
-    # the spectral noise floor is documented and small
-    assert samp.noise_floor < 1e-10
+    # the spectral rounding floor, eps * degree^2, is small
+    assert np.finfo(float).eps * samp.degree ** 2 < 1e-10
 
 
 def test_sampled_h_validation():
@@ -249,7 +244,7 @@ def test_general_check_at_m0_is_the_radial_residual(n):
 
 def test_general_check_reads_jets_of_data_with_derivatives():
     # bump_h sits on one side of t = 1, so exact jets read exactly 1
-    rep = rc.general_range_check(rc.bump_h(1.4, 0.2), 1, k=8)
+    rep = rc.general_range_check(bump_h(1.4, 0.2), 1, k=8)
     assert rep.range_report.normalized == pytest.approx(1.0, abs=1e-12)
 
 
@@ -268,12 +263,8 @@ def test_sampled_h_is_zero_below_a_without_warnings():
 
 def test_general_check_sampled_route():
     H = tr.HarmonicForwardData(BUMP, D3, 1)
-
-    class DataOnly:
-        def h(self, t):
-            return H.h(t)
-
-    rep = rc.general_range_check(DataOnly(), 1, k=0, grid=np.linspace(0.05, 1.0, 39))
+    data = rc.SampledH.from_function(H.h)
+    rep = rc.general_range_check(data, 1, k=0, grid=np.linspace(0.05, 1.0, 39))
     assert rep.range_report.normalized <= 1e-5
     assert rep.defects_passed(1e-6)
 
@@ -281,9 +272,6 @@ def test_general_check_sampled_route():
 def test_general_check_flags_broken_consistency():
     H = tr.HarmonicForwardData(BUMP, D3, 1)
 
-    class Broken:
-        def h(self, t):
-            return (1.0 + 0.3 * (np.asarray(t) > 1)) * H.h(t)
-
-    rep = rc.general_range_check(Broken(), 1, k=0, grid=np.linspace(0.05, 1.0, 39))
+    broken = rc.SampledH.from_function(lambda t: (1.0 + 0.3 * (np.asarray(t) > 1)) * H.h(t))
+    rep = rc.general_range_check(broken, 1, k=0, grid=np.linspace(0.05, 1.0, 39))
     assert rep.range_report.normalized >= 1e-2

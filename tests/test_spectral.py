@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _oracles import PerturbedH, bump_h
 from _reference import REFERENCE as REF
 from sphmean import spectral as sp
-from sphmean.rangecheck import PerturbedH, bump_h
 from sphmean.specfun import bessel_zero, raw_to_normalized
 from sphmean.transform import (
     BumpProfile,
@@ -148,8 +148,11 @@ def test_mk_k0_is_angle_addition():
 
 
 def test_mk_lhs_reference_value():
-    assert sp.mk_lhs(1, 2.0, 0.7) == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-13)
-    assert sp.mk_rhs(1, 2.0, 0.7) == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-12)
+    lam, t = np.array([2.0]), np.array([0.7])
+    lhs = sp._mk_lhs_value(1, lam, t)[0]
+    rhs = sp._mk_rhs_rows(1, lam, t)[0][0]
+    assert lhs == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-13)
+    assert rhs == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-12)
 
 
 def test_mk_residual_seeded_sweep():
@@ -173,8 +176,10 @@ def test_mk_two_sided_limit_at_minus_one():
         for lam in (0.7, 9.0):
             assert sp.mk_residual(k, lam, -1 + eps) <= 1e-8
             assert sp.mk_residual(k, lam, -1 - eps) <= 1e-8
-            lim_p = 2 * sp.mk_rhs(k, lam, -1 + eps / 2) - sp.mk_rhs(k, lam, -1 + eps)
-            lim_m = 2 * sp.mk_rhs(k, lam, -1 - eps / 2) - sp.mk_rhs(k, lam, -1 - eps)
+            ts = -1 + np.array([eps / 2, eps, -eps / 2, -eps])
+            rhs = sp._mk_rhs_rows(k, np.full(ts.shape, lam), ts)[0]
+            lim_p = 2 * rhs[0] - rhs[1]
+            lim_m = 2 * rhs[2] - rhs[3]
             assert abs(lim_p - lim_m) <= 1e-5
 
 
@@ -197,9 +202,9 @@ def test_mk_domain_errors():
     with pytest.raises(ValueError):
         sp.mk_residual(-1, 2.0, 0.5)
     with pytest.raises(ValueError):
-        sp.mk_lhs(2, 3.0, 0.0)
+        sp._mk_points(3.0, 0.0)
     with pytest.raises(ValueError):
-        sp.mk_rhs(2, 3.0, -1.0)
+        sp._mk_points(3.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from sphmean import exactmath as em
 from sphmean import transform as tr
 
-from _oracles import funk_hecke_forward, h_from_phi
+from _oracles import PolynomialProfile, const_Kmn, funk_hecke_forward, h_from_phi
 from _reference import REFERENCE as REF
 
 
@@ -18,7 +18,7 @@ def relerr(got, want):
 
 
 D3, D5, D7 = tr.Dimension(3), tr.Dimension(5), tr.Dimension(7)
-ONE = tr.PolynomialProfile([1.0])
+ONE = PolynomialProfile([1.0])
 BUMP = tr.BumpProfile(0.55, 0.25)
 
 
@@ -101,7 +101,7 @@ def test_bump_validation():
 
 
 def test_polynomial_profile_eval_and_jet():
-    p = tr.PolynomialProfile([1.0, 0.0, 2.0], r_hi=0.8)  # 1 + 2 r^2
+    p = PolynomialProfile([1.0, 0.0, 2.0], r_hi=0.8)  # 1 + 2 r^2
     assert p(0.5) == pytest.approx(1.5)
     assert p(0.85) == 0.0
     j = p.jet(0.5, 2)
@@ -133,7 +133,7 @@ def test_forward_h_closed_form_n3():
 
 def test_forward_radial_and_funk_hecke_closed_form_n3():
     for t in (0.3, 0.9, 1.0):
-        assert tr.forward_radial(ONE, D3, t) == pytest.approx((2 - t) / 4, rel=1e-13)
+        assert tr.SmtProfile(ONE, D3).g(t) == pytest.approx((2 - t) / 4, rel=1e-13)
         assert funk_hecke_forward(ONE, D3, t) == pytest.approx((2 - t) / 4, rel=1e-13)
 
 
@@ -148,7 +148,7 @@ def test_forward_domain_errors():
     with pytest.raises(ValueError):
         tr.forward_h(ONE, D3, 2.0)
     with pytest.raises(ValueError):
-        tr.forward_radial(ONE, D3, 5e-4)  # below division floor
+        tr.SmtProfile(ONE, D3).g(5e-4)  # below division floor
 
 
 def test_support_of_h_is_exact():
@@ -163,7 +163,7 @@ def test_forward_matches_funk_hecke_across_dimensions():
     for dim in (D3, D5, D7):
         for prof in profiles:
             for t in np.linspace(0.35, 1.7, 25):
-                a = tr.forward_radial(prof, dim, float(t))
+                a = tr.SmtProfile(prof, dim).g(float(t))
                 b = funk_hecke_forward(prof, dim, float(t))
                 assert abs(a - b) <= 1e-9 * max(1e-12, abs(b), abs(a)) + 1e-16
 
@@ -283,22 +283,23 @@ def test_forward_h_dp_continuous_at_t1():
 
 def test_forward_harmonic_m0_reduces_to_radial():
     for t in (0.5, 1.1):
-        a = tr.forward_harmonic(BUMP, D5, 0, t)
-        b = tr.forward_radial(BUMP, D5, t)
+        a = tr.HarmonicForwardData(BUMP, D5, 0).g(t)
+        b = tr.SmtProfile(BUMP, D5).g(t)
         assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_phi_closed_form_n3_m1():
-    assert relerr(tr.phi_harmonic(ONE, D3, 1, 0.8), REF["phi_n3_m1_const1_t0_8"]) < 1e-13
-    assert relerr(tr.phi_harmonic(ONE, D3, 1, 1.25), REF["phi_n3_m1_const1_t1_25"]) < 1e-13
+    phi = lambda t: tr.phi_harmonic_dp(ONE, D3, 1, t, 0)
+    assert relerr(phi(0.8), REF["phi_n3_m1_const1_t0_8"]) < 1e-13
+    assert relerr(phi(1.25), REF["phi_n3_m1_const1_t1_25"]) < 1e-13
 
 
 def test_const_Kmn_reference_values():
-    assert relerr(tr.const_Kmn(D3, 1), REF["const_n3_m1"]) < 1e-14
-    assert relerr(tr.const_Kmn(D3, 2), REF["const_n3_m2"]) < 1e-14
-    assert relerr(tr.const_Kmn(D5, 1), REF["const_n5_m1"]) < 1e-14
+    assert relerr(const_Kmn(D3, 1), REF["const_n3_m1"]) < 1e-14
+    assert relerr(const_Kmn(D3, 2), REF["const_n3_m2"]) < 1e-14
+    assert relerr(const_Kmn(D5, 1), REF["const_n5_m1"]) < 1e-14
     # m = 0 degenerates to the radial front constant
-    assert tr.const_Kmn(D3, 0) == pytest.approx(tr.omega(2) / tr.omega(3), rel=1e-14)
+    assert const_Kmn(D3, 0) == pytest.approx(tr.omega(2) / tr.omega(3), rel=1e-14)
 
 
 def test_harmonic_two_route_consistency():
@@ -319,7 +320,7 @@ def test_smt_profile_wrapper():
     prof = tr.SmtProfile(BUMP, D5)
     t = 0.85
     assert prof.h(t) == pytest.approx(tr.forward_h(BUMP, D5, t), rel=1e-14)
-    assert prof.g(t) == pytest.approx(tr.forward_radial(BUMP, D5, t), rel=1e-14)
+    assert prof.g(t) == pytest.approx(tr.forward_h(BUMP, D5, t) / t ** 3, rel=1e-14)
     assert prof.dp_h(t, 1) == pytest.approx(tr.forward_h_dp(BUMP, D5, t, 1), rel=1e-14)
     assert prof.dim.k == 1
     with pytest.raises(ValueError):

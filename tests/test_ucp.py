@@ -155,6 +155,12 @@ def test_grid_validation():
         ucp.verify_counterexample(S3, grid=np.array([0.5, 2.0]))
 
 
+def test_grid_refusal_names_the_floor():
+    for grid in ([0.0005, 1.0], [0.5, 2.0]):
+        with pytest.raises(ValueError, match=r"^grid radii must lie in \(0\.001, 2\)$"):
+            ucp.verify_counterexample(S3, grid=np.array(grid))
+
+
 def test_report_carries_curves():
     rep = ucp.verify_counterexample(S3)
     assert rep.grid.shape == rep.g_values.shape
