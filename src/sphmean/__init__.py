@@ -29,8 +29,6 @@ from .specfun import (
     d_operator,
     dp_cosc,
     dp_sinc,
-    raw_j,
-    raw_y,
     sph_bessel_j,
 )
 from .spectral import (
@@ -59,8 +57,7 @@ __all__ = [
     "verify_necessity_identity",
     "InversionConfig", "InversionResult", "invert_radial",
     "RangeReport", "SampledH", "general_range_check", "range_residual",
-    "Jet", "bessel_zero", "d_operator", "dp_cosc", "dp_sinc",
-    "raw_j", "raw_y", "sph_bessel_j",
+    "Jet", "bessel_zero", "d_operator", "dp_cosc", "dp_sinc", "sph_bessel_j",
     "bessel_zero_vanishing", "cross_product_terms",
     "hankel", "hankel_h", "mk_residual",
     "DEFAULT_QUAD", "BumpProfile", "DerivativeProfile", "Dimension",

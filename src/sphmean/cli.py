@@ -87,22 +87,22 @@ OPTIONS = {command: {**options, **_SHARED} for command, options in {
     "range-check": {"n": _N, "m": _M,
                     "input": (str, None, None, "CSV of (t, h) samples"),
                     "grid": (int, 101, 1, "number of check points"),
-                    "tol": (float, 1e-6, None, "verdict tolerance")},
+                    "tol": (float, 1e-6, 0, "verdict tolerance")},
     "cross-check": {"n": _N, "m": _M,
                     "lambda_max": (float, 40.0, None, "upper end of the lambda sweep"),
                     "grid": (int, 20, 1, "number of lambda values"),
-                    "tol": (float, 1e-8, None, "verdict tolerance")},
+                    "tol": (float, 1e-8, 0, "verdict tolerance")},
     "mk-check": {"k": (int, 6, 0, "largest kernel order"),
                  "count": (int, 100, 1, "random points per order"),
-                 "lambda_max": (float, 20.0, None, "upper end of the lambda draw"),
-                 "tol": (float, 1e-8, None, "verdict tolerance")},
+                 "lambda_max": (float, 20.0, 0.5, "upper end of the lambda draw"),
+                 "tol": (float, 1e-8, 0, "verdict tolerance")},
     "identities": {"max_k": (int, 8, 0, "sweep bound")},
     "zeros": {"n": _N, "m": _M, "count": (int, 10, 1, "number of kernel zeros"),
-              "tol": (float, 1e-6, None, "verdict tolerance")},
+              "tol": (float, 1e-6, 0, "verdict tolerance")},
     "ucp-demo": {"n": _N, "epsilon": (float, REQUIRED, None, "half-width of the band"),
                  "m": (int, REQUIRED, None, "derivative order of the profile"),
                  "grid": (int, 201, ucp_mod.MIN_GRID, "number of t points"),
-                 "tol": (float, None, None,
+                 "tol": (float, None, 0,
                          "verdict tolerance (default from the quadrature)")},
 }.items()}
 

@@ -15,9 +15,11 @@ high derivative order (the true value can be 30 decimal digits below the
 individual terms).  Evaluations estimate the cancellation from the sum of
 term magnitudes and transparently re-run in decimal arithmetic (the
 standard library's `decimal`) at sufficient precision when float64 cannot
-reach ~1e-11 absolute-or-relative accuracy.  An array call equals the
-scalar call at each element, bit for bit; only the private
-`_dp_trig_horner`, for callers that bound their arguments, skips the guard.
+reach ~1e-11 absolute-or-relative accuracy.  A scalar is evaluated as a
+one-element array, so an array call equals the scalar call at each element,
+bit for bit; only the private `_dp_trig_horner`, for callers that bound
+their arguments, skips the guard.  Floats, arrays and Decimals share one
+trig sum (`_trig_sum`) and one Horner loop (`_poly_eval`).
 All Decimal work runs under `decimal_context`, which sets every field of
 the context itself.
 """
@@ -157,7 +159,9 @@ def decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
 def _sin_cos(v):
     if isinstance(v, Decimal):
         return decimal_sin_cos(v)
-    return np.sin(v), np.cos(v)
+    if isinstance(v, np.ndarray):
+        return np.sin(v), np.cos(v)
+    return math.sin(v), math.cos(v)
 
 
 def _exp(v):
@@ -402,8 +406,12 @@ def _trig_coeffs(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _poly_eval(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
+    """sum c_l x^l by Horner's rule from the leading coefficient, for a
+    float array or a jet x (each partial sum of a jet has the top of x's
+    powers, so a product by a linear x takes two terms per entry); a single
+    coefficient comes back as it is."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
 
@@ -416,18 +424,29 @@ def _kind_coeffs(p: int, kind: str):
     return cs, cc
 
 
+def _trig_sum(cs, cc, x):
+    """The closed trig form times x^(2p+1) and its summed term magnitude,
+    (acc, mag), for a float, a float array or a Decimal (at the working
+    precision).  Every l has one nonzero coefficient (`_trig_coeffs`), so
+    |term| is the magnitude of its one product.  Each element of an array
+    equals the float call on it, bit for bit (numpy's sin, cos and products
+    round as libm's and Python's do)."""
+    sx, cx = _sin_cos(x)
+    acc = mag = x * 0
+    xp = 1
+    for s, c in zip(cs, cc):
+        term = (s * sx + c * cx) * xp
+        acc = acc + term
+        mag = mag + abs(term)
+        xp = xp * x
+    return acc, mag
+
+
 def _trig_sum_mp(cs, cc, x):
     """The closed trig form and its summed term magnitude, in Decimals at
     the working precision."""
     xm = to_decimal(x)
-    sx, cx = decimal_sin_cos(xm)
-    acc = mag = Decimal(0)
-    xp = Decimal(1)
-    for s, c in zip(cs, cc):
-        term = (s * sx + c * cx) * xp
-        acc += term
-        mag += abs(term)
-        xp *= xm
+    acc, mag = _trig_sum(cs, cc, xm)
     power = -(2 * len(cs) - 1)
     return acc * xm ** power, mag * abs(xm) ** power
 
@@ -446,51 +465,22 @@ def _escalate(closed_sum) -> float:
         dps += 40
 
 
-def _trig_sum(cs, cc, x):
-    """The closed trig form times x^(2p+1) and its summed term magnitude,
-    (acc, mag), in floats.  x is a float or an array; each element of an
-    array equals the float call on it, bit for bit (numpy's sin, cos and
-    products round as libm's and Python's do)."""
-    sin, cos = (np.sin, np.cos) if isinstance(x, np.ndarray) else (math.sin, math.cos)
-    sx, cx = sin(x), cos(x)
-    acc = 0.0
-    mag = 0.0
-    xp = 1.0
-    for s, c in zip(cs, cc):
-        term = (s * sx + c * cx) * xp
-        acc += term
-        mag += abs(s * sx * xp) + abs(c * cx * xp)
-        xp *= x
-    return acc, mag
-
-
-def _dp_trig_float(p: int, x, kind: str):
-    """dp_sinc/dp_cosc at x (a float or an array) in floats, and whether the
-    cancellation guard trusts that value (an array of flags for an array)."""
-    acc, mag = _trig_sum(*_kind_coeffs(p, kind), x)
-    scale = _power(x, -(2 * p + 1))
-    value = acc * scale
-    # Relative guard: near a zero of the kernel the float sum cancels far
-    # below the term magnitudes, so judge cancellation against the value
-    # itself; where float64 cannot carry full digits the guard fails.
-    return value, mag * abs(scale) <= _CANCEL_LIMIT * abs(value)
-
-
-def _dp_trig_scalar(p: int, x: float, kind: str) -> float:
-    value, trusted = _dp_trig_float(p, x, kind)
-    if trusted:
-        return value
-    # cancellation beyond float64: redo in Decimals with enough digits
-    return _escalate(lambda: _trig_sum_mp(*_kind_coeffs(p, kind), x))
-
-
 def _dp_trig_rows(p: int, x, kind: str):
-    """The scalar dp_sinc/dp_cosc at every element of the array x, bit for
-    bit: one float sum over the array, and the scalar route (Decimals) only
-    where the cancellation guard fails."""
-    value, trusted = _dp_trig_float(p, x, kind)
+    """dp_sinc/dp_cosc at every element of the float array x: one float sum
+    over the array, redone in Decimals (`_escalate`) where the cancellation
+    guard fails."""
+    cs, cc = _kind_coeffs(p, kind)
+    # an entry that overflows fails the guard and is escalated anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc, mag = _trig_sum(cs, cc, x)
+        scale = _power(x, -(2 * p + 1))
+        value = acc * scale
+        # Relative guard: near a zero of the kernel the float sum cancels
+        # far below the term magnitudes, so judge cancellation against the
+        # value itself; where float64 cannot carry full digits it fails.
+        trusted = mag * abs(scale) <= _CANCEL_LIMIT * abs(value)
     for i in np.flatnonzero(~trusted).tolist():
-        value[i] = _dp_trig_scalar(p, float(x[i]), kind)
+        value[i] = _escalate(lambda: _trig_sum_mp(cs, cc, float(x[i])))
     return value
 
 
@@ -500,7 +490,7 @@ def _dp_trig_horner(p: int, x, kind: str):
     conditioned: sph_bessel_j above its switch radius (first kind, error
     <= 6.4e-15 of the sup on x <= 40 for k <= 12, against high precision) and the
     second-kind block of spectral.cross_product_terms (<= 8.3e-15 of the
-    envelope hypot(raw_j, raw_y) on [0.01, 100] for k <= 12)."""
+    envelope hypot(dp_sinc, dp_cosc) on [0.01, 100] for k <= 12)."""
     cs, cc = _kind_coeffs(p, kind)
     val = _poly_eval(cs, x) * np.sin(x) + _poly_eval(cc, x) * np.cos(x)
     return val * x ** (-(2 * p + 1))
@@ -509,14 +499,11 @@ def _dp_trig_horner(p: int, x, kind: str):
 def _dp_trig(p: int, x, kind: str):
     if p < 0:
         raise ValueError("p >= 0")
-    if isinstance(x, np.ndarray):
-        if np.any(x == 0):
-            raise ValueError("x = 0 is outside the domain")
-        xs = np.asarray(x, dtype=float)
-        return _dp_trig_rows(p, xs.ravel(), kind).reshape(xs.shape)
-    if x == 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs == 0):
         raise ValueError("x = 0 is outside the domain")
-    return _dp_trig_scalar(p, float(x), kind)
+    value = _dp_trig_rows(p, xs.ravel(), kind)
+    return value.reshape(xs.shape) if xs.ndim else float(value[0])
 
 
 def dp_sinc(p: int, x):
@@ -529,18 +516,8 @@ def dp_cosc(p: int, x):
     return _dp_trig(p, x, "cos")
 
 
-def _poly_eval_jet(coeffs, xjet: Jet) -> Jet:
-    """Jet of sum c_l x^l at the jet x, by Horner's rule from the leading
-    coefficient; each partial sum's top grows by x's, so a product by a
-    linear x takes two terms per entry."""
-    acc = xjet._wrap(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * xjet + c
-    return acc
-
-
 def raw_j_jet(k: int, xjet: Jet) -> Jet:
-    """Jet of raw_j(k, .) composed with the jet argument (chain rule included).
+    """Jet of dp_sinc(k, .) composed with the jet argument (chain rule included).
 
     Uses the exact integer-coefficient trig form; valid for float and Decimal
     jet components alike.  The argument needs a nonzero value; its known
@@ -548,7 +525,7 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
     """
     cs, cc = _trig_coeffs(k)
     s, c = xjet.sin_cos()
-    num = _poly_eval_jet(cs, xjet) * s + _poly_eval_jet(cc, xjet) * c
+    num = _poly_eval(cs, xjet) * s + _poly_eval(cc, xjet) * c
     return num * xjet ** (-(2 * k + 1))
 
 
@@ -569,7 +546,7 @@ def dp_trig_mp(p: int, x, kind: str, dps: int = 60):
 
 @lru_cache(maxsize=None)
 def raw_to_normalized(k: int) -> float:
-    """c_k with raw_j = c_k * j_normalized; c_0 = 1, sign alternates."""
+    """c_k with dp_sinc(k, .) = c_k * j_normalized; c_0 = 1, sign alternates."""
     return (-1) ** k * math.sqrt(math.pi) / (2 ** (k + 1) * math.gamma(k + 1.5))
 
 
@@ -593,16 +570,6 @@ def _series_j(k: int, x):
         if np.all(np.abs(term) < 1e-18 * np.abs(acc)):
             break
     return acc
-
-
-def raw_j(k: int, x):
-    """D^k(sin x / x); the raw first-kind function."""
-    return dp_sinc(k, x)
-
-
-def raw_y(k: int, x):
-    """D^k(cos x / x); the raw second-kind function (pole at 0)."""
-    return dp_cosc(k, x)
 
 
 def sph_bessel_j(k: int, x):
@@ -671,9 +638,11 @@ def bessel_zero(k: int, i: int) -> float:
     (exactly pi at k = 0), so an upward scan with unit step cannot skip one.
     The scan starts below the first zero (which exceeds the order k + 1/2)
     and is capped a safe margin past the asymptotic location (i + k/2) pi;
-    each bracket is then bisected to 1e-12 absolute.  Scan and bisection
-    read only the sign of raw_j, which for x > 0 is that of its float trig
-    sum wherever rounding cannot flip it, so Decimals run only next to a zero.
+    each bracket is then bisected until it is 1e-13 wide or its ends are
+    adjacent floats (above x = 512 one float spacing exceeds 1e-13).  Scan
+    and bisection read only the sign of dp_sinc, which for x > 0 is that of
+    its float trig sum wherever rounding cannot flip it, so Decimals run
+    only next to a zero.
     """
     if k < 0 or i < 1:
         raise ValueError("need k >= 0 and i >= 1")
@@ -684,13 +653,13 @@ def bessel_zero(k: int, i: int) -> float:
     cs, cc = _trig_coeffs(k)
 
     def f(xx):
-        # a float with the sign of raw_j(k, xx), all the bisection reads:
+        # a float with the sign of dp_sinc(k, xx), all the bisection reads:
         # the float sum's rounding error is below (k + 3) eps mag, so only
-        # a sum inside a 4 (k + 2) eps mag band needs raw_j (and Decimals)
+        # a sum inside a 4 (k + 2) eps mag band needs dp_sinc (and Decimals)
         acc, mag = _trig_sum(cs, cc, xx)
         if abs(acc) > 4 * (k + 2) * _EPS * mag:
             return acc
-        return raw_j(k, xx)
+        return dp_sinc(k, xx)
 
     if zeros:
         lo = zeros[-1] + 1e-9
@@ -713,6 +682,8 @@ def bessel_zero(k: int, i: int) -> float:
             fa = flo
             while b - a > 1e-13:
                 mid = 0.5 * (a + b)
+                if not a < mid < b:  # a and b are adjacent floats
+                    break
                 fm = f(mid)
                 if fm == 0.0:
                     a = b = mid

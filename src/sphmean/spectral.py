@@ -37,11 +37,11 @@ from .specfun import (
     bessel_zero,
     d_operator,
     decimal_context,
+    dp_cosc,
+    dp_sinc,
     dp_trig_mp,
-    raw_j,
     raw_j_jet,
     raw_to_normalized,
-    raw_y,
     sph_bessel_j,
     to_decimal,
 )
@@ -154,14 +154,14 @@ def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
 def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
     """Both sides of the cross-product identity and their relative defect.
 
-    With I_j = integral of raw_j(k, lam t) t h(t) dt and I_y the same with the
-    second-kind kernel, range data satisfies I_j * raw_y(k, lam) =
-    I_y * raw_j(k, lam) exactly.  Returns (lhs, rhs, residual) with residual
-    = |lhs - rhs| / (A_j |raw_y(k, lam)| + A_y |raw_j(k, lam)|), where A_j
-    and A_y integrate |kernel t h| in place of kernel t h.  That denominator
-    bounds both sides and is the scale of their rounding error, so the ratio
-    stays meaningful where lam sits near a kernel zero or an integral cancels
-    far below its integrand.
+    With I_j = integral of dp_sinc(k, lam t) t h(t) dt and I_y the same with
+    the second-kind kernel dp_cosc, range data satisfies I_j * dp_cosc(k, lam)
+    = I_y * dp_sinc(k, lam) exactly.  Returns (lhs, rhs, residual) with
+    residual = |lhs - rhs| / (A_j |dp_cosc(k, lam)| + A_y |dp_sinc(k, lam)|),
+    where A_j and A_y integrate |kernel t h| in place of kernel t h.  That
+    denominator bounds both sides and is the scale of their rounding error,
+    so the ratio stays meaningful where lam sits near a kernel zero or an
+    integral cancels far below its integrand.
 
     `data` supplies `data.h` and its t-support `data.support`.  The
     second-kind kernel blows up like t^-(2k+1) at the origin, so the support
@@ -191,7 +191,7 @@ def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
         return np.array([j_block, np.abs(j_block), y_block, np.abs(y_block)])
 
     i_j, a_j, i_y, a_y = _lam_sums(data.h, lams, a, b, quad, integrand, (4,))
-    j_lam, y_lam = raw_j(k, lams), raw_y(k, lams)
+    j_lam, y_lam = dp_sinc(k, lams), dp_cosc(k, lams)
     lhs = i_j * y_lam
     rhs = i_y * j_lam
     den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)
@@ -213,29 +213,10 @@ def _mk_points(lam, t):
     return lams.ravel(), ts.ravel(), ts.shape
 
 
-def _mk_sides(k: int, lam, t, use_mp: bool, dps: int = _MP_DPS):
-    """Both sides of the kernel identity and their scale.
-
-    In floats, lam and t are arrays of points: the left side is one jet pass
-    over all of them, and so are the closed-form right side's trig sums
-    (a sum that fails its cancellation guard is redone by the scalar route).
-    With `use_mp`, one point is evaluated in Decimals at `dps` digits.
-    """
-    if use_mp:
-        with decimal_context(dps):
-            lam_v = to_decimal(lam)
-            t_v = to_decimal(t)
-            lhs = _mk_lhs_value(k, lam_v, t_v)
-            rhs, scale = _mk_rhs_value(k, lam_v, t_v, dps)
-            return lhs, rhs, scale
-    lams, ts = np.atleast_1d(lam, t)
-    return (_mk_lhs_value(k, lams, ts), *_mk_rhs_rows(k, lams, ts))
-
-
 def _mk_lhs_value(k: int, lam, t):
     """Boundary operator applied to the shifted kernel, term by term.
 
-    Term p is C(k,p) (-1)^p D^p of (1+t)^(p+1) raw_j(k, lam (1+t)) / t,
+    Term p is C(k,p) (-1)^p D^p of (1+t)^(p+1) dp_sinc(k, lam (1+t)) / t,
     evaluated through a derivative jet of order k at the base point t
     (float arrays of points, or one Decimal point).
     """
@@ -260,42 +241,23 @@ def _mk_lhs_value(k: int, lam, t):
     return acc
 
 
-def _mk_rhs_value(k: int, lam, t, dps):
+def _mk_rhs(k: int, lam, t, trig):
     """Closed form: (-1)^k lam^(2k+1) (D^k sinc * y + D^k cosc * j), and its
-    scale, at one Decimal point at `dps` digits."""
-    sinc = dp_trig_mp(k, lam * t, "sin", dps)
-    cosc = dp_trig_mp(k, lam * t, "cos", dps)
-    j_lam = dp_trig_mp(k, lam, "sin", dps)
-    y_lam = dp_trig_mp(k, lam, "cos", dps)
-    front = lam ** (2 * k + 1)
+    scale, with the kernels from trig(p, x, kind): `_dp_trig_rows` over
+    float arrays of points (each row equals the same sum over Python floats,
+    bit for bit, as powers are taken per element), or `dp_trig_mp` at one
+    Decimal point."""
+    sinc = trig(k, lam * t, "sin")
+    cosc = trig(k, lam * t, "cos")
+    j_lam = trig(k, lam, "sin")
+    y_lam = trig(k, lam, "cos")
+    front = _power(lam, 2 * k + 1)
     t1 = sinc * y_lam
     t2 = cosc * j_lam
     rhs = front * (t1 + t2)
     if k % 2:
         rhs = -rhs
-    scale = abs(front) * max(abs(t1), abs(t2))
-    return rhs, scale
-
-
-def _mk_rhs_rows(k: int, lams, ts):
-    """The closed form of `_mk_rhs_value` and its scale at every point, in
-    floats.  Each kernel value equals its scalar dp_sinc/dp_cosc call
-    (`_dp_trig_rows`) and powers are taken per element in Python floats, so
-    each row equals the same sum over Python floats, bit for bit."""
-    # an overflowing point fails its guard and takes the scalar route
-    with np.errstate(over="ignore", invalid="ignore"):
-        sinc = _dp_trig_rows(k, lams * ts, "sin")
-        cosc = _dp_trig_rows(k, lams * ts, "cos")
-        j_lam = _dp_trig_rows(k, lams, "sin")
-        y_lam = _dp_trig_rows(k, lams, "cos")
-        front = _power(lams, 2 * k + 1)
-        t1 = sinc * y_lam
-        t2 = cosc * j_lam
-        rhs = front * (t1 + t2)
-        if k % 2:
-            rhs = -rhs
-        scale = np.abs(front) * np.maximum(np.abs(t1), np.abs(t2))
-    return rhs, scale
+    return rhs, abs(front) * np.maximum(abs(t1), abs(t2))
 
 
 def mk_residual(k: int, lam, t):
@@ -320,7 +282,8 @@ def mk_residual(k: int, lam, t):
         raise ValueError("lam > 0")
     # an overflowing row is retried below, then raised: no warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs, scale = _mk_sides(k, lams, ts, use_mp=False)
+        lhs = _mk_lhs_value(k, lams, ts)
+        rhs, scale = _mk_rhs(k, lams, ts, _dp_trig_rows)
         den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR * scale)
         res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(den.shape),
                         where=den != 0.0)
@@ -328,7 +291,10 @@ def mk_residual(k: int, lam, t):
     # NaN compares False, so a non-finite row is retried too
     for i in np.flatnonzero(~(res <= retry_at)).tolist():
         with decimal_context(_MP_DPS):
-            lhs_i, rhs_i, scale_i = _mk_sides(k, lams[i], ts[i], use_mp=True)
+            lam_i, t_i = to_decimal(lams[i]), to_decimal(ts[i])
+            lhs_i = _mk_lhs_value(k, lam_i, t_i)
+            rhs_i, scale_i = _mk_rhs(k, lam_i, t_i, lambda p, x, kind:
+                                     dp_trig_mp(p, x, kind, _MP_DPS))
             den_i = max(abs(lhs_i), abs(rhs_i), to_decimal(_REL_FLOOR) * scale_i)
             res[i] = 0.0 if den_i == 0 else float(abs(lhs_i - rhs_i) / den_i)
     finite = np.isfinite(res)

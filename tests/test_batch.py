@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -335,13 +336,13 @@ def _kernel_points():
 
 def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
     retries = []
-    sides = sp._mk_sides
+    lhs_value = sp._mk_lhs_value
 
-    def counted(k, lam, t, use_mp, dps=80):
-        retries.append(use_mp)
-        return sides(k, lam, t, use_mp, dps)
+    def counted(k, lam, t):
+        retries.append(isinstance(lam, Decimal))
+        return lhs_value(k, lam, t)
 
-    monkeypatch.setattr(sp, "_mk_sides", counted)
+    monkeypatch.setattr(sp, "_mk_lhs_value", counted)
     lam, t = _kernel_points()
     for k in range(9):
         singles = [sp.mk_residual(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
@@ -350,10 +351,11 @@ def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
         one = sp.mk_residual(k, lam[-1:], t[-1:])
         assert one.shape == (1,) and one[0] == singles[-1], k
         # each side's rows equal its call on one point
-        lhs, rhs = sp._mk_lhs_value(k, lam, t), sp._mk_rhs_rows(k, lam, t)[0]
+        lhs, rhs = sp._mk_lhs_value(k, lam, t), sp._mk_rhs(k, lam, t, sf._dp_trig_rows)[0]
         points = [(np.array([a]), np.array([b])) for a, b in zip(lam.tolist(), t.tolist())]
         assert np.array_equal(lhs, [sp._mk_lhs_value(k, *pt)[0] for pt in points]), k
-        assert np.array_equal(rhs, [sp._mk_rhs_rows(k, *pt)[0][0] for pt in points]), k
+        assert np.array_equal(rhs, [sp._mk_rhs(k, *pt, sf._dp_trig_rows)[0][0]
+                                    for pt in points]), k
         # the jet side equals jets over one Python-float point each
         plain = [sp._mk_lhs_value(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
         assert np.array_equal(lhs, np.array(plain)), k
@@ -377,7 +379,7 @@ def test_kernel_identity_rhs_rows_equal_the_scalar_route():
     lam = np.concatenate([rng.uniform(0.5, 40.0, 400), [sf.bessel_zero(3, 2), 1e-3]])
     t = np.concatenate([rng.uniform(-3.0, 3.0, 400), [1.0, 0.2]])
     for k in range(9):
-        rhs, scale = sp._mk_rhs_rows(k, lam, t)
+        rhs, scale = sp._mk_rhs(k, lam, t, sf._dp_trig_rows)
         rows = np.array([_mk_rhs_point(k, a, b) for a, b in zip(lam.tolist(), t.tolist())])
         assert np.array_equal(rhs, rows[:, 0]) and np.array_equal(scale, rows[:, 1]), k
 

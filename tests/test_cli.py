@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -432,14 +433,14 @@ def test_no_subcommand_imports_mpmath(tmp_path):
 def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
     # the rows over the float retry threshold are re-measured with 80-digit
     # Decimal jets; what is left there is rounding noise
-    retried, sides = [], sp._mk_sides
+    retried, lhs_value = [], sp._mk_lhs_value
 
-    def counted(k, lam, t, use_mp, dps=80):
-        if use_mp:
+    def counted(k, lam, t):
+        if isinstance(lam, Decimal):
             retried.append((k, float(lam), float(t)))
-        return sides(k, lam, t, use_mp, dps)
+        return lhs_value(k, lam, t)
 
-    monkeypatch.setattr(sp, "_mk_sides", counted)
+    monkeypatch.setattr(sp, "_mk_lhs_value", counted)
     out = tmp_path / "mk.csv"
     assert cli.main(["mk-check", "--k", "6", "--count", "100", "--seed", "7",
                      "--out", str(out)]) == 0
@@ -831,7 +832,18 @@ def test_zeros_scale_uses_the_transform_it_divides(tmp_path, capsys):
     (["zeros"], {"quadrature": {"panels": 0}}, "'quadrature.panels' must be >= 1"),
     (["ucp-demo", "--n", "5", "--epsilon", "0.2", "--m", "6", "--grid", "1"], None,
      "--grid must be >= 16"),
-], ids=["seed", "m", "n", "quadrature.nodes", "quadrature.panels", "ucp-demo.grid"])
+    # mk-check draws lam from [0.5, lambda-max]; a negative tol always FAILs
+    (["mk-check", "--lambda-max", "0.3"], None, "--lambda-max must be >= 0.5"),
+    (["range-check", "--tol", "-1"], {}, "--tol must be >= 0"),
+    (["cross-check", "--tol", "-1"], {}, "--tol must be >= 0"),
+    (["mk-check", "--tol", "-1"], None, "--tol must be >= 0"),
+    (["zeros", "--tol", "-1"], {}, "--tol must be >= 0"),
+    (["ucp-demo", "--n", "3", "--epsilon", "0.2", "--m", "2", "--tol", "-1"], None,
+     "--tol must be >= 0"),
+    (["zeros"], {"tol": -1.0}, "field 'tol' must be >= 0"),
+], ids=["seed", "m", "n", "quadrature.nodes", "quadrature.panels", "ucp-demo.grid",
+        "mk-check.lambda_max", "range-check.tol", "cross-check.tol", "mk-check.tol",
+        "zeros.tol", "ucp-demo.tol", "config.tol"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, argv, extra, message):
     if extra is not None:
         argv = argv + ["--config", _write_profile(tmp_path, **extra)]

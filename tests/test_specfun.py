@@ -4,6 +4,9 @@ jet arithmetic, the D^p coefficient table, closed-form kernels, and zeros."""
 import decimal
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -174,7 +177,7 @@ def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
                               (Decimal(-2.5), Decimal(7.25))):
                 x = (sf.Jet.variable(base, k) + 1) * lam
                 for coeffs in sf._trig_coeffs(k):
-                    got = sf._poly_eval_jet(coeffs, x).derivs
+                    got = x._wrap(sf._poly_eval(coeffs, x)).derivs
                     assert [_bits(v) for v in got] == [_bits(v) for v in horner(coeffs, x).derivs]
 
 
@@ -385,15 +388,33 @@ def test_decimal_context_ignores_the_callers_context():
 _ESCALATION_XS = np.concatenate([np.geomspace(0.01, 40.0, 300), [0.3, 0.5, 1e-3, 3.0, 7.5]])
 
 
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+def test_each_power_has_one_nonzero_coefficient(kind):
+    # so |term| in _trig_sum is the magnitude of its one product: the sine
+    # row is nonzero at even l, the cosine row at odd l (swapped for cos)
+    for p in range(41):
+        cs, cc = sf._kind_coeffs(p, kind)
+        for l, (s, c) in enumerate(zip(cs, cc)):
+            assert (s != 0) != (c != 0), (p, l)
+            assert (s != 0) == (l % 2 == (kind == "cos")), (p, l)
+
+
+def _float_sum_trusted(p, x, kind):
+    """Whether the cancellation guard trusts the float closed-form sum at x."""
+    acc, mag = sf._trig_sum(*sf._kind_coeffs(p, kind), x)
+    scale = x ** -(2 * p + 1)
+    return mag * abs(scale) <= sf._CANCEL_LIMIT * abs(acc * scale)
+
+
 def test_escalated_values_keep_their_floats():
     # the floats these escalations gave when they ran in mpmath, bit for bit
-    values = [sf._dp_trig_scalar(p, x, kind)
+    values = [(sf.dp_sinc if kind == "sin" else sf.dp_cosc)(p, x)
               for p in range(13) for kind in ("sin", "cos") for x in _ESCALATION_XS.tolist()
-              if not sf._dp_trig_float(p, x, kind)[1]]
+              if not _float_sum_trusted(p, x, kind)]
     assert len(values) == 2333
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
     assert digest == "bf4aea374dec5e40c13722bb9fc7a8a6fc7f64ad6aaa5db1d3e31d3ab68b1b46"
-    assert [v.hex() for v in (sf.dp_sinc(10, 0.3), sf.dp_cosc(7, 0.5), sf.raw_j(3, 0.5),
+    assert [v.hex() for v in (sf.dp_sinc(10, 0.3), sf.dp_cosc(7, 0.5), sf.dp_sinc(3, 0.5),
                               sf.dp_sinc(6, 0.05), sf.dp_sinc(3, 1e100),
                               sf.dp_cosc(12, 0.01))] == [
         "0x1.3f3faa1756566p-34", "-0x1.0a7ce56506720p+32", "-0x1.33c42f57d06bep-7",
@@ -474,7 +495,7 @@ def test_array_calls_equal_scalar_calls(k):
     # for bit, also at small x and high k where the closed form cancels (an
     # unguarded float sum gives 0.0 for dp_sinc(6, [0.05]), not 7.4e-6)
     xs = np.concatenate([np.linspace(0.05, 40.0, 300), np.geomspace(0.05, 40.0, 150)])
-    for fn in (sf.dp_sinc, sf.dp_cosc, sf.raw_j, sf.raw_y):
+    for fn in (sf.dp_sinc, sf.dp_cosc):
         want = np.array([fn(k, float(x)) for x in xs])
         assert np.array_equal(fn(k, xs), want), fn.__name__
         assert np.array_equal(fn(k, xs.reshape(3, -1)), want.reshape(3, -1)), fn.__name__
@@ -504,29 +525,29 @@ def test_first_kind_reference_values():
 
 
 def test_second_kind_reference_values():
-    # the normalized second kind is raw_y / c_k, with the first kind's c_k
-    assert relerr(sf.raw_y(1, 2.0) / sf.raw_to_normalized(1), REF["y_k1_x2"]) < 1e-14
-    assert relerr(sf.raw_y(2, 5.3) / sf.raw_to_normalized(2), REF["y_k2_x5_3"]) < 1e-14
+    # the normalized second kind is dp_cosc / c_k, with the first kind's c_k
+    assert relerr(sf.dp_cosc(1, 2.0) / sf.raw_to_normalized(1), REF["y_k1_x2"]) < 1e-14
+    assert relerr(sf.dp_cosc(2, 5.3) / sf.raw_to_normalized(2), REF["y_k2_x5_3"]) < 1e-14
 
 
 def test_normalization_at_zero():
     assert sf.sph_bessel_j(0, 0.0) == pytest.approx(1.0)
     assert sf.sph_bessel_j(5, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        sf.raw_y(3, 0.0)
+        sf.dp_cosc(3, 0.0)
 
 
 def test_raw_equals_ck_times_normalized():
     for k in range(9):
         ck = sf.raw_to_normalized(k)
         for x in (0.9, 3.7, 12.0, 33.0):
-            assert relerr(sf.raw_j(k, x), ck * sf.sph_bessel_j(k, x)) < 1e-12
+            assert relerr(sf.dp_sinc(k, x), ck * sf.sph_bessel_j(k, x)) < 1e-12
             # D^k (cos x / x) = -(-1)^k y_k(x) / x^k, y_k the standard
             # spherical Bessel function of the second kind
             with mp.workdps(30):
                 y_k = mp.sqrt(mp.pi / (2 * x)) * mp.bessely(k + 0.5, x)
                 want = float(-(-1) ** k * y_k / mp.mpf(x) ** k)
-            assert relerr(sf.raw_y(k, x), want) < 1e-12
+            assert relerr(sf.dp_cosc(k, x), want) < 1e-12
 
 
 def test_ck_values():
@@ -538,10 +559,10 @@ def test_ck_values():
 def test_raw_first_kind_is_sinc_chain():
     # k = 0: literally sin x / x; k = 1: D(sin x/x)
     x = 2.0
-    assert sf.raw_j(0, x) == pytest.approx(math.sin(x) / x, rel=1e-15)
+    assert sf.dp_sinc(0, x) == pytest.approx(math.sin(x) / x, rel=1e-15)
     want = (x * math.cos(x) - math.sin(x)) / x ** 3
-    assert sf.raw_j(1, x) == pytest.approx(want, rel=1e-14)
-    assert sf.raw_y(0, x) == pytest.approx(math.cos(x) / x, rel=1e-15)
+    assert sf.dp_sinc(1, x) == pytest.approx(want, rel=1e-14)
+    assert sf.dp_cosc(0, x) == pytest.approx(math.cos(x) / x, rel=1e-15)
 
 
 def test_switch_boundary_continuity():
@@ -602,18 +623,18 @@ def test_zeros_increase_and_interlace():
 
 def test_no_common_zeros_scale_aware():
     # at every zero z of the first kind, the second kind carries the full
-    # local amplitude: |raw_y(k,z)| * z^(k+1) is essentially 1 (never small)
+    # local amplitude: |dp_cosc(k,z)| * z^(k+1) is essentially 1 (never small)
     for k in range(9):
         for i in range(1, 11):
             z = sf.bessel_zero(k, i)
-            assert abs(sf.raw_y(k, z)) * z ** (k + 1) > 1e-3
+            assert abs(sf.dp_cosc(k, z)) * z ** (k + 1) > 1e-3
 
 
 def _zeros_by_raw_j(k, count):
     """The first `count` zeros as one bessel_zero call per index finds them,
-    when scan and bisection called raw_j at every step (the form before the
+    when scan and bisection called dp_sinc at every step (the form before the
     sign test on the float sum)."""
-    f = lambda x: sf.raw_j(k, x)
+    f = lambda x: sf.dp_sinc(k, x)
     zeros = []
     lo = max(k + 0.5, 0.5)
     flo = f(lo)
@@ -646,7 +667,7 @@ def _zeros_by_raw_j(k, count):
 
 def test_zeros_equal_the_raw_j_bisection():
     # the search reads signs from the float trig sum where rounding cannot
-    # flip them; every zero must be the one the raw_j search finds, bit for
+    # flip them; every zero must be the one the dp_sinc search finds, bit for
     # bit, whichever index a call asks for first
     for k in range(13):
         sf._zero_cache(k).clear()
@@ -656,6 +677,26 @@ def test_zeros_equal_the_raw_j_bisection():
         assert zeros == _zeros_by_raw_j(k, 20), k
         for i, z in enumerate(zeros, start=1):
             assert abs(z - float(mpmath.besseljzero(k + 0.5, i))) <= 1e-12, (k, i)
+
+
+def test_zeros_past_512_end():
+    # above x = 512 one float spacing exceeds the 1e-13 bisection width;
+    # before the bisection stopped at adjacent floats, bessel_zero(0, 163)
+    # never returned, so the search runs in a child with a timeout
+    code = ("import sys\n"
+            "from sphmean import specfun as sf\n"
+            "zeros = [sf.bessel_zero(0, i) for i in range(163, 201)]\n"
+            "print(*zeros, sf.bessel_zero(3, 163))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sf.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    zeros = [float(v) for v in run.stdout.split()]
+    wants = [mpmath.besseljzero(0.5, i) for i in range(163, 201)]
+    wants.append(mpmath.besseljzero(3.5, 163))
+    assert zeros[-1] > 512
+    for z, want in zip(zeros, wants):
+        assert abs(z - float(want)) <= math.ulp(z), (z, want)
 
 
 def test_zero_argument_validation():

@@ -130,7 +130,7 @@ def main():
     f("const_n5_m1", sp.N(const_kmn(5, 1), 40))
 
     # --- M_k identity left side at k=1, lambda=2, t=0.7 (pins operator conventions)
-    # raw_j(1, x) = D(sin x/x) = (x cos x - sin x)/x^3
+    # dp_sinc(1, x) = D(sin x/x) = (x cos x - sin x)/x^3
     lam = mp.mpf(2)
     rawj1 = lambda xx: (xx * mp.cos(xx) - mp.sin(xx)) / xx**3
 
