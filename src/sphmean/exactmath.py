@@ -118,6 +118,8 @@ class BiPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "BiPoly":
+        if type(other) is int:
+            return _normalized({key: c * other for key, c in self.coeffs.items()})
         other = list(_as_poly(other).coeffs.items())
         out: dict[tuple[int, int], int | Fraction] = {}
         get = out.get
@@ -264,12 +266,13 @@ def verify_lemma35b(l: int) -> bool:
     """
     if l < 0:
         raise ValueError("l >= 0")
-    A, B = BiPoly.t(), BiPoly.u()
+    diff, power = BiPoly.t() - BiPoly.u(), BiPoly.const(1)  # power = (A-B)^s
     total = BiPoly()
     for s in range(l + 1):
+        if s:
+            power = power * diff
         c = (-1) ** s * binom(2 * l - s, l) * binom(l, s)
-        inner = A ** (l - s) - BiPoly.const((-1) ** s) * B ** (l - s)
-        total = total + BiPoly.const(c) * (A - B) ** s * inner
+        total = total + power * (BiPoly.t(l - s) - (-1) ** s * BiPoly.u(l - s)) * c
     return total.is_zero()
 
 
@@ -277,29 +280,35 @@ def verify_abel_aigner(p: int, r: int, s: int) -> bool:
     """Convolution identity with a 1/(p-m) weight:
     sum_{m=r}^{p-1-s} C(2m-r, m-r) C(2(p-1-m)-s, p-1-m-s) / (p-m)
         == C(2p-r-s-1, p) / (s+1).
+
+    Both sides are compared times lcm(1..p), which clears every denominator.
     """
     if p < 1 or r < 0 or s < 0 or r + s > p - 1:
         raise ValueError("need p >= 1, r, s >= 0, r + s <= p - 1")
-    lhs = sum(
-        Fraction(binom(2 * m - r, m - r) * binom(2 * (p - 1 - m) - s, p - 1 - m - s), p - m)
-        for m in range(r, p - s)
-    )
-    return lhs == Fraction(binom(2 * p - r - s - 1, p), s + 1)
+    scale = math.lcm(*range(1, p + 1))
+    lhs = sum(binom(2 * m - r, m - r) * binom(2 * (p - 1 - m) - s, p - 1 - m - s)
+              * (scale // (p - m)) for m in range(r, p - s))
+    return lhs == binom(2 * p - r - s - 1, p) * (scale // (s + 1))
 
 
 def verify_necessity_identity(k: int) -> bool:
-    """The reflected-kernel cancellation behind range necessity:
-    sum_p C(k,p) (1-t)^p ( [D^p Q^k](t,u) + (-1)^(p+1) [D^p Q^k](2-t,u) ) == 0.
+    """The kernel cancellation behind range necessity: the order-k range
+    operator L_k = sum_p C(k,p) (1-t)^p D^p maps Q^k(., u) to a function
+    symmetric about t = 1,
+
+        F(t) = sum_p C(k,p) (1-t)^p [D^p Q^k](t,u) == F(2-t).
+
+    F is built once, by Horner's rule in (1-t), and reflected once.
+    F(t) - F(2-t) is, term by term, sum_p C(k,p) (1-t)^p ([D^p Q^k](t,u)
+    + (-1)^(p+1) [D^p Q^k](2-t,u)).
     """
     if k < 0:
         raise ValueError("k >= 0")
-    total = BiPoly()
-    for p in range(k + 1):
-        dp = dp_q_power(k, p)
-        reflected = dp.subs_t_affine(2, -1)
-        inner = dp + reflected if p % 2 else dp - reflected
-        total = total + BiPoly.const(coeff_C(k, p)) * _power("1-t", p) * inner
-    return total.is_zero()
+    dps = [dp_q_power(k, p) for p in range(k + 1)]
+    F = BiPoly()
+    for p in range(k, -1, -1):
+        F = F * _power("1-t", 1) + dps[p] * coeff_C(k, p)
+    return F == F.subs_t_affine(2, -1)
 
 
 def verify_dp_expansion(k: int, p: int) -> bool:
@@ -309,43 +318,37 @@ def verify_dp_expansion(k: int, p: int) -> bool:
     D^p Q^k == sum_{q >= p/2}^{p} K(p,q) (1-t)^(p-2q) Q^(k-q) R^(2q-p),
     K(p,q) = k! p! (-4)^(p-q) / ((k-q)! (2q-p)! (p-q)! 2^(2q-p)).
 
-    Compared after multiplying both sides by (1-t)^p to clear denominators.
-    The powers of Q, R and (1-t) are exact, so each is built once and shared.
+    Compared after multiplying both sides by (1-t)^p, to clear the negative
+    powers, and by 2^p, which makes every weight an integer
+    (`_expansion_weight`).  The powers of Q, R and (1-t) are exact, so each
+    is built once and shared.
     """
     if not 0 <= p <= k:
         raise ValueError("need 0 <= p <= k")
-    lhs = dp_q_power(k, p) * _power("1-t", p)
+    lhs = dp_q_power(k, p) * _power("1-t", p) * 2**p
     rhs = BiPoly()
     for q in range((p + 1) // 2, p + 1):
-        K = Fraction(
-            math.factorial(k) * math.factorial(p) * (-4) ** (p - q),
-            math.factorial(k - q)
-            * math.factorial(2 * q - p)
-            * math.factorial(p - q)
-            * 2 ** (2 * q - p),
-        )
-        # the products stay over ints; the one Fraction scales their result
         rhs = rhs + (_power("1-t", 2 * (p - q)) * _power("Q", k - q)
-                     * _power("R", 2 * q - p)) * K
+                     * _power("R", 2 * q - p)) * _expansion_weight(k, p, q)
     return lhs == rhs
 
 
+def _expansion_weight(k: int, p: int, q: int) -> int:
+    """K(p,q) 2^p = (-16)^(p-q) perm(k,q) perm(p,p-q) C(q,p-q), an int."""
+    return (-16) ** (p - q) * math.perm(k, q) * math.perm(p, p - q) * math.comb(q, p - q)
+
+
 def cj_double_sum(k: int, u: int, j: int) -> Fraction:
-    """The defining double sum for the coefficient C(j) (exact)."""
+    """The defining double sum for the coefficient C(j) (exact):
+    sum_m sum_{q<=m} (-1)^(q+m) 4^q C(u-2q, j-q) C(u,2m) C(m,q) C(2m,m)
+    C(2k-m,k) C(2k-q,k) / C(2k-m,m).  The sum over q is over ints; the
+    denominator depends on m only, so each m adds one Fraction."""
     total = Fraction(0)
     for m in range(u // 2 + 1):
-        for q in range(m + 1):
-            total += Fraction(
-                (-1) ** (q + m)
-                * 4**q
-                * binom(u - 2 * q, j - q)
-                * binom(u, 2 * m)
-                * binom(m, q)
-                * binom(2 * m, m)
-                * binom(2 * k - m, k)
-                * binom(2 * k - q, k),
-                binom(2 * k - m, m),
-            )
+        inner = sum((-4) ** q * binom(u - 2 * q, j - q) * binom(m, q) * binom(2 * k - q, k)
+                    for q in range(m + 1))
+        total += Fraction((-1) ** m * binom(u, 2 * m) * binom(2 * m, m) * binom(2 * k - m, k)
+                          * inner, binom(2 * k - m, m))
     return total
 
 

@@ -473,7 +473,10 @@ def _dp_trig_rows(p: int, x, kind: str):
     # an entry that overflows fails the guard and is escalated anyway
     with np.errstate(over="ignore", invalid="ignore"):
         acc, mag = _trig_sum(cs, cc, x)
-        scale = _power(x, -(2 * p + 1))
+        try:
+            scale = _power(x, -(2 * p + 1))
+        except OverflowError:
+            return np.array([_dp_trig_near_zero(p, v, kind) for v in x.tolist()])
         value = acc * scale
         # Relative guard: near a zero of the kernel the float sum cancels
         # far below the term magnitudes, so judge cancellation against the
@@ -482,6 +485,22 @@ def _dp_trig_rows(p: int, x, kind: str):
     for i in np.flatnonzero(~trusted).tolist():
         value[i] = _escalate(lambda: _trig_sum_mp(cs, cc, float(x[i])))
     return value
+
+
+def _dp_trig_near_zero(p: int, v: float, kind: str) -> float:
+    """One element of `_dp_trig_rows` where x^-(2p+1) overflows at some
+    element of the array (|x| < 1e-44 at p = 3).  Where v's own power is a
+    float, the call on v alone; else D^p(sin x/x) from its series, as
+    sph_bessel_j takes it, while D^p(cos x/x), whose value overflows as
+    well, refuses."""
+    try:
+        v ** -(2 * p + 1)
+    except OverflowError:
+        if kind == "cos":
+            raise ArithmeticError(
+                f"D^{p}(cos x / x) overflows a float at p = {p}, x = {v!r}") from None
+        return raw_to_normalized(p) * float(_series_j(p, v))
+    return float(_dp_trig_rows(p, np.array([v]), kind)[0])
 
 
 def _dp_trig_horner(p: int, x, kind: str):
@@ -507,12 +526,14 @@ def _dp_trig(p: int, x, kind: str):
 
 
 def dp_sinc(p: int, x):
-    """D^p (sin x / x), closed trig form with exact integer coefficients."""
+    """D^p (sin x / x), closed trig form with exact integer coefficients;
+    the power series where x^-(2p+1) overflows a float."""
     return _dp_trig(p, x, "sin")
 
 
 def dp_cosc(p: int, x):
-    """D^p (cos x / x), closed trig form with exact integer coefficients."""
+    """D^p (cos x / x), closed trig form with exact integer coefficients;
+    ArithmeticError where x^-(2p+1) overflows a float."""
     return _dp_trig(p, x, "cos")
 
 

@@ -15,6 +15,12 @@
   1 + delta on t > 1.
 - `invert_radial_n3`, with `_h_prime` and `R_FLOOR`: the closed-form
   inversion in dimension three, f(r) = 2 h'(1-r) / r.
+- `verify_lemma35b`, `verify_abel_aigner`, `verify_necessity_identity`,
+  `verify_dp_expansion` and `cj_double_sum`: the exact verifiers of
+  `exactmath` in their first, term-by-term forms: one reflection per
+  (k, p), a Fraction per term, a fresh power of (A - B) per s.  They look
+  `binom`, `coeff_C` and `dp_q_power` up on `exactmath`, so a test that
+  patches one of those patches both routes.
 """
 
 import math
@@ -27,7 +33,8 @@ from mpmath import mp
 
 from sphmean import specfun as sf
 from sphmean import transform as tr
-from sphmean.exactmath import coeff_C
+from sphmean import exactmath as em
+from sphmean.exactmath import BiPoly, coeff_C
 
 
 def _sin_cos(v):
@@ -404,3 +411,74 @@ def invert_radial_n3(data, r):
     if rs.ndim == 0:
         return float(out[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact identity verifiers, term by term
+
+
+def verify_lemma35b(l: int) -> bool:
+    """sum_s (-1)^s C(2l-s, l) C(l, s) (A-B)^s (A^(l-s) - (-1)^s B^(l-s)) == 0."""
+    A, B = BiPoly.t(), BiPoly.u()
+    total = BiPoly()
+    for s in range(l + 1):
+        c = (-1) ** s * em.binom(2 * l - s, l) * em.binom(l, s)
+        inner = A ** (l - s) - BiPoly.const((-1) ** s) * B ** (l - s)
+        total = total + BiPoly.const(c) * (A - B) ** s * inner
+    return total.is_zero()
+
+
+def verify_abel_aigner(p: int, r: int, s: int) -> bool:
+    """sum_{m=r}^{p-1-s} C(2m-r, m-r) C(2(p-1-m)-s, p-1-m-s) / (p-m)
+    == C(2p-r-s-1, p) / (s+1), one Fraction per term."""
+    lhs = sum(
+        Fraction(em.binom(2 * m - r, m - r) * em.binom(2 * (p - 1 - m) - s, p - 1 - m - s),
+                 p - m)
+        for m in range(r, p - s)
+    )
+    return lhs == Fraction(em.binom(2 * p - r - s - 1, p), s + 1)
+
+
+def verify_necessity_identity(k: int) -> bool:
+    """sum_p C(k,p) (1-t)^p ([D^p Q^k](t,u) + (-1)^(p+1) [D^p Q^k](2-t,u)) == 0,
+    one reflection per p."""
+    one_minus_t = BiPoly({(0, 0): 1, (1, 0): -1})
+    total = BiPoly()
+    for p in range(k + 1):
+        dp = em.dp_q_power(k, p)
+        reflected = dp.subs_t_affine(2, -1)
+        inner = dp + reflected if p % 2 else dp - reflected
+        total = total + BiPoly.const(em.coeff_C(k, p)) * one_minus_t ** p * inner
+    return total.is_zero()
+
+
+def verify_dp_expansion(k: int, p: int) -> bool:
+    """(1-t)^p D^p Q^k == sum_q K(p,q) (1-t)^(2p-2q) Q^(k-q) R^(2q-p), with the
+    rational weight K(p,q) = k! p! (-4)^(p-q) / ((k-q)! (2q-p)! (p-q)! 2^(2q-p))."""
+    one_minus_t = BiPoly({(0, 0): 1, (1, 0): -1})
+    q_kernel = em.q_poly()
+    r_diff = q_kernel.subs_t_affine(2, -1) - q_kernel + 16 * one_minus_t ** 2
+    rhs = BiPoly()
+    for q in range((p + 1) // 2, p + 1):
+        K = Fraction(
+            math.factorial(k) * math.factorial(p) * (-4) ** (p - q),
+            math.factorial(k - q) * math.factorial(2 * q - p) * math.factorial(p - q)
+            * 2 ** (2 * q - p),
+        )
+        rhs = rhs + (one_minus_t ** (2 * (p - q)) * q_kernel ** (k - q)
+                     * r_diff ** (2 * q - p)) * K
+    return em.dp_q_power(k, p) * one_minus_t ** p == rhs
+
+
+def cj_double_sum(k: int, u: int, j: int) -> Fraction:
+    """The double sum for C(j), one Fraction per (m, q) term."""
+    total = Fraction(0)
+    for m in range(u // 2 + 1):
+        for q in range(m + 1):
+            total += Fraction(
+                (-1) ** (q + m) * 4**q * em.binom(u - 2 * q, j - q) * em.binom(u, 2 * m)
+                * em.binom(m, q) * em.binom(2 * m, m) * em.binom(2 * k - m, k)
+                * em.binom(2 * k - q, k),
+                em.binom(2 * k - m, m),
+            )
+    return total

@@ -241,6 +241,24 @@ def test_identities_table_and_exit(capsys):
     assert "FAIL" not in out
 
 
+def test_identities_fail_names_the_tuple_and_exits_1(tmp_path, capsys, monkeypatch):
+    from sphmean import exactmath as em
+    abel = em.verify_abel_aigner
+    monkeypatch.setattr(em, "verify_abel_aigner", lambda *a: a != (5, 1, 2) and abel(*a))
+    out = tmp_path / "ids.csv"
+    assert cli.main(["identities", "--max-k", "2", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[-1] for ln in lines[:7]] == ["PASS"] * 2 + ["2)"] + ["PASS"] * 4
+    assert lines[2].startswith("abel-aigner-convolution")
+    assert lines[2].endswith("FAIL at (5, 1, 2)")
+    assert lines[7] == "identities: FAIL (7 sweeps)"
+    rows = [row.split(",") for row in out.read_text().splitlines() if not row.startswith("#")]
+    assert rows[0] == ["identity", "range", "status"]
+    status = {row[0]: row[-1] for row in rows[1:]}
+    assert len(status) == 7 and status.pop("abel-aigner-convolution") == "FAIL"
+    assert set(status.values()) == {"PASS"}
+
+
 def test_range_check_profile_passes(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "report.json")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as orc
 from sphmean import exactmath as em
 from sphmean import transform as tr
 
@@ -281,8 +282,43 @@ def test_factored_kernel_equals_the_exact_polynomial():
                 assert tr._dp_q_kernels(power, (p,), t, u)[0] == want, (power, p, t, u)
 
 
+def test_int_product_scales_without_a_product_map():
+    a = em.BiPoly({(2, 0): 3, (0, 1): Fraction(1, 2), (1, 1): -1})
+    for n in (-3, 0, 1, 2, 7):
+        assert (a * n).coeffs == _ref(((key, c * n) for key, c in a.coeffs.items()))
+        assert n * a == a * n
+        assert _ints_where_integral(a * n)
+
+
 # ---------------------------------------------------------------------------
-# identity verifiers (exact, over rational arithmetic)
+# identity verifiers (exact, over rational arithmetic); each is checked
+# against its term-by-term form in `_oracles`
+
+
+# the parameters of `identity_sweeps(max_k=8)` for the five rewritten verifiers
+SWEEPS = {"alternating-AB-collapse": [(l,) for l in range(15)],
+          "abel-aigner-convolution": [(p, r, s) for p in range(1, 13)
+                                      for r in range(p) for s in range(p - r)],
+          "range-necessity-cancellation": [(k,) for k in range(9)],
+          "dp-kernel-expansion": [(k, p) for k in range(7) for p in range(k + 1)],
+          "cj-closed-form": [(k, u, j) for k in range(7) for u in range(0, 2 * k + 1, 2)
+                             for j in range(u + 1)]}
+
+
+def _binoms_called(fn, args):
+    """The distinct (n, k) of the `em.binom` calls fn(*args) makes."""
+    seen, binom = set(), em.binom
+
+    def recorded(n, k):
+        seen.add((n, k))
+        return binom(n, k)
+
+    em.binom = recorded
+    try:
+        fn(*args)
+    finally:
+        em.binom = binom
+    return seen
 
 
 def test_alternating_vandermonde_anchor():
@@ -298,37 +334,113 @@ def test_alternating_vandermonde_sweep():
 
 
 def test_ab_collapse_sweep():
-    for l in range(15):
-        assert em.verify_lemma35b(l)
+    for (l,) in SWEEPS["alternating-AB-collapse"]:
+        assert em.verify_lemma35b(l) and orc.verify_lemma35b(l)
 
 
 def test_abel_convolution_anchor_and_sweep():
     assert em.verify_abel_aigner(2, 0, 0)
-    for p in range(1, 13):
-        for r in range(p):
-            for s in range(p - r):
-                assert em.verify_abel_aigner(p, r, s)
+    for args in SWEEPS["abel-aigner-convolution"]:
+        assert em.verify_abel_aigner(*args) and orc.verify_abel_aigner(*args)
+
+
+def test_abel_sum_with_a_perturbed_term_fails(monkeypatch):
+    # every term is a product of positive binomials, so one of them off by
+    # one anywhere changes one side alone: both routes must say False
+    binom = em.binom
+    for args in SWEEPS["abel-aigner-convolution"]:
+        for pair in _binoms_called(em.verify_abel_aigner, args):
+            monkeypatch.setattr(em, "binom", lambda n, k, pair=pair: binom(n, k) + ((n, k) == pair))
+            assert not em.verify_abel_aigner(*args), (args, pair)
+            assert not orc.verify_abel_aigner(*args), (args, pair)
+            monkeypatch.setattr(em, "binom", binom)
 
 
 def test_necessity_cancellation_sweep():
-    for k in range(9):
+    for (k,) in SWEEPS["range-necessity-cancellation"]:
+        assert em.verify_necessity_identity(k) and orc.verify_necessity_identity(k)
+
+
+def test_necessity_with_a_coefficient_off_by_one_fails(monkeypatch):
+    # (k, p) = (0, 0) is left out: F is then the constant C(0, 0), symmetric
+    # about t = 1 whatever its value
+    coeff = em.coeff_C
+    for k in range(1, 9):
+        for p in range(k + 1):
+            monkeypatch.setattr(em, "coeff_C",
+                                lambda a, b, at=(k, p): coeff(a, b) + ((a, b) == at))
+            assert not em.verify_necessity_identity(k), (k, p)
+            assert not orc.verify_necessity_identity(k), (k, p)
+    monkeypatch.setattr(em, "coeff_C", lambda a, b: coeff(a, b) + 1)
+    assert em.verify_necessity_identity(0)
+
+
+def test_necessity_reflects_once_per_k(monkeypatch):
+    calls, subs = [], em.BiPoly.subs_t_affine
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return subs(self, a, b)
+
+    monkeypatch.setattr(em.BiPoly, "subs_t_affine", counted)
+    for (k,) in SWEEPS["range-necessity-cancellation"]:
+        calls.clear()
         assert em.verify_necessity_identity(k)
+        assert calls == [(2, -1)], k
 
 
 def test_dp_expansion_sweep():
-    for k in range(7):
+    for args in SWEEPS["dp-kernel-expansion"]:
+        assert em.verify_dp_expansion(*args) and orc.verify_dp_expansion(*args)
+
+
+def test_dp_expansion_weights_are_the_rational_weights_times_2_to_the_p():
+    f = math.factorial
+    for k in range(25):
         for p in range(k + 1):
-            assert em.verify_dp_expansion(k, p)
+            for q in range((p + 1) // 2, p + 1):
+                K = Fraction(f(k) * f(p) * (-4) ** (p - q),
+                             f(k - q) * f(2 * q - p) * f(p - q) * 2 ** (2 * q - p))
+                assert em._expansion_weight(k, p, q) == K * 2**p, (k, p, q)
+
+
+def test_dp_expansion_with_a_perturbed_weight_fails(monkeypatch):
+    weight = em._expansion_weight
+    for k, p in SWEEPS["dp-kernel-expansion"]:
+        for q in range((p + 1) // 2, p + 1):
+            monkeypatch.setattr(em, "_expansion_weight",
+                                lambda *a, at=(k, p, q): weight(*a) + (a == at))
+            assert not em.verify_dp_expansion(k, p), (k, p, q)
 
 
 def test_cj_closed_form_even_orders():
     # anchor: k=1, u=2, j=1 gives 8 on both sides
     assert em.cj_double_sum(1, 2, 1) == 8
     assert em.cj_closed_form(1, 2, 1) == 8
+    for args in SWEEPS["cj-closed-form"]:
+        assert em.verify_Cj_closed_form(*args)
+    # odd u included: the sum is the same Fraction as the term-by-term one
     for k in range(7):
-        for u in range(0, 2 * k + 1, 2):
+        for u in range(2 * k + 1):
             for j in range(u + 1):
-                assert em.verify_Cj_closed_form(k, u, j)
+                got = em.cj_double_sum(k, u, j)
+                assert type(got) is Fraction and got == orc.cj_double_sum(k, u, j)
+
+
+def test_cj_sum_with_a_perturbed_term_fails(monkeypatch):
+    # a binomial off by one moves the double sum as it moves the term-by-term
+    # one; the verdict is False wherever the closed form does not follow it
+    binom, failed = em.binom, 0
+    for args in SWEEPS["cj-closed-form"]:
+        for pair in _binoms_called(em.cj_double_sum, args):
+            monkeypatch.setattr(em, "binom", lambda n, k, pair=pair: binom(n, k) + ((n, k) == pair))
+            total = em.cj_double_sum(*args)
+            assert total == orc.cj_double_sum(*args), (args, pair)
+            verdict = em.verify_Cj_closed_form(*args)
+            assert verdict == (total == em.cj_closed_form(*args)), (args, pair)
+            failed += not verdict
+            monkeypatch.setattr(em, "binom", binom)
+    assert failed > 2500  # 2898 of the 3740 perturbations
 
 
 def test_cj_rejects_odd_u():

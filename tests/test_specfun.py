@@ -478,6 +478,27 @@ def test_dp_domain_errors():
         dp_inv_poly(1, 1, -1.0)
 
 
+def test_dp_sinc_where_the_power_overflows_is_the_series():
+    # x^-7 overflows a float below |x| ~ 1e-44; sin x/x is entire and
+    # D^3 of it tends to -1/105 at 0, the series' value there
+    assert sf.dp_sinc(3, 1e-50) == sf.raw_to_normalized(3) * sf.sph_bessel_j(3, 1e-50)
+    assert sf.dp_sinc(3, 1e-50) == pytest.approx(-1 / 105, rel=1e-15)
+    assert sf.dp_sinc(0, 5e-324) == pytest.approx(1.0, rel=1e-15)
+    xs = np.array([[0.5, 1e-50], [-1e-300, 2.0]])
+    got = sf.dp_sinc(3, xs)
+    assert got.tolist() == [[sf.dp_sinc(3, float(v)) for v in row] for row in xs]
+    # the entries whose power is a float keep the values they have without
+    # the tiny ones beside them
+    assert got[[0, 1], [0, 1]].tolist() == sf.dp_sinc(3, np.array([0.5, 2.0])).tolist()
+    assert got[0, 1] == got[1, 0] == sf.dp_sinc(3, 1e-50)
+
+
+def test_dp_cosc_where_its_value_overflows_refuses():
+    for x in (1e-50, np.array([1.0, 1e-50])):
+        with pytest.raises(ArithmeticError, match=r"p = 3, x = 1e-50"):
+            sf.dp_cosc(3, x)
+
+
 def test_dp_vector_matches_scalar():
     xs = np.linspace(0.7, 30.0, 57)
     for p in (0, 2, 5):
