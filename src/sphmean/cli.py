@@ -355,22 +355,21 @@ def _read_csv_columns(path: str, expect: int):
                 break
             except ValueError:
                 pass
-    if data is None or not np.isfinite(data).all():
-        _csv_fault(path, expect, lines)
-    if not data.size:
-        raise ConfigError(f"{path}: no numeric rows found")
-    data = data.reshape(-1, expect)
-    order = np.argsort(data[:, 0])
-    t = data[order, 0]
-    if t.size < 2 or (t[1:] == t[:-1]).any():
-        _t_fault(path, lines, data[:, 0].tolist())
-    return data[order]
+    if data is not None and np.isfinite(data).all():
+        data = data.reshape(-1, expect)
+        data = data[np.argsort(data[:, 0])]
+        if len(data) >= 2 and (data[1:, 0] != data[:-1, 0]).all():
+            return data
+    _csv_fault(path, expect, lines)
 
 
 def _csv_fault(path: str, expect: int, lines):
-    """Raise the error of the first faulty row among a CSV's `lines`."""
+    """Raise the error of a CSV's `lines`: of the first row that is short,
+    not numeric (past the first) or not finite; else of no numeric rows,
+    of one, or of the first row whose t repeats an earlier row's."""
     body = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
             if line and not line.startswith("#")]
+    first, repeat = {}, None  # t -> the line of its first row
     for index, (number, line) in enumerate(body):
         parts = line.split(",")
         if len(parts) < expect:
@@ -380,24 +379,18 @@ def _csv_fault(path: str, expect: int, lines):
         except ValueError:
             if index:
                 raise ConfigError(f"{path}, line {number}: not a numeric row: {line!r}") from None
-        else:
-            if not all(map(math.isfinite, row)):
-                raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
-
-
-def _t_fault(path: str, lines, t):
-    """Raise the error of a CSV whose numeric rows, the last len(t) of its
-    `lines` with first cells t, are too few to interpolate or repeat a t."""
-    numbers = [number for number, line in enumerate(map(str.strip, lines), 1)
-               if line and not line.startswith("#")][-len(t):]
-    if len(t) < 2:
-        raise ConfigError(f"{path}, line {numbers[0]}: need at least two rows to "
-                          "interpolate, got one")
-    first = {}
-    for number, value in zip(numbers, t):
-        if value in first:
-            raise ConfigError(f"{path}, line {number}: t = {value!r} repeats line {first[value]}")
-        first[value] = number
+            continue
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
+        if repeat is None and row[0] in first:
+            repeat = f"{path}, line {number}: t = {row[0]!r} repeats line {first[row[0]]}"
+        first.setdefault(row[0], number)
+    if not first:
+        raise ConfigError(f"{path}: no numeric rows found")
+    if repeat is None:
+        raise ConfigError(f"{path}, line {min(first.values())}: need at least two rows "
+                          "to interpolate, got one")
+    raise ConfigError(repeat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Recovering the radial profile from its spherical mean data.
 
 :func:`invert_radial` is regularized collocation for any odd dimension: the
-forward integral is discretized on a Gauss grid in u, collocated at points
-t_i in (0, 1) (half data), and the resulting first-kind system is solved by
-truncated-SVD least squares.
+forward integral is discretized on a Gauss grid in u, collocated against
+the weighted data h = t^(n-2) g at points t_i in (0, 1) (half data), and
+the resulting first-kind system is solved by truncated-SVD least squares.
 
 The collocation grid matters: each row truncates the global Gauss sum at the
 cut u = 1 - t_i, and a cut landing mid-cell costs an O(spacing) quadrature
@@ -115,31 +115,22 @@ def forward_matrix(dim: Dimension, cfg: InversionConfig):
     return t_grid, u, w, A
 
 
-def invert_radial(g, dim: Dimension, cfg: InversionConfig = InversionConfig()) -> InversionResult:
-    """Reconstruct nodal values of f from its normalized mean data g on (0,1).
+def invert_radial(h, dim: Dimension, cfg: InversionConfig = InversionConfig()) -> InversionResult:
+    """Reconstruct nodal values of f from its weighted mean data
+    h(t) = t^(n-2) g(t) on (0, 1).
 
-    `g` is a callable of t (an object exposing .h or .g works too, and the
-    weighted form h = t^(n-2) g is preferred since it stays evaluable down
-    to t near 0), called once on the array of collocation t; a scalar
-    answer holds at every t.  Only samples with t in (0, 1) are used — half
-    data suffices.  The truncated-SVD solve keeps singular values above
-    cutoff * sigma_max and reports the effective rank; a rank below a
-    quarter of the unknown count is rejected as an ill-posed configuration.
+    `h` is a callable of t, or an object exposing it as .h, called once on
+    the array of collocation t; a scalar answer holds at every t.  Only
+    samples with t in (0, 1) are used — half data suffices.  The
+    truncated-SVD solve keeps singular values above cutoff * sigma_max and
+    reports the effective rank; a rank below a quarter of the unknown count
+    is rejected as an ill-posed configuration.
     """
-    h_fn = getattr(g, "h", None)
-    fn = getattr(g, "g", None)
-    if not callable(fn):
-        fn = g
-    if not callable(h_fn) and not callable(fn):
-        raise TypeError("expected callable g(t) or an object exposing .h or .g")
+    h = getattr(h, "h", h)
+    if not callable(h):
+        raise TypeError("expected a callable h(t) or an object exposing .h")
     t_grid, u, w, A = forward_matrix(dim, cfg)
-    if callable(h_fn):
-        b = np.full(t_grid.shape, h_fn(t_grid), dtype=float)
-    else:
-        g = np.full(t_grid.shape, fn(t_grid), dtype=float)
-        # t^(n-2) per element in floats: numpy's array power rounds otherwise
-        power = dim.n - 2
-        b = np.array([v * t ** power for v, t in zip(g.tolist(), t_grid.tolist())])
+    b = np.full(t_grid.shape, h(t_grid), dtype=float)
 
     U_, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s >= cfg.svd_cutoff * s[0]

@@ -230,8 +230,6 @@ class AntiDerivativeChain:
 
     @staticmethod
     def _integrand(s, psi_s, t_sq, e: int):
-        if e == 0:
-            return s * psi_s
         return ((t_sq - s * s) / 2.0) ** e * s * psi_s
 
     def _psi(self, s):
@@ -251,9 +249,7 @@ class AntiDerivativeChain:
         return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
     def phi(self, t):
-        if self.m == 0:
-            return self.psi(t)
-        return self._kernel_integral(t, self.m - 1)
+        return self.dp_phi(t, 0)
 
     def dp_phi(self, t, p: int):
         if p > self.m:
@@ -298,9 +294,10 @@ class GeneralRangeReport:
     moment_defects: list
     defect_scales: list
 
-    def defects_passed(self, tol_factor: float = 1e-8) -> bool:
+    def defects_passed(self) -> bool:
+        """Every moment defect within 1e-8 of its |integrand| scale."""
         return all(
-            abs(d) <= tol_factor * max(s, 1e-300)
+            abs(d) <= 1e-8 * max(s, 1e-300)
             for d, s in zip(self.moment_defects, self.defect_scales)
         )
 

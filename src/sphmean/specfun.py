@@ -15,11 +15,15 @@ high derivative order (the true value can be 30 decimal digits below the
 individual terms).  Evaluations estimate the cancellation from the sum of
 term magnitudes and transparently re-run in decimal arithmetic (the
 standard library's `decimal`) at sufficient precision when float64 cannot
-reach ~1e-11 absolute-or-relative accuracy.  A scalar is evaluated as a
-one-element array, so an array call equals the scalar call at each element,
-bit for bit; only the private `_dp_trig_horner`, for callers that bound
-their arguments, skips the guard.  Floats, arrays and Decimals share one
-trig sum (`_trig_sum`) and one Horner loop (`_poly_eval`).
+reach ~1e-11 absolute-or-relative accuracy.  Where even 200 digits leave
+the sum unresolved, or its value is not a finite float, D^p(sin x/x) below
+the switch radius is its power series and anything else is refused.  A
+scalar is evaluated as a one-element array, here and in `sph_bessel_j`, so
+an array call equals the scalar call at each element, bit for bit; only
+the private `_dp_trig_horner`, for callers that bound their arguments
+(`sph_bessel_j` above its switch radius among them), skips the guard.
+Floats, arrays and Decimals share one trig sum (`_trig_sum`) and one
+Horner loop (`_poly_eval`).
 All Decimal work runs under `decimal_context`, which sets every field of
 the context itself.
 """
@@ -451,56 +455,60 @@ def _trig_sum_mp(cs, cc, x):
     return acc * xm ** power, mag * abs(xm) ** power
 
 
-def _escalate(closed_sum) -> float:
+def _escalate(closed_sum):
     """float of the (value, magnitude) pair `closed_sum()` returns, evaluated
     from 40 digits up in steps of 40 until the sum cancels fewer than
-    dps - 20 digits, or at 200 digits."""
-    dps = 40
-    while True:
+    dps - 20 digits; None if it still cancels more at 200 digits."""
+    for dps in range(40, 201, 40):
         with decimal_context(dps):
             acc, mag = closed_sum()
             lost = mag / max(abs(acc), Decimal(10) ** -dps)
-            if lost < 10 ** (dps - 20) or dps >= 200:
+            if lost < 10 ** (dps - 20):
                 return float(acc)
-        dps += 40
+    return None
+
+
+def _pow_or_inf(v: float, e: int) -> float:
+    try:
+        return v ** e
+    except OverflowError:
+        return math.inf
 
 
 def _dp_trig_rows(p: int, x, kind: str):
     """dp_sinc/dp_cosc at every element of the float array x: one float sum
-    over the array, redone in Decimals (`_escalate`) where the cancellation
-    guard fails."""
+    over the array, redone one element at a time (`_dp_trig_redone`) where
+    the cancellation guard fails or the value is not finite."""
     cs, cc = _kind_coeffs(p, kind)
-    # an entry that overflows fails the guard and is escalated anyway
     with np.errstate(over="ignore", invalid="ignore"):
         acc, mag = _trig_sum(cs, cc, x)
         try:
             scale = _power(x, -(2 * p + 1))
-        except OverflowError:
-            return np.array([_dp_trig_near_zero(p, v, kind) for v in x.tolist()])
+        except OverflowError:  # per element, inf where x^-(2p+1) is no float
+            scale = np.array([_pow_or_inf(v, -(2 * p + 1)) for v in x.tolist()])
         value = acc * scale
         # Relative guard: near a zero of the kernel the float sum cancels
         # far below the term magnitudes, so judge cancellation against the
         # value itself; where float64 cannot carry full digits it fails.
-        trusted = mag * abs(scale) <= _CANCEL_LIMIT * abs(value)
+        trusted = np.isfinite(value) & (mag * abs(scale) <= _CANCEL_LIMIT * abs(value))
     for i in np.flatnonzero(~trusted).tolist():
-        value[i] = _escalate(lambda: _trig_sum_mp(cs, cc, float(x[i])))
+        value[i] = _dp_trig_redone(p, float(x[i]), kind, cs, cc)
     return value
 
 
-def _dp_trig_near_zero(p: int, v: float, kind: str) -> float:
-    """One element of `_dp_trig_rows` where x^-(2p+1) overflows at some
-    element of the array (|x| < 1e-44 at p = 3).  Where v's own power is a
-    float, the call on v alone; else D^p(sin x/x) from its series, as
-    sph_bessel_j takes it, while D^p(cos x/x), whose value overflows as
-    well, refuses."""
-    try:
-        v ** -(2 * p + 1)
-    except OverflowError:
-        if kind == "cos":
-            raise ArithmeticError(
-                f"D^{p}(cos x / x) overflows a float at p = {p}, x = {v!r}") from None
+def _dp_trig_redone(p: int, v: float, kind: str, cs, cc) -> float:
+    """One element of `_dp_trig_rows` from its Decimal sum (`_escalate`).
+    Where the closed form cannot carry the value (the sum is unresolved at
+    200 digits, or the value is not a finite float), D^p(sin x/x) below the
+    switch radius is its power series, as sph_bessel_j takes it; anything
+    else raises ArithmeticError."""
+    value = _escalate(lambda: _trig_sum_mp(cs, cc, v))
+    if value is not None and math.isfinite(value):
+        return value
+    if kind == "sin" and abs(v) < switch_radius(p):
         return raw_to_normalized(p) * float(_series_j(p, v))
-    return float(_dp_trig_rows(p, np.array([v]), kind)[0])
+    raise ArithmeticError(
+        f"the closed form of D^{p}({kind} x / x) has no float value at p = {p}, x = {v!r}")
 
 
 def _dp_trig_horner(p: int, x, kind: str):
@@ -527,13 +535,15 @@ def _dp_trig(p: int, x, kind: str):
 
 def dp_sinc(p: int, x):
     """D^p (sin x / x), closed trig form with exact integer coefficients;
-    the power series where x^-(2p+1) overflows a float."""
+    the power series below the switch radius where that form cannot carry
+    the value (see `_dp_trig_redone`)."""
     return _dp_trig(p, x, "sin")
 
 
 def dp_cosc(p: int, x):
     """D^p (cos x / x), closed trig form with exact integer coefficients;
-    ArithmeticError where x^-(2p+1) overflows a float."""
+    ArithmeticError where that form cannot carry the value (see
+    `_dp_trig_redone`)."""
     return _dp_trig(p, x, "cos")
 
 
@@ -550,7 +560,7 @@ def raw_j_jet(k: int, xjet: Jet) -> Jet:
     return num * xjet ** (-(2 * k + 1))
 
 
-def dp_trig_mp(p: int, x, kind: str, dps: int = 60):
+def dp_trig_mp(p: int, x, kind: str, dps: int):
     """dp_sinc/dp_cosc evaluated in Decimals at a fixed working precision.
 
     Returns a Decimal computed under `dps` digits; the caller owns any
@@ -595,24 +605,19 @@ def _series_j(k: int, x):
 
 def sph_bessel_j(k: int, x):
     """Normalized first-kind function: series below the switch radius,
-    closed trig form (scaled by 1/c_k) above it.  j(0) = 1."""
+    closed trig form (scaled by 1/c_k, by Horner's rule) above it.  j(0) = 1.
+    A scalar is evaluated as a one-element array."""
     if k < 0:
         raise ValueError("k >= 0")
-    sw = switch_radius(k)
-    ck = raw_to_normalized(k)
-    if isinstance(x, np.ndarray):
-        xs = np.asarray(x, dtype=float)
-        out = np.empty_like(xs)
-        small = np.abs(xs) < sw
-        if np.any(small):
-            out[small] = _series_j(k, xs[small])
-        if np.any(~small):
-            out[~small] = _dp_trig_horner(k, xs[~small], "sin") / ck
-        return out
-    xf = float(x)
-    if abs(xf) < sw:
-        return float(_series_j(k, xf))
-    return dp_sinc(k, xf) / ck
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.empty_like(flat)
+    small = np.abs(flat) < switch_radius(k)
+    if np.any(small):
+        out[small] = _series_j(k, flat[small])
+    if np.any(~small):
+        out[~small] = _dp_trig_horner(k, flat[~small], "sin") / raw_to_normalized(k)
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Four tools live here:
 
-* :func:`hankel` — the weighted Hankel-type transform of a profile against the
-  normalized spherical Bessel kernel, with oscillation-aware paneling.  Every
+* :func:`hankel` and :func:`hankel_h` — the weighted Hankel-type transform of
+  g, or of h = t^(2k+1) g, against the normalized spherical Bessel kernel
+  of order k, with oscillation-aware paneling.  Every
   lam of an array is one row of `QuadratureRule.integrate_rows` on the rule
   of its largest lam: the profile is read once, on a (1, nodes) array, and
   each entry equals the call on that lam with the array's rule;
@@ -75,13 +76,6 @@ def _lam_rule(lam: float, a: float, b: float, quad: QuadratureRule) -> Quadratur
     return QuadratureRule(quad.nodes_per_panel, panels)
 
 
-def _order_from_alpha(alpha: float) -> int:
-    k = int(round(alpha - 0.5))
-    if k < 0 or abs(alpha - (k + 0.5)) > 1e-12:
-        raise ValueError("kernel order must be half-integer k + 1/2 with k >= 0")
-    return k
-
-
 def _lam_array(lam, positive: bool = False):
     """lam as a flat float array and its shape; refuses any lam < 0 (or
     lam <= 0 when `positive`)."""
@@ -119,30 +113,29 @@ def _hankel_sums(fn, lam, support, quad: QuadratureRule, integrand):
     return _shaped(_lam_sums(fn, lams, a, b, quad, integrand), shape)
 
 
-def hankel(g, alpha: float, lam, quad: QuadratureRule = DEFAULT_QUAD,
+def hankel(g, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
            support=(0.0, 2.0)):
-    """Weighted transform  integral of g(t) j_alpha(lam t) t^(2 alpha + 1) dt.
+    """Weighted transform  integral of g(t) j_k(lam t) t^(2k+2) dt.
 
     `g` is an elementwise callable of t (numpy arrays in, arrays out).  The
-    kernel is the normalized first-kind function (value 1 at zero argument),
-    so the integrand is regular at t = 0 and the support may start there.
+    kernel is the normalized first-kind function of order k (of
+    J_(k+1/2), value 1 at zero argument), so the integrand is regular at
+    t = 0 and the support may start there.
 
     lam may be a scalar (the result is a float) or an array (the result has
     its shape).  g is called once for the whole array, on the (1, nodes)
     array of the oscillation rule of its largest lam, and each entry equals
     the call on that lam with the array's rule.
     """
-    k = _order_from_alpha(alpha)
-    power = 2 * k + 2  # 2*alpha + 1 with alpha = k + 1/2
     return _hankel_sums(g, lam, support, quad, lambda lam_t, t, g_t:
-                        g_t * sph_bessel_j(k, lam_t) * t ** power)
+                        g_t * sph_bessel_j(k, lam_t) * t ** (2 * k + 2))
 
 
 def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
              support=(0.0, 2.0)):
     """Same transform written against h(t) = t^(2k+1) g(t).
 
-    Equals hankel(g, k + 1/2, lam) when h and g are consistent; having both
+    Equals hankel(g, k, lam) when h and g are consistent; having both
     routes avoids dividing by t^(2k+1) near the origin.  lam may be a scalar
     or an array, with one call to h for the array, as in `hankel`: each
     entry equals the call on that lam with the array's rule.

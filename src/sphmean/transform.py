@@ -141,10 +141,8 @@ class QuadratureRule:
         return nodes, weights
 
     def integrate(self, fn, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        nodes, weights = self.points(a, b)
-        return float(np.dot(weights, fn(nodes)))
+        """Integral of fn over [a, b]: one row of `integrate_rows`."""
+        return float(self.integrate_rows(fn, lambda rows, u, f_u: f_u, [a], [b])[0])
 
     def integrate_rows(self, factor, integrand, a, b, shape=()) -> np.ndarray:
         """Integral of factor(u) * rest over [a[r], b[r]] for every row r; 0
@@ -156,9 +154,9 @@ class QuadratureRule:
         u, f_u) gets a block of row indices (about BLOCK_NODES nodes in all),
         their (rows x nodes) nodes and factor values, and returns the
         integrand's `shape + (rows, nodes)` values; the result has shape
-        `shape + a.shape`.  np.vecdot sums each row by its own BLAS dot, as
-        np.dot in `integrate` does (a matrix product or einsum sums in
-        another order), so a row does not depend on the batch it came in.
+        `shape + a.shape`.  np.vecdot sums each row by its own BLAS dot (a
+        matrix product or einsum sums in another order), so a row does not
+        depend on the batch it came in.
         """
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         out = np.zeros(shape + a.shape)
@@ -183,9 +181,6 @@ class QuadratureRule:
                 out[..., rows] = np.vecdot(weights[at], values)
             first = last
         return out
-
-    def refined(self) -> "QuadratureRule":
-        return QuadratureRule(self.nodes_per_panel, 2 * self.panels)
 
 
 DEFAULT_QUAD = QuadratureRule()
@@ -234,17 +229,13 @@ class BumpProfile:
         # intermediate arithmetic finite at the touch points
         y.derivs[0] = np.clip(y.derivs[0], -1 + 1e-8, 1 - 1e-8)
         b = ((-1.0) / (1.0 - y * y)).exp() * self.amplitude
-        comps = [c * mask for c in b.derivs]
-        if not isinstance(r, np.ndarray):
-            comps = [float(c) for c in comps]
-            return Jet(float(rs), comps)
-        return Jet(rs, comps)
+        return Jet(rs, [c * mask for c in b.derivs])
 
 
 class DerivativeProfile:
     """The m-th ordinary derivative F^(m) of a base profile F.
 
-    Shares the base support; jets are the base jets shifted by m orders.
+    Shares the base support; values are entry m of the base's jets.
     """
 
     def __init__(self, base, m: int):
@@ -263,10 +254,6 @@ class DerivativeProfile:
         j = self.base.jet(r, self.m)
         v = j.derivs[self.m]
         return v if isinstance(r, np.ndarray) else float(v)
-
-    def jet(self, r, order: int) -> Jet:
-        j = self.base.jet(r, order + self.m)
-        return Jet(j.x, j.derivs[self.m :])
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +316,11 @@ def _by_order(values, p, shape):
     return values.reshape(values.shape[:1] + shape)
 
 
-def g_from_h(h, t, n: int, what: str = "g(t)"):
+def g_from_h(h, t, n: int):
     """g = h / t^(n-2) from the values h at t; refused below the floor."""
     ts, shape = _batch(t)
     if np.any(ts < T_FLOOR):
-        raise ValueError(f"{what} undefined below t = {T_FLOOR} (division guard)")
+        raise ValueError(f"g(t) undefined below t = {T_FLOOR} (division guard)")
     return _shaped(np.ravel(h) / _rows(lambda s: s ** (n - 2), ts), shape)
 
 
@@ -508,7 +495,7 @@ class SmtProfile:
 
 
 class HarmonicForwardData:
-    """Forward data of a single-harmonic profile: g_m, h_m and D^p phi_m."""
+    """Forward data of a single-harmonic profile: h_m and D^p phi_m."""
 
     def __init__(self, profile, dim: Dimension, m: int, quad: QuadratureRule = DEFAULT_QUAD):
         self.profile = profile
@@ -517,10 +504,6 @@ class HarmonicForwardData:
         self.quad = quad
         r_hi = profile.support[1]
         self.support = (1.0 - r_hi, 1.0 + r_hi)
-
-    def g(self, t):
-        h = forward_harmonic_h(self.profile, self.dim, self.m, t, self.quad)
-        return g_from_h(h, t, self.dim.n, "g_m(t)")
 
     def h(self, t):
         return forward_harmonic_h(self.profile, self.dim, self.m, t, self.quad)

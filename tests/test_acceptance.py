@@ -149,7 +149,7 @@ def test_07_general_case():
         hp = np.array([h_from_phi(H, float(t)) for t in ts])
         rel = float(np.max(np.abs(hv - hp)) / np.max(np.abs(hv)))
         rep = rc.general_range_check(H, m)
-        rows.append((dim.n, m, rel, rep.defects_passed(1e-8),
+        rows.append((dim.n, m, rel, rep.defects_passed(),
                      rep.range_report.normalized))
     worst_rel = max(r[2] for r in rows)
     worst_sym = max(r[4] for r in rows)

@@ -213,8 +213,7 @@ def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
     rows = _data_rows(out)
     bump, dim, t = BumpProfile(0.55, 0.25), Dimension(9), rows[:, 0]
     h = getattr(tr, reader)(bump, dim, *([m] if m else []), t)
-    data = tr.HarmonicForwardData(bump, dim, m) if m else tr.SmtProfile(bump, dim)
-    g = data.g(t)
+    g = tr.g_from_h(h, t, dim.n)
     assert np.array_equal(rows[:, 1], g) and np.array_equal(rows[:, 2], h)
     if extra:
         assert np.array_equal(rows[:, 3], h)
@@ -351,6 +350,18 @@ def test_csv_rows_that_cannot_be_interpolated_are_refused(tmp_path, capsys, line
         assert cli.main([command, "--n", "3", "--input", str(bad)]) == 2, command
         err = capsys.readouterr().err
         assert err == f"config error: {bad}, line {line}: {reason}\n", (command, err)
+
+
+@pytest.mark.parametrize("lines, reason", [
+    (["t,h"], ": no numeric rows found"),
+    (["0.5,1.0", "0.5,2.0", "x,y"], ", line 3: not a numeric row: 'x,y'"),
+    (["0.5,1.0", "0.5,2.0", "0.7,nan"], ", line 3: not a finite row: '0.7,nan'")],
+    ids=["header only", "bad row after a repeated t", "nan row after a repeated t"])
+def test_csv_fault_of_a_row_comes_before_the_t_faults(tmp_path, capsys, lines, reason):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["range-check", "--n", "3", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == f"config error: {bad}{reason}\n"
 
 
 # cells that float() reads or refuses in its own way: the one-pass reader
@@ -767,8 +778,8 @@ def test_overflow_prints_only_its_error_line(tmp_path):
 # sha256 of whole spectral artifacts from the README's profile.json, each
 # lambda array summed on the oscillation rule of its largest lambda: a faster
 # path through the transforms must not move a byte.  Re-pin only with every
-# value checked against smtbench/reference.py and against its refined-rule
-# error estimate (QuadratureRule.refined).
+# value checked against smtbench/reference.py and against its error estimate
+# from the same rule with twice the panels.
 ARTIFACTS = {
     "zeros": (["zeros", "--count", "10"],
               "373c6ec977419489badff2198db397dda81b6b9088a6228cb60681f6e7ff411e"),

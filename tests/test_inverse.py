@@ -215,15 +215,3 @@ def test_rank_collapse_detected():
     data = SmtProfile(BumpProfile(0.55, 0.25), D5)
     with pytest.raises(RuntimeError):
         inv.invert_radial(data, D5, cfg)
-
-
-def test_invert_accepts_plain_callable():
-    # a bare g(t) works too: the weighted data t^(n-2) g(t) it induces
-    # must match the .h route up to rounding in the weighting
-    cfg = inv.InversionConfig(120, 121, 1e-6)
-    data = SmtProfile(BumpProfile(0.55, 0.25), D5)
-    g_fn = lambda t: data.h(t) / t ** 3
-    res_fn = inv.invert_radial(g_fn, D5, cfg)
-    res_obj = inv.invert_radial(data, D5, cfg)
-    scale = np.max(np.abs(res_obj.values))
-    assert np.max(np.abs(res_fn.values - res_obj.values)) <= 1e-9 * scale

@@ -266,7 +266,7 @@ def test_general_check_sampled_route():
     data = rc.SampledH.from_function(H.h)
     rep = rc.general_range_check(data, 1, k=0, grid=np.linspace(0.05, 1.0, 39))
     assert rep.range_report.normalized <= 1e-5
-    assert rep.defects_passed(1e-6)
+    assert all(abs(d) <= 1e-6 * s for d, s in zip(rep.moment_defects, rep.defect_scales))
 
 
 def test_general_check_flags_broken_consistency():

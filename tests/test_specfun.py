@@ -494,9 +494,32 @@ def test_dp_sinc_where_the_power_overflows_is_the_series():
 
 
 def test_dp_cosc_where_its_value_overflows_refuses():
-    for x in (1e-50, np.array([1.0, 1e-50])):
-        with pytest.raises(ArithmeticError, match=r"p = 3, x = 1e-50"):
-            sf.dp_cosc(3, x)
+    # at 1e-44 the power x^-7 is a float but the value -15 x^-7 is not
+    for v in (1e-44, 1e-50):
+        for x in (v, np.array([1.0, v])):
+            with pytest.raises(ArithmeticError, match=f"p = 3, x = {v!r}"):
+                sf.dp_cosc(3, x)
+
+
+def test_dp_sinc_where_the_sum_is_unresolved_is_the_series():
+    # x^-(2p+1) is a float, but the closed form cancels past 200 digits
+    for p, x, want in ((1, 1e-100, -1 / 3), (3, 1e-35, -1 / 105)):
+        got = sf.dp_sinc(p, x)
+        assert got == sf.raw_to_normalized(p) * sf.sph_bessel_j(p, x)
+        assert got == pytest.approx(want, rel=1e-15)
+        assert sf.dp_sinc(p, np.array([2.0, x]))[1] == got
+
+
+def test_dp_trig_refuses_what_neither_form_carries(monkeypatch):
+    # with every Decimal sum unresolved, only D^p(sin x/x) below the switch
+    # radius has an answer, its series
+    zero = sf.bessel_zero(3, 1)  # above the switch radius 3.5
+    cosc_zero = float(mp.findroot(lambda x: x * mp.sin(x) + mp.cos(x), 2.8))  # of p = 1
+    monkeypatch.setattr(sf, "_escalate", lambda closed_sum: None)
+    assert sf.dp_sinc(3, 0.5) == sf.raw_to_normalized(3) * sf.sph_bessel_j(3, 0.5)
+    for fn, p, x in ((sf.dp_sinc, 3, zero), (sf.dp_cosc, 1, cosc_zero)):
+        with pytest.raises(ArithmeticError, match="no float value"):
+            fn(p, np.array([2.0, x]))
 
 
 def test_dp_vector_matches_scalar():
@@ -595,11 +618,13 @@ def test_switch_boundary_continuity():
 
 
 def test_array_path_matches_scalar():
-    xs = np.linspace(0.1, 25.0, 101)
-    for k in (0, 2, 8):
-        vec = sf.sph_bessel_j(k, xs)
-        scal = np.array([sf.sph_bessel_j(k, float(x)) for x in xs])
-        assert np.max(np.abs(vec - scal)) < 1e-13
+    # a scalar is a one-element array: bit for bit on both sides of the
+    # switch radius
+    xs = np.concatenate([np.linspace(0.1, 25.0, 101), np.linspace(0.6, 40.0, 2000)])
+    for k in (0, 2, 3, 8):
+        want = [sf.sph_bessel_j(k, float(x)) for x in xs]
+        assert all(type(v) is float for v in want)
+        assert np.array_equal(sf.sph_bessel_j(k, xs), want), k
 
 
 def test_gegenbauer_reference_and_recurrence():

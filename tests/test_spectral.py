@@ -36,27 +36,25 @@ def test_oscillation_panels():
 def test_hankel_lam_zero_is_weighted_moment():
     g = lambda t: np.exp(-((t - 1.0) ** 2))
     k = 1
-    val = sp.hankel(g, k + 0.5, 0.0, support=(0.2, 1.8))
+    val = sp.hankel(g, k, 0.0, support=(0.2, 1.8))
     rule = QuadratureRule(32, 8)
     moment = rule.integrate(lambda t: g(t) * t ** (2 * k + 2), 0.2, 1.8)
     assert val == pytest.approx(moment, rel=1e-14)
 
 
-def test_hankel_alpha_must_be_half_integer():
+def test_hankel_refuses_negative_order_and_lam():
     g = lambda t: t
     with pytest.raises(ValueError):
-        sp.hankel(g, 1.0, 2.0)
+        sp.hankel(g, -1, 2.0)
     with pytest.raises(ValueError):
-        sp.hankel(g, -0.5, 2.0)
-    with pytest.raises(ValueError):
-        sp.hankel(g, 1.5, -1.0)
+        sp.hankel(g, 1, -1.0)
 
 
 def test_hankel_two_routes_agree():
     # integral of g j t^(2a+1) versus integral of h j t with h = t^(2k+1) g
     data = SmtProfile(BumpProfile(0.55, 0.3), D5)
     for lam in (0.5, 7.0, 23.0, 40.0):
-        a = sp.hankel(data.g, D5.k + 0.5, lam, support=data.support)
+        a = sp.hankel(data.g, D5.k, lam, support=data.support)
         b = sp.hankel_h(data.h, D5.k, lam, support=data.support)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-18)
 
