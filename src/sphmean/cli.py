@@ -10,7 +10,14 @@ config, else default; a float option is a float from then on), builds the
 declared objects with the library classes' own defaults for the keys left
 out, reads the --input samples, and derives the effective configuration and
 its hash from those resolved values; `_run` prints the handler's verdict
-line and maps the verdict to the exit code.  A run builds only its own
+line and maps the verdict to the exit code.
+
+`_plain_args` reads a plain argv (an exact command name, then only that
+command's exact --flags and --config, each but a bool flag followed by a
+value not starting with '-' that its type converts) straight off `OPTIONS`:
+a plain run neither imports argparse nor builds a parser.  argparse reads
+every other argv (--flag=value, a unique prefix, a negative value) and stays
+the one source of help, usage and error text.  It builds only the run's own
 subcommand's parser; no command, --help, --version or an unknown command
 gets the parser of all eight.
 
@@ -28,13 +35,13 @@ verdict is FAIL (for a refused inversion, "invert: FAIL (...)" on stderr),
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
+import types
 from functools import lru_cache
 
 import numpy as np
@@ -577,10 +584,40 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+def _plain_args(argv):
+    """The namespace argparse builds for an argv of the plain form (see the
+    module docstring), with None for each option left out; None for any
+    other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = OPTIONS[argv[0]]
+    flags = {"--config": ("config", str),
+             **{_flag(name): (name, spec[0]) for name, spec in options.items()}}
+    args = dict.fromkeys(["config", *options])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        name, kind = flags[token]
+        if kind is bool:
+            args[name] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            args[name] = kind(value)
+        except ValueError:
+            return None
+    return types.SimpleNamespace(command=argv[0], fn=_COMMANDS[argv[0]][0], **args)
+
+
+def _build_parser(commands=_COMMANDS):
     """The `smt` parser with the subcommands `commands` registered.  With one
     registered, a fixed metavar keeps every subcommand in the usage line that
     a usage error prints."""
+    import argparse  # only here: a plain run imports neither it nor gettext
+
     parser = argparse.ArgumentParser(
         prog="smt",
         description="Spherical mean transform toolkit: forward data, range "
@@ -610,14 +647,16 @@ def _build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a run builds only its own subcommand's parser; anything else (no
-    # command, --help, --version, an unknown command) gets all of them
-    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
-        code = exc.code
-        return int(code) if code is not None else 0
+    # a plain argv skips argparse (see the module docstring); any other gets
+    # the parser of its own subcommand, or of all eight
+    args = _plain_args(argv)
+    if args is None:
+        parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits on usage errors and --help
+            code = exc.code
+            return int(code) if code is not None else 0
     try:
         return _run(args)
     except _Refused as exc:

@@ -235,7 +235,8 @@ class BumpProfile:
 class DerivativeProfile:
     """The m-th ordinary derivative F^(m) of a base profile F.
 
-    Shares the base support; values are entry m of the base's jets.
+    Shares the base support; values are entry m of the base's jets, and
+    ArithmeticError where one is not finite.
     """
 
     def __init__(self, base, m: int):
@@ -251,8 +252,12 @@ class DerivativeProfile:
     def __call__(self, r):
         if self.m == 0:
             return self.base(r)
-        j = self.base.jet(r, self.m)
-        v = j.derivs[self.m]
+        # the jet's intermediate orders overflow before F^(m) itself does at
+        # large m: a value that is not finite is refused, never passed on
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = self.base.jet(r, self.m).derivs[self.m]
+        if not np.isfinite(v).all():
+            raise ArithmeticError(f"F^({self.m}) of the profile is not finite in floats")
         return v if isinstance(r, np.ndarray) else float(v)
 
 

@@ -133,7 +133,8 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
     scaled by the panel count of `quad` relative to the 8-panel baseline —
     in-band values are pure quadrature noise, and that floor grows with the
     number of panels summed.  `profile` overrides the constructed f
-    (testing hook; e.g. the zero profile).
+    (testing hook; e.g. the zero profile).  A profile or transform value that
+    is not finite in floats raises ArithmeticError.
     """
     if grid is None:
         grid = default_grid()
@@ -144,7 +145,10 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
         tol = 1e-7 * max(1.0, quad.panels / 8.0)
     f = build_counterexample(spec) if profile is None else profile
     data = SmtProfile(f, spec.dim, quad)
-    g = data.g(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = data.g(grid)
+    if not np.isfinite(g).all():
+        raise ArithmeticError("the transform of the profile is not finite in floats")
 
     lo, hi_ = spec.band
     inside = (grid > lo) & (grid < hi_)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -84,10 +85,100 @@ def test_a_run_prints_what_the_full_parser_prints(monkeypatch, capsys, case):
 def test_a_run_registers_only_its_own_subcommand(monkeypatch, capsys):
     built, build = [], cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(build(*a)) or built[-1])
-    assert cli.main(["identities", "--max-k", "1"]) == 0
+    # --flag=value is a spelling only argparse reads
+    assert cli.main(["identities", "--max-k=1"]) == 0
     capsys.readouterr()
     [parser] = built
     assert list(parser._subparsers._group_actions[0].choices) == ["identities"]
+
+
+def _argparse_vars(capsys, argv):
+    """repr of each value of argparse's namespace for `argv`, None where
+    argparse exits (help, usage errors)."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        args = None
+    capsys.readouterr()
+    return None if args is None else {k: repr(v) for k, v in vars(args).items()}
+
+
+def _plain_vars(argv):
+    args = cli._plain_args(argv)
+    return None if args is None else {k: repr(v) for k, v in vars(args).items()}
+
+
+def _corpus(command):
+    """argv of every spelling of `command`'s options: exact flags with valid
+    values, --flag=value, unique and shared prefixes, negative and
+    non-integer values, repeats, missing values, strays and help."""
+    good = {int: "3", float: "0.5", str: "x.json"}
+    odd = {int: ["-1", "3.5", "abc", "nan"], float: ["-0.5", "1e-3", "nan", "inf", "x"],
+           str: ["-", "", "-x"]}
+    corpus, every = [[command], [command, "stray"], [command, "-h"], [command, "--help"],
+                     [command, "--version"], [command, "--config"],
+                     [command, "--config", "c.json"], [command, "--config=c.json"],
+                     [command, "--co", "3"], [command, "--"], [command, "-n", "3"]], []
+    for name, (kind, *_) in cli.OPTIONS[command].items():
+        flag = cli._flag(name)
+        one = [flag] if kind is bool else [flag, good[kind]]
+        every += one
+        corpus += [[command, *one], [command, *one, *one], [command, *one, "stray"],
+                   [command, flag[:-1], *one[1:]], [command, flag.replace("-", "_")],
+                   [command, f"{flag}={good.get(kind, '1')}"], [command, flag, "--config"]]
+        if kind is not bool:
+            corpus += [[command, flag], [command, flag, flag]]
+            corpus += [[command, flag, value] for value in odd[kind]]
+    corpus += [[command, *every], [command, "--config", "c.json", *every],
+               [command, *every, "--config", "c.json", *every[:2]], [command, *every, "-h"]]
+    return corpus
+
+
+# the argv shapes of the benchmark's jobs (smtbench/workloads.py)
+WORKLOAD_ARGVS = [
+    ["forward", "--config", "c.json", "--n", "3", "--grid", "2001", "--derivatives",
+     "--out", "f.csv"],
+    ["forward", "--config", "c.json", "--n", "5", "--m", "2", "--grid", "2001", "--out", "f.csv"],
+    ["ucp-demo", "--config", "c.json", "--grid", "201", "--out", "u.csv"],
+    ["range-check", "--config", "c.json", "--n", "9", "--m", "0", "--grid", "101",
+     "--out", "r.json"],
+    ["cross-check", "--config", "c.json", "--n", "5", "--m", "2", "--grid", "8", "--out", "c.csv"],
+    ["zeros", "--config", "c.json", "--n", "9", "--count", "5", "--out", "z.csv"],
+    ["mk-check", "--k", "6", "--count", "100", "--seed", "911", "--out", "mk.csv"],
+    ["identities", "--max-k", "8", "--out", "ids.csv"],
+    ["range-check", "--n", "3", "--input", "h.csv", "--out", "r.json"],
+    ["invert", "--n", "3", "--input", "g.csv", "--out", "i.csv"],
+]
+
+
+def _readme_argvs():
+    """The argv of every `smt` line of tools/readme_examples.sh."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                        "readme_examples.sh")
+    with open(path, encoding="utf-8") as fh:
+        words = [shlex.split(line) for line in fh if line.startswith("smt ")]
+    return [w[1:w.index(">")] if ">" in w else w[1:] for w in words]
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPTIONS))
+def test_the_plain_reader_reads_as_argparse_or_hands_on(capsys, command):
+    corpus = _corpus(command) + [case["argv"] for case in SURFACE]
+    corpus += [["identities", "--max", "1"], ["mk-check", "--lam", "2"],
+               ["mk-check", "--k", "0", "--count", "3", "--lam", "2"],
+               ["identities", "--max-k", "1", "--seed", "-1"], ["--n", "3"]]
+    for argv in corpus:
+        plain = _plain_vars(argv)
+        assert plain is None or plain == _argparse_vars(capsys, argv), argv
+    # abbreviations, =, negative values and help are argparse's to read
+    for argv in (["identities", "--max", "1"], ["identities", "--max-k=1"],
+                 ["identities", "--seed", "-1"], [command, "-h"], [command, "--co", "3"]):
+        assert cli._plain_args(argv) is None, argv
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS + _readme_argvs(), ids=" ".join)
+def test_the_plain_reader_reads_every_benchmark_and_readme_argv(capsys, argv):
+    plain = _plain_vars(argv)
+    assert plain is not None and plain == _argparse_vars(capsys, argv)
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -459,6 +550,26 @@ def test_no_subcommand_imports_mpmath(tmp_path):
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 1, 0, 0, 0, 0] False", run.stdout
 
 
+def test_a_plain_run_never_imports_argparse(tmp_path):
+    # argparse, with the gettext and locale lookups it sets off, costs a few
+    # ms per run; only help, usage errors and the rarer spellings need it
+    profile = _write_profile(tmp_path)
+    runs = [["identities", "--max-k", "1"],
+            ["forward", "--config", profile, "--grid", "5", "--out", "f.csv"]]
+    code = ("import contextlib, io, sys\n"
+            "from sphmean import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "seen = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    codes.append(cli.main(['--help']))\n"
+            "print(codes, seen, 'usage: smt' in out.getvalue())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0] [] True", run.stdout
+
+
 def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
     # the rows over the float retry threshold are re-measured with 80-digit
     # Decimal jets; what is left there is rounding noise
@@ -614,6 +725,22 @@ def test_ucp_demo_artifacts_and_verdict(tmp_path, capsys):
     # the profile column really vanishes below epsilon
     below = f_rows[f_rows[:, 0] <= 0.25]
     assert np.all(below[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default", "warnings-as-errors"])
+def test_a_ucp_demo_past_float_range_is_a_numerical_error(tmp_path, warnings):
+    # F^(78)'s jet overflows in floats: once read as a NaN ratio and a FAIL,
+    # with numpy's warnings on stderr and NaN in the JSON
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, *warnings, "-m", "sphmean.cli", "ucp-demo",
+                          "--n", "41", "--epsilon", "0.1", "--m", "78",
+                          "--out", str(tmp_path / "run.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
+        run.stderr
+    assert run.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 def test_ucp_demo_rejects_low_order(tmp_path, capsys):

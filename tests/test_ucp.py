@@ -146,6 +146,27 @@ def test_zero_profile_flagged_trivial():
     assert math.isnan(rep.ratio_inside)
 
 
+def test_a_profile_past_float_range_is_refused():
+    # n = 41 needs m = 78; the jet of F^(78) overflows in floats
+    spec = ucp.UcpSpec(n=41, epsilon=0.1, m=78)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        ucp.verify_counterexample(spec)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        ucp.build_counterexample(spec)(np.linspace(0.0, 1.0, 501))
+
+
+def test_a_transform_that_is_not_finite_is_refused():
+    class Infinite:
+        support = (0.3, 0.8)
+
+        def __call__(self, r):
+            return np.full_like(np.asarray(r, dtype=float), np.inf)
+
+    # the quadrature's inf - inf warns nowhere: pytest makes a warning an error
+    with pytest.raises(ArithmeticError, match="transform of the profile is not finite"):
+        ucp.verify_counterexample(S3, profile=Infinite())
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         ucp.default_grid(4)
