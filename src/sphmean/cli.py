@@ -36,7 +36,6 @@ verdict is FAIL (for a refused inversion, "invert: FAIL (...)" on stderr),
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -341,42 +340,52 @@ def _write(out, text: str):
 
 
 def _read_csv_columns(path: str, expect: int):
-    """Read a 2-column numeric CSV, skipping '#' comments; the first other
-    row may be a header, and any later row that is not numeric, or holds a
-    value that is not finite, is an error, as are fewer than two rows and a
-    repeated t (the rows are interpolated in t).  Every cell is converted by
-    one float() pass; the lines are scanned row by row only to name a
-    fault."""
+    """Read a 2-column numeric CSV, skipping '#' comments and a leading BOM.
+    Each cell is read as float() reads it (so '1_000' and Unicode digits
+    too), and columns past the second are ignored.  The first other row may
+    be a header, a row float() refuses; any later row that is not numeric,
+    or holds a value that is not finite, is an error, as are fewer than two
+    rows and a repeated t (the rows are interpolated in t).  numpy's text
+    reader reads the rows; where it refuses them, or they are at fault, one
+    float() scan of the lines reads them or names the fault."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    lines = text.split("\n")
     body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
-    cells = [line.split(",")[:expect] for line in body]
-    data = None
-    if all(len(row) == expect for row in cells):
-        for header in (0, 1):  # only the first row may be a header
-            try:
-                data = np.fromiter(map(float, itertools.chain(*cells[header:])), float)
-                break
-            except ValueError:
-                pass
-    if data is not None and np.isfinite(data).all():
-        data = data.reshape(-1, expect)
-        data = data[np.argsort(data[:, 0])]
-        if len(data) >= 2 and (data[1:, 0] != data[:-1, 0]).all():
-            return data
-    _csv_fault(path, expect, lines)
+    header = 0
+    if body:
+        first = body[0].split(",")
+        try:
+            [float(cell) for cell in first[:expect]]
+        except ValueError:
+            header = int(len(first) >= expect)  # a short row is a fault, not a header
+    # numpy's reader strips U+001C-U+001F around a cell; float() refuses them
+    if body[header:] and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        try:
+            data = np.loadtxt(body[header:], delimiter=",", comments=None,
+                              usecols=range(expect), ndmin=2)
+        except ValueError:
+            pass
+        else:
+            data = data[np.argsort(data[:, 0])]
+            if (np.isfinite(data).all() and len(data) >= 2
+                    and (data[1:, 0] != data[:-1, 0]).all()):
+                return data
+    data = _csv_rows(path, expect, lines)
+    return data[np.argsort(data[:, 0])]
 
 
-def _csv_fault(path: str, expect: int, lines):
-    """Raise the error of a CSV's `lines`: of the first row that is short,
-    not numeric (past the first) or not finite; else of no numeric rows,
+def _csv_rows(path: str, expect: int, lines):
+    """The rows of a CSV's `lines` as float() reads them, the first row
+    skipped if float() refuses it; else the error of the first row that is
+    short, not numeric (past the first) or not finite, of no numeric rows,
     of one, or of the first row whose t repeats an earlier row's."""
     body = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
             if line and not line.startswith("#")]
-    first, repeat = {}, None  # t -> the line of its first row
+    rows, first, repeat = [], {}, None  # t -> the line of its first row
     for index, (number, line) in enumerate(body):
         parts = line.split(",")
         if len(parts) < expect:
@@ -392,12 +401,15 @@ def _csv_fault(path: str, expect: int, lines):
         if repeat is None and row[0] in first:
             repeat = f"{path}, line {number}: t = {row[0]!r} repeats line {first[row[0]]}"
         first.setdefault(row[0], number)
-    if not first:
+        rows.append(row)
+    if repeat is not None:
+        raise ConfigError(repeat)
+    if not rows:
         raise ConfigError(f"{path}: no numeric rows found")
-    if repeat is None:
+    if len(rows) < 2:
         raise ConfigError(f"{path}, line {min(first.values())}: need at least two rows "
                           "to interpolate, got one")
-    raise ConfigError(repeat)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

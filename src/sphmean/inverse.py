@@ -110,8 +110,13 @@ def forward_matrix(dim: Dimension, cfg: InversionConfig):
     u, w = unknown_grid(cfg.n_unknowns)
     cuts = collocation_cuts(cfg.n_unknowns, cfg.n_collocation)
     t_grid = np.sort(1.0 - cuts)
-    T, U = np.meshgrid(t_grid, u, indexing="ij")
-    A = c_n * w[None, :] * U * q_kernel(T, U) ** dim.k * (U >= 1.0 - T)
+    t = t_grid[:, None]
+    mask = u >= 1.0 - t
+    Q = q_kernel(t, u)
+    # off the mask Q <= 0, and the mask's zero keeps only the sign of Q^k;
+    # sign(Q)^k has that sign and spares libm's pow of a negative base,
+    # many times slower than of a positive one
+    A = c_n * w * u * np.where(mask, Q, np.sign(Q)) ** dim.k * mask
     return t_grid, u, w, A
 
 

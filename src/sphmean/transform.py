@@ -68,7 +68,8 @@ def q_kernel(t, u):
 
 def _legval(x, c):
     """Legendre series sum c[i] P_i(x), by numpy's `legval` Clenshaw loop
-    operation for operation (len(c) >= 2)."""
+    operation for operation (len(c) >= 2); with each c[i] a column of
+    coefficients, one series per row."""
     nd = len(c)
     c0, c1 = c[-2], c[-1]
     for i in range(3, len(c) + 1):
@@ -84,12 +85,13 @@ def _gauss_nodes(n: int):
     eigenvalues, one Newton step, weights from P_n' and P_(n-1), symmetrized."""
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x = np.linalg.eigvalsh(np.diag(off, -1))  # it reads the lower triangle only
     p_n = [0.0] * n + [1.0]
-    # P_n' = sum of (2i+1) P_i over i < n with n-1-i even, exactly as `legder`
-    dp_n = [float(2 * i + 1) if (n - 1 - i) % 2 == 0 else 0.0 for i in range(n)]
-    df = _legval(x, dp_n)
-    x -= _legval(x, p_n) / df
+    # P_n' = sum of (2i+1) P_i over i < n with n-1-i even, exactly as `legder`;
+    # a trailing zero puts it in step with P_n, so one loop sums both
+    dp_n = [float(2 * i + 1) if (n - 1 - i) % 2 == 0 else 0.0 for i in range(n)] + [0.0]
+    f, df = _legval(x, np.array([p_n, dp_n]).T[..., None])
+    x -= f / df
     fm = _legval(x, p_n[1:])
     fm /= np.abs(fm).max()
     df /= np.abs(df).max()

@@ -21,30 +21,44 @@
   (k, p), a Fraction per term, a fresh power of (A - B) per s.  They look
   `binom`, `coeff_C` and `dp_q_power` up on `exactmath`, so a test that
   patches one of those patches both routes.
+- `forward_matrix_meshgrid`: the collocation matrix on a meshgrid of
+  (t, u), with Q^k raised on every cell, negative Q included.
+- `read_csv_columns`: the `--input` CSV reader by a float() per cell,
+  with the header found by a float() pass over all rows, then over all but
+  the first, and a row scan only to name a fault.  It needs no mpmath, so the CSV tests run on an install without the
+  test extra.
 """
 
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath import mp
 
+try:
+    import mpmath
+    from mpmath import mp
+    _MPF = (mpmath.mpf,)
+except ImportError:  # installed without the test extra; only the CSV tests run
+    mp, _MPF = None, ()
+
+from sphmean import inverse as inv
 from sphmean import specfun as sf
 from sphmean import transform as tr
 from sphmean import exactmath as em
+from sphmean.cli import ConfigError
 from sphmean.exactmath import BiPoly, coeff_C
 
 
 def _sin_cos(v):
-    if isinstance(v, mpmath.mpf):
+    if isinstance(v, _MPF):
         return mp.sin(v), mp.cos(v)
     return sf._sin_cos(v)
 
 
 def _exp(v):
-    return mp.exp(v) if isinstance(v, mpmath.mpf) else sf._exp(v)
+    return mp.exp(v) if isinstance(v, _MPF) else sf._exp(v)
 
 
 class DenseJet:
@@ -61,7 +75,7 @@ class DenseJet:
 
     @staticmethod
     def variable(x, order: int) -> "DenseJet":
-        if isinstance(x, (mpmath.mpf, Decimal)):
+        if isinstance(x, (*_MPF, Decimal)):
             zero, one = type(x)(0), type(x)(1)
         else:
             zero, one = x * 0 + 0.0, x * 0 + 1.0
@@ -482,3 +496,66 @@ def cj_double_sum(k: int, u: int, j: int) -> Fraction:
                 em.binom(2 * k - m, m),
             )
     return total
+
+
+def forward_matrix_meshgrid(dim, cfg):
+    """(t_grid, u_nodes, u_weights, A) of `inverse.forward_matrix`, with
+    A = c_n w u Q^k [u >= 1 - t] on the meshgrid of t and u."""
+    c_n = tr._front_constant(dim.n)
+    u, w = inv.unknown_grid(cfg.n_unknowns)
+    t_grid = np.sort(1.0 - inv.collocation_cuts(cfg.n_unknowns, cfg.n_collocation))
+    T, U = np.meshgrid(t_grid, u, indexing="ij")
+    A = c_n * w[None, :] * U * tr.q_kernel(T, U) ** dim.k * (U >= 1.0 - T)
+    return t_grid, u, w, A
+
+
+def read_csv_columns(path: str, expect: int):
+    """A 2-column numeric CSV as `cli._read_csv_columns` reads it, by a
+    float() per cell: '#' comments skipped, the first other row a header if
+    float() refuses it, rows sorted in t; the same `ConfigError` for a row
+    that is short, not numeric (past the first) or not finite, for fewer than
+    two rows and for a repeated t."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    cells = [line.split(",")[:expect] for line in body]
+    data = None
+    if all(len(row) == expect for row in cells):
+        for header in (0, 1):
+            try:
+                data = np.fromiter(map(float, itertools.chain(*cells[header:])), float)
+                break
+            except ValueError:
+                pass
+    if data is not None and np.isfinite(data).all():
+        data = data.reshape(-1, expect)
+        data = data[np.argsort(data[:, 0])]
+        if len(data) >= 2 and (data[1:, 0] != data[:-1, 0]).all():
+            return data
+    numbered = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
+                if line and not line.startswith("#")]
+    first, repeat = {}, None
+    for index, (number, line) in enumerate(numbered):
+        parts = line.split(",")
+        if len(parts) < expect:
+            raise ConfigError(f"{path}, line {number}: expected {expect} columns, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts[:expect]]
+        except ValueError:
+            if index:
+                raise ConfigError(f"{path}, line {number}: not a numeric row: {line!r}") from None
+            continue
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
+        if repeat is None and row[0] in first:
+            repeat = f"{path}, line {number}: t = {row[0]!r} repeats line {first[row[0]]}"
+        first.setdefault(row[0], number)
+    if not first:
+        raise ConfigError(f"{path}: no numeric rows found")
+    if repeat is None:
+        raise ConfigError(f"{path}, line {min(first.values())}: need at least two rows "
+                          "to interpolate, got one")
+    raise ConfigError(repeat)

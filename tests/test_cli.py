@@ -2,6 +2,7 @@
 and the file-based forward/invert round trip."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,8 @@ from sphmean import spectral as sp
 from sphmean import transform as tr
 from sphmean.specfun import bessel_zero
 from sphmean.transform import BumpProfile, Dimension, HarmonicForwardData
+
+import _oracles as orc
 
 
 def _write_profile(tmp_path, **extra):
@@ -455,8 +458,8 @@ def test_csv_fault_of_a_row_comes_before_the_t_faults(tmp_path, capsys, lines, r
     assert capsys.readouterr().err == f"config error: {bad}{reason}\n"
 
 
-# cells that float() reads or refuses in its own way: the one-pass reader
-# must take each exactly as a per-cell float() does
+# cells that float() reads or refuses in its own way: the reader must take
+# each exactly as a per-cell float() does
 CSV_CELLS = [" 1.5", "1.5 ", "+2", "-0", ".5", "5.", "1e-320", "1_000", "１", "1d3",
              "1e309", "Infinity", "nan", "abc", ""]
 
@@ -477,6 +480,59 @@ def test_csv_cells_read_as_float_reads_them(tmp_path, cell):
     data = cli._read_csv_columns(str(path), 2)
     expected = np.array([[0.25, 1.0], [0.5, want], [0.75, 3.0]])
     assert np.array_equal(data.view(np.int64), expected.view(np.int64))
+
+
+def _csv_corpus():
+    """CSV texts: each cell of CSV_CELLS and more in every position of a
+    3-row body, under each layout; then bodies of none, one or two rows."""
+    cells = [*CSV_CELLS, "0x1p-3", "nan(1)", "1e-400", "-nan", "0.25", "\x1c1.5", "1.5\x1f"]
+    layouts = [  # (header, line end, comment and blank lines, cell padding, extra column)
+        ("", "\n", False, "", ""), ("t,h", "\n", False, "", ""),
+        ("t,h", "\r\n", True, "", ""), ("", "\r\n", True, " ", ",9"),
+        ("t, h", "\n", True, "\t", ",x,"), ("t", "\n", False, "", "")]
+    for cell, (row, col), (header, end, notes, pad, extra) in itertools.product(
+            cells, itertools.product(range(3), range(2)), layouts):
+        body = [["0.25", "1.0"], ["0.5", "2.0"], ["0.75", "3.0"]]
+        body[row][col] = cell
+        lines = [",".join(pad + c + pad for c in r) + extra for r in body]
+        if notes:
+            lines[1:1] = ["# a comment", "", "   "]
+        yield end.join(([header] if header else []) + lines) + end
+    for text in ("", "\n\n", "# only a comment\n", "t,h\n", "# c\nt,h\n", "0.5,1.0\n",
+                 "t,h\n0.5,1.0\n", "0.5,1.0\n0.5,1.0\n", "0.5\n0.7,1\n", "t\n0.5,1\n0.7,2\n",
+                 "1_000,5\n0.5,1\n0.7,2\n", "x,y\n1_000,5\n0.5,1\n", "t,h\n0.5,1.0\n0.7,2.0"):
+        yield text
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_csv_reader_reads_every_row_as_a_float_per_cell_does(tmp_path):
+    # numpy's reader in front, the float() scan behind: together they give
+    # the rows, bit for bit, or the error of the per-cell float() reader
+    path = str(tmp_path / "rows.csv")
+    texts = list(_csv_corpus())
+    for text in texts:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        results = []
+        for read in (cli._read_csv_columns, orc.read_csv_columns):
+            try:
+                data = read(path, 2)
+                results.append((data.shape, data.view(np.int64).tolist()))
+            except cli.ConfigError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], repr(text)
+    assert len(texts) > 800
+
+
+def test_a_csv_bom_is_not_a_header(tmp_path):
+    # a BOM before a headerless CSV made its first row unreadable, and the
+    # row was dropped as a header
+    path = tmp_path / "bom.csv"
+    for head in ([], ["t,h"], ["# samples"]):
+        path.write_text("\ufeff" + "\n".join(head + ["0.25,1.0", "0.5,2.0", "0.75,3.0"]) + "\n",
+                        encoding="utf-8")
+        data = cli._read_csv_columns(str(path), 2)
+        assert data.tolist() == [[0.25, 1.0], [0.5, 2.0], [0.75, 3.0]], head
 
 
 def _cell_text(value) -> str:

@@ -10,7 +10,7 @@ from sphmean import inverse as inv
 from sphmean.rangecheck import SampledH
 from sphmean.transform import BumpProfile, Dimension, SmtProfile
 
-from _oracles import R_FLOOR, invert_radial_n3
+from _oracles import R_FLOOR, forward_matrix_meshgrid, invert_radial_n3
 
 D3, D5 = Dimension(3), Dimension(5)
 TRIO = [BumpProfile(0.55, 0.25), BumpProfile(0.5, 0.22), BumpProfile(0.65, 0.2)]
@@ -99,6 +99,19 @@ def test_collocation_grid_shapes():
     assert np.all((u > 0) & (u < 1))
     # indicator zeroes the block below the cut
     assert A[0, 0] == 0.0
+
+
+def test_forward_matrix_equals_the_meshgrid_formula():
+    # sign(Q)^k in place of Q^k off the mask keeps every bit, signed zeros
+    # included: -0.0 wherever k is odd
+    for cfg in (inv.InversionConfig(), inv.InversionConfig(60, 61), inv.InversionConfig(40, 80)):
+        for n in (3, 5, 7, 9, 11, 15, 21):
+            dim = Dimension(n)
+            got, want = inv.forward_matrix(dim, cfg), forward_matrix_meshgrid(dim, cfg)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (n, cfg)
+            A = got[3]
+            assert set(np.signbit(A[A == 0.0])) == {dim.k % 2 == 1}, (n, cfg)
 
 
 @lru_cache(maxsize=None)
