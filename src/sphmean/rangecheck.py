@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactmath import coeff_C
+from .specfun import _power
 from .transform import QuadratureRule, _by_order
 
 # antiderivative integrands carry boundary layers from high bump derivatives;
@@ -61,8 +62,7 @@ def apply_Lk(h_dp, k: int, tau):
         rows = h_dp(t_live, tuple(range(k + 1)))
         acc = np.zeros(t_live.shape)
         for p, c in enumerate(lk_coefficients(k)):
-            weight = np.array([float(c) * (1.0 - t) ** p for t in t_live.tolist()])
-            acc = acc + weight * rows[p]
+            acc = acc + float(c) * _power(1.0 - t_live, p) * rows[p]
         out[live] = acc
     return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 

@@ -56,8 +56,9 @@ _MP_RETRY = 1e-9
 # k = 0 is the plain angle-addition identity and is held to a tighter bar,
 # so its retry threshold is the bar itself
 _MP_RETRY_K0 = 1e-14
-# working digits of that recomputation
-_MP_DPS = 80
+# working digits of that recomputation: each rung is tried in turn until the
+# residual is back under the retry threshold
+_MP_DPS = (80, 160, 320)
 
 
 def oscillation_panels(lam: float, a: float, b: float, base: int = 8) -> int:
@@ -253,13 +254,30 @@ def _mk_rhs(k: int, lam, t, trig):
     return rhs, abs(front) * np.maximum(abs(t1), abs(t2))
 
 
+def _mk_residual_mp(k: int, lam: float, t: float, dps: int) -> float:
+    """The residual of `mk_residual` at one point, from Decimal jets at `dps`
+    digits."""
+    with decimal_context(dps):
+        lam_d, t_d = to_decimal(lam), to_decimal(t)
+        lhs = _mk_lhs_value(k, lam_d, t_d)
+        rhs, scale = _mk_rhs(k, lam_d, t_d, lambda p, x, kind: dp_trig_mp(p, x, kind, dps))
+        den = max(abs(lhs), abs(rhs), to_decimal(_REL_FLOOR) * scale)
+        return 0.0 if den == 0 else float(abs(lhs - rhs) / den)
+
+
 def mk_residual(k: int, lam, t):
     """Relative defect between the two routes through the kernel identity.
 
     Float arithmetic first; when cancellation pushes the float residual above
     the retry threshold (1e-9, or 1e-14 for the k = 0 angle-addition case),
     both sides are recomputed with Decimal jets at 80 digits and the
-    residual is re-measured there.
+    residual is re-measured there.  The closed forms lose digits to
+    cancellation as k grows and as lam shrinks, so a row still over the
+    threshold is recomputed at 160, then 320 digits, and keeps its reading
+    at 320: a real defect still reads over the threshold.  A row whose next
+    rung needs more digits of pi than `decimal_sin_cos` holds (a kernel
+    argument above about 1e258) raises ArithmeticError: its reading is not
+    resolved.
 
     lam and t may be arrays of points (broadcast together).  The float left
     side is then one jet pass over all of them, and only the rows over the
@@ -283,13 +301,15 @@ def mk_residual(k: int, lam, t):
     retry_at = _MP_RETRY if k > 0 else _MP_RETRY_K0
     # NaN compares False, so a non-finite row is retried too
     for i in np.flatnonzero(~(res <= retry_at)).tolist():
-        with decimal_context(_MP_DPS):
-            lam_i, t_i = to_decimal(lams[i]), to_decimal(ts[i])
-            lhs_i = _mk_lhs_value(k, lam_i, t_i)
-            rhs_i, scale_i = _mk_rhs(k, lam_i, t_i, lambda p, x, kind:
-                                     dp_trig_mp(p, x, kind, _MP_DPS))
-            den_i = max(abs(lhs_i), abs(rhs_i), to_decimal(_REL_FLOOR) * scale_i)
-            res[i] = 0.0 if den_i == 0 else float(abs(lhs_i - rhs_i) / den_i)
+        for dps in _MP_DPS:
+            try:
+                res[i] = _mk_residual_mp(k, lams[i], ts[i], dps)
+            except ValueError as exc:  # sin/cos of lam needs more digits of pi
+                raise ArithmeticError(
+                    f"kernel-identity residual {float(res[i])} unresolved at k={k}, "
+                    f"lam={float(lams[i])}, t={float(ts[i])}: {exc}") from exc
+            if res[i] <= retry_at:
+                break
     finite = np.isfinite(res)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import Jet, gegenbauer, gegenbauer_at_one
+from .specfun import Jet, _power, gegenbauer, gegenbauer_at_one
 
 T_FLOOR = 1e-3  # below this, dividing h by t^(n-2) is refused
 
@@ -293,11 +293,6 @@ def _shaped(values, shape):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _rows(fn, ts) -> np.ndarray:
-    """The t-only factor fn(t) of every row, evaluated in Python floats."""
-    return np.array([fn(t) for t in ts.tolist()], dtype=float)
-
-
 def _u_range(profile, ts):
     r_lo, r_hi = profile.support
     return np.maximum(np.abs(1.0 - ts), r_lo), min(1.0, r_hi)
@@ -328,7 +323,7 @@ def g_from_h(h, t, n: int):
     ts, shape = _batch(t)
     if np.any(ts < T_FLOOR):
         raise ValueError(f"g(t) undefined below t = {T_FLOOR} (division guard)")
-    return _shaped(np.ravel(h) / _rows(lambda s: s ** (n - 2), ts), shape)
+    return _shaped(np.ravel(h) / _power(ts, n - 2), shape)
 
 
 @lru_cache(maxsize=None)
@@ -398,8 +393,8 @@ def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
     ts, shape = _batch(t)
     dp_orders = sorted(set(orders) - {0})
     if 0 in orders:  # Q^k itself, from the row factors (1 +- t)^2
-        plus = _rows(lambda s: (1 + s) ** 2, ts)
-        minus = _rows(lambda s: (1 - s) ** 2, ts)
+        plus = _power(1 + ts, 2)
+        minus = _power(1 - ts, 2)
 
     def kernels(rows, u):
         by_order = dict(zip(dp_orders, _dp_q_kernels(k, dp_orders, ts[rows, None], u)))

@@ -653,6 +653,13 @@ def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
         [residual[point] for point in retried]
 
 
+def test_mk_check_passes_exact_data_at_k_30(capsys):
+    # the identity is exact at every k; with a retry at 80 digits only, rows
+    # from k = 22 on read O(1) (worst 1.0 here), and the run FAILed
+    assert cli.main(["mk-check", "--k", "30", "--count", "10", "--seed", "7"]) == 0
+    capsys.readouterr()
+
+
 def test_cross_check_columns_and_verdict(tmp_path, capsys):
     cfg = _write_profile(tmp_path)
     out = str(tmp_path / "cross.csv")

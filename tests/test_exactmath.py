@@ -3,6 +3,9 @@ bivariate polynomial ring, and the seven identity verifiers."""
 
 import contextlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -470,3 +473,18 @@ def test_identity_sweeps_all_pass():
     }
     for name, desc, ok, witness in results:
         assert ok, f"{name} failed at {witness}"
+
+
+def test_the_package_root_and_exactmath_import_no_numpy():
+    # the root holds only __version__, and exactmath runs on ints and
+    # Fractions: neither loads numpy or a numeric layer
+    code = ("import sys\n"
+            "import sphmean, sphmean.exactmath\n"
+            "loaded = [m for m in ('numpy', 'sphmean.transform', 'sphmean.specfun')\n"
+            "          if m in sys.modules]\n"
+            "print(sphmean.__version__, loaded)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(em.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0.1.0 []", run.stdout

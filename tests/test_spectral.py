@@ -192,6 +192,36 @@ def test_mk_retry_rescues_float_cancellation():
     assert sp.mk_residual(6, 20.0, -1 + 1e-3) <= 1e-8
 
 
+def test_mk_retry_climbs_past_80_digits_at_small_lam():
+    # at small lam the closed forms cancel more digits than 80 carry: these
+    # read 0.333, 0.678 and 0.060 there, although the identity is exact
+    for k, lam, t in ((1, 1e-40, 0.5), (2, 1e-20, 0.5), (2, 1e-30, -0.5)):
+        assert sp.mk_residual(k, lam, t) <= 1e-8, (k, lam, t)
+    # the float jet power of lam (1 + t) underflows to zero: refused
+    with pytest.raises(ArithmeticError):
+        sp.mk_residual(3, 1e-55, 0.5)
+    # sin/cos of lam (1 + t) at 320 digits needs more digits of pi than
+    # decimal_sin_cos holds, and the 160-digit reading (1.13) is noise
+    with pytest.raises(ArithmeticError, match="more digits of pi"):
+        sp.mk_residual(0, 1e300, 0.5)
+
+
+def test_mk_retry_keeps_a_real_defect(monkeypatch):
+    # a left side off by one part in 1e6 stays over the bar at every rung,
+    # and the 320-digit reading is the answer
+    lhs_value, residual_mp, rungs = sp._mk_lhs_value, sp._mk_residual_mp, []
+
+    def rung(k, lam, t, dps):
+        rungs.append(dps)
+        return residual_mp(k, lam, t, dps)
+
+    monkeypatch.setattr(sp, "_mk_lhs_value",
+                        lambda k, lam, t: lhs_value(k, lam, t) * 1000001 / 1000000)
+    monkeypatch.setattr(sp, "_mk_residual_mp", rung)
+    assert sp.mk_residual(2, 3.0, 0.7) == pytest.approx(1e-6, rel=1e-5)
+    assert rungs == [80, 160, 320]
+
+
 def test_mk_domain_errors():
     with pytest.raises(ValueError):
         sp.mk_residual(1, 2.0, 0.0)
