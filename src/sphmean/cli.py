@@ -42,6 +42,7 @@ import os
 import sys
 import types
 from functools import lru_cache
+from itertools import compress, islice
 
 import numpy as np
 
@@ -353,8 +354,12 @@ def _read_csv_columns(path: str, expect: int):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    lines = text.split("\n")
-    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    lines = list(map(str.strip, text.split("\n")))
+    # a flag per line, not a (number, line) pair per row: in a fresh process
+    # the heap pages of the pairs cost more than the scan, so only the float()
+    # scan below numbers the rows
+    is_row = [line != "" and line[0] != "#" for line in lines]
+    body = list(compress(lines, is_row))
     header = 0
     if body:
         first = body[0].split(",")
@@ -374,28 +379,24 @@ def _read_csv_columns(path: str, expect: int):
             if (np.isfinite(data).all() and len(data) >= 2
                     and (data[1:, 0] != data[:-1, 0]).all()):
                 return data
-    data = _csv_rows(path, expect, lines)
+    data = _csv_rows(path, expect, islice(compress(enumerate(lines, 1), is_row), header, None))
     return data[np.argsort(data[:, 0])]
 
 
-def _csv_rows(path: str, expect: int, lines):
-    """The rows of a CSV's `lines` as float() reads them, the first row
-    skipped if float() refuses it; else the error of the first row that is
-    short, not numeric (past the first) or not finite, of no numeric rows,
-    of one, or of the first row whose t repeats an earlier row's."""
-    body = [(number, line) for number, line in enumerate(map(str.strip, lines), 1)
-            if line and not line.startswith("#")]
+def _csv_rows(path: str, expect: int, body):
+    """The rows of a CSV's `body`, (line number, line) pairs past its
+    header, as float() reads them; else the error of the first row that is
+    short, not numeric or not finite, of no rows, of one, or of the first
+    row whose t repeats an earlier row's."""
     rows, first, repeat = [], {}, None  # t -> the line of its first row
-    for index, (number, line) in enumerate(body):
+    for number, line in body:
         parts = line.split(",")
         if len(parts) < expect:
             raise ConfigError(f"{path}, line {number}: expected {expect} columns, got {len(parts)}")
         try:
             row = [float(p) for p in parts[:expect]]
         except ValueError:
-            if index:
-                raise ConfigError(f"{path}, line {number}: not a numeric row: {line!r}") from None
-            continue
+            raise ConfigError(f"{path}, line {number}: not a numeric row: {line!r}") from None
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"{path}, line {number}: not a finite row: {line!r}")
         if repeat is None and row[0] in first:

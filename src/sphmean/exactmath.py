@@ -1,12 +1,12 @@
 """Exact rational combinatorics and polynomial identities.
 
-Everything in this module is computed exactly: over Python ints, with
-stdlib ``fractions.Fraction`` only where a value is not an integer; there
-is no floating point anywhere.  The
-verifiers at the bottom check, term by term, the combinatorial identities that
-underpin the range characterization: each one builds both sides of an identity
-independently and compares exactly, so a ``True`` is a proof for the given
-parameters, not an approximation.
+Everything in this module is computed exactly, over Python ints; stdlib
+``fractions.Fraction`` carries only the values that are not integers, in
+`binom_half`, `cj_double_sum` and `verify_gamma_contour`.  There is no
+floating point anywhere.  The verifiers at the bottom check, term by term,
+the combinatorial identities that underpin the range characterization: each
+one builds both sides of an identity independently and compares exactly, so
+a ``True`` is a proof for the given parameters, not an approximation.
 """
 
 from __future__ import annotations
@@ -38,15 +38,6 @@ def binom_half(m2: int, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-def _exact(c):
-    """An exact ring element: an int when c is integral, else a Fraction."""
-    if type(c) is not int:
-        c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
-
-
 @lru_cache(maxsize=None)
 def coeff_C(k: int, p: int) -> int:
     """Range-operator coefficient C(k,p) = (2k-p)! / (p! 2^(k-p) (k-p)!).
@@ -56,9 +47,8 @@ def coeff_C(k: int, p: int) -> int:
     """
     if not 0 <= p <= k:
         raise ValueError(f"coeff_C requires 0 <= p <= k, got k={k}, p={p}")
-    return _exact(Fraction(
-        math.factorial(2 * k - p), math.factorial(p) * 2 ** (k - p) * math.factorial(k - p)
-    ))
+    return math.factorial(2 * k - p) // (
+        math.factorial(p) * 2 ** (k - p) * math.factorial(k - p))
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +56,10 @@ def coeff_C(k: int, p: int) -> int:
 
 
 class BiPoly:
-    """Bivariate polynomial in (t, u) over the rationals, sparse monomial map.
+    """Bivariate polynomial in (t, u) over the ints, sparse monomial map.
 
-    Coefficients are stored as ints, and as Fractions only where they are
-    not integers; the integer-coefficient kernels then never build a
-    Fraction.
+    Coefficients are stored as given, zero terms dropped; every kernel and
+    sweep here builds them from ints, so they stay ints.
 
     The two variables are purely positional; the same class doubles as the
     (A, B) ring for the alternating-sum identity below.
@@ -79,12 +68,8 @@ class BiPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[tuple[int, int], int | Fraction] = {}
-        if coeffs:
-            for (i, j), c in dict(coeffs).items():
-                c = _exact(c)
-                if c:
-                    self.coeffs[(int(i), int(j))] = c
+        self.coeffs: dict[tuple[int, int], int] = {
+            key: c for key, c in (coeffs or {}).items() if c}
 
     # -- constructors
     @staticmethod
@@ -104,12 +89,12 @@ class BiPoly:
         out = dict(self.coeffs)
         for key, c in _as_poly(other).coeffs.items():
             out[key] = out.get(key, 0) + c
-        return _normalized(out)
+        return BiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return _normalized({key: -c for key, c in self.coeffs.items()})
+        return BiPoly({key: -c for key, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "BiPoly":
         return self + (-_as_poly(other))
@@ -119,15 +104,15 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if type(other) is int:
-            return _normalized({key: c * other for key, c in self.coeffs.items()})
+            return BiPoly({key: c * other for key, c in self.coeffs.items()})
         other = list(_as_poly(other).coeffs.items())
-        out: dict[tuple[int, int], int | Fraction] = {}
+        out: dict[tuple[int, int], int] = {}
         get = out.get
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other:
                 key = (i1 + i2, j1 + j2)
                 out[key] = get(key, 0) + c1 * c2
-        return _normalized(out)
+        return BiPoly(out)
 
     __rmul__ = __mul__
 
@@ -157,7 +142,6 @@ class BiPoly:
     def subs_t_affine(self, a, b) -> "BiPoly":
         """Substitute t -> a + b*t, expanding exactly: one row of
         C(i,r) a^(i-r) b^r per t-degree i, summed into one column per u-degree."""
-        a, b = _exact(a), _exact(b)
         rows, cols = {}, {}
         for (i, j), c in self.coeffs.items():
             if i not in rows:
@@ -166,7 +150,7 @@ class BiPoly:
             col.extend([0] * (i + 1 - len(col)))
             for r, w in enumerate(rows[i]):
                 col[r] += c * w
-        return _normalized({(r, j): v for j, col in cols.items() for r, v in enumerate(col)})
+        return BiPoly({(r, j): v for j, col in cols.items() for r, v in enumerate(col)})
 
     def eval(self, tval, uval):
         """Numeric evaluation (floats in, float out), for tests."""
@@ -189,29 +173,20 @@ def _as_poly(v) -> BiPoly:
     return BiPoly.const(v)
 
 
-def _normalized(coeffs: dict) -> BiPoly:
-    """A BiPoly over exact int/Fraction sums, normalized once: zero terms
-    dropped, integral Fractions stored as ints."""
-    poly = BiPoly.__new__(BiPoly)
-    poly.coeffs = {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                   for key, c in coeffs.items() if c}
-    return poly
-
-
 def formal_D(poly: BiPoly) -> BiPoly:
     """Formal D = (1/t) d/dt on polynomials with even t-degrees only.
 
     D t^(2a) u^j = 2a t^(2a-2) u^j; an odd t-degree would leave the polynomial
     ring, so it is rejected rather than silently mangled.
     """
-    out: dict[tuple[int, int], int | Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (i, j), c in poly.coeffs.items():
         if i % 2:
             raise ValueError(f"formal_D needs even t-degrees, found t^{i}")
         if i:
             key = (i - 2, j)
             out[key] = out.get(key, 0) + c * i
-    return _normalized(out)
+    return BiPoly(out)
 
 
 def q_poly() -> BiPoly:

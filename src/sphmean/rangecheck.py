@@ -36,23 +36,18 @@ CHAIN_QUAD = QuadratureRule(32, 96)
 # the range operator
 
 
-@lru_cache(maxsize=None)
-def lk_coefficients(k: int) -> tuple:
-    """Exact coefficients (c_0 .. c_k) with L_k = sum_p c_p (1-t)^p D^p."""
-    if k < 0:
-        raise ValueError("k >= 0")
-    return tuple(coeff_C(k, p) for p in range(k + 1))
-
-
 def apply_Lk(h_dp, k: int, tau):
-    """[L_k h](tau) from a derivative oracle h_dp(t, orders) that returns one
-    row D^p h(t) per order p of a sequence.
+    """[L_k h](tau) = sum_p C(k,p) (1-tau)^p [D^p h](tau), from a derivative
+    oracle h_dp(t, orders) that returns one row D^p h(t) per order p of a
+    sequence.
 
     tau may be an array: the oracle is asked once, for the orders 0..k at
     every tau in (0, 2), and L_k is a coefficient dot (in order of p) on that
     derivative block.  Compactly supported data vanishes identically near 0
     and 2, so tau outside (0, 2) evaluates to 0 without the oracle.
     """
+    if k < 0:
+        raise ValueError("k >= 0")
     taus = np.asarray(tau, dtype=float)
     flat = taus.ravel()
     live = (flat > 0.0) & (flat < 2.0)
@@ -61,8 +56,8 @@ def apply_Lk(h_dp, k: int, tau):
         t_live = flat[live]
         rows = h_dp(t_live, tuple(range(k + 1)))
         acc = np.zeros(t_live.shape)
-        for p, c in enumerate(lk_coefficients(k)):
-            acc = acc + float(c) * _power(1.0 - t_live, p) * rows[p]
+        for p in range(k + 1):
+            acc = acc + float(coeff_C(k, p)) * _power(1.0 - t_live, p) * rows[p]
         out[live] = acc
     return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 

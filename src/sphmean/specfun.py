@@ -8,7 +8,8 @@ j(0) = 1.  They differ by
     c_k = (-1)^k sqrt(pi) / (2^(k+1) Gamma(k + 3/2)),   raw = c_k * normalized,
 
 and every cross-identity downstream is evaluated in the raw normalization,
-where the constant cancels.
+where the constant cancels.  Every coefficient of D^p and of the closed
+forms is a Python int (`d_coeff_table`, `_trig_coeffs`).
 
 Numerical note: the trig closed forms cancel catastrophically for small x at
 high derivative order (the true value can be 30 decimal digits below the
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -52,15 +52,15 @@ _EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=None)
-def d_coeff_table(pmax: int) -> tuple[tuple[Fraction, ...], ...]:
+def d_coeff_table(pmax: int) -> tuple[tuple[int, ...], ...]:
     """Exact a[p][j] with D^p f(t) = sum_{j=1..p} a[p][j] t^(j-2p) f^(j)(t).
 
     a[1][1] = 1 and a[p+1][j] = a[p][j-1] + (j-2p) a[p][j], out-of-range
-    entries zero.  Computed once in rationals; callers float as needed.
+    entries zero.  Computed once in ints; callers float as needed.
     """
-    a = [[Fraction(0)] * (pmax + 2) for _ in range(pmax + 1)]
+    a = [[0] * (pmax + 2) for _ in range(pmax + 1)]
     if pmax >= 1:
-        a[1][1] = Fraction(1)
+        a[1][1] = 1
     for p in range(1, pmax):
         for j in range(1, p + 2):
             a[p + 1][j] = a[p][j - 1] + (j - 2 * p) * a[p][j]
@@ -105,14 +105,6 @@ def decimal_context(prec: int):
     caller's finiteness checks judge it.
     """
     return localcontext(_context(prec))
-
-
-def to_decimal(v) -> Decimal:
-    """A float, int, Fraction or Decimal scalar as a Decimal: exact, except
-    that a Fraction rounds to the working precision."""
-    if isinstance(v, Fraction):
-        return Decimal(v.numerator) / v.denominator
-    return Decimal(v)
 
 
 def decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
@@ -345,12 +337,10 @@ class Jet:
         return f"Jet(x={self.x!r}, derivs={self.derivs!r})"
 
 
-def _coeff_like(frac: Fraction, like):
-    """Fraction -> the scalar type of `like` (a Decimal rounds to the working
-    precision)."""
-    if isinstance(like, Decimal):
-        return to_decimal(frac)
-    return float(frac)
+def _coeff_like(c: int, like):
+    """An int coefficient as the scalar type of `like`: a float, or an exact
+    Decimal."""
+    return Decimal(c) if isinstance(like, Decimal) else float(c)
 
 
 def d_operator(jet: Jet, p: int):
@@ -372,7 +362,8 @@ def d_operator(jet: Jet, p: int):
     for j in range(1, p + 1):
         a = row[j]
         if a:
-            acc = acc + _coeff_like(a, jet.derivs[j]) * jet.derivs[j] * _power(x, j - 2 * p)
+            c = +_coeff_like(a, jet.derivs[j])  # a Decimal rounds to the working precision
+            acc = acc + c * jet.derivs[j] * _power(x, j - 2 * p)
     return acc
 
 
@@ -399,9 +390,6 @@ def _trig_coeffs(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cc = [0] * (p + 1)
     for l in range(p + 1):
         C = coeff_C(p, l)
-        if C.denominator != 1:
-            raise ArithmeticError(f"coefficient C({p}, {l}) = {C} is not an integer")
-        C = C.numerator
         if l % 2 == 0:
             cs[l] = C * (-1) ** (p + l // 2)
         else:
@@ -449,7 +437,7 @@ def _trig_sum(cs, cc, x):
 def _trig_sum_mp(cs, cc, x):
     """The closed trig form and its summed term magnitude, in Decimals at
     the working precision."""
-    xm = to_decimal(x)
+    xm = Decimal(x)
     acc, mag = _trig_sum(cs, cc, xm)
     power = -(2 * len(cs) - 1)
     return acc * xm ** power, mag * abs(xm) ** power

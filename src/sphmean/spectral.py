@@ -25,6 +25,7 @@ quadrature error only, so they make sharp regression checks.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .specfun import (
     raw_j_jet,
     raw_to_normalized,
     sph_bessel_j,
-    to_decimal,
 )
 from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
 
@@ -258,10 +258,10 @@ def _mk_residual_mp(k: int, lam: float, t: float, dps: int) -> float:
     """The residual of `mk_residual` at one point, from Decimal jets at `dps`
     digits."""
     with decimal_context(dps):
-        lam_d, t_d = to_decimal(lam), to_decimal(t)
+        lam_d, t_d = Decimal(lam), Decimal(t)
         lhs = _mk_lhs_value(k, lam_d, t_d)
         rhs, scale = _mk_rhs(k, lam_d, t_d, lambda p, x, kind: dp_trig_mp(p, x, kind, dps))
-        den = max(abs(lhs), abs(rhs), to_decimal(_REL_FLOOR) * scale)
+        den = max(abs(lhs), abs(rhs), Decimal(_REL_FLOOR) * scale)
         return 0.0 if den == 0 else float(abs(lhs - rhs) / den)
 
 

@@ -653,11 +653,17 @@ def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
         [residual[point] for point in retried]
 
 
-def test_mk_check_passes_exact_data_at_k_30(capsys):
+def test_mk_check_passes_exact_data_at_k_30(tmp_path, capsys):
     # the identity is exact at every k; with a retry at 80 digits only, rows
-    # from k = 22 on read O(1) (worst 1.0 here), and the run FAILed
-    assert cli.main(["mk-check", "--k", "30", "--count", "10", "--seed", "7"]) == 0
+    # from k = 22 on read O(1) (worst 1.0 here), and the run FAILed.  The
+    # bytes pin the Decimal rungs: 174 rows are retried at 80 digits and 4
+    # at 160, through the Decimal coefficients of d_operator
+    out = tmp_path / "mk.csv"
+    assert cli.main(["mk-check", "--k", "30", "--count", "10", "--seed", "7",
+                     "--out", str(out)]) == 0
     capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "12d1ae2b901423dc7218a3a97bb96965523d46b9c97f4e3d33c670b8623a605d"
 
 
 def test_cross_check_columns_and_verdict(tmp_path, capsys):

@@ -20,13 +20,6 @@ BUMPS = [tr.BumpProfile(0.55, 0.25), tr.BumpProfile(0.4, 0.15), tr.BumpProfile(0
 # operator anchors
 
 
-def test_lk_coefficients_closed_forms():
-    # k = 0: identity; k = 1: h + (1-t) D h — exact coefficient-level equality
-    assert rc.lk_coefficients(0) == (1,)
-    assert rc.lk_coefficients(1) == (1, 1)
-    assert rc.lk_coefficients(2) == (3, 3, 1)
-
-
 def test_apply_Lk_identity_for_k0():
     hdp = lambda t, orders: np.array([t ** 3 if p == 0 else 3 * t for p in orders])
     assert rc.apply_Lk(hdp, 0, 0.7) == pytest.approx(0.7 ** 3)

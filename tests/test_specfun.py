@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from sphmean import exactmath as em
 from sphmean import specfun as sf
 
 from _oracles import DenseJet, dp_inv_poly
@@ -52,6 +53,22 @@ def test_d_coeff_table_against_monomials():
             acc = sum(float(a[p][j]) * jet[j] * t0 ** (j - 2 * p) for j in range(1, p + 1))
             want = 2 ** p * math.factorial(q) / math.factorial(q - p) * t0 ** (2 * q - 2 * p)
             assert relerr(acc, want) < 1e-13
+
+
+def test_every_integral_coefficient_is_an_int():
+    # C(k,p) of L_k, the D^p table, the D^p(sin x/x) closed-form rows and
+    # D^p Q^k are built as ints: none is a Fraction or a float
+    for k in range(61):
+        for p in range(k + 1):
+            den = math.factorial(p) * 2 ** (k - p) * math.factorial(k - p)
+            assert math.factorial(2 * k - p) % den == 0
+            assert type(em.coeff_C(k, p)) is int
+    assert all(type(c) is int for row in sf.d_coeff_table(60) for c in row)
+    for p in range(61):
+        assert all(type(c) is int for row in sf._trig_coeffs(p) for c in row)
+    for k in range(9):
+        for p in range(k + 1):
+            assert all(type(c) is int for c in em.dp_q_power(k, p).coeffs.values())
 
 
 # ---------------------------------------------------------------------------
