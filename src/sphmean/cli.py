@@ -497,19 +497,58 @@ def _cmd_cross_check(run):
     return worst <= tol, f"worst residual {worst:.3e} (tol {tol:g})"
 
 
+def _pcg64_uniforms(seed: int):
+    """numpy 2.x's default_rng(seed).random() stream, PCG64 seeded by
+    SeedSequence(seed), on Python ints, so that no run imports numpy.random:
+    SeedSequence's hash mix of the seed's 32-bit words into four 64-bit
+    words, PCG64's 128-bit LCG step and XSL-RR output x, then
+    (x >> 11) * 2**-53."""
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hc = [0x43B0D7E5, 0x931E8875]  # the hash constant and its multiplier
+
+    def hashmix(v):
+        v ^= hc[0]
+        hc[0] = hc[0] * hc[1] & m32
+        v = v * hc[0] & m32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src, dst in [(a, b) for a in range(4) for b in range(4) if a != b]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hc[:] = 0x8B51F9DD, 0x58F38DED
+    state = [hashmix(pool[i % 4]) for i in range(8)]
+    # little-endian 64-bit words: the LCG's seed (high, low), then its stream
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (s2 << 65 | s3 << 1 | 1) & m128
+    x = (inc + (s0 << 64 | s1)) * mult + inc
+    while True:
+        x = (x * mult + inc) & m128
+        word, rot = (x >> 64 ^ x) & m64, x >> 122
+        yield (((word >> rot | word << 64 - rot) & m64) >> 11) * 2.0 ** -53
+
+
 def _cmd_mk_check(run):
     k_max, count = run.opts["k"], run.opts["count"]
     lam_max, tol = run.opts["lambda_max"], run.opts["tol"]
-    rng = np.random.default_rng(run.seed)
+    u = _pcg64_uniforms(run.seed)
     rows = []
     residuals = []
     for k in range(k_max + 1):
         points = []
         for _ in range(count):
-            lam = rng.uniform(0.5, lam_max)
-            t = rng.uniform(-3.0, 3.0)
+            # low + (high - low) * u, as numpy's uniform rounds it
+            lam = 0.5 + (lam_max - 0.5) * next(u)
+            t = -3.0 + 6.0 * next(u)
             while abs(t) < 0.1 or abs(t + 1.0) < 0.1:
-                t = rng.uniform(-3.0, 3.0)
+                t = -3.0 + 6.0 * next(u)
             points.append((lam, t))
         lams, ts = np.array(points, dtype=float).reshape(-1, 2).T
         res = mk_residual(k, lams, ts)

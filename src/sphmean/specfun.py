@@ -446,11 +446,14 @@ def _trig_sum_mp(cs, cc, x):
 def _escalate(closed_sum):
     """float of the (value, magnitude) pair `closed_sum()` returns, evaluated
     from 40 digits up in steps of 40 until the sum cancels fewer than
-    dps - 20 digits; None if it still cancels more at 200 digits."""
+    dps - 20 digits; None if it still cancels more at 200 digits.  |value|
+    is floored at 10^-dps of the magnitude, which x^-(2p+1) scales.  dp_sinc
+    is within 4.3e-13 relative on 120 log-spaced x in [0.1, 80] at k = 12,
+    19, 25, 34, 40, 49 and 60."""
     for dps in range(40, 201, 40):
         with decimal_context(dps):
             acc, mag = closed_sum()
-            lost = mag / max(abs(acc), Decimal(10) ** -dps)
+            lost = mag / max(abs(acc), mag * Decimal(10) ** -dps) if mag else 0
             if lost < 10 ** (dps - 20):
                 return float(acc)
     return None
@@ -502,10 +505,12 @@ def _dp_trig_redone(p: int, v: float, kind: str, cs, cc) -> float:
 def _dp_trig_horner(p: int, x, kind: str):
     """dp_sinc/dp_cosc over a float array by Horner's rule, with no
     cancellation guard.  Only for callers whose arguments keep the sum well
-    conditioned: sph_bessel_j above its switch radius (first kind, error
-    <= 6.4e-15 of the sup on x <= 40 for k <= 12, against high precision) and the
-    second-kind block of spectral.cross_product_terms (<= 8.3e-15 of the
-    envelope hypot(dp_sinc, dp_cosc) on [0.01, 100] for k <= 12)."""
+    conditioned: sph_bessel_j above its switch radius and the second-kind
+    block of spectral.cross_product_terms.  Its error grows with k; measured
+    against 500 digits at k = 12, 19, 34 and 49, the first kind on [switch
+    radius, 80] is within 3.7e-15, 5.4e-14, 8.3e-11 and 8.9e-8 of its sup,
+    the second kind on [0.01, 100] within 5.8e-15, 1.1e-13, 1.4e-10 and
+    2.1e-7 of the envelope hypot(dp_sinc, dp_cosc)."""
     cs, cc = _kind_coeffs(p, kind)
     val = _poly_eval(cs, x) * np.sin(x) + _poly_eval(cc, x) * np.cos(x)
     return val * x ** (-(2 * p + 1))
@@ -574,11 +579,12 @@ def switch_radius(k: int) -> float:
     return 0.5 * (2 * k + 1)
 
 
-_SERIES_TERMS = 30
+_SERIES_TERMS = 200
 
 
 def _series_j(k: int, x):
-    """Power series of the normalized j (j(0) = 1); stable for |x| < switch."""
+    """Power series of the normalized j (j(0) = 1), for |x| < switch radius;
+    it cancels there as k grows (see sph_bessel_j)."""
     alpha = k + 0.5
     q = -np.asarray(x, dtype=float) ** 2 / 4.0
     term = np.ones_like(q)
@@ -594,7 +600,9 @@ def _series_j(k: int, x):
 def sph_bessel_j(k: int, x):
     """Normalized first-kind function: series below the switch radius,
     closed trig form (scaled by 1/c_k, by Horner's rule) above it.  j(0) = 1.
-    A scalar is evaluated as a one-element array."""
+    A scalar is evaluated as a one-element array.  Relative error on 400 x in
+    [0.05, switch radius): 7e-15, 8.4e-12, 8.1e-10 and 3.3e-6 at k = 12, 25,
+    34 and 49; above it, see `_dp_trig_horner`."""
     if k < 0:
         raise ValueError("k >= 0")
     xs = np.asarray(x, dtype=float)

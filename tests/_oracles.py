@@ -6,6 +6,8 @@
   route to the radial forward transform.
 - `h_from_phi`: h_m(t) of single-harmonic data by the D^m phi route.
 - `dp_inv_poly`: D^m (1 / (t (t+1)^d)) as a closed alternating sum.
+- `dp_sinc_series`: D^p (sin x / x) by its power series in x^2 / 2, in
+  Decimals; it needs no mpmath.
 - `PolynomialProfile`: a truncated polynomial profile, for the closed-form
   transforms of the tests.
 - `const_Kmn`: the constant with h_m = const_Kmn * D^m phi_m, which
@@ -31,7 +33,7 @@
 
 import itertools
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +235,27 @@ def dp_inv_poly(m: int, d: int, t) -> float:
         return acc
     with mp.workdps(60):
         return float(closed_sum(lambda v: mp.mpf(v.numerator) / v.denominator)[0])
+
+
+def dp_sinc_series(p: int, x: float) -> Decimal:
+    """D^p (sin x / x) by its power series in s = x^2 / 2,
+    sum_{i >= p} (-1)^i 2^i i! / ((i - p)! (2i + 1)!) s^(i - p), in Decimals
+    with 30 digits more than the sum cancels: it is redone at more digits
+    until its largest term is within 10^(dps - 30) of its value."""
+    dps = 60
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = dps
+            s = Decimal(x) ** 2 / 2
+            term = Decimal((-2) ** p * math.factorial(p)) / math.factorial(2 * p + 1)
+            acc, top, i = term, abs(term), p
+            # each term is the last times -s / ((i + 1 - p) (2i + 3))
+            while (i + 1 - p) * (2 * i + 3) < s or abs(term) > abs(acc).scaleb(-dps):
+                term = -term * s / ((i + 1 - p) * (2 * i + 3))
+                acc, top, i = acc + term, max(top, abs(term)), i + 1
+            if top <= abs(acc).scaleb(dps - 30):
+                return +acc
+            dps = (top / abs(acc)).adjusted() + 40
 
 
 # ---------------------------------------------------------------------------

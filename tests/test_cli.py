@@ -583,7 +583,8 @@ def test_integrating_commands_never_import_numpy_polynomial(tmp_path):
 
 def test_no_subcommand_imports_mpmath(tmp_path):
     # high-precision work runs on the standard library's decimal, also in the
-    # 80-digit retries of mk-check and in cross-check's escalation at m = 2
+    # 80-digit retries of mk-check and in cross-check's escalation at m = 2;
+    # and mk-check draws its points without importing numpy.random
     profile, fwd, ucp = _write_profile(tmp_path), str(tmp_path / "fwd.csv"), tmp_path / "ucp.json"
     ucp.write_text(json.dumps({"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}))
     runs = [["forward", "--config", profile, "--grid", "2001", "--out", fwd],
@@ -597,13 +598,40 @@ def test_no_subcommand_imports_mpmath(tmp_path):
     code = ("import sys\n"
             "from sphmean import cli\n"
             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            "print(codes, 'mpmath' in sys.modules)\n")
+            "print(codes, 'mpmath' in sys.modules, 'numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     # cross-check --m 2 is the known FAIL of the cross-check-m2 pin
-    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 1, 0, 0, 0, 0] False", run.stdout
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 1, 0, 0, 0, 0] False False", run.stdout
+
+
+SEEDS = [0, 1, 2, 3, 77, 911, 4242, cli.DEFAULT_SEED, 2**32 - 1, 2**32, 2**64 + 5,
+         2**127 + 12345, 10**40, 2**200 + 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mk_check_draws_are_numpy_default_rng_draws(seed):
+    # the seed's 32-bit words past the fourth (2**200 + 7) take SeedSequence's
+    # second mixing loop; mk-check's points are default_rng(seed).uniform's
+    draws = cli._pcg64_uniforms(seed)
+    want = np.random.Generator(np.random.PCG64(seed)).random(2000).tolist()
+    assert [next(draws) for _ in range(2000)] == want
+    draws, rng = cli._pcg64_uniforms(seed), np.random.default_rng(seed)
+    for _ in range(1000):
+        assert 0.5 + (20.0 - 0.5) * next(draws) == rng.uniform(0.5, 20.0)
+        assert -3.0 + 6.0 * next(draws) == rng.uniform(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("n", [71, 81, 101])
+def test_cross_check_passes_at_large_n(tmp_path, capsys, n):
+    # k = 34 to 49: a 30-term kernel series near the switch radius, and a
+    # Decimal redo that took rounding noise for the kernel (worst residual
+    # 9.4e-8, 2.1e-2 and 1.0 with those)
+    assert cli.main(["cross-check", "--config", _write_profile(tmp_path), "--n", str(n),
+                     "--grid", "20", "--lambda-max", "40"]) == 0
+    assert "cross-check: PASS" in capsys.readouterr().out
 
 
 def test_a_plain_run_never_imports_argparse(tmp_path):

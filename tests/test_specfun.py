@@ -18,7 +18,7 @@ from mpmath import mp
 from sphmean import exactmath as em
 from sphmean import specfun as sf
 
-from _oracles import DenseJet, dp_inv_poly
+from _oracles import DenseJet, dp_inv_poly, dp_sinc_series
 from _reference import REFERENCE as REF
 
 
@@ -508,6 +508,35 @@ def test_dp_sinc_where_the_power_overflows_is_the_series():
     # the tiny ones beside them
     assert got[[0, 1], [0, 1]].tolist() == sf.dp_sinc(3, np.array([0.5, 2.0])).tolist()
     assert got[0, 1] == got[1, 0] == sf.dp_sinc(3, 1e-50)
+
+
+_LARGE_K_XS = np.geomspace(0.1, 80.0, 40)
+
+
+@pytest.mark.parametrize("k", [34, 40, 49, 60])
+def test_dp_sinc_at_large_k_is_its_series(k):
+    # the Decimal redo judges the digits it lost against the term magnitude,
+    # which x^-(2p+1) scales far below 1e-40 here: an absolute floor passed
+    # the 40-digit noise (dp_sinc(49, 10.4) read 3.07e-61, not -2.14e-79)
+    want = np.array([float(dp_sinc_series(k, x)) for x in _LARGE_K_XS.tolist()])
+    assert np.max(np.abs(sf.dp_sinc(k, _LARGE_K_XS) / want - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [34, 40, 49, 60])
+def test_dp_cosc_at_large_k_is_its_300_digit_value(k):
+    want = np.array([float(sf.dp_trig_mp(k, x, "cos", 300)) for x in _LARGE_K_XS.tolist()])
+    assert np.max(np.abs(sf.dp_cosc(k, _LARGE_K_XS) / want - 1)) <= 1e-12
+    # x^-(2k+1) is no float at 1e-5: the value is not one either
+    with pytest.raises(ArithmeticError, match=f"p = {k}, x = 1e-05"):
+        sf.dp_cosc(k, np.array([1.0, 1e-5]))
+
+
+def test_sph_bessel_j_below_the_switch_radius_at_k_34():
+    # 30 terms of the series stopped short of convergence near the switch
+    # radius 34.5 (relative error 2.1e-6); the cancellation left is ~8e-10
+    xs = np.linspace(0.05, sf.switch_radius(34), 400, endpoint=False)
+    want = np.array([float(dp_sinc_series(34, x)) for x in xs.tolist()]) / sf.raw_to_normalized(34)
+    assert np.max(np.abs(sf.sph_bessel_j(34, xs) / want - 1)) <= 2e-9
 
 
 def test_dp_cosc_where_its_value_overflows_refuses():
