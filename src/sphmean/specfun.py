@@ -8,8 +8,8 @@ j(0) = 1.  They differ by
     c_k = (-1)^k sqrt(pi) / (2^(k+1) Gamma(k + 3/2)),   raw = c_k * normalized,
 
 and every cross-identity downstream is evaluated in the raw normalization,
-where the constant cancels.  Every coefficient of D^p and of the closed
-forms is a Python int (`d_coeff_table`, `_trig_coeffs`).
+where the constant cancels.  Every coefficient of the closed forms is a
+Python int (`_trig_coeffs`).
 
 Numerical note: the trig closed forms cancel catastrophically for small x at
 high derivative order (the true value can be 30 decimal digits below the
@@ -23,8 +23,9 @@ scalar is evaluated as a one-element array, here and in `sph_bessel_j`, so
 an array call equals the scalar call at each element, bit for bit; only
 the private `_dp_trig_horner`, for callers that bound their arguments
 (`sph_bessel_j` above its switch radius among them), skips the guard.
-Floats, arrays and Decimals share one trig sum (`_trig_sum`) and one
-Horner loop (`_poly_eval`).
+Floats, arrays and Decimals share one trig sum (`_trig_sum`).  `dp_sweep`,
+for `spectral.mk_residual`, takes every order of both kinds at once from
+their three-term recurrence.
 All Decimal work runs under `decimal_context`, which sets every field of
 the context itself.
 """
@@ -45,26 +46,6 @@ from .exactmath import coeff_C
 _CANCEL_LIMIT = 1e4
 
 _EPS = float(np.finfo(float).eps)
-
-
-# ---------------------------------------------------------------------------
-# exact coefficient table for D^p in terms of ordinary derivatives
-
-
-@lru_cache(maxsize=None)
-def d_coeff_table(pmax: int) -> tuple[tuple[int, ...], ...]:
-    """Exact a[p][j] with D^p f(t) = sum_{j=1..p} a[p][j] t^(j-2p) f^(j)(t).
-
-    a[1][1] = 1 and a[p+1][j] = a[p][j-1] + (j-2p) a[p][j], out-of-range
-    entries zero.  Computed once in ints; callers float as needed.
-    """
-    a = [[0] * (pmax + 2) for _ in range(pmax + 1)]
-    if pmax >= 1:
-        a[1][1] = 1
-    for p in range(1, pmax):
-        for j in range(1, p + 2):
-            a[p + 1][j] = a[p][j - 1] + (j - 2 * p) * a[p][j]
-    return tuple(tuple(row[: pmax + 1]) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +318,6 @@ class Jet:
         return f"Jet(x={self.x!r}, derivs={self.derivs!r})"
 
 
-def _coeff_like(c: int, like):
-    """An int coefficient as the scalar type of `like`: a float, or an exact
-    Decimal."""
-    return Decimal(c) if isinstance(like, Decimal) else float(c)
-
-
-def d_operator(jet: Jet, p: int):
-    """Apply D^p = ((1/t) d/dt)^p at the jet's base point.
-
-    Uses the exact coefficient table; requires jet order >= p and x != 0.
-    The jet may be over an array of base points; each element then equals
-    the call on that point alone, bit for bit.
-    """
-    if p < 0:
-        raise ValueError("p >= 0")
-    if p == 0:
-        return jet.derivs[0]
-    if jet.order < p:
-        raise ValueError(f"jet of order {jet.order} cannot support D^{p}")
-    x = jet.x
-    row = d_coeff_table(p)[p]
-    acc = jet.derivs[0] * 0
-    for j in range(1, p + 1):
-        a = row[j]
-        if a:
-            c = +_coeff_like(a, jet.derivs[j])  # a Decimal rounds to the working precision
-            acc = acc + c * jet.derivs[j] * _power(x, j - 2 * p)
-    return acc
-
-
 def _power(x, e: int):
     """x ** e; over an array of base points, libm pow per element, so each
     element equals its scalar call (numpy's array power differs from libm
@@ -395,17 +346,6 @@ def _trig_coeffs(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         else:
             cc[l] = C * (-1) ** (p + (l + 1) // 2)
     return tuple(cs), tuple(cc)
-
-
-def _poly_eval(coeffs, x):
-    """sum c_l x^l by Horner's rule from the leading coefficient, for a
-    float array or a jet x (each partial sum of a jet has the top of x's
-    powers, so a product by a linear x takes two terms per entry); a single
-    coefficient comes back as it is."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def _kind_coeffs(p: int, kind: str):
@@ -512,8 +452,10 @@ def _dp_trig_horner(p: int, x, kind: str):
     the second kind on [0.01, 100] within 5.8e-15, 1.1e-13, 1.4e-10 and
     2.1e-7 of the envelope hypot(dp_sinc, dp_cosc)."""
     cs, cc = _kind_coeffs(p, kind)
-    val = _poly_eval(cs, x) * np.sin(x) + _poly_eval(cc, x) * np.cos(x)
-    return val * x ** (-(2 * p + 1))
+    ps, pc = cs[-1], cc[-1]  # both polynomials by Horner's rule
+    for a, b in zip(cs[-2::-1], cc[-2::-1]):
+        ps, pc = ps * x + a, pc * x + b
+    return (ps * np.sin(x) + pc * np.cos(x)) * x ** (-(2 * p + 1))
 
 
 def _dp_trig(p: int, x, kind: str):
@@ -540,19 +482,6 @@ def dp_cosc(p: int, x):
     return _dp_trig(p, x, "cos")
 
 
-def raw_j_jet(k: int, xjet: Jet) -> Jet:
-    """Jet of dp_sinc(k, .) composed with the jet argument (chain rule included).
-
-    Uses the exact integer-coefficient trig form; valid for float and Decimal
-    jet components alike.  The argument needs a nonzero value; its known
-    zeros (a linear argument, as for lam * (1 + t)) cut the work, not the bits.
-    """
-    cs, cc = _trig_coeffs(k)
-    s, c = xjet.sin_cos()
-    num = _poly_eval(cs, xjet) * s + _poly_eval(cc, xjet) * c
-    return num * xjet ** (-(2 * k + 1))
-
-
 def dp_trig_mp(p: int, x, kind: str, dps: int):
     """dp_sinc/dp_cosc evaluated in Decimals at a fixed working precision.
 
@@ -562,6 +491,72 @@ def dp_trig_mp(p: int, x, kind: str, dps: int):
     cs, cc = _kind_coeffs(p, kind)
     with decimal_context(dps):
         return _trig_sum_mp(cs, cc, x)[0]
+
+
+def _dp_sinc_mp(q: int, x: Decimal, dps: int) -> Decimal:
+    """D^q (sin x / x) at a Decimal x, right to dps digits and unrounded:
+    `dp_trig_mp` above the switch radius; below it, where the closed form
+    cancels most, the power series in s = x^2 / 2 at q / 4 + 8 digits past
+    dps (its terms cancel at most 0.23 q digits there)."""
+    if not abs(x) < switch_radius(q):
+        return dp_trig_mp(q, x, "sin", dps)
+    with decimal_context(dps + q // 4 + _SERIES_GUARD):
+        s, i = x * x / 2, q
+        term = acc = Decimal((-2) ** q * math.factorial(q)) / math.factorial(2 * q + 1)
+        # each term is the last times -s / ((i + 1 - q) (2i + 3)); stop past
+        # the largest term, once a term is below the last digit
+        while (i + 1 - q) * (2 * i + 3) < s or abs(term) > abs(acc).scaleb(-getcontext().prec):
+            term = -term * s / ((i + 1 - q) * (2 * i + 3))
+            acc, i = acc + term, i + 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# every order at once: the three-term recurrence
+
+# Miller's sweep starts this many orders past max(hi, |x|), for |x| up to
+# _SWEEP_REACH; an element above it is NaN
+_SWEEP_MARGIN, _SWEEP_REACH = 40, 1e4
+
+
+def dp_sweep(x, lo: int, hi: int):
+    """(f, g): D^q (sin x / x) in row f[q - lo] for every q in [lo, hi], and
+    D^lo (cos x / x), at each element of the float array x.
+
+    Both satisfy f_(q-1) + x^2 f_(q+1) = -(2q+1) f_q (DLMF §10.51).  The
+    first kind's ratios f_q / f_(q-1) come from Miller's backward sweep
+    (Gautschi, SIAM Review 9, 1967) from 0 past order max(hi, ceil |x|) + 40
+    of each element, so an element equals its one-point call bit for bit;
+    the second kind runs forward from cos x / x.  f is normalized at q = lo
+    by sin x / x, or by the Wronskian f_q g_(q+1) - f_(q+1) g_q = -x^-(2q+3)
+    (DLMF §10.50): within 1.3e-13 relative of the series at q <= 60 on 120
+    log-spaced x in [1e-3, 100].  f is NaN, never 0 or another wrong value,
+    where |x| > 1e4 or x^-(2lo+3) or the second kind is not a finite normal
+    float (below about x = 0.0055 at lo = 49); g is NaN where not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    x2, reach = x * x, np.abs(x) <= _SWEEP_REACH
+    start = np.maximum(hi, np.where(reach, np.ceil(np.abs(x)), 0)) + _SWEEP_MARGIN
+    r, ratios = np.zeros(x.shape), []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # no ratio is needed when hi = lo = 0
+        for q in range(int(start.max(initial=0)) if hi else 0, lo, -1):
+            r = np.where(q > start, 0.0, -1 / ((2 * q + 1) + x2 * r))
+            if q <= hi:
+                ratios.append(r)
+        sx, cx = np.sin(x), np.cos(x)
+        g, g_next = cx / x, -(x * sx + cx) / (x2 * x)
+        for q in range(1, lo + 1):
+            g, g_next = g_next, -((2 * q + 1) * g_next + g) / x2
+        if lo:
+            power = np.array([_pow_or_inf(v, -(2 * lo + 3)) for v in x.tolist()])
+            f = -power / (g_next - r * g)
+            ok = (reach & np.isfinite(power) & (np.abs(power) >= np.finfo(float).tiny)
+                  & np.isfinite(g) & np.isfinite(g_next))
+        else:
+            f, ok = sx / x, reach
+        f = np.cumprod([np.where(ok, f, np.nan), *reversed(ratios)], axis=0)
+    return f, np.where(np.isfinite(g), g, np.nan)
 
 
 # ---------------------------------------------------------------------------

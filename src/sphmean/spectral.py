@@ -15,8 +15,8 @@ Four tools live here:
   which vanishes on range data;
 * :func:`mk_residual` — the defect in the closed-form evaluation of the
   boundary operator applied to the shifted first-kind kernel (the two sides
-  are computed by entirely different routes: derivative jets on the left,
-  closed trig kernels on the right).
+  are computed by different routes: a jet in s = t^2 / 2 of the kernel's
+  higher orders on the left, the closed form in the kernels on the right).
 
 All identities are exact in theory; the residuals measure floating-point and
 quadrature error only, so they make sharp regression checks.
@@ -32,17 +32,15 @@ import numpy as np
 from .exactmath import coeff_C
 from .specfun import (
     Jet,
-    _coeff_like,
+    _dp_sinc_mp,
     _dp_trig_horner,
-    _dp_trig_rows,
     _power,
     bessel_zero,
-    d_operator,
     decimal_context,
     dp_cosc,
     dp_sinc,
+    dp_sweep,
     dp_trig_mp,
-    raw_j_jet,
     raw_to_normalized,
     sph_bessel_j,
 )
@@ -56,9 +54,8 @@ _MP_RETRY = 1e-9
 # k = 0 is the plain angle-addition identity and is held to a tighter bar,
 # so its retry threshold is the bar itself
 _MP_RETRY_K0 = 1e-14
-# working digits of that recomputation: each rung is tried in turn until the
-# residual is back under the retry threshold
-_MP_DPS = (80, 160, 320)
+# working digits of that recomputation
+_MP_DIGITS = 80
 
 
 def oscillation_panels(lam: float, a: float, b: float, base: int = 8) -> int:
@@ -145,6 +142,15 @@ def hankel_h(h, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD,
                         h_t * sph_bessel_j(k, lam_t) * t)
 
 
+def _refuse_non_finite(what: str, values, k: int, lams, ts=None):
+    """ArithmeticError naming the first point whose value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        at = "" if ts is None else f", t={float(ts[i])}"
+        raise ArithmeticError(f"{what} {float(values[i])} at k={k}, lam={float(lams[i])}{at}")
+
+
 def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
     """Both sides of the cross-product identity and their relative defect.
 
@@ -165,7 +171,7 @@ def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
     in its shape).  h is called once for the whole array, on the (1, nodes)
     array of the oscillation rule of its largest lam, so it must act
     elementwise; each entry equals the call on that lam with the array's
-    rule.
+    rule.  A residual that is not finite raises ArithmeticError naming its lam.
     """
     lams, shape = _lam_array(lam, positive=True)
     if k < 0:
@@ -184,13 +190,15 @@ def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
         y_block = _dp_trig_horner(k, lam_t, "cos") * t * h_t
         return np.array([j_block, np.abs(j_block), y_block, np.abs(y_block)])
 
-    i_j, a_j, i_y, a_y = _lam_sums(data.h, lams, a, b, quad, integrand, (4,))
-    j_lam, y_lam = dp_sinc(k, lams), dp_cosc(k, lams)
-    lhs = i_j * y_lam
-    rhs = i_y * j_lam
-    den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)
-    # den bounds |lhs| and |rhs|, so it is 0 only where both sides are
-    res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(lams.size), where=den != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        i_j, a_j, i_y, a_y = _lam_sums(data.h, lams, a, b, quad, integrand, (4,))
+        j_lam, y_lam = dp_sinc(k, lams), dp_cosc(k, lams)
+        lhs = i_j * y_lam
+        rhs = i_y * j_lam
+        den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)
+        # den bounds |lhs| and |rhs|, so it is 0 only where both sides are
+        res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(lams.size), where=den != 0.0)
+    _refuse_non_finite("cross-product residual", res, k, lams)
     return tuple(_shaped(column, shape) for column in (lhs, rhs, res))
 
 
@@ -207,60 +215,66 @@ def _mk_points(lam, t):
     return lams.ravel(), ts.ravel(), ts.shape
 
 
-def _mk_lhs_value(k: int, lam, t):
-    """Boundary operator applied to the shifted kernel, term by term.
-
-    Term p is C(k,p) (-1)^p D^p of (1+t)^(p+1) dp_sinc(k, lam (1+t)) / t,
-    evaluated through a derivative jet of order k at the base point t
-    (float arrays of points, or one Decimal point).
-    """
-    x = Jet.variable(t, k)
-    w = x + 1
-    arg = w * lam
-    rj = raw_j_jet(k, arg)
-    core = rj / x
-    # w ** n for n = 1..k+1, bit for bit as Jet.__pow__ builds each (the
-    # squarings of w at n's bits, lowest first), sharing squarings and prefixes
-    squares, powers = [w], [w ** 0]
-    for n in range(1, k + 2):
-        top = n.bit_length() - 1
-        if top == len(squares):
-            squares.append(squares[-1] * squares[-1])
-        powers.append(powers[n - (1 << top)] * squares[top])
-    acc = None
+def _mk_lhs(k: int, lam, t, f):
+    """Boundary operator applied to the shifted kernel: the sum over p of
+    C(k,p) (-1)^p D^p [(1+t)^(p+1) D^k sinc(lam (1+t)) / t], as entry p of
+    one jet of order k in sigma = s - s0, s = t^2 / 2, so that D = d/dsigma.
+    t = t0 sqrt(1 + 2 sigma / t0^2) by its binomial series, and with
+    x = lam (1+t), D^k sinc(x) = sum_j f[j] (x^2/2 - x0^2/2)^j / j!, where
+    f[j] is D^(k+j) sinc at x0 = lam (1 + t0).  Over float arrays of points
+    (f a row per j), or at one Decimal point (f a list)."""
+    # entry j of t is t0^(1-2j) (1)(-1)(-3)...(3-2j)
+    d = [t, 1 / t]
+    for j in range(1, k):
+        d.append(d[-1] * (1 - 2 * j) / (t * t))
+    tj, w = Jet(t, d[:k + 1]), Jet(t, [t + 1] + d[1:k + 1])
+    # x^2/2 - x0^2/2 = lam^2 (t - t0 + sigma), with entry 1 as x0 x0' (no cancelling at t0 = -1)
+    rise = [lam * w.derivs[0] * (lam * d[1])] + [lam * lam * v for v in d[2:k + 1]]
+    delta = Jet(t, ([t * 0] + rise)[:k + 1])
+    acc = Jet.constant(f[k], t, k)
+    for j in range(k, 0, -1):
+        acc = delta * acc / j + f[j - 1]
+    core = acc / tj
+    power, total = w, 0
     for p in range(k + 1):
-        c = _coeff_like(coeff_C(k, p), t)
-        val = (-c if p % 2 else c) * d_operator(powers[p + 1] * core, p)
-        acc = val if acc is None else acc + val
-    return acc
+        total = total + (power * core).derivs[p] * (coeff_C(k, p) * (-1) ** p)
+        power = power * w
+    return total
 
 
-def _mk_rhs(k: int, lam, t, trig):
-    """Closed form: (-1)^k lam^(2k+1) (D^k sinc * y + D^k cosc * j), and its
-    scale, with the kernels from trig(p, x, kind): `_dp_trig_rows` over
-    float arrays of points (each row equals the same sum over Python floats,
-    bit for bit, as powers are taken per element), or `dp_trig_mp` at one
-    Decimal point."""
-    sinc = trig(k, lam * t, "sin")
-    cosc = trig(k, lam * t, "cos")
-    j_lam = trig(k, lam, "sin")
-    y_lam = trig(k, lam, "cos")
+def _mk_rhs(k: int, lam, sinc, cosc, j_lam, y_lam):
+    """Closed form: (-1)^k lam^(2k+1) (sinc * y_lam + cosc * j_lam), and its
+    scale, from D^k sinc and D^k cosc at lam t and at lam (floats or Decimals)."""
     front = _power(lam, 2 * k + 1)
-    t1 = sinc * y_lam
-    t2 = cosc * j_lam
+    t1, t2 = sinc * y_lam, cosc * j_lam
     rhs = front * (t1 + t2)
-    if k % 2:
-        rhs = -rhs
-    return rhs, abs(front) * np.maximum(abs(t1), abs(t2))
+    return (-rhs if k % 2 else rhs), abs(front) * np.maximum(abs(t1), abs(t2))
 
 
-def _mk_residual_mp(k: int, lam: float, t: float, dps: int) -> float:
-    """The residual of `mk_residual` at one point, from Decimal jets at `dps`
-    digits."""
-    with decimal_context(dps):
+def _mk_sides(k: int, lams, ts):
+    """Both sides and the scale at float arrays of points, with the kernels
+    from one `dp_sweep` over lam (1+t), lam t and lam together."""
+    n = lams.size
+    f, g = dp_sweep(np.concatenate([lams * (1 + ts), lams * ts, lams]), k, 2 * k)
+    rhs, scale = _mk_rhs(k, lams, f[0, n:2 * n], g[n:2 * n], f[0, 2 * n:], g[2 * n:])
+    return _mk_lhs(k, lams, ts, f[:, :n]), rhs, scale
+
+
+def _mk_residual_mp(k: int, lam: float, t: float) -> float:
+    """The residual of `mk_residual` at one point, from the same two sides over
+    `_MP_DIGITS`-digit Decimals, with kernels from `_dp_sinc_mp` and `dp_trig_mp`."""
+    with decimal_context(_MP_DIGITS):
         lam_d, t_d = Decimal(lam), Decimal(t)
-        lhs = _mk_lhs_value(k, lam_d, t_d)
-        rhs, scale = _mk_rhs(k, lam_d, t_d, lambda p, x, kind: dp_trig_mp(p, x, kind, dps))
+        # exact kernel arguments (2000 digits hold lam (1 + t) and lam t): at
+        # lam = 1e300 a rounded one moves sin and cos
+        with decimal_context(2000):
+            x0, lam_t = lam_d * (1 + t_d), lam_d * t_d
+        f = [_dp_sinc_mp(q, x0, _MP_DIGITS) for q in range(k, 2 * k + 1)]
+        lhs = _mk_lhs(k, lam_d, t_d, f)
+        rhs, scale = _mk_rhs(k, lam_d, _dp_sinc_mp(k, lam_t, _MP_DIGITS),
+                             dp_trig_mp(k, lam_t, "cos", _MP_DIGITS),
+                             _dp_sinc_mp(k, lam_d, _MP_DIGITS),
+                             dp_trig_mp(k, lam_d, "cos", _MP_DIGITS))
         den = max(abs(lhs), abs(rhs), Decimal(_REL_FLOOR) * scale)
         return 0.0 if den == 0 else float(abs(lhs - rhs) / den)
 
@@ -268,22 +282,18 @@ def _mk_residual_mp(k: int, lam: float, t: float, dps: int) -> float:
 def mk_residual(k: int, lam, t):
     """Relative defect between the two routes through the kernel identity.
 
-    Float arithmetic first; when cancellation pushes the float residual above
-    the retry threshold (1e-9, or 1e-14 for the k = 0 angle-addition case),
-    both sides are recomputed with Decimal jets at 80 digits and the
-    residual is re-measured there.  The closed forms lose digits to
-    cancellation as k grows and as lam shrinks, so a row still over the
-    threshold is recomputed at 160, then 320 digits, and keeps its reading
-    at 320: a real defect still reads over the threshold.  A row whose next
-    rung needs more digits of pi than `decimal_sin_cos` holds (a kernel
-    argument above about 1e258) raises ArithmeticError: its reading is not
-    resolved.
-
-    lam and t may be arrays of points (broadcast together).  The float left
-    side is then one jet pass over all of them, and only the rows over the
-    retry threshold are recomputed in Decimals, one by one.  Each row equals
-    the scalar call on its point, bit for bit; a scalar call returns a float.
-    A residual that is still not finite after the retry raises
+    Both sides read their kernel values from one `dp_sweep` (`_mk_sides`):
+    the left side is a jet in s = t^2 / 2 (`_mk_lhs`), the right side the
+    closed form (`_mk_rhs`).  A row over the retry threshold (1e-9, or
+    1e-14 for the k = 0 angle-addition case) is recomputed once, by the
+    same sides over 80-digit Decimals, and keeps that reading, so a real
+    defect still reads over it: k = 0 rows next to a kernel zero, rows from
+    about k = 22 on, and rows where the sweep is NaN (tiny lam).  lam and t
+    may be arrays of points (broadcast together); each row equals the
+    scalar call on its point, bit for bit, and a scalar call returns a
+    float.  A residual still not finite after the retry, a lam^(2k+1) that
+    overflows a float, or an argument whose sin and cos need more digits
+    of pi than `decimal_sin_cos` holds (above about 1e497) raises
     ArithmeticError.
     """
     if k < 0:
@@ -291,30 +301,22 @@ def mk_residual(k: int, lam, t):
     lams, ts, shape = _mk_points(lam, t)
     if np.any(lams <= 0):
         raise ValueError("lam > 0")
-    # an overflowing row is retried below, then raised: no warning on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = _mk_lhs_value(k, lams, ts)
-        rhs, scale = _mk_rhs(k, lams, ts, _dp_trig_rows)
+    # a row that overflows is retried below, then refused: no warning on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lhs, rhs, scale = _mk_sides(k, lams, ts)
         den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _REL_FLOOR * scale)
         res = np.divide(np.abs(lhs - rhs), den, out=np.zeros(den.shape),
                         where=den != 0.0)
     retry_at = _MP_RETRY if k > 0 else _MP_RETRY_K0
     # NaN compares False, so a non-finite row is retried too
     for i in np.flatnonzero(~(res <= retry_at)).tolist():
-        for dps in _MP_DPS:
-            try:
-                res[i] = _mk_residual_mp(k, lams[i], ts[i], dps)
-            except ValueError as exc:  # sin/cos of lam needs more digits of pi
-                raise ArithmeticError(
-                    f"kernel-identity residual {float(res[i])} unresolved at k={k}, "
-                    f"lam={float(lams[i])}, t={float(ts[i])}: {exc}") from exc
-            if res[i] <= retry_at:
-                break
-    finite = np.isfinite(res)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ArithmeticError(f"kernel-identity residual {float(res[i])} at k={k}, "
-                              f"lam={float(lams[i])}, t={float(ts[i])}")
+        try:
+            res[i] = _mk_residual_mp(k, lams[i], ts[i])
+        except ValueError as exc:  # sin/cos of lam needs more digits of pi
+            raise ArithmeticError(
+                f"kernel-identity residual {float(res[i])} unresolved at k={k}, "
+                f"lam={float(lams[i])}, t={float(ts[i])}: {exc}") from exc
+    _refuse_non_finite("kernel-identity residual", res, k, lams, ts)
     return _shaped(res, shape)
 
 
@@ -335,15 +337,17 @@ def bessel_zero_vanishing(data, dim: Dimension, m: int, count: int,
 
     Returns (pairs, fmax): pairs lists (zero, |transform|), and fmax is the
     largest |transform| over 40 lam from 0.3 to 2 past the last zero.  All
-    come from one `hankel_h` call, on the rule of its largest lam.
+    come from one `hankel_h` call, on the rule of its largest lam.  A
+    magnitude that is not finite raises ArithmeticError naming its lam.
     """
     if count < 1:
         raise ValueError("count >= 1")
     if m < 0:
         raise ValueError("m >= 0")
     zeros = np.array([bessel_zero(m + dim.k, i) for i in range(1, count + 1)])
-    lam_grid = np.linspace(0.3, zeros[-1] + 2.0, 40)
-    values = np.abs(hankel_h(data.h, dim.k, np.concatenate([zeros, lam_grid]),
-                             quad, data.support))
+    lams = np.concatenate([zeros, np.linspace(0.3, zeros[-1] + 2.0, 40)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = np.abs(hankel_h(data.h, dim.k, lams, quad, data.support))
+    _refuse_non_finite("transform magnitude", values, dim.k, lams)
     fmax = float(np.max(values[count:]))
     return list(zip(zeros.tolist(), values[:count].tolist())), fmax

@@ -8,6 +8,8 @@
 - `dp_inv_poly`: D^m (1 / (t (t+1)^d)) as a closed alternating sum.
 - `dp_sinc_series`: D^p (sin x / x) by its power series in x^2 / 2, in
   Decimals; it needs no mpmath.
+- `d_operator`, with `d_coeff_table`: D^p = ((1/t) d/dt)^p at a jet's
+  base point as an integer-weighted sum of its ordinary derivatives.
 - `PolynomialProfile`: a truncated polynomial profile, for the closed-form
   transforms of the tests.
 - `const_Kmn`: the constant with h_m = const_Kmn * D^m phi_m, which
@@ -35,6 +37,7 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -329,6 +332,42 @@ def const_Kmn(dim, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# D^p by ordinary derivatives
+
+
+@lru_cache(maxsize=None)
+def d_coeff_table(pmax: int) -> tuple:
+    """Exact a[p][j] with D^p f(t) = sum_{j=1..p} a[p][j] t^(j-2p) f^(j)(t):
+    a[1][1] = 1 and a[p+1][j] = a[p][j-1] + (j-2p) a[p][j], in ints."""
+    a = [[0] * (pmax + 2) for _ in range(pmax + 1)]
+    if pmax >= 1:
+        a[1][1] = 1
+    for p in range(1, pmax):
+        for j in range(1, p + 2):
+            a[p + 1][j] = a[p][j - 1] + (j - 2 * p) * a[p][j]
+    return tuple(tuple(row[: pmax + 1]) for row in a)
+
+
+def d_operator(jet, p: int):
+    """D^p = ((1/t) d/dt)^p at the jet's base point, from the jet's ordinary
+    derivatives and `d_coeff_table`; requires jet order >= p and t != 0.
+    Over an array of base points, each element equals the call on that
+    point alone, bit for bit (the powers of t are taken per element)."""
+    if p == 0:
+        return jet.derivs[0]
+    if jet.order < p:
+        raise ValueError(f"jet of order {jet.order} cannot support D^{p}")
+    row = d_coeff_table(p)[p]
+    acc = jet.derivs[0] * 0
+    for j in range(1, p + 1):
+        if row[j]:
+            # a Decimal coefficient rounds to the working precision
+            c = +(Decimal(row[j]) if isinstance(jet.derivs[j], Decimal) else float(row[j]))
+            acc = acc + c * jet.derivs[j] * sf._power(jet.x, j - 2 * p)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # range-check data given in t
 
 
@@ -353,7 +392,7 @@ class JetH:
         if inside.any():
             jet = self._jet_fn(ts[inside], max(max(orders), 1))
             for row, order in zip(out, orders):
-                row[inside] = sf.d_operator(jet, order)
+                row[inside] = d_operator(jet, order)
         return tr._by_order(out, p, np.shape(t))
 
 

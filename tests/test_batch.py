@@ -7,7 +7,6 @@ import os
 import platform
 import subprocess
 import sys
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from sphmean import specfun as sf
 from sphmean import spectral as sp
 from sphmean import transform as tr
 
-from _oracles import PerturbedH, _h_prime, bump_h, funk_hecke_forward, invert_radial_n3
+from _oracles import PerturbedH, _h_prime, bump_h, d_operator, funk_hecke_forward, invert_radial_n3
 
 # 1024 nodes per row, so a block holds BLOCK_NODES // 1024 rows
 QUAD = tr.QuadratureRule(32, 32)
@@ -268,7 +267,7 @@ def test_jet_data_rows_match_scalar_calls():
     ts = np.linspace(0.72, 1.48, 201)
     for p in range(7):
         singles = np.array([data.dp_h(float(t), p) for t in ts])
-        plain = [sf.d_operator(data._jet_fn(t, max(p, 1)), p) for t in ts.tolist()]
+        plain = [d_operator(data._jet_fn(t, max(p, 1)), p) for t in ts.tolist()]
         assert np.array_equal(data.dp_h(ts, p), singles), p
         assert np.array_equal(singles, np.array(plain)), p
 
@@ -329,20 +328,20 @@ def _kernel_points():
     lam = rng.uniform(0.5, 20.0, 15)
     t = rng.uniform(0.1, 3.0, 15) * rng.choice([-1.0, 1.0], 15)
     t = np.where(np.abs(t + 1.0) < 0.1, t + 0.5, t)
-    # next to t = -1 the float jets cancel and those rows take the 80-digit retry
-    near = np.array([-1 + 1e-3, -1 - 1e-3, -1 + 1e-4])
-    return np.concatenate([lam, [20.0, 9.0, 0.7]]), np.concatenate([t, near])
+    # next to t = -1 the identity's value cancels; at lam = 1e-55 the float
+    # sweep is NaN from k = 3 on, and those rows take the 80-digit retry
+    near = np.array([-1 + 1e-3, -1 - 1e-3, -1 + 1e-4, 0.5])
+    return np.concatenate([lam, [20.0, 9.0, 0.7, 1e-55]]), np.concatenate([t, near])
 
 
 def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
-    retries = []
-    lhs_value = sp._mk_lhs_value
+    retried, residual_mp = [], sp._mk_residual_mp
 
     def counted(k, lam, t):
-        retries.append(isinstance(lam, Decimal))
-        return lhs_value(k, lam, t)
+        retried.append(k)
+        return residual_mp(k, lam, t)
 
-    monkeypatch.setattr(sp, "_mk_lhs_value", counted)
+    monkeypatch.setattr(sp, "_mk_residual_mp", counted)
     lam, t = _kernel_points()
     for k in range(9):
         singles = [sp.mk_residual(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
@@ -350,43 +349,52 @@ def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
         assert np.array_equal(sp.mk_residual(k, lam, t), np.array(singles)), k
         one = sp.mk_residual(k, lam[-1:], t[-1:])
         assert one.shape == (1,) and one[0] == singles[-1], k
-        # each side's rows equal its call on one point
-        lhs, rhs = sp._mk_lhs_value(k, lam, t), sp._mk_rhs(k, lam, t, sf._dp_trig_rows)[0]
-        points = [(np.array([a]), np.array([b])) for a, b in zip(lam.tolist(), t.tolist())]
-        assert np.array_equal(lhs, [sp._mk_lhs_value(k, *pt)[0] for pt in points]), k
-        assert np.array_equal(rhs, [sp._mk_rhs(k, *pt, sf._dp_trig_rows)[0][0]
-                                    for pt in points]), k
+        # each side's rows, and the scale's, equal the call on one point
+        sides = sp._mk_sides(k, lam, t)
+        points = [sp._mk_sides(k, np.array([a]), np.array([b]))
+                  for a, b in zip(lam.tolist(), t.tolist())]
+        for side, rows in zip(sides, zip(*points)):
+            assert np.array_equal(side, np.concatenate(rows), equal_nan=True), k
         # the jet side equals jets over one Python-float point each
-        plain = [sp._mk_lhs_value(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
-        assert np.array_equal(lhs, np.array(plain)), k
-    assert any(retries)
+        f = sf.dp_sweep(lam * (1 + t), k, 2 * k)[0]
+        plain = [sp._mk_lhs(k, a, b, column.tolist())
+                 for a, b, column in zip(lam.tolist(), t.tolist(), f.T)]
+        assert np.array_equal(sides[0], np.array(plain), equal_nan=True), k
+    assert retried
 
 
 def _mk_rhs_point(k, lam, t):
-    """The float closed-form side and its scale at one point, from scalar
-    dp_sinc/dp_cosc calls and Python float powers."""
-    t1 = sf.dp_sinc(k, lam * t) * sf.dp_cosc(k, lam)
-    t2 = sf.dp_cosc(k, lam * t) * sf.dp_sinc(k, lam)
+    """The float closed-form side at one point, from scalar dp_sinc/dp_cosc
+    calls and Python float powers, and the envelope of its two products:
+    lam^(2k+1) (|D^k sinc| + |D^k cosc|) at lam t times the same at lam."""
+    sinc, cosc = sf.dp_sinc(k, lam * t), sf.dp_cosc(k, lam * t)
+    j_lam, y_lam = sf.dp_sinc(k, lam), sf.dp_cosc(k, lam)
     front = lam ** (2 * k + 1)
-    rhs = front * (t1 + t2)
-    return (-rhs if k % 2 else rhs), abs(front) * max(abs(t1), abs(t2))
+    rhs = front * (sinc * y_lam + cosc * j_lam)
+    envelope = abs(front) * (abs(sinc) + abs(cosc)) * (abs(j_lam) + abs(y_lam))
+    return (-rhs if k % 2 else rhs), envelope
 
 
-def test_kernel_identity_rhs_rows_equal_the_scalar_route():
-    # points near the kernel's zeros or at small arguments fail the float
-    # sums' cancellation guard and take the scalar route
+def test_kernel_identity_rhs_agrees_with_the_scalar_route():
+    # points near the kernel's zeros or at small arguments, where the float
+    # closed forms of dp_sinc and dp_cosc fail their cancellation guard: the
+    # swept right side is the scalar route's to 1e-11 of the envelope.  At a
+    # kernel zero the sweep is right only to the envelope (rhs at
+    # lam = bessel_zero(3, 2), t = 1 reads 1.67e-15 for 1.61e-15), and
+    # dp_sinc(5, 2.214), inside its cancellation guard, is off by 1.1e-12
+    # relative where the sweep is within 4e-16
     rng = np.random.default_rng(5)
     lam = np.concatenate([rng.uniform(0.5, 40.0, 400), [sf.bessel_zero(3, 2), 1e-3]])
     t = np.concatenate([rng.uniform(-3.0, 3.0, 400), [1.0, 0.2]])
     for k in range(9):
-        rhs, scale = sp._mk_rhs(k, lam, t, sf._dp_trig_rows)
+        rhs = sp._mk_sides(k, lam, t)[1]
         rows = np.array([_mk_rhs_point(k, a, b) for a, b in zip(lam.tolist(), t.tolist())])
-        assert np.array_equal(rhs, rows[:, 0]) and np.array_equal(scale, rows[:, 1]), k
+        assert np.all(np.abs(rhs - rows[:, 0]) <= 1e-11 * rows[:, 1]), k
 
 
 def test_kernel_identity_refuses_a_non_finite_residual():
-    # the closed-form kernel at lam t = nan has no float value
-    with pytest.raises(ArithmeticError, match="x = nan"):
+    # the kernel at lam t = nan has no value, in floats or in Decimals
+    with pytest.raises(ArithmeticError, match="t=nan"):
         sp.mk_residual(2, np.array([2.0, 3.0]), np.array([0.5, np.nan]))
     with pytest.raises(ValueError, match="outside the domain"):
         sp.mk_residual(2, np.array([2.0, 3.0]), np.array([0.5, -1.0]))

@@ -9,7 +9,6 @@ import os
 import shlex
 import subprocess
 import sys
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -634,6 +633,22 @@ def test_cross_check_passes_at_large_n(tmp_path, capsys, n):
     assert "cross-check: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, n", [("cross-check", 167), ("zeros", 301)])
+def test_a_kernel_that_overflows_is_a_numerical_error(tmp_path, command, n):
+    # cross-check's second kind at small lam t and the first kind of zeros
+    # overflow a float at these n; the NaN read as a FAIL, with numpy's
+    # overflow warnings on stderr ahead of the verdict
+    argv = [command, "--config", _write_profile(tmp_path), "--n", str(n)]
+    argv += ["--grid", "20", "--lambda-max", "40"] if command == "cross-check" else ["--count", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-m", "sphmean.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
+        run.stderr
+    assert "lam=" in run.stderr and "FAIL" not in run.stdout
+
+
 def test_a_plain_run_never_imports_argparse(tmp_path):
     # argparse, with the gettext and locale lookups it sets off, costs a few
     # ms per run; only help, usage errors and the rarer spellings need it
@@ -655,16 +670,16 @@ def test_a_plain_run_never_imports_argparse(tmp_path):
 
 
 def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
-    # the rows over the float retry threshold are re-measured with 80-digit
-    # Decimal jets; what is left there is rounding noise
-    retried, lhs_value = [], sp._mk_lhs_value
+    # only k = 0 rows next to a kernel zero go over the float retry threshold
+    # (rows at k = 5 and 6 did too with the closed-form jet); re-measured over
+    # 80-digit Decimals, what is left there is rounding noise
+    retried, residual_mp = [], sp._mk_residual_mp
 
     def counted(k, lam, t):
-        if isinstance(lam, Decimal):
-            retried.append((k, float(lam), float(t)))
-        return lhs_value(k, lam, t)
+        retried.append((k, float(lam), float(t)))
+        return residual_mp(k, lam, t)
 
-    monkeypatch.setattr(sp, "_mk_lhs_value", counted)
+    monkeypatch.setattr(sp, "_mk_residual_mp", counted)
     out = tmp_path / "mk.csv"
     assert cli.main(["mk-check", "--k", "6", "--count", "100", "--seed", "7",
                      "--out", str(out)]) == 0
@@ -676,22 +691,21 @@ def test_mk_check_retried_rows_stay_below_1e_60(tmp_path, capsys, monkeypatch):
         elif not line.startswith("#") and not line[0].isalpha():
             lam, t, res = map(float, line.split(","))
             residual[k, lam, t] = res
-    assert len(retried) == 11
+    assert retried and all(point[0] == 0 for point in retried), retried
     assert all(residual[point] < 1e-60 for point in retried), \
         [residual[point] for point in retried]
 
 
 def test_mk_check_passes_exact_data_at_k_30(tmp_path, capsys):
-    # the identity is exact at every k; with a retry at 80 digits only, rows
-    # from k = 22 on read O(1) (worst 1.0 here), and the run FAILed.  The
-    # bytes pin the Decimal rungs: 174 rows are retried at 80 digits and 4
-    # at 160, through the Decimal coefficients of d_operator
+    # the identity is exact at every k; the float jet loses its digits from
+    # about k = 22 on, and those rows are re-measured at 80 digits.  The
+    # bytes pin the float rows and the Decimal ones
     out = tmp_path / "mk.csv"
     assert cli.main(["mk-check", "--k", "30", "--count", "10", "--seed", "7",
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "12d1ae2b901423dc7218a3a97bb96965523d46b9c97f4e3d33c670b8623a605d"
+        "c3e834c3719626c46e20561c07665dd4ceb45fa7c84c0043d3b89a57fde4a948"
 
 
 def test_cross_check_columns_and_verdict(tmp_path, capsys):
@@ -1178,9 +1192,9 @@ RUN_ARTIFACTS = {
             "rc.json": "b7cba2612f63c1791e2095dadcafbe7b72c3baa6b60bec2b64f7b0cb59c32af3"}),
     "identities": (["identities"], "ids.csv", 0, {
         "ids.csv": "d8f9f3664f81b94bfeae980470371c4c52bab31b4e8f4b291303f83d1b3abf2c"}),
-    # 11 of its rows take the 80-digit retry of mk_residual
+    # its k = 0 rows next to a kernel zero take the 80-digit retry of mk_residual
     "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
-        "mk.csv": "2cced87c68369a1e60d1190672e13cdb6674cabd75ed7118b3f54caf061f8202"}),
+        "mk.csv": "b77a2a04d1953e2944f9e2b302bdfd57915c721fa4620f158cf21499cf4015bf"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
         "zeros.csv": "57508bb8b5012bf16cd3b151f2647f4e90f18b7c74276e37af36b9fbece793e5"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {

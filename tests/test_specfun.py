@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,7 +17,7 @@ from mpmath import mp
 from sphmean import exactmath as em
 from sphmean import specfun as sf
 
-from _oracles import DenseJet, dp_inv_poly, dp_sinc_series
+from _oracles import DenseJet, d_operator, dp_inv_poly, dp_sinc_series
 from _reference import REFERENCE as REF
 
 
@@ -26,44 +25,14 @@ def relerr(got, want):
     return abs(got - want) / max(1.0, abs(want))
 
 
-# ---------------------------------------------------------------------------
-# D coefficient table
-
-
-def test_d_coeff_table_base_and_recurrence():
-    a = sf.d_coeff_table(6)
-    assert a[1][1] == 1
-    # second row: D^2 f = -t^-3 f' + t^-2 f''
-    assert a[2][1] == -1
-    assert a[2][2] == 1
-    # recurrence spot check at p=4
-    for j in range(1, 6):
-        lhs = a[5][j] if j < len(a[5]) else Fraction(0)
-        prev = a[4][j - 1] if j - 1 >= 0 else Fraction(0)
-        assert lhs == prev + (j - 2 * 4) * a[4][j]
-
-
-def test_d_coeff_table_against_monomials():
-    # D^p t^(2q) = 2^p q!/(q-p)! t^(2q-2p); check table reproduces it
-    a = sf.d_coeff_table(5)
-    for p in range(1, 6):
-        for q in range(p, p + 4):
-            t0 = 1.37
-            jet = [math.prod(range(2 * q - j + 1, 2 * q + 1)) * t0 ** (2 * q - j) for j in range(p + 1)]
-            acc = sum(float(a[p][j]) * jet[j] * t0 ** (j - 2 * p) for j in range(1, p + 1))
-            want = 2 ** p * math.factorial(q) / math.factorial(q - p) * t0 ** (2 * q - 2 * p)
-            assert relerr(acc, want) < 1e-13
-
-
 def test_every_integral_coefficient_is_an_int():
-    # C(k,p) of L_k, the D^p table, the D^p(sin x/x) closed-form rows and
-    # D^p Q^k are built as ints: none is a Fraction or a float
+    # C(k,p) of L_k, the D^p(sin x/x) closed-form rows and D^p Q^k are
+    # built as ints: none is a Fraction or a float
     for k in range(61):
         for p in range(k + 1):
             den = math.factorial(p) * 2 ** (k - p) * math.factorial(k - p)
             assert math.factorial(2 * k - p) % den == 0
             assert type(em.coeff_C(k, p)) is int
-    assert all(type(c) is int for row in sf.d_coeff_table(60) for c in row)
     for p in range(61):
         assert all(type(c) is int for row in sf._trig_coeffs(p) for c in row)
     for k in range(9):
@@ -178,8 +147,16 @@ def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
     assert float((sf.Jet(0.5, signed) * sf.Jet(0.5, [1.0] * 7)).derivs[0]).hex() == "-0x0.0p+0"
 
 
-def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
-    # the reference: Horner's rule from a zero jet, each step a full product
+def test_jet_horner_is_horner_on_full_products_bit_for_bit():
+    # Horner's rule from the leading coefficient, where each partial sum has
+    # the top of x's powers and a product by a linear x takes two terms per
+    # entry; the reference: from a zero jet, each step a full product
+    def leading(coeffs, x):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
     def horner(coeffs, x):
         acc = x._wrap(0)
         for c in reversed(coeffs):
@@ -194,7 +171,7 @@ def test_poly_eval_jet_is_horner_on_full_products_bit_for_bit():
                               (Decimal(-2.5), Decimal(7.25))):
                 x = (sf.Jet.variable(base, k) + 1) * lam
                 for coeffs in sf._trig_coeffs(k):
-                    got = x._wrap(sf._poly_eval(coeffs, x)).derivs
+                    got = x._wrap(leading(coeffs, x)).derivs
                     assert [_bits(v) for v in got] == [_bits(v) for v in horner(coeffs, x).derivs]
 
 
@@ -295,29 +272,6 @@ def test_jet_top_follows_the_algebra():
     assert tops == {"variable": 1, "constant": 0, "scaled": 1, "sum": 1, "square": 2,
                     "cubic": 3, "over a constant": 2, "by inf": 6, "quotient": 6,
                     "exp of a constant": 0, "exp": 6, "cos of a constant": 0}
-
-
-def test_raw_j_jet_of_a_quadratic_argument_is_the_dense_composition():
-    def dense_raw_j(k, x):
-        def horner(coeffs):
-            acc = x._wrap(coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                acc = acc * x + c
-            return acc
-        cs, cc = sf._trig_coeffs(k)
-        s, c = x.sin_cos()
-        return (horner(cs) * s + horner(cc) * c) * x ** (-(2 * k + 1))
-
-    def quadratic(v, num):
-        return v * v * num(0.5) + v * num(1.5) + num(2.0)
-
-    t = np.array([0.3, -0.0, 1.7, -2.2, 1e-300])
-    with sf.decimal_context(30):
-        for k in range(7):
-            for base, num in ((t, float), (0.45, float), (Decimal("0.45"), Decimal)):
-                got = sf.raw_j_jet(k, quadratic(sf.Jet.variable(base, k + 2), num))
-                want = dense_raw_j(k, quadratic(DenseJet.variable(base, k + 2), num))
-                _assert_dense_bits(got, want)
 
 
 def test_jet_power_makes_only_the_needed_products(monkeypatch):
@@ -599,8 +553,61 @@ def test_dp_against_jet_operator_moderate_regime():
         sj = sin / jet
         cj = cos / jet
         for p in range(9):
-            assert relerr(sf.d_operator(sj, p), sf.dp_sinc(p, x0)) < 1e-11
-            assert relerr(sf.d_operator(cj, p), sf.dp_cosc(p, x0)) < 1e-11
+            assert relerr(d_operator(sj, p), sf.dp_sinc(p, x0)) < 1e-11
+            assert relerr(d_operator(cj, p), sf.dp_cosc(p, x0)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# every order at once: the recurrence sweep
+
+SWEEP_X = np.geomspace(1e-3, 100.0, 120)
+
+
+def test_dp_sweep_matches_the_series_at_every_order():
+    # every order q <= 60, swept from lo = 0 and from lo = q: each finite
+    # value is within 1e-12 relative of the series; from lo = 0 none is NaN
+    whole = sf.dp_sweep(SWEEP_X, 0, 60)[0]
+    assert np.isfinite(whole).all()
+    for q in range(61):
+        ref = np.array([float(dp_sinc_series(q, x)) for x in SWEEP_X.tolist()])
+        alone = sf.dp_sweep(SWEEP_X, q, q)[0][0]
+        for got in (whole[q], alone):
+            live = np.isfinite(got)
+            assert np.all(np.abs(got[live] - ref[live]) <= 1e-12 * np.abs(ref[live])), q
+
+
+def test_dp_sweep_is_nan_where_the_second_kind_overflows():
+    # from lo = 49 on, x^-(2lo+3) and the forward second kind overflow at
+    # small x; there the normalization has no value: NaN, never 0
+    for lo, edge in ((49, 0.0055), (60, 0.021)):
+        f, g = sf.dp_sweep(SWEEP_X, lo, lo + 2)
+        nan = np.isnan(f)
+        assert np.array_equal(nan, np.broadcast_to(SWEEP_X < edge, f.shape)), lo
+        assert np.all(f[~nan] != 0.0) and not np.isinf(g).any(), lo
+    # beyond the sweep's reach in |x|, and at NaN, every order is NaN
+    f, g = sf.dp_sweep(np.array([2e4, -2e4, np.nan, 3.0]), 2, 4)
+    assert np.isnan(f[:, :3]).all() and np.isfinite(f[:, 3]).all()
+
+
+def test_dp_sweep_second_kind_against_300_digits():
+    for lo in (0, 1, 3, 6, 12, 20, 34, 49, 60):
+        g = sf.dp_sweep(SWEEP_X, lo, lo)[1]
+        for x, v in zip(SWEEP_X.tolist(), g.tolist()):
+            if math.isfinite(v):
+                ref = sf.dp_trig_mp(lo, Decimal(x), "cos", 300)
+                assert abs(Decimal(v) - ref) <= Decimal("1e-12") * abs(ref), (lo, x)
+
+
+def test_dp_sweep_rows_equal_one_point_calls():
+    # each element's sweep starts at its own order: a batch, with small,
+    # negative, large, out-of-reach and NaN points, equals its one-point calls
+    xs = np.concatenate([np.geomspace(1e-3, 300.0, 40), -np.geomspace(0.01, 80.0, 9),
+                         [1e-300, 5e3, 2e4, np.nan]])
+    for lo, hi in ((0, 0), (0, 7), (3, 3), (6, 12), (30, 60)):
+        f, g = sf.dp_sweep(xs, lo, hi)
+        ones = [sf.dp_sweep(np.array([x]), lo, hi) for x in xs.tolist()]
+        assert np.array_equal(f, np.hstack([one[0] for one in ones]), equal_nan=True), lo
+        assert np.array_equal(g, np.concatenate([one[1] for one in ones]), equal_nan=True), lo
 
 
 # ---------------------------------------------------------------------------

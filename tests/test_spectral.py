@@ -11,7 +11,7 @@ import pytest
 from _oracles import PerturbedH, bump_h
 from _reference import REFERENCE as REF
 from sphmean import spectral as sp
-from sphmean.specfun import _dp_trig_rows, bessel_zero, raw_to_normalized
+from sphmean.specfun import bessel_zero, raw_to_normalized
 from sphmean.transform import (
     BumpProfile,
     Dimension,
@@ -146,11 +146,9 @@ def test_mk_k0_is_angle_addition():
 
 
 def test_mk_lhs_reference_value():
-    lam, t = np.array([2.0]), np.array([0.7])
-    lhs = sp._mk_lhs_value(1, lam, t)[0]
-    rhs = sp._mk_rhs(1, lam, t, _dp_trig_rows)[0][0]
-    assert lhs == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-13)
-    assert rhs == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-12)
+    lhs, rhs, _ = sp._mk_sides(1, np.array([2.0]), np.array([0.7]))
+    assert lhs[0] == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-13)
+    assert rhs[0] == pytest.approx(REF["mk_lhs_k1_lam2_t0_7"], rel=1e-12)
 
 
 def test_mk_residual_seeded_sweep():
@@ -175,51 +173,50 @@ def test_mk_two_sided_limit_at_minus_one():
             assert sp.mk_residual(k, lam, -1 + eps) <= 1e-8
             assert sp.mk_residual(k, lam, -1 - eps) <= 1e-8
             ts = -1 + np.array([eps / 2, eps, -eps / 2, -eps])
-            rhs = sp._mk_rhs(k, np.full(ts.shape, lam), ts, _dp_trig_rows)[0]
+            rhs = sp._mk_sides(k, np.full(ts.shape, lam), ts)[1]
             lim_p = 2 * rhs[0] - rhs[1]
             lim_m = 2 * rhs[2] - rhs[3]
             assert abs(lim_p - lim_m) <= 1e-5
 
 
 def test_mk_retry_rescues_float_cancellation():
-    # near t = -1 the float jets lose everything for larger k; the
-    # high-precision recomputation restores the identity
-    lam, t = np.array([20.0]), np.array([-1 + 1e-3])
-    lhs = sp._mk_lhs_value(6, lam, t)[0]
-    rhs, scale = sp._mk_rhs(6, lam, t, _dp_trig_rows)
-    den = max(abs(lhs), abs(rhs[0]), 1e-14 * scale[0])
-    assert abs(lhs - rhs[0]) / den > 1e-6
-    assert sp.mk_residual(6, 20.0, -1 + 1e-3) <= 1e-8
+    # at k = 30 the float jet loses digits; the 80-digit recomputation
+    # restores the identity
+    lhs, rhs, scale = sp._mk_sides(30, np.array([3.0]), np.array([0.7]))
+    den = max(abs(lhs[0]), abs(rhs[0]), 1e-14 * scale[0])
+    assert abs(lhs[0] - rhs[0]) / den > 1e-7
+    assert sp.mk_residual(30, 3.0, 0.7) <= 1e-60
 
 
-def test_mk_retry_climbs_past_80_digits_at_small_lam():
-    # at small lam the closed forms cancel more digits than 80 carry: these
-    # read 0.333, 0.678 and 0.060 there, although the identity is exact
-    for k, lam, t in ((1, 1e-40, 0.5), (2, 1e-20, 0.5), (2, 1e-30, -0.5)):
+def test_mk_retry_resolves_small_and_large_lam():
+    # at small lam the closed forms cancel more digits than 80 carry (these
+    # read 0.333, 0.678 and 0.060 there), and the float sweep is NaN where
+    # lam^-(2k+3) overflows, as at 1e-55: the kernel values of the Decimal
+    # side come from their series there
+    for k, lam, t in ((1, 1e-40, 0.5), (2, 1e-20, 0.5), (2, 1e-30, -0.5), (3, 1e-55, 0.5)):
         assert sp.mk_residual(k, lam, t) <= 1e-8, (k, lam, t)
-    # the float jet power of lam (1 + t) underflows to zero: refused
-    with pytest.raises(ArithmeticError):
-        sp.mk_residual(3, 1e-55, 0.5)
-    # sin/cos of lam (1 + t) at 320 digits needs more digits of pi than
-    # decimal_sin_cos holds, and the 160-digit reading (1.13) is noise
+    # lam (1 + t) is beyond the sweep's reach, and its sin and cos are of
+    # the exact argument
+    assert sp.mk_residual(0, 1e300, 0.5) <= 1e-14
+    # sin/cos of lam (1 + t) = 1e600 at 80 digits needs more digits of pi
+    # than decimal_sin_cos holds
     with pytest.raises(ArithmeticError, match="more digits of pi"):
-        sp.mk_residual(0, 1e300, 0.5)
+        sp.mk_residual(0, 1e300, 1e300)
 
 
 def test_mk_retry_keeps_a_real_defect(monkeypatch):
-    # a left side off by one part in 1e6 stays over the bar at every rung,
-    # and the 320-digit reading is the answer
-    lhs_value, residual_mp, rungs = sp._mk_lhs_value, sp._mk_residual_mp, []
+    # a left side off by one part in 1e6 stays over the bar at 80 digits,
+    # and that reading is the answer: one recomputation, no more
+    lhs, residual_mp, calls = sp._mk_lhs, sp._mk_residual_mp, []
 
-    def rung(k, lam, t, dps):
-        rungs.append(dps)
-        return residual_mp(k, lam, t, dps)
+    def once(k, lam, t):
+        calls.append((k, lam, t))
+        return residual_mp(k, lam, t)
 
-    monkeypatch.setattr(sp, "_mk_lhs_value",
-                        lambda k, lam, t: lhs_value(k, lam, t) * 1000001 / 1000000)
-    monkeypatch.setattr(sp, "_mk_residual_mp", rung)
+    monkeypatch.setattr(sp, "_mk_lhs", lambda k, lam, t, f: lhs(k, lam, t, f) * 1000001 / 1000000)
+    monkeypatch.setattr(sp, "_mk_residual_mp", once)
     assert sp.mk_residual(2, 3.0, 0.7) == pytest.approx(1e-6, rel=1e-5)
-    assert rungs == [80, 160, 320]
+    assert calls == [(2, 3.0, 0.7)]
 
 
 def test_mk_domain_errors():
