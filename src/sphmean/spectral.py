@@ -33,15 +33,11 @@ from .exactmath import coeff_C
 from .specfun import (
     Jet,
     _dp_sinc_mp,
-    _dp_trig_horner,
     _power,
     bessel_zero,
     decimal_context,
-    dp_cosc,
-    dp_sinc,
     dp_sweep,
     dp_trig_mp,
-    raw_to_normalized,
     sph_bessel_j,
 )
 from .transform import DEFAULT_QUAD, Dimension, QuadratureRule, _shaped
@@ -156,7 +152,8 @@ def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
 
     With I_j = integral of dp_sinc(k, lam t) t h(t) dt and I_y the same with
     the second-kind kernel dp_cosc, range data satisfies I_j * dp_cosc(k, lam)
-    = I_y * dp_sinc(k, lam) exactly.  Returns (lhs, rhs, residual) with
+    = I_y * dp_sinc(k, lam) exactly; both kernels come from one `dp_sweep`
+    over lam t and one over lam.  Returns (lhs, rhs, residual) with
     residual = |lhs - rhs| / (A_j |dp_cosc(k, lam)| + A_y |dp_sinc(k, lam)|),
     where A_j and A_y integrate |kernel t h| in place of kernel t h.  That
     denominator bounds both sides and is the scale of their rounding error,
@@ -182,17 +179,16 @@ def cross_product_terms(data, k: int, lam, quad: QuadratureRule = DEFAULT_QUAD):
                          "(second-kind kernel is singular there)")
     if b <= a:
         raise ValueError("need a < b")
-    c_k = raw_to_normalized(k)
 
     def integrand(lam_t, t, h_t):
-        # series-backed normalized kernel is stable at small arguments
-        j_block = c_k * sph_bessel_j(k, lam_t) * t * h_t
-        y_block = _dp_trig_horner(k, lam_t, "cos") * t * h_t
+        f, g = dp_sweep(lam_t, k, k, cosc=True)
+        j_block, y_block = f[0] * t * h_t, g * t * h_t
         return np.array([j_block, np.abs(j_block), y_block, np.abs(y_block)])
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         i_j, a_j, i_y, a_y = _lam_sums(data.h, lams, a, b, quad, integrand, (4,))
-        j_lam, y_lam = dp_sinc(k, lams), dp_cosc(k, lams)
+        f, y_lam = dp_sweep(lams, k, k, cosc=True)
+        j_lam = f[0]
         lhs = i_j * y_lam
         rhs = i_y * j_lam
         den = a_j * np.abs(y_lam) + a_y * np.abs(j_lam)
@@ -253,11 +249,12 @@ def _mk_rhs(k: int, lam, sinc, cosc, j_lam, y_lam):
 
 def _mk_sides(k: int, lams, ts):
     """Both sides and the scale at float arrays of points, with the kernels
-    from one `dp_sweep` over lam (1+t), lam t and lam together."""
+    from two `dp_sweep` calls: every order from k to 2k at lam (1+t), and
+    both kinds at order k over lam t and lam together."""
     n = lams.size
-    f, g = dp_sweep(np.concatenate([lams * (1 + ts), lams * ts, lams]), k, 2 * k)
-    rhs, scale = _mk_rhs(k, lams, f[0, n:2 * n], g[n:2 * n], f[0, 2 * n:], g[2 * n:])
-    return _mk_lhs(k, lams, ts, f[:, :n]), rhs, scale
+    f, g = dp_sweep(np.concatenate([lams * ts, lams]), k, k, cosc=True)
+    rhs, scale = _mk_rhs(k, lams, f[0, :n], g[:n], f[0, n:], g[n:])
+    return _mk_lhs(k, lams, ts, dp_sweep(lams * (1 + ts), k, 2 * k)[0]), rhs, scale
 
 
 def _mk_residual_mp(k: int, lam: float, t: float) -> float:
@@ -282,7 +279,7 @@ def _mk_residual_mp(k: int, lam: float, t: float) -> float:
 def mk_residual(k: int, lam, t):
     """Relative defect between the two routes through the kernel identity.
 
-    Both sides read their kernel values from one `dp_sweep` (`_mk_sides`):
+    Both sides read their kernel values from `dp_sweep` (`_mk_sides`):
     the left side is a jet in s = t^2 / 2 (`_mk_lhs`), the right side the
     closed form (`_mk_rhs`).  A row over the retry threshold (1e-9, or
     1e-14 for the k = 0 angle-addition case) is recomputed once, by the

@@ -365,31 +365,27 @@ def test_kernel_identity_rows_match_scalar_calls(monkeypatch):
 
 def _mk_rhs_point(k, lam, t):
     """The float closed-form side at one point, from scalar dp_sinc/dp_cosc
-    calls and Python float powers, and the envelope of its two products:
-    lam^(2k+1) (|D^k sinc| + |D^k cosc|) at lam t times the same at lam."""
+    calls and Python float powers."""
     sinc, cosc = sf.dp_sinc(k, lam * t), sf.dp_cosc(k, lam * t)
     j_lam, y_lam = sf.dp_sinc(k, lam), sf.dp_cosc(k, lam)
-    front = lam ** (2 * k + 1)
-    rhs = front * (sinc * y_lam + cosc * j_lam)
-    envelope = abs(front) * (abs(sinc) + abs(cosc)) * (abs(j_lam) + abs(y_lam))
-    return (-rhs if k % 2 else rhs), envelope
+    rhs = lam ** (2 * k + 1) * (sinc * y_lam + cosc * j_lam)
+    return -rhs if k % 2 else rhs
 
 
 def test_kernel_identity_rhs_agrees_with_the_scalar_route():
-    # points near the kernel's zeros or at small arguments, where the float
-    # closed forms of dp_sinc and dp_cosc fail their cancellation guard: the
-    # swept right side is the scalar route's to 1e-11 of the envelope.  At a
-    # kernel zero the sweep is right only to the envelope (rhs at
-    # lam = bessel_zero(3, 2), t = 1 reads 1.67e-15 for 1.61e-15), and
-    # dp_sinc(5, 2.214), inside its cancellation guard, is off by 1.1e-12
-    # relative where the sweep is within 4e-16
+    # points near the kernel's zeros or at small arguments: dp_sinc and
+    # dp_cosc are one-row calls of the same sweep, so the swept right side
+    # is the scalar route's, bit for bit.  With dp_sinc from the float
+    # closed form it was the scalar route's only to 1e-11 of the envelope:
+    # dp_sinc(5, 2.214), inside that form's cancellation guard, was off by
+    # 1.1e-12 relative
     rng = np.random.default_rng(5)
     lam = np.concatenate([rng.uniform(0.5, 40.0, 400), [sf.bessel_zero(3, 2), 1e-3]])
     t = np.concatenate([rng.uniform(-3.0, 3.0, 400), [1.0, 0.2]])
     for k in range(9):
         rhs = sp._mk_sides(k, lam, t)[1]
-        rows = np.array([_mk_rhs_point(k, a, b) for a, b in zip(lam.tolist(), t.tolist())])
-        assert np.all(np.abs(rhs - rows[:, 0]) <= 1e-11 * rows[:, 1]), k
+        rows = [_mk_rhs_point(k, a, b) for a, b in zip(lam.tolist(), t.tolist())]
+        assert np.array_equal(rhs, rows), k
 
 
 def test_kernel_identity_refuses_a_non_finite_residual():

@@ -582,8 +582,8 @@ def test_integrating_commands_never_import_numpy_polynomial(tmp_path):
 
 def test_no_subcommand_imports_mpmath(tmp_path):
     # high-precision work runs on the standard library's decimal, also in the
-    # 80-digit retries of mk-check and in cross-check's escalation at m = 2;
-    # and mk-check draws its points without importing numpy.random
+    # 80-digit retries of mk-check; and mk-check draws its points without
+    # importing numpy.random
     profile, fwd, ucp = _write_profile(tmp_path), str(tmp_path / "fwd.csv"), tmp_path / "ucp.json"
     ucp.write_text(json.dumps({"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}))
     runs = [["forward", "--config", profile, "--grid", "2001", "--out", fwd],
@@ -623,23 +623,25 @@ def test_mk_check_draws_are_numpy_default_rng_draws(seed):
         assert -3.0 + 6.0 * next(draws) == rng.uniform(-3.0, 3.0)
 
 
-@pytest.mark.parametrize("n", [71, 81, 101])
+@pytest.mark.parametrize("n", [71, 81, 101, 103, 105, 109, 153, 159])
 def test_cross_check_passes_at_large_n(tmp_path, capsys, n):
-    # k = 34 to 49: a 30-term kernel series near the switch radius, and a
-    # Decimal redo that took rounding noise for the kernel (worst residual
-    # 9.4e-8, 2.1e-2 and 1.0 with those)
+    # k = 34 to 78.  Before the kernels took the recurrence: a 30-term
+    # series near the switch radius and a Decimal redo that took rounding
+    # noise for the kernel (worst residual 9.4e-8, 2.1e-2 and 1.0 at the
+    # first three), then the unguarded closed form, which FAILed n = 103 to
+    # 159 at 1.2e-8 to 1.7e-8; now the worst is 3.4e-12
     assert cli.main(["cross-check", "--config", _write_profile(tmp_path), "--n", str(n),
                      "--grid", "20", "--lambda-max", "40"]) == 0
     assert "cross-check: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command, n", [("cross-check", 167), ("zeros", 301)])
+@pytest.mark.parametrize("command, n", [("cross-check", 167)])
 def test_a_kernel_that_overflows_is_a_numerical_error(tmp_path, command, n):
-    # cross-check's second kind at small lam t and the first kind of zeros
-    # overflow a float at these n; the NaN read as a FAIL, with numpy's
-    # overflow warnings on stderr ahead of the verdict
-    argv = [command, "--config", _write_profile(tmp_path), "--n", str(n)]
-    argv += ["--grid", "20", "--lambda-max", "40"] if command == "cross-check" else ["--count", "2"]
+    # cross-check's second kind at small lam t overflows a float at this n;
+    # the NaN read as a FAIL, with numpy's overflow warnings on stderr ahead
+    # of the verdict
+    argv = [command, "--config", _write_profile(tmp_path), "--n", str(n),
+            "--grid", "20", "--lambda-max", "40"]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     run = subprocess.run([sys.executable, "-m", "sphmean.cli", *argv], env=env,
                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
@@ -647,6 +649,19 @@ def test_a_kernel_that_overflows_is_a_numerical_error(tmp_path, command, n):
     assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
         run.stderr
     assert "lam=" in run.stderr and "FAIL" not in run.stdout
+
+
+def test_zeros_passes_at_large_n(tmp_path, capsys):
+    # at k = 149 the raw first kind, and with it the sign bessel_zero read,
+    # underflowed: the scan took lam = 149.5 for a zero and the transform
+    # there was NaN.  The normalized kernel stays in range, the zeros are
+    # mpmath's, and the transform at each is 1.6e-15 of its summed
+    # |integrand|, rounding
+    out = tmp_path / "zeros.csv"
+    assert cli.main(["zeros", "--config", _write_profile(tmp_path), "--n", "301",
+                     "--count", "2", "--out", str(out)]) == 0
+    assert "zeros: PASS" in capsys.readouterr().out
+    assert _data_rows(out)[:, 0].tolist() == [bessel_zero(149, 1), bessel_zero(149, 2)]
 
 
 def test_a_plain_run_never_imports_argparse(tmp_path):
@@ -705,7 +720,7 @@ def test_mk_check_passes_exact_data_at_k_30(tmp_path, capsys):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "c3e834c3719626c46e20561c07665dd4ceb45fa7c84c0043d3b89a57fde4a948"
+        "03187ca930e7aedcf58fbcb3fd541ca72b4c47b1e358cdfacb6a6f7622ca6b06"
 
 
 def test_cross_check_columns_and_verdict(tmp_path, capsys):
@@ -1020,9 +1035,9 @@ def test_overflow_prints_only_its_error_line(tmp_path):
 # from the same rule with twice the panels.
 ARTIFACTS = {
     "zeros": (["zeros", "--count", "10"],
-              "373c6ec977419489badff2198db397dda81b6b9088a6228cb60681f6e7ff411e"),
+              "020b45e065cc965943ab3d1e5459454a35478906f970278f297ebcfa46668c90"),
     "cross-check": (["cross-check", "--grid", "20", "--lambda-max", "40"],
-                    "d98f7e5c2b4879212a710852e4f2dd6af647b10193f81f89c500bc19db57d2ce"),
+                    "c713dcc48fa8ec81d180b98014284d4af4443d95ca70dda25246023e290f5785"),
 }
 
 
@@ -1194,14 +1209,14 @@ RUN_ARTIFACTS = {
         "ids.csv": "d8f9f3664f81b94bfeae980470371c4c52bab31b4e8f4b291303f83d1b3abf2c"}),
     # its k = 0 rows next to a kernel zero take the 80-digit retry of mk_residual
     "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
-        "mk.csv": "b77a2a04d1953e2944f9e2b302bdfd57915c721fa4620f158cf21499cf4015bf"}),
+        "mk.csv": "d71d31e6d4625eadfb156f10dac8ebfba971902fd40b67a866431bbdec5e9f13"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
-        "zeros.csv": "57508bb8b5012bf16cd3b151f2647f4e90f18b7c74276e37af36b9fbece793e5"}),
+        "zeros.csv": "a6945448de4432b4cac8241248b66127f34906765cb5cfe6132a3511664da36f"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
-        "zeros.csv": "da6fc3eaa06af5e134178d5f4de8cd72bdce0a020682199555de5a225bd2aa4b"}),
+        "zeros.csv": "faf87f30d9085d419391b586a5ac64459262ad374cb0c1139b436f8d76f8b8c3"}),
     # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
     "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
-        "cc.csv": "f53f4c72de36b892ae8dcecd0ee7d68a403927d60c51eddab60ec765da76cd62"}),
+        "cc.csv": "41d05615dbfd33d0e06cc44159bec2de4f16cdf728b8ac526bf5d5ef5c2e1ab3"}),
 }
 
 

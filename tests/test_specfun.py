@@ -346,7 +346,7 @@ def test_decimal_context_ignores_the_callers_context():
         ctx.prec, ctx.rounding, ctx.Emax = 5, decimal.ROUND_FLOOR, 10
         for trap in (decimal.InvalidOperation, decimal.Inexact, decimal.FloatOperation):
             ctx.traps[trap] = True
-        assert sf.dp_sinc(10, 0.3).hex() == "0x1.3f3faa1756566p-34"
+        assert float(sf.dp_trig_mp(10, 0.3, "sin", 60)).hex() == "0x1.3f3faa1756566p-34"
         with sf.decimal_context(30):
             assert decimal.getcontext().prec == 30
             assert decimal.getcontext().rounding == decimal.ROUND_HALF_EVEN
@@ -354,9 +354,9 @@ def test_decimal_context_ignores_the_callers_context():
             assert sf.decimal_sin_cos(Decimal("NaN"))[0].is_nan()
 
 
-# (p, x, kind) over a grid of small and moderate x; the scalar float sum
-# fails its cancellation guard at each of these points and escalates
-_ESCALATION_XS = np.concatenate([np.geomspace(0.01, 40.0, 300), [0.3, 0.5, 1e-3, 3.0, 7.5]])
+# a grid of small and moderate x: at 2,333 of its points with p <= 12 the
+# float closed form cancels more than 4 digits
+_CANCELLING_XS = np.concatenate([np.geomspace(0.01, 40.0, 300), [0.3, 0.5, 1e-3, 3.0, 7.5]])
 
 
 @pytest.mark.parametrize("kind", ["sin", "cos"])
@@ -370,26 +370,23 @@ def test_each_power_has_one_nonzero_coefficient(kind):
             assert (s != 0) == (l % 2 == (kind == "cos")), (p, l)
 
 
-def _float_sum_trusted(p, x, kind):
-    """Whether the cancellation guard trusts the float closed-form sum at x."""
+def _closed_form_cancels(p, x, kind):
+    """Whether the float closed form at x loses more than 4 digits: its term
+    magnitude exceeds 1e4 times its value."""
     acc, mag = sf._trig_sum(*sf._kind_coeffs(p, kind), x)
-    scale = x ** -(2 * p + 1)
-    return mag * abs(scale) <= sf._CANCEL_LIMIT * abs(acc * scale)
+    return mag > 1e4 * abs(acc)
 
 
-def test_escalated_values_keep_their_floats():
-    # the floats these escalations gave when they ran in mpmath, bit for bit
-    values = [(sf.dp_sinc if kind == "sin" else sf.dp_cosc)(p, x)
-              for p in range(13) for kind in ("sin", "cos") for x in _ESCALATION_XS.tolist()
-              if not _float_sum_trusted(p, x, kind)]
-    assert len(values) == 2333
-    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
-    assert digest == "bf4aea374dec5e40c13722bb9fc7a8a6fc7f64ad6aaa5db1d3e31d3ab68b1b46"
-    assert [v.hex() for v in (sf.dp_sinc(10, 0.3), sf.dp_cosc(7, 0.5), sf.dp_sinc(3, 0.5),
-                              sf.dp_sinc(6, 0.05), sf.dp_sinc(3, 1e100),
-                              sf.dp_cosc(12, 0.01))] == [
-        "0x1.3f3faa1756566p-34", "-0x1.0a7ce56506720p+32", "-0x1.33c42f57d06bep-7",
-        "0x1.f09090b2310bap-18", "-0x0.0p+0", "0x1.3ade95895619bp+204"]
+def test_where_the_closed_form_cancels_the_kernels_keep_their_digits():
+    # these points took the Decimal redo of the closed form; the recurrence
+    # is within 1e-14 relative of 300 digits there (worst 8.5e-16)
+    points = [(p, x, kind) for p in range(13) for kind in ("sin", "cos")
+              for x in _CANCELLING_XS.tolist() if _closed_form_cancels(p, x, kind)]
+    assert len(points) == 2333
+    for p, x, kind in points:
+        got = (sf.dp_sinc if kind == "sin" else sf.dp_cosc)(p, x)
+        want = sf.dp_trig_mp(p, Decimal(x), kind, 300)
+        assert abs(Decimal(got) - want) <= Decimal("1e-14") * abs(want), (p, x, kind)
 
 
 def _closed_form_mp(p, x, kind):
@@ -418,14 +415,18 @@ def test_dp_trig_mp_against_mpmath(dps):
 
 def test_dp_sinc_reference_values():
     assert relerr(sf.dp_sinc(3, 1.7), REF["dp_sinc_p3_x1_7"]) < 1e-14
-    # deep-cancellation point: flat evaluation loses ~30 digits; the value is
-    # recovered through automatic precision escalation
+    # the closed form cancels ~30 digits here, the recurrence none
     assert relerr(sf.dp_sinc(10, 0.3), REF["dp_sinc_p10_x0_3"]) < 1e-12
+    # the float closed form, 4 digits lost inside its old cancellation
+    # guard, was off by 1.07e-12 here
+    x = 2.2142205983092773
+    assert abs(sf.dp_sinc(5, x) / REF["dp_sinc_p5_x2_2142205983092773"] - 1) < 1e-14
 
 
 def test_dp_cosc_reference_values():
     assert relerr(sf.dp_cosc(2, 0.9), REF["dp_cosc_p2_x0_9"]) < 1e-14
     assert relerr(sf.dp_cosc(7, 0.5), REF["dp_cosc_p7_x0_5"]) < 1e-13
+    assert abs(sf.dp_cosc(60, 50.0) / REF["dp_cosc_p60_x50"] - 1) < 1e-13
 
 
 def test_dp_inv_poly_reference_values():
@@ -450,10 +451,14 @@ def test_dp_domain_errors():
 
 
 def test_dp_sinc_where_the_power_overflows_is_the_series():
-    # x^-7 overflows a float below |x| ~ 1e-44; sin x/x is entire and
-    # D^3 of it tends to -1/105 at 0, the series' value there
-    assert sf.dp_sinc(3, 1e-50) == sf.raw_to_normalized(3) * sf.sph_bessel_j(3, 1e-50)
-    assert sf.dp_sinc(3, 1e-50) == pytest.approx(-1 / 105, rel=1e-15)
+    # x^-7 overflows a float below |x| ~ 1e-44, and the closed form cancels
+    # past 200 digits at 1e-35; sin x/x is entire and D^p of it tends to
+    # c_p at 0, the series' value there
+    for p, x, want in ((3, 1e-50, -1 / 105), (1, 1e-100, -1 / 3), (3, 1e-35, -1 / 105)):
+        got = sf.dp_sinc(p, x)
+        assert got == sf.raw_to_normalized(p) * sf.sph_bessel_j(p, x)
+        assert got == pytest.approx(want, rel=1e-15)
+        assert sf.dp_sinc(p, np.array([2.0, x]))[1] == got
     assert sf.dp_sinc(0, 5e-324) == pytest.approx(1.0, rel=1e-15)
     xs = np.array([[0.5, 1e-50], [-1e-300, 2.0]])
     got = sf.dp_sinc(3, xs)
@@ -469,9 +474,6 @@ _LARGE_K_XS = np.geomspace(0.1, 80.0, 40)
 
 @pytest.mark.parametrize("k", [34, 40, 49, 60])
 def test_dp_sinc_at_large_k_is_its_series(k):
-    # the Decimal redo judges the digits it lost against the term magnitude,
-    # which x^-(2p+1) scales far below 1e-40 here: an absolute floor passed
-    # the 40-digit noise (dp_sinc(49, 10.4) read 3.07e-61, not -2.14e-79)
     want = np.array([float(dp_sinc_series(k, x)) for x in _LARGE_K_XS.tolist()])
     assert np.max(np.abs(sf.dp_sinc(k, _LARGE_K_XS) / want - 1)) <= 1e-12
 
@@ -485,14 +487,6 @@ def test_dp_cosc_at_large_k_is_its_300_digit_value(k):
         sf.dp_cosc(k, np.array([1.0, 1e-5]))
 
 
-def test_sph_bessel_j_below_the_switch_radius_at_k_34():
-    # 30 terms of the series stopped short of convergence near the switch
-    # radius 34.5 (relative error 2.1e-6); the cancellation left is ~8e-10
-    xs = np.linspace(0.05, sf.switch_radius(34), 400, endpoint=False)
-    want = np.array([float(dp_sinc_series(34, x)) for x in xs.tolist()]) / sf.raw_to_normalized(34)
-    assert np.max(np.abs(sf.sph_bessel_j(34, xs) / want - 1)) <= 2e-9
-
-
 def test_dp_cosc_where_its_value_overflows_refuses():
     # at 1e-44 the power x^-7 is a float but the value -15 x^-7 is not
     for v in (1e-44, 1e-50):
@@ -501,43 +495,21 @@ def test_dp_cosc_where_its_value_overflows_refuses():
                 sf.dp_cosc(3, x)
 
 
-def test_dp_sinc_where_the_sum_is_unresolved_is_the_series():
-    # x^-(2p+1) is a float, but the closed form cancels past 200 digits
-    for p, x, want in ((1, 1e-100, -1 / 3), (3, 1e-35, -1 / 105)):
-        got = sf.dp_sinc(p, x)
-        assert got == sf.raw_to_normalized(p) * sf.sph_bessel_j(p, x)
-        assert got == pytest.approx(want, rel=1e-15)
-        assert sf.dp_sinc(p, np.array([2.0, x]))[1] == got
-
-
-def test_dp_trig_refuses_what_neither_form_carries(monkeypatch):
-    # with every Decimal sum unresolved, only D^p(sin x/x) below the switch
-    # radius has an answer, its series
-    zero = sf.bessel_zero(3, 1)  # above the switch radius 3.5
-    cosc_zero = float(mp.findroot(lambda x: x * mp.sin(x) + mp.cos(x), 2.8))  # of p = 1
-    monkeypatch.setattr(sf, "_escalate", lambda closed_sum: None)
-    assert sf.dp_sinc(3, 0.5) == sf.raw_to_normalized(3) * sf.sph_bessel_j(3, 0.5)
-    for fn, p, x in ((sf.dp_sinc, 3, zero), (sf.dp_cosc, 1, cosc_zero)):
-        with pytest.raises(ArithmeticError, match="no float value"):
-            fn(p, np.array([2.0, x]))
-
-
 def test_dp_vector_matches_scalar():
     xs = np.linspace(0.7, 30.0, 57)
     for p in (0, 2, 5):
         vec = sf.dp_sinc(p, xs)
         scal = np.array([sf.dp_sinc(p, float(x)) for x in xs])
-        # both paths escalate precision where the float sum cancels; they
-        # agree bit for bit (test_array_calls_equal_scalar_calls)
+        # bit for bit, in fact (test_array_calls_equal_scalar_calls)
         assert np.max(np.abs(vec - scal) / np.maximum(1.0, np.abs(scal))) < 1e-10
 
 
 @pytest.mark.parametrize("k", range(13))
 def test_array_calls_equal_scalar_calls(k):
-    # one float pass over the array, and the scalar route (mpmath) wherever
-    # its cancellation guard fails: every element is its scalar call, bit
-    # for bit, also at small x and high k where the closed form cancels (an
-    # unguarded float sum gives 0.0 for dp_sinc(6, [0.05]), not 7.4e-6)
+    # every element takes its branch of the sweep from its own |x|, so it is
+    # its scalar call, bit for bit, also at small x and high k, where the
+    # closed form cancels (its float sum gives 0.0 for dp_sinc(6, [0.05]),
+    # not 7.4e-6)
     xs = np.concatenate([np.linspace(0.05, 40.0, 300), np.geomspace(0.05, 40.0, 150)])
     for fn in (sf.dp_sinc, sf.dp_cosc):
         want = np.array([fn(k, float(x)) for x in xs])
@@ -564,48 +536,58 @@ SWEEP_X = np.geomspace(1e-3, 100.0, 120)
 
 
 def test_dp_sweep_matches_the_series_at_every_order():
-    # every order q <= 60, swept from lo = 0 and from lo = q: each finite
-    # value is within 1e-12 relative of the series; from lo = 0 none is NaN
+    # every order k <= 60: the sweep from lo = 0 and from lo = k, dp_sinc,
+    # dp_cosc and sph_bessel_j are within 1e-12 relative of the series (the
+    # first kind) and of the closed form (the second; it cancels at most 12
+    # digits on this grid, so 60 leave 48) wherever the value is a normal
+    # float, and refuse or give NaN elsewhere
     whole = sf.dp_sweep(SWEEP_X, 0, 60)[0]
-    assert np.isfinite(whole).all()
-    for q in range(61):
-        ref = np.array([float(dp_sinc_series(q, x)) for x in SWEEP_X.tolist()])
-        alone = sf.dp_sweep(SWEEP_X, q, q)[0][0]
-        for got in (whole[q], alone):
-            live = np.isfinite(got)
-            assert np.all(np.abs(got[live] - ref[live]) <= 1e-12 * np.abs(ref[live])), q
-
-
-def test_dp_sweep_is_nan_where_the_second_kind_overflows():
-    # from lo = 49 on, x^-(2lo+3) and the forward second kind overflow at
-    # small x; there the normalization has no value: NaN, never 0
-    for lo, edge in ((49, 0.0055), (60, 0.021)):
-        f, g = sf.dp_sweep(SWEEP_X, lo, lo + 2)
-        nan = np.isnan(f)
-        assert np.array_equal(nan, np.broadcast_to(SWEEP_X < edge, f.shape)), lo
-        assert np.all(f[~nan] != 0.0) and not np.isinf(g).any(), lo
-    # beyond the sweep's reach in |x|, and at NaN, every order is NaN
-    f, g = sf.dp_sweep(np.array([2e4, -2e4, np.nan, 3.0]), 2, 4)
-    assert np.isnan(f[:, :3]).all() and np.isfinite(f[:, 3]).all()
-
-
-def test_dp_sweep_second_kind_against_300_digits():
-    for lo in (0, 1, 3, 6, 12, 20, 34, 49, 60):
-        g = sf.dp_sweep(SWEEP_X, lo, lo)[1]
+    for k in range(61):
+        ref = [dp_sinc_series(k, x) for x in SWEEP_X.tolist()]
+        c_k = Decimal((-1) ** k) / math.prod(range(1, 2 * k + 2, 2))
+        f, g = sf.dp_sweep(SWEEP_X, k, k, cosc=True)
+        want = np.array([float(v) for v in ref])
+        for got in (whole[k], f[0], sf.dp_sinc(k, SWEEP_X)):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), k
+        want = np.array([float(v / c_k) for v in ref])
+        assert np.all(np.abs(sf.sph_bessel_j(k, SWEEP_X) - want) <= 1e-12 * np.abs(want)), k
         for x, v in zip(SWEEP_X.tolist(), g.tolist()):
-            if math.isfinite(v):
-                ref = sf.dp_trig_mp(lo, Decimal(x), "cos", 300)
-                assert abs(Decimal(v) - ref) <= Decimal("1e-12") * abs(ref), (lo, x)
+            want = sf.dp_trig_mp(k, Decimal(x), "cos", 60)
+            if abs(want) < Decimal(sys.float_info.max):
+                assert abs(Decimal(v) - want) <= Decimal("1e-12") * abs(want), (k, x)
+            else:
+                assert math.isnan(v), (k, x)
+        normal = ~np.isnan(g)
+        assert np.array_equal(sf.dp_cosc(k, SWEEP_X[normal]), g[normal]), k
+        if not normal.all():
+            with pytest.raises(ArithmeticError, match=f"p = {k}, x = 0.001$"):
+                sf.dp_cosc(k, SWEEP_X)
+
+
+def test_dp_sweep_is_nan_where_a_value_is_no_normal_float():
+    # the second kind overflows at small x from about lo = 49 on, and there
+    # the first kind is still normalized; a value that underflows (every
+    # order from 150 on, where c_q is subnormal) is NaN, never 0
+    for lo, edge in ((49, 0.0045), (60, 0.019)):
+        f, g = sf.dp_sweep(SWEEP_X, lo, lo + 2, cosc=True)
+        assert np.array_equal(np.isnan(g), SWEEP_X < edge), lo
+        assert np.all(np.abs(f) > 0), lo
+    assert np.isfinite(sf.dp_sweep(np.array([2e4, -2e4]), 2, 4)[0]).all()
+    f = sf.dp_sweep(np.array([1e-3, 0.5, 2.0, 1e200, np.nan]), 148, 151)[0]
+    assert np.isfinite(f[:2, :3]).all() and np.isnan(f[2:]).all() and np.isnan(f[:, 3:]).all()
+    with pytest.raises(ArithmeticError, match=r"p = 3, x = 1e\+100"):
+        sf.dp_sinc(3, 1e100)  # 1e-400: it read -0.0
+    assert math.isnan(sf.sph_bessel_j(150, 1e6)) and sf.sph_bessel_j(150, 0.0) == 1.0
 
 
 def test_dp_sweep_rows_equal_one_point_calls():
-    # each element's sweep starts at its own order: a batch, with small,
-    # negative, large, out-of-reach and NaN points, equals its one-point calls
+    # each element takes its branch from its own |x|: a batch, with small,
+    # negative, large, zero and NaN points, equals its one-point calls
     xs = np.concatenate([np.geomspace(1e-3, 300.0, 40), -np.geomspace(0.01, 80.0, 9),
-                         [1e-300, 5e3, 2e4, np.nan]])
+                         [1e-300, 0.0, 1.0, 7.0, 12.0, 5e3, 2e4, np.nan]])
     for lo, hi in ((0, 0), (0, 7), (3, 3), (6, 12), (30, 60)):
-        f, g = sf.dp_sweep(xs, lo, hi)
-        ones = [sf.dp_sweep(np.array([x]), lo, hi) for x in xs.tolist()]
+        f, g = sf.dp_sweep(xs, lo, hi, cosc=True)
+        ones = [sf.dp_sweep(np.array([x]), lo, hi, cosc=True) for x in xs.tolist()]
         assert np.array_equal(f, np.hstack([one[0] for one in ones]), equal_nan=True), lo
         assert np.array_equal(g, np.concatenate([one[1] for one in ones]), equal_nan=True), lo
 
@@ -617,8 +599,10 @@ def test_dp_sweep_rows_equal_one_point_calls():
 def test_first_kind_reference_values():
     assert relerr(sf.sph_bessel_j(1, 2.0), REF["j_k1_x2"]) < 1e-14
     assert relerr(sf.sph_bessel_j(3, 4.7), REF["j_k3_x4_7"]) < 1e-14
-    # below the switch radius for k = 8: exercises the series branch
+    # below the order: Miller's sweep, normalized by the Wronskian
     assert relerr(sf.sph_bessel_j(8, 3.1), REF["j_k8_x3_1"]) < 1e-14
+    # raw, c_49 j_49(30) is -3.4e-81; normalized, it is 0.0093
+    assert abs(sf.sph_bessel_j(49, 30.0) / REF["j_k49_x30"] - 1) < 1e-13
 
 
 def test_second_kind_reference_values():
@@ -662,17 +646,9 @@ def test_raw_first_kind_is_sinc_chain():
     assert sf.dp_cosc(0, x) == pytest.approx(math.cos(x) / x, rel=1e-15)
 
 
-def test_switch_boundary_continuity():
-    for k in range(9):
-        swr = sf.switch_radius(k)
-        lo = sf.sph_bessel_j(k, swr - 1e-12)
-        hi = sf.sph_bessel_j(k, swr + 1e-12)
-        assert relerr(lo, hi) < 1e-12
-
-
 def test_array_path_matches_scalar():
-    # a scalar is a one-element array: bit for bit on both sides of the
-    # switch radius
+    # a scalar is a one-element array: bit for bit in every branch of the
+    # sweep
     xs = np.concatenate([np.linspace(0.1, 25.0, 101), np.linspace(0.6, 40.0, 2000)])
     for k in (0, 2, 3, 8):
         want = [sf.sph_bessel_j(k, float(x)) for x in xs]
@@ -709,6 +685,8 @@ def test_zero_reference_values():
     assert abs(sf.bessel_zero(1, 1) - REF["zero_k1_i1"]) < 1e-11
     assert abs(sf.bessel_zero(2, 1) - REF["zero_k2_i1"]) < 1e-11
     assert abs(sf.bessel_zero(8, 3) - REF["zero_k8_i3"]) < 1e-11
+    assert abs(sf.bessel_zero(80, 1) - REF["zero_k80_i1"]) < 1e-11
+    assert abs(sf.bessel_zero(81, 1) - REF["zero_k81_i1"]) < 1e-11
 
 
 def test_zeros_increase_and_interlace():
@@ -730,10 +708,9 @@ def test_no_common_zeros_scale_aware():
 
 
 def _zeros_by_raw_j(k, count):
-    """The first `count` zeros as one bessel_zero call per index finds them,
-    when scan and bisection called dp_sinc at every step (the form before the
-    sign test on the float sum)."""
-    f = lambda x: sf.dp_sinc(k, x)
+    """The first `count` zeros as one bessel_zero call per index finds them:
+    scan and bisection read the sign bessel_zero reads."""
+    f = lambda x: sf._j_forward(k, x)
     zeros = []
     lo = max(k + 0.5, 0.5)
     flo = f(lo)
@@ -765,9 +742,8 @@ def _zeros_by_raw_j(k, count):
 
 
 def test_zeros_equal_the_raw_j_bisection():
-    # the search reads signs from the float trig sum where rounding cannot
-    # flip them; every zero must be the one the dp_sinc search finds, bit for
-    # bit, whichever index a call asks for first
+    # every zero must be the one the plain bisection finds, bit for bit,
+    # whichever index a call asks for first
     for k in range(13):
         sf._zero_cache(k).clear()
         last = sf.bessel_zero(k, 20)
@@ -796,6 +772,15 @@ def test_zeros_past_512_end():
     assert zeros[-1] > 512
     for z, want in zip(zeros, wants):
         assert abs(z - float(want)) <= math.ulp(z), (z, want)
+
+
+@pytest.mark.parametrize("k", [76, 78, 80, 81, 148])
+def test_zeros_at_large_k(k):
+    # the sign from dp_sinc's x^-(2k+1) scaling underflowed here (the first
+    # zero read 89.8750 at k = 81, for 89.7841)
+    for i in (1, 2, 3):
+        want = float(mpmath.besseljzero(k + 0.5, i))
+        assert abs(sf.bessel_zero(k, i) / want - 1) <= 1e-12, (k, i)
 
 
 def test_zero_argument_validation():

@@ -180,12 +180,12 @@ def test_mk_two_sided_limit_at_minus_one():
 
 
 def test_mk_retry_rescues_float_cancellation():
-    # at k = 30 the float jet loses digits; the 80-digit recomputation
+    # at k = 40 the float jet loses digits; the 80-digit recomputation
     # restores the identity
-    lhs, rhs, scale = sp._mk_sides(30, np.array([3.0]), np.array([0.7]))
+    lhs, rhs, scale = sp._mk_sides(40, np.array([1.0]), np.array([0.5]))
     den = max(abs(lhs[0]), abs(rhs[0]), 1e-14 * scale[0])
     assert abs(lhs[0] - rhs[0]) / den > 1e-7
-    assert sp.mk_residual(30, 3.0, 0.7) <= 1e-60
+    assert sp.mk_residual(40, 1.0, 0.5) <= 1e-60
 
 
 def test_mk_retry_resolves_small_and_large_lam():

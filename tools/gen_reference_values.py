@@ -43,7 +43,8 @@ def main():
 
     f("j_k1_x2", jnorm(1, 2.0))
     f("j_k3_x4_7", jnorm(3, 4.7))
-    f("j_k8_x3_1", jnorm(8, 3.1))  # below the series/closed switch for k=8
+    f("j_k8_x3_1", jnorm(8, 3.1))  # below the order k = 8
+    f("j_k49_x30", jnorm(49, 30.0))
 
     def ynorm(k, xx):
         # second-kind normalization matching raw/c_k: expanding the Rayleigh
@@ -61,6 +62,11 @@ def main():
     f("dp_sinc_p10_x0_3", Dp(sinc, mp.mpf("0.3"), 10))
     f("dp_cosc_p2_x0_9", Dp(cosc, mp.mpf("0.9"), 2))
     f("dp_cosc_p7_x0_5", Dp(cosc, mp.mpf("0.5"), 7))
+    f("dp_sinc_p5_x2_2142205983092773", Dp(sinc, mp.mpf(2.2142205983092773), 5))
+    # D^k (cos x / x) = -(-1)^k y_k(x) / x^k, y_k the standard spherical
+    # Bessel function of the second kind (order 60 is past mp.diff's reach)
+    x50 = mp.mpf(50)
+    f("dp_cosc_p60_x50", -mp.sqrt(mp.pi / (2 * x50)) * mp.bessely(60.5, x50) / x50**60)
     f("dp_inv_m3_d2_t0_7", Dp(lambda tt: 1 / (tt * (tt + 1) ** 2), mp.mpf("0.7"), 3))
     f("dp_inv_m2_d5_tm0_4", Dp(lambda tt: 1 / (tt * (tt + 1) ** 5), mp.mpf("-0.4"), 2))
 
@@ -68,6 +74,8 @@ def main():
     f("zero_k1_i1", mp.besseljzero(mp.mpf(3) / 2, 1))
     f("zero_k2_i1", mp.besseljzero(mp.mpf(5) / 2, 1))
     f("zero_k8_i3", mp.besseljzero(mp.mpf(17) / 2, 3))
+    f("zero_k80_i1", mp.besseljzero(mp.mpf(161) / 2, 1))
+    f("zero_k81_i1", mp.besseljzero(mp.mpf(163) / 2, 1))
 
     # --- Gegenbauer
     f("gegen_m3_a1_5_x0_4", sp.N(sp.gegenbauer(3, sp.Rational(3, 2), sp.Rational(2, 5)), 40))
