@@ -345,31 +345,6 @@ def _kind_coeffs(p: int, kind: str):
     return cs, cc
 
 
-def _trig_sum(cs, cc, x):
-    """The closed trig form times x^(2p+1) and its summed term magnitude,
-    (acc, mag), at a Decimal x (at the working precision) or a float.  Every
-    l has one nonzero coefficient (`_trig_coeffs`), so |term| is the
-    magnitude of its one product."""
-    sx, cx = _sin_cos(x)
-    acc = mag = x * 0
-    xp = 1
-    for s, c in zip(cs, cc):
-        term = (s * sx + c * cx) * xp
-        acc = acc + term
-        mag = mag + abs(term)
-        xp = xp * x
-    return acc, mag
-
-
-def _trig_sum_mp(cs, cc, x):
-    """The closed trig form and its summed term magnitude, in Decimals at
-    the working precision."""
-    xm = Decimal(x)
-    acc, mag = _trig_sum(cs, cc, xm)
-    power = -(2 * len(cs) - 1)
-    return acc * xm ** power, mag * abs(xm) ** power
-
-
 def dp_trig_mp(p: int, x, kind: str, dps: int):
     """D^p (sin x / x) (kind "sin") or D^p (cos x / x) (kind "cos") by the
     closed trig form, in Decimals at a fixed working precision.
@@ -379,7 +354,13 @@ def dp_trig_mp(p: int, x, kind: str, dps: int):
     """
     cs, cc = _kind_coeffs(p, kind)
     with decimal_context(dps):
-        return _trig_sum_mp(cs, cc, x)[0]
+        x = Decimal(x)
+        sx, cx = decimal_sin_cos(x)
+        acc, xp = Decimal(0), 1
+        for s, c in zip(cs, cc):
+            acc += (s * sx + c * cx) * xp
+            xp *= x
+        return acc * x ** -(2 * p + 1)
 
 
 def _dp_sinc_mp(q: int, x: Decimal, dps: int) -> Decimal:
@@ -558,34 +539,6 @@ def sph_bessel_j(k: int, x):
     with np.errstate(all="ignore"):
         j = _normal(_sweep(xs.ravel(), k, k, False)[0][0])
     return j.reshape(xs.shape) if xs.ndim else float(j[0])
-
-
-# ---------------------------------------------------------------------------
-# Gegenbauer polynomials
-
-
-def gegenbauer(m: int, alpha: float, x):
-    """C_m^alpha(x) by the standard three-term recurrence (alpha > 0)."""
-    if m < 0:
-        raise ValueError("m >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha > 0")
-    xs = np.asarray(x, dtype=float)
-    prev = np.ones_like(xs)
-    if m == 0:
-        return prev if isinstance(x, np.ndarray) else float(prev)
-    cur = 2 * alpha * xs
-    for i in range(2, m + 1):
-        prev, cur = cur, (2 * xs * (i + alpha - 1) * cur - (i + 2 * alpha - 2) * prev) / i
-    return cur if isinstance(x, np.ndarray) else float(cur)
-
-
-def gegenbauer_at_one(m: int, alpha: float) -> float:
-    """C_m^alpha(1) = C(m + 2 alpha - 1, m) (generalized binomial)."""
-    acc = 1.0
-    for i in range(1, m + 1):
-        acc *= (2 * alpha - 1 + i) / i
-    return acc
 
 
 # ---------------------------------------------------------------------------

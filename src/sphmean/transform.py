@@ -11,6 +11,14 @@ where Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2) is nonnegative on the
 integration range.  D-derivatives of the data (D = (1/t) d/dt) integrate
 the kernel D^p Q^k in factored form, Q^(k-p) times a Jacobi polynomial
 (`_dp_q_kernels`), never finite differences; checked for odd n <= 41.
+
+Single-harmonic data of degree m take the same kernel at order m + k:
+
+    D^p phi_m(t) = integral u^(1-m) f(u) [D^p Q^(m+k)](t,u) du,
+    h_m(t) = c_n k! / ((m+k)! 8^m) * D^m phi_m(t),
+
+with c_n the radial constant above, so h_0 = h.  The second line is
+Rodrigues' formula for the Gegenbauer kernel of the Funk-Hecke integral.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import Jet, _power, gegenbauer, gegenbauer_at_one
+from .specfun import Jet, _power
 
 T_FLOOR = 1e-3  # below this, dividing h by t^(n-2) is refused
 
@@ -43,11 +51,6 @@ class Dimension:
     @property
     def k(self) -> int:
         return (self.n - 3) // 2
-
-    @property
-    def alpha(self) -> float:
-        """Gegenbauer order (n-2)/2 attached to this dimension."""
-        return (self.n - 2) / 2
 
 
 def omega(n: int) -> float:
@@ -329,7 +332,11 @@ def g_from_h(h, t, n: int):
 @lru_cache(maxsize=None)
 def _front_constant(n: int) -> float:
     k = (n - 3) // 2
-    return omega(n - 1) / (4 ** k * omega(n))
+    try:
+        return omega(n - 1) / (4 ** k * omega(n))
+    except OverflowError:  # Gamma(n/2) leaves the float range from n = 345
+        raise OverflowError(
+            f"the transform's front constant overflows a float at n={n}") from None
 
 
 def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -337,9 +344,10 @@ def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     return _radial_dp(profile, dim, t, 0, quad)
 
 
-def _dp_q_kernels(K: int, orders, t, u) -> list:
-    """[D^p Q^K](t, u) for each p in orders, 0 <= p <= K, for floats, arrays
-    or Fractions.
+def _dp_q_kernels(K: int, orders, t, u, out=None):
+    """[D^p Q^K](t, u) for each p in orders, 0 <= p <= K, one row per order,
+    for floats, arrays or Fractions: written into the rows of `out`, or of a
+    new array (of objects for Fractions).
 
     With x = t^2, A = x - (1+u)^2, B = x - (1-u)^2, s = (A+B)/2, d = 2u:
     Q = -AB = d^2 - s^2 and D = 2 d/ds, so Rodrigues' formula for the Jacobi
@@ -347,64 +355,80 @@ def _dp_q_kernels(K: int, orders, t, u) -> list:
     R_p = d^p P_p^(a,a)(s/d): R_0 = 1, R_1 = (a+1) s, n (n+2a) R_n =
     (n+a) [(2n+2a-1) s R_(n-1) - (n+a-1) d^2 R_(n-2)].  Unlike monomials
     t^i u^j or a Leibniz sum in A and B, nothing cancels as K grows.  A, B,
-    s and d^2 are shared; each order runs its own recurrence and Q^a chain.
+    s and d^2 are shared; each order runs its recurrence in two scratch
+    buffers and its Q^a chain in its own row, all in place.
     """
-    if not orders:
-        return []
-    x_alpha = (t - 1 - u) * (t + 1 + u)
-    x_beta = (t - 1 + u) * (t + 1 - u)
-    s = (x_alpha + x_beta) / 2
-    d_sq = 4 * u * u
-    q = x_alpha * x_beta  # -Q
-    kernels = []
-    for p in orders:
+    x_alpha = t - 1 - u
+    x_alpha *= t + 1 + u
+    x_beta = t - 1 + u
+    x_beta *= t + 1 - u
+    s = x_alpha + x_beta
+    s /= 2
+    d_sq = 4 * u
+    d_sq *= u
+    q = x_alpha  # -Q
+    q *= x_beta
+    if out is None:
+        out = np.empty((len(orders),) + np.shape(q), np.asarray(q).dtype)
+    r_prev, r, tmp = (np.empty_like(q) for _ in range(3))
+    for i, p in enumerate(orders):
         a = K - p
-        r_prev, r = 1, (a + 1) * s
-        for n in range(2, p + 1):
-            step = (2 * n + 2 * a - 1) * s * r - (n + a - 1) * d_sq * r_prev
-            r_prev, r = r, step * (n + a) / (n * (n + 2 * a))
-        value = (-1) ** K * 4 ** p * math.factorial(p) * (r if p else r_prev)
+        np.multiply(s, a + 1, out=r)
+        for n in range(2, p + 1):  # R_n over R_(n-2), once tmp holds its term
+            np.multiply(d_sq, n + a - 1, out=tmp)
+            if n > 2:  # R_0 = 1
+                tmp *= r_prev
+            np.multiply(s, 2 * n + 2 * a - 1, out=r_prev)
+            r_prev *= r
+            r_prev -= tmp
+            r_prev *= n + a
+            r_prev /= n * (n + 2 * a)
+            r_prev, r = r, r_prev
+        row = out[i, ...]
+        np.multiply(r if p else 1, (-1) ** K * 4 ** p * math.factorial(p), out=row)
         for _ in range(a):
-            value = value * q
-        kernels.append(value)
-    return kernels
+            row *= q
+    return out
 
 
 def _kernel_integrals(profile, ts, orders, weight, kernels, quad: QuadratureRule):
     """(orders x t) integrals of weight(u) f(u) K_p(t, u) over the support
-    range, all orders in one sweep; kernels(rows, u) lists the (rows x nodes)
-    kernel of each order."""
+    range, all orders in one sweep and a repeated order once;
+    kernels(rows, u, distinct, out) writes the (rows x nodes) kernel of each
+    order of the ascending `distinct` into its row of out."""
+    distinct = sorted(set(orders))
 
     def integrand(rows, u, f_u):
-        values = np.empty((len(orders),) + u.shape)
-        for value, kernel in zip(values, kernels(rows, u)):
-            np.multiply(f_u, kernel, out=value)
+        values = np.empty((len(distinct),) + u.shape)
+        kernels(rows, u, distinct, values)
+        values *= f_u
         return values
 
     a, b = _u_range(profile, ts)
-    return quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
-                               (len(orders),))
+    values = quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
+                                 (len(distinct),))
+    return values[[distinct.index(p) for p in orders]]
 
 
 def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
     """D^p h for forward_h and forward_h_dp; p = 0 integrates Q^k itself."""
-    k = dim.k
+    k, c = dim.k, _front_constant(dim.n)
     orders = _orders(p, k, "kernel differentiation supports 0 <= p <= k")
     ts, shape = _batch(t)
-    dp_orders = sorted(set(orders) - {0})
     if 0 in orders:  # Q^k itself, from the row factors (1 +- t)^2
         plus = _power(1 + ts, 2)
         minus = _power(1 - ts, 2)
 
-    def kernels(rows, u):
-        by_order = dict(zip(dp_orders, _dp_q_kernels(k, dp_orders, ts[rows, None], u)))
-        if 0 in orders:
+    def kernels(rows, u, distinct, out):
+        if distinct[0] == 0:
             u2 = u ** 2
-            by_order[0] = ((plus[rows, None] - u2) * (u2 - minus[rows, None])) ** k
-        return [by_order[order] for order in orders]
+            out[0] = ((plus[rows, None] - u2) * (u2 - minus[rows, None])) ** k
+            distinct, out = distinct[1:], out[1:]
+        if distinct:
+            _dp_q_kernels(k, distinct, ts[rows, None], u, out)
 
     values = _kernel_integrals(profile, ts, orders, lambda u: u, kernels, quad)
-    return _by_order(_front_constant(dim.n) * values, p, shape)
+    return _by_order(c * values, p, shape)
 
 
 def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_QUAD):
@@ -421,31 +445,32 @@ def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_Q
 # forward transform, single-harmonic case
 
 
-def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """h_m(t) = t^(n-2) g_m(t) for a single-harmonic component, division-free.
+def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
+    """(orders x t) values of D^p phi_m = integral of u^(1-m) f(u)
+    [D^p Q^(m+k)](t, u) du, the one integral of both harmonic entry points."""
+    mk = m + dim.k
 
-    Gegenbauer-kernel quadrature; the kernel argument (1 + u^2 - t^2)/(2u)
-    stays in [-1, 1] on the integration range (checked, then clipped at
-    roundoff level).
+    def kernels(rows, u, distinct, out):
+        _dp_q_kernels(mk, distinct, ts[rows, None], u, out)
+
+    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), kernels, quad)
+
+
+def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
+    """h_m(t) = t^(n-2) g_m(t) for a single-harmonic component, division-free:
+    K_(n,m) D^m phi_m, with K_(n,m) = c_n k! / ((m+k)! 8^m) and c_n the radial
+    front constant (so h_0 is the radial h).
+
+    The Funk-Hecke integral of h_m has the kernel (1 - x^2)^k C_m^(k+1/2)(x),
+    x = (1 + u^2 - t^2)/(2u); by Rodrigues' formula that is a multiple of
+    u^m (4u^2)^(-m-k) D^m Q^(m+k), since d/dx = -u D and 1 - x^2 = Q/(4u^2).
     """
     ts, shape = _batch(t)
     if m < 0:
         raise ValueError("m >= 0")
-    n, k, alpha = dim.n, dim.k, dim.alpha
-    c = omega(n - 1) / (omega(n) * gegenbauer_at_one(m, alpha))
-    t_sq = ts * ts
-
-    def integrand(rows, u, f_u):
-        x_arg = (1.0 + u * u - t_sq[rows, None]) / (2.0 * u)
-        if np.any(np.abs(x_arg) > 1.0 + 1e-12):
-            raise FloatingPointError(
-                "Gegenbauer kernel argument left [-1, 1] on the integration range")
-        x_arg = np.clip(x_arg, -1.0, 1.0)
-        return f_u * gegenbauer(m, alpha, x_arg) * (1.0 - x_arg * x_arg) ** k
-
-    a, b = _u_range(profile, ts)
-    values = quad.integrate_rows(lambda u: u ** (n - 2) * profile(u), integrand, a, b)
-    return _shaped(c * values, shape)
+    k = dim.k
+    scale = _front_constant(dim.n) * (math.factorial(k) / (math.factorial(m + k) * 8 ** m))
+    return _shaped(scale * _phi_dp(profile, dim, m, ts, (m,), quad)[0], shape)
 
 
 def phi_harmonic_dp(
@@ -459,15 +484,9 @@ def phi_harmonic_dp(
     """
     if m < 0:
         raise ValueError("m >= 0")
-    mk = m + dim.k
-    orders = _orders(p, mk, "phi kernel differentiation supports 0 <= p <= m+k")
+    orders = _orders(p, m + dim.k, "phi kernel differentiation supports 0 <= p <= m+k")
     ts, shape = _batch(t)
-
-    def kernels(rows, u):
-        return _dp_q_kernels(mk, orders, ts[rows, None], u)
-
-    values = _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), kernels, quad)
-    return _by_order(values, p, shape)
+    return _by_order(_phi_dp(profile, dim, m, ts, orders, quad), p, shape)
 
 
 # ---------------------------------------------------------------------------

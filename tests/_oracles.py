@@ -5,6 +5,10 @@
 - `funk_hecke_forward`: g(t) by the angular-variable integral, a second
   route to the radial forward transform.
 - `h_from_phi`: h_m(t) of single-harmonic data by the D^m phi route.
+- `gegenbauer_forward_h`: h_m(t) by the Funk-Hecke integral with its
+  Gegenbauer kernel, in x = (1 + u^2 - t^2) / (2u); with `gegenbauer` and
+  `gegenbauer_at_one`, the reference the package's D^m phi_m route is
+  checked against.
 - `dp_inv_poly`: D^m (1 / (t (t+1)^d)) as a closed alternating sum.
 - `dp_sinc_series`: D^p (sin x / x) by its power series in x^2 / 2, in
   Decimals; it needs no mpmath.
@@ -211,6 +215,52 @@ def h_from_phi(data, t: float) -> float:
     return const_Kmn(data.dim, data.m) * data.phi_dp(t, data.m)
 
 
+def gegenbauer(m: int, alpha: float, x):
+    """C_m^alpha(x) by the standard three-term recurrence (alpha > 0)."""
+    if m < 0:
+        raise ValueError("m >= 0")
+    if alpha <= 0:
+        raise ValueError("alpha > 0")
+    xs = np.asarray(x, dtype=float)
+    prev = np.ones_like(xs)
+    if m == 0:
+        return prev if isinstance(x, np.ndarray) else float(prev)
+    cur = 2 * alpha * xs
+    for i in range(2, m + 1):
+        prev, cur = cur, (2 * xs * (i + alpha - 1) * cur - (i + 2 * alpha - 2) * prev) / i
+    return cur if isinstance(x, np.ndarray) else float(cur)
+
+
+def gegenbauer_at_one(m: int, alpha: float) -> float:
+    """C_m^alpha(1) = C(m + 2 alpha - 1, m) (generalized binomial)."""
+    acc = 1.0
+    for i in range(1, m + 1):
+        acc *= (2 * alpha - 1 + i) / i
+    return acc
+
+
+def gegenbauer_forward_h(profile, dim, m: int, t, quad=tr.DEFAULT_QUAD):
+    """h_m(t) = (omega_{n-1} / (omega_n C_m(1))) * integral u^(n-2) f(u)
+    C_m(x) (1 - x^2)^k du, with C_m = C_m^((n-2)/2) and
+    x = (1 + u^2 - t^2) / (2u), which stays in [-1, 1] on the integration
+    range (checked, then clipped at roundoff level)."""
+    ts, shape = tr._batch(t)
+    n, k, alpha = dim.n, dim.k, (dim.n - 2) / 2
+    c = tr.omega(n - 1) / (tr.omega(n) * gegenbauer_at_one(m, alpha))
+    t_sq = ts * ts
+
+    def integrand(rows, u, f_u):
+        x_arg = (1.0 + u * u - t_sq[rows, None]) / (2.0 * u)
+        if np.any(np.abs(x_arg) > 1.0 + 1e-12):
+            raise FloatingPointError("Gegenbauer kernel argument left [-1, 1]")
+        x_arg = np.clip(x_arg, -1.0, 1.0)
+        return f_u * gegenbauer(m, alpha, x_arg) * (1.0 - x_arg * x_arg) ** k
+
+    a, b = tr._u_range(profile, ts)
+    values = quad.integrate_rows(lambda u: u ** (n - 2) * profile(u), integrand, a, b)
+    return tr._shaped(c * values, shape)
+
+
 def dp_inv_poly(m: int, d: int, t) -> float:
     """D^m ( 1 / (t (t+1)^d) ) as the closed alternating sum, with the
     convention C(-1, 0) = 1; t not in {0, -1}.  The sum is taken in floats,
@@ -313,7 +363,7 @@ def const_Kmn(dim, m: int) -> float:
     """
     if m < 0:
         raise ValueError("m >= 0")
-    n, k, alpha = dim.n, dim.k, dim.alpha
+    n, k, alpha = dim.n, dim.k, (dim.n - 2) / 2
     K = (
         (-1) ** m
         * math.gamma(alpha + 0.5)
@@ -324,7 +374,7 @@ def const_Kmn(dim, m: int) -> float:
         K
         * (-1) ** m
         * tr.omega(n - 1)
-        / (4 ** (m + k) * tr.omega(n) * sf.gegenbauer_at_one(m, alpha))
+        / (4 ** (m + k) * tr.omega(n) * gegenbauer_at_one(m, alpha))
     )
     if not value > 0:
         raise FloatingPointError(f"const_Kmn(n={n}, m={m}) = {value} is not positive")

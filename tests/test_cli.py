@@ -651,6 +651,19 @@ def test_a_kernel_that_overflows_is_a_numerical_error(tmp_path, command, n):
     assert "lam=" in run.stderr and "FAIL" not in run.stdout
 
 
+@pytest.mark.parametrize("command, extra", [("forward", ["--grid", "5"]),
+                                            ("zeros", ["--count", "2"])])
+def test_a_front_constant_past_float_range_is_named(tmp_path, capsys, command, extra):
+    # Gamma(n/2) in the front constant overflows a float from n = 345; the
+    # refusal was a bare "math range error"
+    argv = [command, "--config", _write_profile(tmp_path), "--n", "345", *extra,
+            "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: the transform's front constant overflows a float at n=345\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_zeros_passes_at_large_n(tmp_path, capsys):
     # at k = 149 the raw first kind, and with it the sign bessel_zero read,
     # underflowed: the scan took lam = 149.5 for a zero and the transform
@@ -1058,7 +1071,7 @@ FORWARD_ARTIFACTS = {
     "forward-n9": (["forward", "--n", "9", "--grid", "2001", "--derivatives"], None,
                    {"": "1f106a22f43bc90aaf7e5a4591b87649934fdee08353deb8ced15062ec2c8ede"}),
     "forward-n5-m2": (["forward", "--n", "5", "--m", "2", "--grid", "2001"], None,
-                      {"": "f13bc5ed746a1b907b7be5af749599a8d58e4426f44dfa7bfa77d9de141d5fdc"}),
+                      {"": "d24076d8d0b0553711fe0dd65687f0d484bafb90685a54f7da7b9df299b4c17f"}),
     "ucp-demo": (["ucp-demo"], UCP_SPEC,
                  {"_g": "05ce7215b38e5e3ec288139d91bc85eac27336550044043ddb2651a6d95fbb17",
                   "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
@@ -1199,7 +1212,7 @@ RUN_ARTIFACTS = {
     "range-check-m0": (["range-check", "--config", "PROFILE"], "rc.json", 0, {
         "rc.json": "4a358a2ab7cfb1d55e0f12bc84d018161a6cf698ec29f4e63aaab1d1acabf998"}),
     "range-check-m2": (["range-check", "--config", "PROFILE", "--m", "2"], "rc.json", 0, {
-        "rc.json": "a8c2b32ac7221027fab396b1dd5c51126c2ec2fc36aceb55bd7bb91430271a30"}),
+        "rc.json": "9b028c74fe0d6a0633ce94b954fd587e84d6ab477a4c434ed0af1410ba300ee8"}),
     "range-check-input": (["range-check", "--n", "3", "--input", "SAMPLES"], "rc.json", 0, {
         "rc.json": "098c1ee7d274733fcdf1e14d9031644fc603f1085490a8128cb502f29ed35274"}),
     "range-check-input-m2": (
@@ -1211,12 +1224,12 @@ RUN_ARTIFACTS = {
     "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
         "mk.csv": "d71d31e6d4625eadfb156f10dac8ebfba971902fd40b67a866431bbdec5e9f13"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
-        "zeros.csv": "a6945448de4432b4cac8241248b66127f34906765cb5cfe6132a3511664da36f"}),
+        "zeros.csv": "e95cca26860b14828f8d61ca38c3797112bdc6db874d483d846413bd7db1d613"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
         "zeros.csv": "faf87f30d9085d419391b586a5ac64459262ad374cb0c1139b436f8d76f8b8c3"}),
     # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
     "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
-        "cc.csv": "41d05615dbfd33d0e06cc44159bec2de4f16cdf728b8ac526bf5d5ef5c2e1ab3"}),
+        "cc.csv": "65dba7934d7949bf7bc9df32f4796c0df9938ca53d6aac9b6a4e39477c716b4c"}),
 }
 
 

@@ -17,7 +17,8 @@ from mpmath import mp
 from sphmean import exactmath as em
 from sphmean import specfun as sf
 
-from _oracles import DenseJet, d_operator, dp_inv_poly, dp_sinc_series
+from _oracles import (DenseJet, d_operator, dp_inv_poly, dp_sinc_series, gegenbauer,
+                      gegenbauer_at_one)
 from _reference import REFERENCE as REF
 
 
@@ -359,21 +360,15 @@ def test_decimal_context_ignores_the_callers_context():
 _CANCELLING_XS = np.concatenate([np.geomspace(0.01, 40.0, 300), [0.3, 0.5, 1e-3, 3.0, 7.5]])
 
 
-@pytest.mark.parametrize("kind", ["sin", "cos"])
-def test_each_power_has_one_nonzero_coefficient(kind):
-    # so |term| in _trig_sum is the magnitude of its one product: the sine
-    # row is nonzero at even l, the cosine row at odd l (swapped for cos)
-    for p in range(41):
-        cs, cc = sf._kind_coeffs(p, kind)
-        for l, (s, c) in enumerate(zip(cs, cc)):
-            assert (s != 0) != (c != 0), (p, l)
-            assert (s != 0) == (l % 2 == (kind == "cos")), (p, l)
-
-
 def _closed_form_cancels(p, x, kind):
-    """Whether the float closed form at x loses more than 4 digits: its term
-    magnitude exceeds 1e4 times its value."""
-    acc, mag = sf._trig_sum(*sf._kind_coeffs(p, kind), x)
+    """Whether the float closed form at x loses more than 4 digits: its
+    summed term magnitude exceeds 1e4 times its value."""
+    sx, cx = math.sin(x), math.cos(x)
+    acc = mag = 0.0
+    xp = 1
+    for s, c in zip(*sf._kind_coeffs(p, kind)):
+        term = (s * sx + c * cx) * xp
+        acc, mag, xp = acc + term, mag + abs(term), xp * x
     return mag > 1e4 * abs(acc)
 
 
@@ -657,19 +652,20 @@ def test_array_path_matches_scalar():
 
 
 def test_gegenbauer_reference_and_recurrence():
-    assert relerr(sf.gegenbauer(3, 1.5, 0.4), REF["gegen_m3_a1_5_x0_4"]) < 1e-14
-    assert relerr(sf.gegenbauer(5, 2.5, 0.8), REF["gegen_m5_a2_5_x0_8"]) < 1e-14
-    assert sf.gegenbauer(0, 0.7, 0.3) == 1.0
-    assert sf.gegenbauer(1, 0.7, 0.3) == pytest.approx(2 * 0.7 * 0.3)
+    # the Gegenbauer polynomials of the Funk-Hecke reference route for h_m
+    assert relerr(gegenbauer(3, 1.5, 0.4), REF["gegen_m3_a1_5_x0_4"]) < 1e-14
+    assert relerr(gegenbauer(5, 2.5, 0.8), REF["gegen_m5_a2_5_x0_8"]) < 1e-14
+    assert gegenbauer(0, 0.7, 0.3) == 1.0
+    assert gegenbauer(1, 0.7, 0.3) == pytest.approx(2 * 0.7 * 0.3)
     # Legendre case: C_2^{1/2}(1) = 1
-    assert sf.gegenbauer(2, 0.5, 1.0) == pytest.approx(1.0)
+    assert gegenbauer(2, 0.5, 1.0) == pytest.approx(1.0)
 
 
 def test_gegenbauer_at_one():
     for m in range(7):
         for alpha in (0.5, 1.5, 2.5):
-            want = sf.gegenbauer(m, alpha, 1.0)
-            assert relerr(sf.gegenbauer_at_one(m, alpha), want) < 1e-12
+            want = gegenbauer(m, alpha, 1.0)
+            assert relerr(gegenbauer_at_one(m, alpha), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Forward transform: closed-form anchors, cross-quadrature agreement,
-analytic kernel derivatives, and the two-route harmonic consistency."""
+analytic kernel derivatives, and the harmonic route against its Gegenbauer
+reference."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from sphmean import exactmath as em
 from sphmean import transform as tr
 
-from _oracles import PolynomialProfile, const_Kmn, funk_hecke_forward, h_from_phi
+from _oracles import PolynomialProfile, const_Kmn, funk_hecke_forward, gegenbauer_forward_h
 from _reference import REFERENCE as REF
 
 
@@ -29,7 +30,6 @@ BUMP = tr.BumpProfile(0.55, 0.25)
 def test_dimension_validation():
     assert tr.Dimension(3).k == 0
     assert tr.Dimension(7).k == 2
-    assert tr.Dimension(5).alpha == 1.5
     with pytest.raises(ValueError):
         tr.Dimension(4)
     with pytest.raises(ValueError):
@@ -321,13 +321,32 @@ def test_const_Kmn_reference_values():
     assert const_Kmn(D3, 0) == pytest.approx(tr.omega(2) / tr.omega(3), rel=1e-14)
 
 
-def test_harmonic_two_route_consistency():
-    # g_m by Gegenbauer quadrature vs const * D^m phi: independent constants,
-    # kernels, and integrands
-    for dim, m in ((D3, 1), (D3, 2), (D5, 1)):
-        H = tr.HarmonicForwardData(BUMP, dim, m)
-        for t in (0.55, 0.95, 1.3):
-            assert abs(h_from_phi(H, t) - H.h(t)) <= 1e-8 * max(1.0, abs(H.h(t)))
+def test_harmonic_constant_is_const_Kmn():
+    # h_m is K_(n,m) D^m phi_m: its constant against the Gamma-function form
+    # (worst 6.7e-16), and at m = 0 the radial constant itself
+    for n in (3, 5, 9, 21, 41):
+        dim = tr.Dimension(n)
+        for m in range(7):
+            ratio = tr.forward_harmonic_h(BUMP, dim, m, 1.0) / tr.phi_harmonic_dp(BUMP, dim, m, 1.0, m)
+            assert relerr(ratio, const_Kmn(dim, m)) < 1e-14, (n, m)
+        h0 = tr.forward_harmonic_h(BUMP, dim, 0, 1.0)
+        assert h0 == tr._front_constant(n) * tr.phi_harmonic_dp(BUMP, dim, 0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bump", [BUMP, tr.BumpProfile(0.45, 0.45)], ids=["inner", "from-0"])
+def test_harmonic_h_matches_the_gegenbauer_route(bump):
+    # h_m by D^m phi_m against the Funk-Hecke integral with its Gegenbauer
+    # kernel, on the same rule: the integrands are equal as functions of u,
+    # so only rounding differs (worst 4.7e-15 of max|h|).  The second bump's
+    # support starts at u = 0, where the weight u^(1-m) is largest
+    quad = tr.QuadratureRule(32, 64)
+    ts = np.linspace(0.05, 1.95, 39)
+    for n in (3, 5, 9, 21, 41):
+        dim = tr.Dimension(n)
+        for m in (1, 2, 3, 6):
+            got = tr.forward_harmonic_h(bump, dim, m, ts, quad)
+            want = gegenbauer_forward_h(bump, dim, m, ts, quad)
+            assert _sup_relative(got, want) < 1e-13, (n, m)
 
 
 def test_phi_dp_order_cap():
