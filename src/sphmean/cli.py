@@ -295,7 +295,8 @@ class _Run:
 
     def emit_csv(self, columns, rows, out=None, comments=()):
         """A CSV artifact at `out` (default the run's --out, else stdout);
-        a str row is written as it is (a comment line)."""
+        a str row is written as it is (a comment line, or a line of
+        `_float_lines`), any other in `_fmt`'s format."""
         lines = [f"# smt {__version__}", f"# config sha256:{self.hash}",
                  f"# seed {self.seed}", *(f"# {c}" for c in comments), ",".join(columns)]
         lines.extend(row if isinstance(row, str) else _fmt(*row) for row in rows)
@@ -329,6 +330,14 @@ def _row_format(kinds) -> str:
 def _fmt(*cells) -> str:
     """The CSV text of a row of cells, in one % format."""
     return _row_format(tuple(map(type, cells))) % cells
+
+
+def _float_lines(*columns) -> list:
+    """The CSV lines of a float table, one array per column, in one %.17g
+    format: for rows of floats, the bytes of `_fmt`, with no format chosen
+    per row."""
+    line = ",".join(["%.17g"] * len(columns))
+    return [line % row for row in zip(*(c.tolist() for c in columns))]
 
 
 def _write(out, text: str):
@@ -431,8 +440,7 @@ def _cmd_forward(run):
         h = dp[0]
     else:
         h = data.h(grid)
-    values = [grid, g_from_h(h, grid, n), h, *dp]
-    run.emit_csv(columns, zip(*(v.tolist() for v in values)))
+    run.emit_csv(columns, _float_lines(grid, g_from_h(h, grid, n), h, *dp))
     return None, f"n={n} m={m}, {count} rows"
 
 
@@ -454,7 +462,7 @@ def _cmd_invert(run):
         res = invert_radial(_CsvH(t_in, g_in * t_in ** (n - 2)), Dimension(n), inv)
     except RuntimeError as exc:  # an ill-posed configuration
         raise _Refused(exc) from exc
-    run.emit_csv(["r", "f"], [(float(r), float(f)) for r, f in zip(res.nodes, res.values)])
+    run.emit_csv(["r", "f"], _float_lines(res.nodes, res.values))
     if run.out is not None:
         run.emit_json({"rank": res.rank, "residual": res.residual,
                        **run.effective["inversion"],
@@ -474,6 +482,7 @@ def _cmd_range_check(run):
         data = SampledH.from_function(_CsvH(t_in, h_in).h, a=lo, b=hi)
     greport = general_range_check(data, m, k=k, grid=default_grid(run.opts["grid"]))
     report = greport.range_report
+    _check_scale(run, report.scale, "the symmetry residual's scale")
     ok = report.passed(tol) and greport.defects_passed()
     run.emit_json({"n": n, "m": m, "k_used": report.k_used,
                    "sup_residual": report.sup_residual,
@@ -490,10 +499,11 @@ def _cmd_cross_check(run):
     lams = np.linspace(0.5, lam_max, run.opts["grid"])
     k = run.data.dim.k + run.opts["m"]  # harmonic data shifts the kernel order by m
     lhs, rhs, res = cross_product_terms(run.data, k, lams, run.quad)
+    _check_scale(run, float(np.max(np.maximum(np.abs(lhs), np.abs(rhs)))),
+                 "the largest side of the identity")
     # np.max keeps a NaN, which max() would drop and so read as a PASS
     worst = float(np.max(res))
-    run.emit_csv(["lambda", "lhs", "rhs", "residual"],
-                 zip(lams.tolist(), lhs.tolist(), rhs.tolist(), res.tolist()))
+    run.emit_csv(["lambda", "lhs", "rhs", "residual"], _float_lines(lams, lhs, rhs, res))
     return worst <= tol, f"worst residual {worst:.3e} (tol {tol:g})"
 
 
@@ -577,11 +587,14 @@ def _cmd_zeros(run):
     tol = run.opts["tol"]
     pairs, fmax = bessel_zero_vanishing(run.data, run.data.dim, run.opts["m"],
                                         run.opts["count"], run.quad)
+    _check_scale(run, fmax, "the transform's scale fmax")
+    lams, values = np.array(pairs).T
     # zero data has fmax 0: its ratios read 0, as cross_product_terms does
-    rows = [(lam, val, val / fmax if fmax != 0 else 0.0) for lam, val in pairs]
+    ratios = values / fmax if fmax != 0 else np.zeros(values.size)
     # np.max keeps a NaN, which max() would drop after the first row
-    worst = float(np.max([r[2] for r in rows]))
-    run.emit_csv(["lambda", "absF", "ratio"], rows, comments=[f"fmax {_fmt(fmax)}"])
+    worst = float(np.max(ratios))
+    run.emit_csv(["lambda", "absF", "ratio"], _float_lines(lams, values, ratios),
+                 comments=[f"fmax {_fmt(fmax)}"])
     return worst <= tol, f"worst ratio {worst:.3e} (tol {tol:g})"
 
 
@@ -594,9 +607,8 @@ def _cmd_ucp_demo(run):
         base = os.path.splitext(run.out)[0]
         f = ucp_mod.build_counterexample(spec)
         r_grid = np.linspace(0.0, 1.0, 501)
-        run.emit_csv(["t", "g"], zip(report.grid.tolist(), report.g_values.tolist()),
-                     base + "_g.csv")
-        run.emit_csv(["r", "f"], zip(r_grid.tolist(), f(r_grid).tolist()), base + "_f.csv")
+        run.emit_csv(["t", "g"], _float_lines(report.grid, report.g_values), base + "_g.csv")
+        run.emit_csv(["r", "f"], _float_lines(r_grid, f(r_grid)), base + "_f.csv")
         json_out = base + ".json"
     run.emit_json({"n": spec.n, "epsilon": spec.epsilon, "m": spec.m,
                    "bump": list(spec.bump), "ratio_inside": report.ratio_inside,
@@ -605,6 +617,20 @@ def _cmd_ucp_demo(run):
                    "trivial": report.trivial, "verdict": _word(report.passed)},
                   json_out)
     return report.passed, f"ratio_inside {report.ratio_inside:.3e} (tol {report.tol:g})"
+
+
+def _check_scale(run, scale: float, what: str):
+    """ArithmeticError unless `scale`, the one a verdict divides by, is a
+    positive normal float: below that the data has underflowed, and a ratio
+    to it reads nothing.  Data zero by construction, a profile of amplitude
+    0 or --input samples all 0, keeps a scale of 0 and its verdict."""
+    if sys.float_info.min <= scale <= sys.float_info.max:
+        return
+    zero = (run.samples[:, 1] == 0).all() if run.samples is not None else \
+        run.data.profile.amplitude == 0
+    if not (scale == 0 and zero):
+        raise ArithmeticError(f"{what} {scale!r} is not a positive normal float at "
+                              f"n={run.opts['n']}: the data has underflowed")
 
 
 def _word(ok) -> str:

@@ -153,19 +153,23 @@ class QuadratureRule:
         """Integral of factor(u) * rest over [a[r], b[r]] for every row r; 0
         where b[r] <= a[r].
 
-        Adjacent live rows on the same interval form a run.  Nodes, weights
-        and factor(u) are computed once per run, on (runs x nodes) arrays of
-        at most BLOCK_NODES nodes, and gathered for each row.  integrand(rows,
-        u, f_u) gets a block of row indices (about BLOCK_NODES nodes in all),
-        their (rows x nodes) nodes and factor values, and returns the
-        integrand's `shape + (rows, nodes)` values; the result has shape
-        `shape + a.shape`.  np.vecdot sums each row by its own BLAS dot (a
-        matrix product or einsum sums in another order), so a row does not
-        depend on the batch it came in.
+        The live rows on one interval form a run, wherever they lie: sorted
+        by (a, b), each run is contiguous.  factor(u) is computed once per
+        run, in blocks of at most BLOCK_NODES nodes.  A run alone in its
+        blocks maps the rule once and gathers its nodes for each row; a
+        block of several runs maps it row by row and gathers only factor
+        values, and only where a run has two rows or more.  integrand(rows, u, f_u)
+        gets a block of row indices (about BLOCK_NODES nodes in all), their
+        (rows x nodes) nodes and factor values, and returns the integrand's
+        `shape + (rows, nodes)` values; the result has shape `shape +
+        a.shape`.  np.vecdot sums each row by its own BLAS dot (a matrix
+        product or einsum sums in another order), so a row does not depend
+        on the batch it came in.
         """
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         out = np.zeros(shape + a.shape)
         live = np.flatnonzero(b > a)
+        live = live[np.lexsort((b[live], a[live]))]
         lo, hi = a[live], b[live]
         new = np.ones(live.size, dtype=bool)
         new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -176,14 +180,22 @@ class QuadratureRule:
         while first < starts.size - 1:
             # the runs of at most `step` rows, or one longer run
             last = max(first + 1, int(np.searchsorted(starts, starts[first] + step, "right")) - 1)
-            nodes, weights = self.points(lo[starts[first:last]], hi[starts[first:last]])
-            f_u = factor(nodes)
-            one_each = starts[last] - starts[first] == last - first  # nothing to gather
-            for start in range(starts[first], starts[last], step):
-                block = slice(start, min(start + step, starts[last]))
-                rows, at = live[block], slice(None) if one_each else run[block] - first
-                values = integrand(rows, nodes[at], f_u[at])
-                out[..., rows] = np.vecdot(weights[at], values)
+            if last == first + 1:
+                nodes, weights = self.points(lo[starts[first:last]], hi[starts[first:last]])
+                f_u = factor(nodes)
+                for start in range(starts[first], starts[last], step):
+                    rows = live[start:min(start + step, starts[last])]
+                    at = np.zeros(rows.size, dtype=np.intp)
+                    out[..., rows] = np.vecdot(weights[at], integrand(rows, nodes[at], f_u[at]))
+            else:
+                block = slice(starts[first], starts[last])
+                nodes, weights = self.points(lo[block], hi[block])
+                if last - first == block.stop - block.start:  # one row per run
+                    f_u = factor(nodes)
+                else:
+                    f_u = factor(nodes[starts[first:last] - block.start])[run[block] - first]
+                rows = live[block]
+                out[..., rows] = np.vecdot(weights, integrand(rows, nodes, f_u))
             first = last
         return out
 
@@ -273,9 +285,10 @@ class DerivativeProfile:
 # batched quadrature (QuadratureRule.integrate_rows), and the D^p entry
 # points answer a sequence of orders in the same sweep; a scalar t comes back
 # as a float and a scalar p as the one row of its order.  The u-only factor
-# (the profile times a power of u) is evaluated once per run of neighbouring
-# rows on one u-interval: every t with |1 - t| at most the support's inner
-# edge integrates over the same one.
+# (the profile times a power of u) is evaluated once per distinct u-interval,
+# wherever its rows lie: every t with |1 - t| at most the support's inner
+# edge integrates over the same one, and so do t and 2 - t wherever |1 - t|
+# rounds to one float.
 # Factors in t alone are computed per row in Python floats (libm pow differs
 # from numpy's square in the last bit at some t), so every row equals its
 # scalar evaluation bit for bit.
@@ -322,11 +335,19 @@ def _by_order(values, p, shape):
 
 
 def g_from_h(h, t, n: int):
-    """g = h / t^(n-2) from the values h at t; refused below the floor."""
+    """g = h / t^(n-2) from the values h at t; refused below the floor, and
+    ArithmeticError naming t and n where a quotient is not finite, as where
+    t^(n-2) underflows to 0 (at t = 0.05 from n = 251)."""
     ts, shape = _batch(t)
     if np.any(ts < T_FLOOR):
         raise ValueError(f"g(t) undefined below t = {T_FLOOR} (division guard)")
-    return _shaped(np.ravel(h) / _power(ts, n - 2), shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # refused below
+        g = np.ravel(h) / _power(ts, n - 2)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(f"g = h / t^(n-2) is {float(g[i])} at t={float(ts[i])}, n={n}")
+    return _shaped(g, shape)
 
 
 @lru_cache(maxsize=None)

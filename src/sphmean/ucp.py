@@ -25,8 +25,9 @@ from .transform import (
     DerivativeProfile,
     Dimension,
     QuadratureRule,
-    SmtProfile,
     T_FLOOR,
+    forward_h,
+    g_from_h,
 )
 
 
@@ -144,11 +145,11 @@ def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,
     if tol is None:
         tol = 1e-7 * max(1.0, quad.panels / 8.0)
     f = build_counterexample(spec) if profile is None else profile
-    data = SmtProfile(f, spec.dim, quad)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = data.g(grid)
-    if not np.isfinite(g).all():
+        h = forward_h(f, spec.dim, grid, quad)
+    if not np.isfinite(h).all():
         raise ArithmeticError("the transform of the profile is not finite in floats")
+    g = g_from_h(h, grid, spec.n)
 
     lo, hi_ = spec.band
     inside = (grid > lo) & (grid < hi_)

@@ -86,18 +86,16 @@ def test_arrays_span_blocks_and_empty_rows():
     assert np.all(a[live] == a[0]) and live.sum() > 2 * ROWS and not live.all()
 
 
-def _adjacent_runs(a, b):
-    """Runs of neighbouring live rows on one interval, counted row by row."""
-    runs, last = 0, None
-    for lo, hi in zip(a.tolist(), np.broadcast_to(b, a.shape).tolist()):
-        if hi > lo:
-            runs += (lo, hi) != last
-            last = (lo, hi)
-    return runs
+def _distinct_intervals(a, b):
+    """Distinct intervals of the live rows, wherever they lie, counted row by
+    row."""
+    return len({(lo, hi) for lo, hi in zip(a.tolist(), np.broadcast_to(b, a.shape).tolist())
+                if hi > lo})
 
 
 def test_factor_is_evaluated_once_per_interval_run():
-    # the CLI's 2001-point grid: every band row shares one interval
+    # the CLI's 2001-point grid: every band row shares one interval, and
+    # rows t and 2 - t share one wherever |1 - t| rounds alike
     quad = tr.DEFAULT_QUAD
     per_row = quad.nodes_per_panel * quad.panels
     seen = []
@@ -110,7 +108,7 @@ def test_factor_is_evaluated_once_per_interval_run():
         a, b = tr._u_range(BUMP, ts)
         seen.clear()
         got = quad.integrate_rows(factor, lambda rows, u, f_u: f_u, a, b)
-        assert sum(rows for rows, _ in seen) == _adjacent_runs(a, b) < np.sum(b > a)
+        assert sum(rows for rows, _ in seen) == _distinct_intervals(a, b) < np.sum(b > a)
         assert all(nodes == per_row and rows * nodes <= tr.BLOCK_NODES for rows, nodes in seen)
         want = [quad.integrate(lambda u: u * BUMP(u), lo, b) for lo in a.tolist()]
         assert np.array_equal(got, np.array(want))
@@ -118,6 +116,25 @@ def test_factor_is_evaluated_once_per_interval_run():
     a, b = tr._u_range(BUMP, T_ARRAYS["all empty"])
     assert np.all(quad.integrate_rows(factor, lambda rows, u, f_u: f_u, a, b) == 0.0)
     assert seen == []
+
+
+def test_mirror_rows_on_a_shared_interval_equal_their_scalar_calls():
+    # on the CLI's grid, t and 2 - t integrate over one interval outside the
+    # band wherever |1 - t| rounds alike; they lie far apart in the array
+    ts = np.linspace(0.05, 1.95, 2001)
+    a, b = tr._u_range(BUMP, ts)
+    pairs = [i for i in range(1000) if a[i] == a[-1 - i] and BUMP.support[0] < a[i] < b]
+    assert len(pairs) > 100
+    picked = pairs[:: len(pairs) // 6]
+    d5, d9 = tr.Dimension(5), tr.Dimension(9)
+    for name, fn in [
+            ("forward_h", lambda t: tr.forward_h(BUMP, d5, t, QUAD)),
+            ("forward_h_dp", lambda t: tr.forward_h_dp(BUMP, d9, t, range(4), QUAD)),
+            ("phi_harmonic_dp", lambda t: tr.phi_harmonic_dp(BUMP, d5, 2, t, range(4), QUAD))]:
+        batch = fn(ts)
+        for i in picked:
+            for j in (i, ts.size - 1 - i):
+                assert np.array_equal(batch[..., j], fn(float(ts[j]))), (name, j)
 
 
 @pytest.mark.parametrize("n", [5, 9, 25])

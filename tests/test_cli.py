@@ -559,6 +559,14 @@ def test_a_csv_row_is_written_as_its_cells_would_be():
         assert cli._fmt(cell) == _cell_text(cell), repr(cell)
 
 
+def test_a_float_table_is_written_as_its_rows_would_be():
+    # float tables take one %.17g format per table, not one per row
+    cells = [-0.0, 5e-324, 2.0 ** 53 + 2, 1e300, math.nan, math.inf, -math.inf, 0.1, -2.5]
+    columns = [np.array(cells), np.array(cells[::-1]), np.array(cells[3:] + cells[:3])]
+    assert cli._float_lines(*columns) == [cli._fmt(*row) for row in zip(*(c.tolist() for c in columns))]
+    assert cli._float_lines(np.array([-0.0, 5e-324])) == ["-0", "4.9406564584124654e-324"]
+
+
 def test_integrating_commands_never_import_numpy_polynomial(tmp_path):
     # numpy.polynomial is 9 modules; the Gauss rules need none of them
     profile, fwd, ucp = _write_profile(tmp_path), str(tmp_path / "fwd.csv"), tmp_path / "ucp.json"
@@ -791,6 +799,49 @@ def test_zero_data_passes_every_analysis(tmp_path, capsys):
     assert "# fmax 0\n" in (tmp_path / "zeros").read_text()
     rows = _data_rows(tmp_path / "zeros")
     assert rows.shape == (10, 3) and np.all(rows[:, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [1e-320, 5e-324])
+@pytest.mark.parametrize("argv", [["zeros", "--n", "3", "--count", "2"],
+                                  ["cross-check", "--n", "3", "--grid", "3"],
+                                  ["range-check", "--n", "5"]], ids=lambda argv: argv[0])
+def test_data_that_underflowed_is_a_numerical_error(tmp_path, capsys, argv, amplitude):
+    # the verdict's scale (fmax, the largest side, the symmetry scale) is
+    # subnormal or 0 here: zeros and cross-check read PASS on it, range-check
+    # FAIL at 1e-320 and PASS at 5e-324
+    cfg = _write_profile(tmp_path)
+    profile = json.loads(open(cfg).read())
+    profile["profile"]["amplitude"] = amplitude
+    (tmp_path / "tiny.json").write_text(json.dumps(profile))
+    assert cli.main([*argv, "--config", str(tmp_path / "tiny.json")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical error:") and "not a positive normal float" in err, err
+    assert "n=" + argv[2] in err and "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("value, code", [("0.0", 0), ("1e-320", 2)])
+def test_input_samples_all_zero_pass_and_subnormal_ones_are_refused(tmp_path, capsys,
+                                                                   value, code):
+    samples = tmp_path / "h.csv"
+    samples.write_text("".join(f"{t!r},{value}\n" for t in np.linspace(0.05, 1.95, 41).tolist()))
+    assert cli.main(["range-check", "--n", "3", "--input", str(samples)]) == code
+    out, err = capsys.readouterr()
+    assert ("range-check: PASS" in out) if code == 0 else err.startswith("numerical error:")
+
+
+def test_a_g_that_is_not_finite_is_a_numerical_error(tmp_path, capsys):
+    # at t = 0.05, h is 0 and t^(n-2) underflows to 0 from n = 251: g was NaN
+    cfg = _write_profile(tmp_path)
+    out = tmp_path / "fwd.csv"
+    assert cli.main(["forward", "--config", cfg, "--n", "251", "--grid", "5",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "t=0.05, n=251" in err, err
+    assert not out.exists()
+    assert cli.main(["forward", "--config", cfg, "--n", "249", "--grid", "5",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "\n0.050000000000000003,0,0\n" in out.read_text()
 
 
 # ---------------------------------------------------------------------------
