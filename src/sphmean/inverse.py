@@ -3,7 +3,9 @@
 :func:`invert_radial` is regularized collocation for any odd dimension: the
 forward integral is discretized on a Gauss grid in u, collocated against
 the weighted data h = t^(n-2) g at points t_i in (0, 1) (half data), and
-the resulting first-kind system is solved by truncated-SVD least squares.
+the resulting first-kind system is solved by truncated-SVD least squares in
+one gelsd least-squares call; rank counts s > cutoff * s_max, so a singular
+value equal to the cutoff is dropped.
 
 The collocation grid matters: each row truncates the global Gauss sum at the
 cut u = 1 - t_i, and a cut landing mid-cell costs an O(spacing) quadrature
@@ -127,9 +129,10 @@ def invert_radial(h, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
     `h` is a callable of t, or an object exposing it as .h, called once on
     the array of collocation t; a scalar answer holds at every t.  Only
     samples with t in (0, 1) are used — half data suffices.  The
-    truncated-SVD solve keeps singular values above cutoff * sigma_max and
-    reports the effective rank; a rank below a quarter of the unknown count
-    is rejected as an ill-posed configuration.
+    truncated-SVD solve is one gelsd least-squares call, which forms no
+    singular vectors; rank counts s > cutoff * sigma_max, so a singular
+    value equal to the cutoff is dropped.  A rank below a quarter of the
+    unknown count is rejected as an ill-posed configuration.
     """
     h = getattr(h, "h", h)
     if not callable(h):
@@ -137,17 +140,14 @@ def invert_radial(h, dim: Dimension, cfg: InversionConfig = InversionConfig()) -
     t_grid, u, w, A = forward_matrix(dim, cfg)
     b = np.full(t_grid.shape, h(t_grid), dtype=float)
 
-    U_, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s >= cfg.svd_cutoff * s[0]
-    rank = int(np.count_nonzero(keep))
+    x, _, rank, s = np.linalg.lstsq(A, b, rcond=cfg.svd_cutoff)
     if rank < cfg.n_unknowns // 4:
         raise RuntimeError(
             f"ill-posed configuration: effective rank {rank} is below a "
             f"quarter of {cfg.n_unknowns} unknowns")
-    x = Vt[:rank].T @ ((U_[:, :rank].T @ b) / s[:rank])
     fit = A @ x - b
     b_norm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(fit)) / b_norm if b_norm != 0 else 0.0
     return InversionResult(nodes=u, weights=w, values=x, residual=residual,
-                           rank=rank, singular_values=s)
+                           rank=int(rank), singular_values=s)
 

@@ -31,6 +31,8 @@
   patches one of those patches both routes.
 - `forward_matrix_meshgrid`: the collocation matrix on a meshgrid of
   (t, u), with Q^k raised on every cell, negative Q included.
+- `truncated_svd_solve`: the truncated-SVD least-squares solution
+  V_r S_r^-1 U_r^T b from the full SVD, keeping s >= cutoff * s_max.
 - `read_csv_columns`: the `--input` CSV reader by a float() per cell,
   with the header found by a float() pass over all rows, then over all but
   the first, and a row scan only to name a fault.  It needs no mpmath, so the CSV tests run on an install without the
@@ -619,6 +621,14 @@ def forward_matrix_meshgrid(dim, cfg):
     T, U = np.meshgrid(t_grid, u, indexing="ij")
     A = c_n * w[None, :] * U * tr.q_kernel(T, U) ** dim.k * (U >= 1.0 - T)
     return t_grid, u, w, A
+
+
+def truncated_svd_solve(A, b, cutoff):
+    """(x, rank) of the least-squares solve that keeps every singular value
+    s >= cutoff * s_max, built from U, s and Vt of the thin SVD."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(s >= cutoff * s[0]))
+    return Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank]), rank
 
 
 def read_csv_columns(path: str, expect: int):

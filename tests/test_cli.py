@@ -1256,10 +1256,10 @@ def test_ucp_demo_hashes_a_config_tol_as_its_flag(tmp_path, capsys):
 # (invert and range-check --input read its 2001-point forward table): the
 # shared run assembly (cli._Run) must not move a byte
 RUN_ARTIFACTS = {
-    # pinned under one BLAS thread (ONE_BLAS_THREAD)
+    # one gelsd solve: the same bytes under one BLAS thread or several
     "invert": (["invert", "--n", "3", "--input", "FWD"], "rec.csv", 0, {
-        "rec.csv": "7b286c50b17e9fe8b9bc37462f26451e9f4d769c5d20d14bcdb2f81ff35435ba",
-        "rec.json": "6988a6c73bddac0589e6b6070235afc8ce58341ebf81bf6945ff252feeec7792"}),
+        "rec.csv": "d8a84e9571becaaeb1532488cf568d043acc54143a1260337ed926467d1b0406",
+        "rec.json": "87d068fb13dbad5c0e5e91241f6e5f29359d91cba3a5f7d4b87bd7fd6acb4150"}),
     "range-check-m0": (["range-check", "--config", "PROFILE"], "rc.json", 0, {
         "rc.json": "4a358a2ab7cfb1d55e0f12bc84d018161a6cf698ec29f4e63aaab1d1acabf998"}),
     "range-check-m2": (["range-check", "--config", "PROFILE", "--m", "2"], "rc.json", 0, {
@@ -1284,13 +1284,6 @@ RUN_ARTIFACTS = {
 }
 
 
-# The SVD of `invert` returns other U and Vt bits under one BLAS thread than
-# under several, so its pins hold for one thread, the benchmark's setting:
-# the job runs in a process of its own with every BLAS pool set to one thread.
-ONE_BLAS_THREAD = {"invert"}
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @pytest.mark.parametrize("job", sorted(RUN_ARTIFACTS))
 def test_run_artifact_bytes_are_pinned(tmp_path, capsys, job):
     argv, out, code, digests = RUN_ARTIFACTS[job]
@@ -1305,14 +1298,7 @@ def test_run_artifact_bytes_are_pinned(tmp_path, capsys, job):
         samples.write_text("t,h\n" + "".join(f"{t},{h}\n" for t, _, h in rows))
         files.update(FWD=str(fwd), SAMPLES=str(samples))
     argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / out)]
-    if job in ONE_BLAS_THREAD:
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
-                   **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        run = subprocess.run([sys.executable, "-m", "sphmean.cli", *argv], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == code, run.stderr
-    else:
-        assert cli.main(argv) == code
+    assert cli.main(argv) == code
     capsys.readouterr()
     for name, digest in digests.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -10,7 +10,7 @@ from sphmean import inverse as inv
 from sphmean.rangecheck import SampledH
 from sphmean.transform import BumpProfile, Dimension, SmtProfile
 
-from _oracles import R_FLOOR, forward_matrix_meshgrid, invert_radial_n3
+from _oracles import R_FLOOR, forward_matrix_meshgrid, invert_radial_n3, truncated_svd_solve
 
 D3, D5 = Dimension(3), Dimension(5)
 TRIO = [BumpProfile(0.55, 0.25), BumpProfile(0.5, 0.22), BumpProfile(0.65, 0.2)]
@@ -228,3 +228,30 @@ def test_rank_collapse_detected():
     data = SmtProfile(BumpProfile(0.55, 0.25), D5)
     with pytest.raises(RuntimeError):
         inv.invert_radial(data, D5, cfg)
+
+
+def test_lstsq_solve_matches_the_truncated_svd_route():
+    # gelsd drops s <= cutoff * s_max where the SVD route kept s >= it; no
+    # singular value here lies within 0.9% of the cutoff, so the ranks agree.
+    # The kept spectrum has condition number at most 1 / cutoff = 1e5, so two
+    # backward-stable solves differ by about eps / cutoff = 2e-11 relative
+    cfg = inv.InversionConfig()
+    eps = np.finfo(float).eps
+    for n, want in ((3, 229), (5, 84), (7, 16), (9, 7)):
+        dim = Dimension(n)
+        data = SmtProfile(BumpProfile(0.55, 0.25), dim)
+        t_grid, _, _, A = inv.forward_matrix(dim, cfg)
+        x, rank = truncated_svd_solve(A, data.h(t_grid), cfg.svd_cutoff)
+        assert rank == want, n
+        if rank < cfg.n_unknowns // 4:
+            with pytest.raises(RuntimeError) as err:
+                inv.invert_radial(data, dim, cfg)
+            assert str(err.value) == (
+                f"ill-posed configuration: effective rank {want} is below a "
+                "quarter of 240 unknowns"), n
+            continue
+        res = inv.invert_radial(data, dim, cfg)
+        assert res.rank == want, n
+        s = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(res.singular_values - s)) <= 8 * eps * s[0], n
+        assert np.linalg.norm(res.values - x) <= 1e-9 * np.linalg.norm(x), n
