@@ -563,7 +563,7 @@ def _cmd_mk_check(run):
         lams, ts = np.array(points, dtype=float).reshape(-1, 2).T
         res = mk_residual(k, lams, ts)
         rows.append(f"# k {k}")
-        rows.extend(zip(lams.tolist(), ts.tolist(), res.tolist()))
+        rows.extend(_float_lines(lams, ts, res))
         residuals.append(res)
     # np.max keeps a NaN, which max() would drop and so read as a PASS
     worst = float(np.max(np.concatenate(residuals)))

@@ -1,12 +1,14 @@
 """Exact rational combinatorics and polynomial identities.
 
 Everything in this module is computed exactly, over Python ints; stdlib
-``fractions.Fraction`` carries only the values that are not integers, in
-`binom_half`, `cj_double_sum` and `verify_gamma_contour`.  There is no
-floating point anywhere.  The verifiers at the bottom check, term by term,
-the combinatorial identities that underpin the range characterization: each
-one builds both sides of an identity independently and compares exactly, so
-a ``True`` is a proof for the given parameters, not an approximation.
+``fractions.Fraction`` carries only three values that are not integers:
+`binom_half`'s, both sides of `verify_gamma_contour`, and the one division
+that ends `cj_double_sum` (its terms are summed as ints over the lcm of their
+denominators).  There is no floating point anywhere.  The verifiers at the
+bottom check, term by term, the combinatorial identities that underpin the
+range characterization: each one builds both sides of an identity
+independently and compares exactly, so a ``True`` is a proof for the given
+parameters, not an approximation.
 """
 
 from __future__ import annotations
@@ -273,16 +275,23 @@ def verify_necessity_identity(k: int) -> bool:
 
         F(t) = sum_p C(k,p) (1-t)^p [D^p Q^k](t,u) == F(2-t).
 
-    F is built once, by Horner's rule in (1-t), and reflected once.
+    F is built once, by Horner's rule in (1-t), and reflected once.  Each
+    Horner step F (1-t) + C(k,p) D^p Q^k is one pass over F's terms.
     F(t) - F(2-t) is, term by term, sum_p C(k,p) (1-t)^p ([D^p Q^k](t,u)
     + (-1)^(p+1) [D^p Q^k](2-t,u)).
     """
     if k < 0:
         raise ValueError("k >= 0")
-    dps = [dp_q_power(k, p) for p in range(k + 1)]
-    F = BiPoly()
+    terms: dict[tuple[int, int], int] = {}
     for p in range(k, -1, -1):
-        F = F * _power("1-t", 1) + dps[p] * coeff_C(k, p)
+        c = coeff_C(k, p)
+        step = {key: v * c for key, v in dp_q_power(k, p).coeffs.items()}
+        get = step.get
+        for (i, j), v in terms.items():
+            step[i, j] = get((i, j), 0) + v
+            step[i + 1, j] = get((i + 1, j), 0) - v
+        terms = step
+    F = BiPoly(terms)
     return F == F.subs_t_affine(2, -1)
 
 
@@ -296,16 +305,17 @@ def verify_dp_expansion(k: int, p: int) -> bool:
     Compared after multiplying both sides by (1-t)^p, to clear the negative
     powers, and by 2^p, which makes every weight an integer
     (`_expansion_weight`).  The powers of Q, R and (1-t) are exact, so each
-    is built once and shared.
+    is built once and shared.  Q^(k-q) = Q^(p-q) Q^(k-p), so the common
+    Q^(k-p) multiplies the q-sum once.
     """
     if not 0 <= p <= k:
         raise ValueError("need 0 <= p <= k")
     lhs = dp_q_power(k, p) * _power("1-t", p) * 2**p
     rhs = BiPoly()
     for q in range((p + 1) // 2, p + 1):
-        rhs = rhs + (_power("1-t", 2 * (p - q)) * _power("Q", k - q)
+        rhs = rhs + (_power("1-t", 2 * (p - q)) * _power("Q", p - q)
                      * _power("R", 2 * q - p)) * _expansion_weight(k, p, q)
-    return lhs == rhs
+    return lhs == rhs * _power("Q", k - p)
 
 
 def _expansion_weight(k: int, p: int, q: int) -> int:
@@ -314,17 +324,22 @@ def _expansion_weight(k: int, p: int, q: int) -> int:
 
 
 def cj_double_sum(k: int, u: int, j: int) -> Fraction:
-    """The defining double sum for the coefficient C(j) (exact):
+    """The defining double sum for the coefficient C(j) (exact), for u <= 2k:
     sum_m sum_{q<=m} (-1)^(q+m) 4^q C(u-2q, j-q) C(u,2m) C(m,q) C(2m,m)
-    C(2k-m,k) C(2k-q,k) / C(2k-m,m).  The sum over q is over ints; the
-    denominator depends on m only, so each m adds one Fraction."""
-    total = Fraction(0)
-    for m in range(u // 2 + 1):
+    C(2k-m,k) C(2k-q,k) / C(2k-m,m).  It is summed over ints times the lcm
+    of the denominators, and divided by it once.  u > 2k is refused: from
+    u = 2k + 2 some C(2k-m, m) is 0."""
+    if u > 2 * k:
+        raise ValueError(f"the C(j) double sum needs u <= 2k, got k={k}, u={u}")
+    dens = [binom(2 * k - m, m) for m in range(u // 2 + 1)]
+    scale = math.lcm(*dens)
+    total = 0
+    for m, den in enumerate(dens):
         inner = sum((-4) ** q * binom(u - 2 * q, j - q) * binom(m, q) * binom(2 * k - q, k)
                     for q in range(m + 1))
-        total += Fraction((-1) ** m * binom(u, 2 * m) * binom(2 * m, m) * binom(2 * k - m, k)
-                          * inner, binom(2 * k - m, m))
-    return total
+        total += ((-1) ** m * binom(u, 2 * m) * binom(2 * m, m) * binom(2 * k - m, k)
+                  * inner * (scale // den))
+    return Fraction(total, scale)
 
 
 def cj_closed_form(k: int, u: int, j: int) -> int:

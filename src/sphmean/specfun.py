@@ -137,9 +137,9 @@ def _exp(v):
 
 
 @lru_cache(maxsize=None)
-def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n of Pascal's triangle: _pascal(n)[j][i] = C(j, i)."""
-    return tuple(tuple(math.comb(j, i) for i in range(j + 1)) for j in range(n + 1))
+def _pascal_row(j: int) -> tuple[int, ...]:
+    """Row j of Pascal's triangle: _pascal_row(j)[i] = C(j, i)."""
+    return tuple(math.comb(j, i) for i in range(j + 1))
 
 
 def _finite(v) -> bool:
@@ -148,6 +148,21 @@ def _finite(v) -> bool:
     if isinstance(v, Decimal):
         return v.is_finite()
     return bool(np.isfinite(v).all())
+
+
+def _leibniz_entry(a, b, ta: int, tb: int, j: int):
+    """Entry j of the product of the jets with entries a and b and tops ta
+    and tb: the sum of C(j,i) a[i] b[j-i] over the terms that can be nonzero,
+    in the plain Leibniz order.  Above ta + tb it is a[0] b[j], a zero."""
+    if j > ta + tb:
+        return a[0] * b[j]
+    row = _pascal_row(j)
+    lo = max(0, j - tb)  # terms i in [lo, min(j, ta)] can be nonzero
+    acc = (a[lo] if row[lo] == 1 else row[lo] * a[lo]) * b[j - lo]
+    for i in range(lo + 1, min(j, ta) + 1):
+        c = row[i]
+        acc = acc + (a[i] if c == 1 else c * a[i]) * b[j - i]
+    return acc
 
 
 class Jet:
@@ -226,16 +241,9 @@ class Jet:
         o = self._wrap(other)
         a, b, ta, tb = self.derivs, o.derivs, self.top, o.top
         top = min(ta + tb, self.order)
-        out = []
-        for j, row in enumerate(_pascal(top)):
-            lo = max(0, j - tb)  # terms i in [lo, min(j, ta)] can be nonzero
-            acc = (a[lo] if row[lo] == 1 else row[lo] * a[lo]) * b[j - lo]
-            for i in range(lo + 1, min(j, ta) + 1):
-                c = row[i]
-                acc = acc + (a[i] if c == 1 else c * a[i]) * b[j - i]
-            out.append(acc)
+        out = [_leibniz_entry(a, b, ta, tb, j) for j in range(top + 1)]
         if top < self.order:
-            out += [a[0] * b[top + 1]] * (self.order - top)
+            out += [_leibniz_entry(a, b, ta, tb, top + 1)] * (self.order - top)
         return Jet(self.x, out, top)
 
     __rmul__ = __mul__

@@ -33,6 +33,7 @@ from .exactmath import coeff_C
 from .specfun import (
     Jet,
     _dp_sinc_mp,
+    _leibniz_entry,
     _power,
     bessel_zero,
     decimal_context,
@@ -233,7 +234,8 @@ def _mk_lhs(k: int, lam, t, f):
     core = acc / tj
     power, total = w, 0
     for p in range(k + 1):
-        total = total + (power * core).derivs[p] * (coeff_C(k, p) * (-1) ** p)
+        total = total + (_leibniz_entry(power.derivs, core.derivs, power.top, core.top, p)
+                         * (coeff_C(k, p) * (-1) ** p))
         power = power * w
     return total
 

@@ -446,6 +446,14 @@ def test_cj_rejects_odd_u():
         em.verify_Cj_closed_form(1, 1, 0)
 
 
+@pytest.mark.parametrize("k, u, j", [(1, 4, 0), (2, 6, 1), (0, 1, 0), (3, 7, 2)])
+def test_cj_double_sum_refuses_u_above_2k(k, u, j):
+    # from u = 2k + 2 a denominator C(2k-m, m) is 0; the sum refuses every
+    # u > 2k by name rather than dividing by it
+    with pytest.raises(ValueError, match=f"k={k}, u={u}"):
+        em.cj_double_sum(k, u, j)
+
+
 def test_gamma_extraction_anchor_and_sweep():
     assert em.verify_gamma_contour(1, 0)
     for k in range(11):

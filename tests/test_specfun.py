@@ -148,6 +148,43 @@ def test_jet_product_is_the_plain_leibniz_sum_bit_for_bit():
     assert float((sf.Jet(0.5, signed) * sf.Jet(0.5, [1.0] * 7)).derivs[0]).hex() == "-0x0.0p+0"
 
 
+def _float_array_jets():
+    rng = np.random.default_rng(5)
+    return (sf.Jet(0.5, [rng.standard_normal(4) for _ in range(6)]),
+            sf.Jet(0.5, [rng.standard_normal(4) for _ in range(6)]))
+
+
+def _decimal_jets():
+    return (sf.Jet(Decimal(1), [Decimal(v) / 3 for v in (-2, 0, 5, -7, 1, 4)]),
+            sf.Jet(Decimal(1), [Decimal(v) / 7 for v in (3, -1, 0, 2, -6, 9)]))
+
+
+def _constant_times_full():
+    return sf.Jet.constant(-1.75, 0.5, 5), sf.Jet(0.5, [1.5, -0.0, 0.25, -3.0, 2.0, 1e-200])
+
+
+def _top_below_order():
+    # tops 1 and 2 at order 6: the product's top is 3, and its entries 4..6
+    # are one zero
+    x = sf.Jet.variable(np.array([0.3, -0.7]), 6)
+    return x, (x * x - 2.0 * x + 0.5)
+
+
+@pytest.mark.parametrize("make", [_float_array_jets, _decimal_jets, _constant_times_full,
+                                  _top_below_order])
+def test_leibniz_entry_is_entry_j_of_the_product_bit_for_bit(make):
+    with sf.decimal_context(30):
+        x, y = make()
+        product = x * y
+        for j in range(x.order + 1):
+            got = sf._leibniz_entry(x.derivs, y.derivs, x.top, y.top, j)
+            assert _bits(got) == _bits(product.derivs[j]), j
+    if make is _top_below_order:
+        assert (x.top, y.top, product.top, product.order) == (1, 2, 3, 6)
+    if make is _constant_times_full:
+        assert x.top == 0
+
+
 def test_jet_horner_is_horner_on_full_products_bit_for_bit():
     # Horner's rule from the leading coefficient, where each partial sum has
     # the top of x's powers and a product by a linear x takes two terms per
