@@ -9,8 +9,8 @@ radial profile f supported in [0, 1),
 
 where Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2) is nonnegative on the
 integration range.  D-derivatives of the data (D = (1/t) d/dt) integrate
-the kernel D^p Q^k in factored form, Q^(k-p) times a Jacobi polynomial
-(`_dp_q_kernels`), never finite differences; checked for odd n <= 41.
+the kernel D^p Q^k in factored form, 2^p Q^(k-p) H_p (`_dp_q_kernels`),
+never finite differences; checked for odd n <= 41.
 
 Single-harmonic data of degree m take the same kernel at order m + k:
 
@@ -365,63 +365,77 @@ def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
     return _radial_dp(profile, dim, t, 0, quad)
 
 
-def _dp_q_kernels(K: int, orders, t, u, out=None):
-    """[D^p Q^K](t, u) for each p in orders, 0 <= p <= K, one row per order,
-    for floats, arrays or Fractions: written into the rows of `out`, or of a
-    new array (of objects for Fractions).
+def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
+    """[D^p Q^K](t, u), one row for each of the distinct orders 0 <= p <= K,
+    for floats, arrays or Fractions, into `out` or a new array (of objects for
+    Fractions); `squares` are `_power(1 +- t, 2)`, if the caller has them.
 
-    With x = t^2, A = x - (1+u)^2, B = x - (1-u)^2, s = (A+B)/2, d = 2u:
-    Q = -AB = d^2 - s^2 and D = 2 d/ds, so Rodrigues' formula for the Jacobi
-    polynomials P_p^(a,a), a = K - p, gives D^p Q^K = (-4)^p p! Q^a R_p with
-    R_p = d^p P_p^(a,a)(s/d): R_0 = 1, R_1 = (a+1) s, n (n+2a) R_n =
-    (n+a) [(2n+2a-1) s R_(n-1) - (n+a-1) d^2 R_(n-2)].  Unlike monomials
-    t^i u^j or a Leibniz sum in A and B, nothing cancels as K grows.  A, B,
-    s and d^2 are shared; each order runs its recurrence in two scratch
-    buffers and its Q^a chain in its own row, all in place.
+    With s = t^2 - 1 - u^2 and Q = 4u^2 - s^2, D = (1/t) d/dt = 2 d/ds at
+    fixed u and dQ/ds = -2s, so D^p Q^K = 2^p Q^(K-p) H_p with H_0 = 1 and
+    H_1 = -2K s.  One more D gives H_(p+1) = 2(p-K) s H_p + Q dH_p/ds, and
+    induction on p gives dH_p/ds = p(p-1-2K) H_(p-1): a Gegenbauer-type
+    recurrence (DLMF 18.9),
+
+        H_(p+1) = 2(p-K) s H_p + p(p-1-2K) Q H_(p-1).
+
+    One sweep runs it in G_p = 2^p H_p (each step scaled by 4, exactly) up
+    to the highest order asked for; row p is G_p Q^(K-p), the powers from
+    one chain that rounds alike whichever orders are asked for.  s = (A+B)/2
+    and Q = -AB, with A = t^2 - (1+u)^2 and B = t^2 - (1-u)^2 each a product
+    of two factors.  Row 0 is ((1+t)^2 - u^2)(u^2 - (1-t)^2) ** K and forms
+    no A, B or s; at K = 0 it is ones, without Q.
     """
-    x_alpha = t - 1 - u
-    x_alpha *= t + 1 + u
-    x_beta = t - 1 + u
-    x_beta *= t + 1 - u
-    s = x_alpha + x_beta
-    s /= 2
-    d_sq = 4 * u
-    d_sq *= u
-    q = x_alpha  # -Q
-    q *= x_beta
     if out is None:
-        out = np.empty((len(orders),) + np.shape(q), np.asarray(q).dtype)
-    r_prev, r, tmp = (np.empty_like(q) for _ in range(3))
-    for i, p in enumerate(orders):
-        a = K - p
-        np.multiply(s, a + 1, out=r)
-        for n in range(2, p + 1):  # R_n over R_(n-2), once tmp holds its term
-            np.multiply(d_sq, n + a - 1, out=tmp)
-            if n > 2:  # R_0 = 1
-                tmp *= r_prev
-            np.multiply(s, 2 * n + 2 * a - 1, out=r_prev)
-            r_prev *= r
-            r_prev -= tmp
-            r_prev *= n + a
-            r_prev /= n * (n + 2 * a)
-            r_prev, r = r, r_prev
-        row = out[i, ...]
-        np.multiply(r if p else 1, (-1) ** K * 4 ** p * math.factorial(p), out=row)
-        for _ in range(a):
-            row *= q
+        like = np.asarray(t + u)
+        out = np.empty((len(orders),) + like.shape, like.dtype)
+    if K == 0:  # the one order is 0, and x ** 0 is 1 for every x
+        out[...] = 1
+        return out
+    rows = {p: i for i, p in enumerate(orders)}
+    if 0 in rows:
+        u2 = u ** 2
+        plus, minus = squares or (_power(1 + t, 2), _power(1 - t, 2))
+        out[rows[0]] = ((plus - u2) * (u2 - minus)) ** K
+    top = max(rows)
+    if not top:
+        return out
+    q = t - 1 - u
+    q *= t + 1 + u  # A
+    b = t - 1 + u
+    b *= t + 1 - u
+    s = (q + b) / 2
+    q *= -b
+    power = q
+    chain, prev, cur, term = (np.empty_like(q) for _ in range(4))
+    for e in range(2, K - min(p for p in rows if p) + 1):  # Q^e, into the row of order K - e
+        power = np.multiply(power, q, out=out[rows[K - e], ...] if K - e in rows else chain)
+    np.multiply(s, -4 * K, out=cur)  # G_1
+    for j in range(1, top + 1):
+        if j in rows:  # times Q^(K-j), already in the row from Q^2 on
+            row = out[rows[j], ...]
+            np.multiply(cur, row if K - j > 1 else q if K - j else 1, out=row)
+        if j < top:  # G_(j+1) = 4(j-K) s G_j + 4j(j-1-2K) Q G_(j-1), G_0 = 1
+            np.multiply(q, 4 * j * (j - 1 - 2 * K), out=term)
+            if j > 1:
+                term *= prev
+            np.multiply(s, 4 * (j - K), out=prev)
+            prev *= cur
+            prev += term
+            prev, cur = cur, prev
     return out
 
 
-def _kernel_integrals(profile, ts, orders, weight, kernels, quad: QuadratureRule):
-    """(orders x t) integrals of weight(u) f(u) K_p(t, u) over the support
-    range, all orders in one sweep and a repeated order once;
-    kernels(rows, u, distinct, out) writes the (rows x nodes) kernel of each
-    order of the ascending `distinct` into its row of out."""
+def _kernel_integrals(profile, ts, orders, weight, K: int, quad: QuadratureRule):
+    """(orders x t) integrals of weight(u) f(u) [D^p Q^K](t, u) over the
+    support range, all orders in one sweep and a repeated order once."""
     distinct = sorted(set(orders))
+    # row 0's factors in t, once per call and not once per block
+    squares = (_power(1 + ts, 2), _power(1 - ts, 2)) if distinct[0] == 0 and K else ()
 
     def integrand(rows, u, f_u):
         values = np.empty((len(distinct),) + u.shape)
-        kernels(rows, u, distinct, values)
+        _dp_q_kernels(K, distinct, ts[rows, None], u, values,
+                      tuple(x[rows, None] for x in squares))
         values *= f_u
         return values
 
@@ -432,29 +446,17 @@ def _kernel_integrals(profile, ts, orders, weight, kernels, quad: QuadratureRule
 
 
 def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
-    """D^p h for forward_h and forward_h_dp; p = 0 integrates Q^k itself."""
+    """D^p h for forward_h and forward_h_dp."""
     k, c = dim.k, _front_constant(dim.n)
     orders = _orders(p, k, "kernel differentiation supports 0 <= p <= k")
     ts, shape = _batch(t)
-    if 0 in orders:  # Q^k itself, from the row factors (1 +- t)^2
-        plus = _power(1 + ts, 2)
-        minus = _power(1 - ts, 2)
-
-    def kernels(rows, u, distinct, out):
-        if distinct[0] == 0:
-            u2 = u ** 2
-            out[0] = ((plus[rows, None] - u2) * (u2 - minus[rows, None])) ** k
-            distinct, out = distinct[1:], out[1:]
-        if distinct:
-            _dp_q_kernels(k, distinct, ts[rows, None], u, out)
-
-    values = _kernel_integrals(profile, ts, orders, lambda u: u, kernels, quad)
-    return _by_order(c * values, p, shape)
+    return _by_order(c * _kernel_integrals(profile, ts, orders, lambda u: u, k, quad), p, shape)
 
 
 def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_QUAD):
     """D^p h(t), p <= k, from the factored kernel (`_dp_q_kernels`; p = 0 is
-    `forward_h`): within 1e-13 of exact-kernel quadrature for odd n <= 31.
+    `forward_h`): every order within 6e-15 of exact-kernel quadrature,
+    relative to its max |D^p h|, for odd n <= 41 (1.1e-14 at n = 61).
 
     p may be a sequence of orders: one row per order (in the shape of t) from
     one sweep, each equal to its own scalar-p call bit for bit.
@@ -469,12 +471,7 @@ def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_Q
 def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
     """(orders x t) values of D^p phi_m = integral of u^(1-m) f(u)
     [D^p Q^(m+k)](t, u) du, the one integral of both harmonic entry points."""
-    mk = m + dim.k
-
-    def kernels(rows, u, distinct, out):
-        _dp_q_kernels(mk, distinct, ts[rows, None], u, out)
-
-    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), kernels, quad)
+    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), m + dim.k, quad)
 
 
 def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -498,7 +495,8 @@ def phi_harmonic_dp(
     profile, dim: Dimension, m: int, t, p, quad: QuadratureRule = DEFAULT_QUAD
 ):
     """D^p phi_m(t), p <= m + k, from the factored kernel D^p Q^(m+k)
-    (`_dp_q_kernels`); within 1e-13 of exact-kernel quadrature at n = 21.
+    (`_dp_q_kernels`); at m = 2 every order within 3.3e-15 of exact-kernel
+    quadrature at n = 21, relative to its max (1.1e-14 at n = 61).
 
     p may be a sequence of orders: one row per order (in the shape of t) from
     one sweep, each equal to its own scalar-p call bit for bit.

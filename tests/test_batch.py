@@ -193,19 +193,29 @@ def test_harmonic_entry_points_match_scalar_calls(n, m):
 def test_rows_equal_the_plain_scalar_rule():
     # each row of the batched core is the one-interval rule, bit for bit,
     # on the CLI's 2001-point grid (where numpy's square and libm pow
-    # disagree in the last bit for some t)
-    dim = tr.Dimension(5)
-    c = tr._front_constant(dim.n)
+    # disagree in the last bit for some t); at n = 9, every order asked for
+    # in one sequence (one recurrence sweep) against one kernel per order
     ts = np.linspace(0.05, 1.95, 2001)
 
-    def plain(t, kernel):
-        a, b = max(abs(1.0 - t), BUMP.support[0]), min(1.0, BUMP.support[1])
-        return c * tr.DEFAULT_QUAD.integrate(lambda u: u * BUMP(u) * kernel(t, u), a, b)
+    def plain(dim, kernel):
+        c = tr._front_constant(dim.n)
+        rule = tr.DEFAULT_QUAD
+        return np.array([c * rule.integrate(lambda u: u * BUMP(u) * kernel(t, u),
+                                            max(abs(1.0 - t), BUMP.support[0]),
+                                            min(1.0, BUMP.support[1]))
+                         for t in ts.tolist()])
 
-    want_h = [plain(t, lambda t, u: tr.q_kernel(t, u) ** dim.k) for t in ts.tolist()]
-    want_dp = [plain(t, lambda t, u: tr._dp_q_kernels(dim.k, (1,), t, u)[0]) for t in ts.tolist()]
-    assert np.array_equal(tr.forward_h(BUMP, dim, ts), np.array(want_h))
-    assert np.array_equal(tr.forward_h_dp(BUMP, dim, ts, 1), np.array(want_dp))
+    def one_order(dim, p):
+        return plain(dim, lambda t, u: tr._dp_q_kernels(dim.k, (p,), t, u)[0])
+
+    dim = tr.Dimension(5)
+    assert np.array_equal(tr.forward_h(BUMP, dim, ts),
+                          plain(dim, lambda t, u: tr.q_kernel(t, u) ** dim.k))
+    assert np.array_equal(tr.forward_h_dp(BUMP, dim, ts, 1), one_order(dim, 1))
+    dim = tr.Dimension(9)
+    every = tr.forward_h_dp(BUMP, dim, ts, range(dim.k + 1))
+    for p in range(dim.k + 1):
+        assert np.array_equal(every[p], one_order(dim, p)), p
 
 
 def test_empty_array_gives_empty_result():

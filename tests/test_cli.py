@@ -1120,9 +1120,9 @@ def test_spectral_artifact_bytes_are_pinned(tmp_path, capsys, command):
 UCP_SPEC = {"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}
 FORWARD_ARTIFACTS = {
     "forward-n9": (["forward", "--n", "9", "--grid", "2001", "--derivatives"], None,
-                   {"": "1f106a22f43bc90aaf7e5a4591b87649934fdee08353deb8ced15062ec2c8ede"}),
+                   {"": "2787d551864c5627efa4d308ba5be86274b8a35376c13a6000a44218e63e434f"}),
     "forward-n5-m2": (["forward", "--n", "5", "--m", "2", "--grid", "2001"], None,
-                      {"": "d24076d8d0b0553711fe0dd65687f0d484bafb90685a54f7da7b9df299b4c17f"}),
+                      {"": "cbbd46bb68a5925ef5e0585815bae384b44720e14239c4eb9f0bc69c859b4d9f"}),
     "ucp-demo": (["ucp-demo"], UCP_SPEC,
                  {"_g": "05ce7215b38e5e3ec288139d91bc85eac27336550044043ddb2651a6d95fbb17",
                   "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
@@ -1263,7 +1263,7 @@ RUN_ARTIFACTS = {
     "range-check-m0": (["range-check", "--config", "PROFILE"], "rc.json", 0, {
         "rc.json": "4a358a2ab7cfb1d55e0f12bc84d018161a6cf698ec29f4e63aaab1d1acabf998"}),
     "range-check-m2": (["range-check", "--config", "PROFILE", "--m", "2"], "rc.json", 0, {
-        "rc.json": "9b028c74fe0d6a0633ce94b954fd587e84d6ab477a4c434ed0af1410ba300ee8"}),
+        "rc.json": "8920baea8c9371ba664a78364f64ab510e22074b7dca6abf27dbba6aeebc6fb5"}),
     "range-check-input": (["range-check", "--n", "3", "--input", "SAMPLES"], "rc.json", 0, {
         "rc.json": "098c1ee7d274733fcdf1e14d9031644fc603f1085490a8128cb502f29ed35274"}),
     "range-check-input-m2": (
@@ -1275,12 +1275,12 @@ RUN_ARTIFACTS = {
     "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
         "mk.csv": "d71d31e6d4625eadfb156f10dac8ebfba971902fd40b67a866431bbdec5e9f13"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
-        "zeros.csv": "e95cca26860b14828f8d61ca38c3797112bdc6db874d483d846413bd7db1d613"}),
+        "zeros.csv": "f82047b6d8ce3b482e506b805cab2fb61c55ecec0e0135b279a21a050aed194f"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
         "zeros.csv": "faf87f30d9085d419391b586a5ac64459262ad374cb0c1139b436f8d76f8b8c3"}),
     # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
     "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
-        "cc.csv": "65dba7934d7949bf7bc9df32f4796c0df9938ca53d6aac9b6a4e39477c716b4c"}),
+        "cc.csv": "8711215849037d740ff2bccf2efff79ab66e14eb65305ab0b1a12c18c5392d01"}),
 }
 
 

@@ -3,6 +3,7 @@ analytic kernel derivatives, and the harmonic route against its Gegenbauer
 reference."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ def relerr(got, want):
 D3, D5, D7 = tr.Dimension(3), tr.Dimension(5), tr.Dimension(7)
 ONE = PolynomialProfile([1.0])
 BUMP = tr.BumpProfile(0.55, 0.25)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +284,25 @@ def test_phi_harmonic_dp_matches_exact_kernel_quadrature():
         want = _exact_kernel_integrals(m + dim.k, p, lambda u: u ** (1 - m))
         got = tr.phi_harmonic_dp(BUMP, dim, m, EXACT_TS, p, EXACT_QUAD)
         assert _sup_relative(got, want) < 1e-13, p
+
+
+@pytest.mark.parametrize("K", [10, 24, 49])
+def test_kernel_rows_are_within_k_ulps_of_the_exact_rows(K):
+    # every order of one float sweep against the same sweep over Fractions
+    # (exact: test_exactmath checks it against D^p Q^K up to K = 8), on 100
+    # points with u > |1 - t|.  The power Q^(K-p) carries the rounding of Q
+    # K - p times; these points read at most 1.1 K eps, and 300 others 2.1
+    rng = np.random.default_rng(2024)
+    t = rng.uniform(0.02, 1.98, 100)
+    lo = np.abs(1 - t)
+    u = lo + (1 - lo) * rng.uniform(0, 1, 100)
+    got = tr._dp_q_kernels(K, range(K + 1), t, u)
+    exact = [tr._dp_q_kernels(K, range(K + 1), Fraction(a), Fraction(b))
+             for a, b in zip(t.tolist(), u.tolist())]
+    for p in range(K + 1):
+        want = [row[p] for row in exact]
+        err = max(abs(float(Fraction(g) - w)) for g, w in zip(got[p].tolist(), want))
+        assert err <= 4 * K * EPS * max(abs(float(w)) for w in want), (K, p)
 
 
 def test_forward_h_dp_order_cap():

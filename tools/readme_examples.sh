@@ -1,7 +1,9 @@
 #!/bin/sh
 # Run every command-line example of the README, plus the full-size kernel
 # sweep for every odd n <= 41, in a fresh temporary directory.  Stops at the
-# first command that fails; a RuntimeWarning counts as a failure.
+# first command that fails.  A RuntimeWarning counts as a failure, so the
+# n = 101 range check also checks that the sweep of every D^p Q^49 kernel
+# row raises no overflow or invalid-value warning.
 #
 #     sh tools/readme_examples.sh        # needs `smt` on PATH
 set -eu
@@ -25,6 +27,7 @@ smt forward --config profile.json --n 5 --m 2 --grid 2001 --out fwd5m2.csv
 smt range-check --config profile.json --m 2
 smt range-check --config profile.json --tol 1e-6
 smt range-check --config profile.json --n 25
+smt range-check --config profile.json --n 101
 smt forward --config profile.json --n 25 --grid 2001 --derivatives --out fwd25.csv
 # h and dp_h_0 come from one quadrature sweep: identical below the header
 smt forward --config profile.json --n 5 --grid 2001 --derivatives --out fwd5d.csv
