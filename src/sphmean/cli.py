@@ -41,7 +41,6 @@ import math
 import os
 import sys
 import types
-from functools import lru_cache
 from itertools import compress, islice
 
 import numpy as np
@@ -294,12 +293,12 @@ class _Run:
         self.hash = _config_hash(effective)
 
     def emit_csv(self, columns, rows, out=None, comments=()):
-        """A CSV artifact at `out` (default the run's --out, else stdout);
-        a str row is written as it is (a comment line, or a line of
-        `_float_lines`), any other in `_fmt`'s format."""
+        """A CSV artifact at `out` (default the run's --out, else stdout):
+        the header, then each line of `rows` (a comment line, or a line of
+        `_float_lines`) as it is."""
         lines = [f"# smt {__version__}", f"# config sha256:{self.hash}",
                  f"# seed {self.seed}", *(f"# {c}" for c in comments), ",".join(columns)]
-        lines.extend(row if isinstance(row, str) else _fmt(*row) for row in rows)
+        lines.extend(rows)
         _write(out or self.out, "\n".join(lines) + "\n")
 
     def emit_json(self, payload: dict, out=None):
@@ -318,24 +317,9 @@ def _config_hash(effective: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@lru_cache(maxsize=None)
-def _row_format(kinds) -> str:
-    """One % format for a row of cells of types `kinds`: a str as it is, a
-    bool as 1/0, an int as str(int(v)) (%.17g would round it above 2^53),
-    and a float, or anything else, as %.17g of float(v)."""
-    return ",".join("%s" if issubclass(k, str) else "%d" if issubclass(
-        k, (int, np.integer, np.bool_)) else "%.17g" for k in kinds)
-
-
-def _fmt(*cells) -> str:
-    """The CSV text of a row of cells, in one % format."""
-    return _row_format(tuple(map(type, cells))) % cells
-
-
 def _float_lines(*columns) -> list:
     """The CSV lines of a float table, one array per column, in one %.17g
-    format: for rows of floats, the bytes of `_fmt`, with no format chosen
-    per row."""
+    format."""
     line = ",".join(["%.17g"] * len(columns))
     return [line % row for row in zip(*(c.tolist() for c in columns))]
 
@@ -507,58 +491,21 @@ def _cmd_cross_check(run):
     return worst <= tol, f"worst residual {worst:.3e} (tol {tol:g})"
 
 
-def _pcg64_uniforms(seed: int):
-    """numpy 2.x's default_rng(seed).random() stream, PCG64 seeded by
-    SeedSequence(seed), on Python ints, so that no run imports numpy.random:
-    SeedSequence's hash mix of the seed's 32-bit words into four 64-bit
-    words, PCG64's 128-bit LCG step and XSL-RR output x, then
-    (x >> 11) * 2**-53."""
-    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hc = [0x43B0D7E5, 0x931E8875]  # the hash constant and its multiplier
-
-    def hashmix(v):
-        v ^= hc[0]
-        hc[0] = hc[0] * hc[1] & m32
-        v = v * hc[0] & m32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
-    for src, dst in [(a, b) for a in range(4) for b in range(4) if a != b]:
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hc[:] = 0x8B51F9DD, 0x58F38DED
-    state = [hashmix(pool[i % 4]) for i in range(8)]
-    # little-endian 64-bit words: the LCG's seed (high, low), then its stream
-    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (s2 << 65 | s3 << 1 | 1) & m128
-    x = (inc + (s0 << 64 | s1)) * mult + inc
-    while True:
-        x = (x * mult + inc) & m128
-        word, rot = (x >> 64 ^ x) & m64, x >> 122
-        yield (((word >> rot | word << 64 - rot) & m64) >> 11) * 2.0 ** -53
-
-
 def _cmd_mk_check(run):
+    import random  # only here: the one subcommand that draws points
+
     k_max, count = run.opts["k"], run.opts["count"]
     lam_max, tol = run.opts["lambda_max"], run.opts["tol"]
-    u = _pcg64_uniforms(run.seed)
+    u = random.Random(run.seed).uniform  # a + (b - a) * random()
     rows = []
     residuals = []
     for k in range(k_max + 1):
         points = []
         for _ in range(count):
-            # low + (high - low) * u, as numpy's uniform rounds it
-            lam = 0.5 + (lam_max - 0.5) * next(u)
-            t = -3.0 + 6.0 * next(u)
+            lam = u(0.5, lam_max)
+            t = u(-3.0, 3.0)
             while abs(t) < 0.1 or abs(t + 1.0) < 0.1:
-                t = -3.0 + 6.0 * next(u)
+                t = u(-3.0, 3.0)
             points.append((lam, t))
         lams, ts = np.array(points, dtype=float).reshape(-1, 2).T
         res = mk_residual(k, lams, ts)
@@ -577,10 +524,10 @@ def _cmd_identities(run):
     rows = []
     for name, desc, ok, witness in identity_sweeps(run.opts["max_k"]):
         print(f"{name:28s} {desc:24s} {'PASS' if ok else f'FAIL at {witness}'}")
-        rows.append((name, desc, _word(ok)))
+        rows.append(",".join((name, desc, _word(ok))))
     if run.out is not None:
         run.emit_csv(["identity", "range", "status"], rows)
-    return all(row[2] == "PASS" for row in rows), f"({len(rows)} sweeps)"
+    return all(row.endswith(",PASS") for row in rows), f"({len(rows)} sweeps)"
 
 
 def _cmd_zeros(run):
@@ -594,7 +541,7 @@ def _cmd_zeros(run):
     # np.max keeps a NaN, which max() would drop after the first row
     worst = float(np.max(ratios))
     run.emit_csv(["lambda", "absF", "ratio"], _float_lines(lams, values, ratios),
-                 comments=[f"fmax {_fmt(fmax)}"])
+                 comments=["fmax %.17g" % fmax])
     return worst <= tol, f"worst ratio {worst:.3e} (tol {tol:g})"
 
 
