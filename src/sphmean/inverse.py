@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import Dimension, _front_constant, _gauss_nodes, q_kernel
+from .transform import Dimension, QuadratureRule, _front_constant, q_kernel
 
 # collocation cuts stay inside [CUT_LO, 1 - CUT_LO]; tight enough that every
 # Gauss cell boundary survives at the grid sizes used here
@@ -66,8 +66,7 @@ class InversionResult:
 
 def unknown_grid(n_unknowns: int):
     """Gauss-Legendre nodes and weights mapped to (0, 1)."""
-    x, w = _gauss_nodes(n_unknowns)
-    return 0.5 + 0.5 * x, 0.5 * w
+    return QuadratureRule(n_unknowns, 1).points(0.0, 1.0)
 
 
 def collocation_cuts(n_unknowns: int, n_collocation: int) -> np.ndarray:

@@ -153,15 +153,13 @@ class QuadratureRule:
         """Integral of factor(u) * rest over [a[r], b[r]] for every row r; 0
         where b[r] <= a[r].
 
-        The live rows on one interval form a run, wherever they lie: sorted
-        by (a, b), each run is contiguous.  factor(u) is computed once per
-        run, in blocks of at most BLOCK_NODES nodes.  A run alone in its
-        blocks maps the rule once and gathers its nodes for each row; a
-        block of several runs maps it row by row and gathers only factor
-        values, and only where a run has two rows or more.  integrand(rows, u, f_u)
-        gets a block of row indices (about BLOCK_NODES nodes in all), their
-        (rows x nodes) nodes and factor values, and returns the integrand's
-        `shape + (rows, nodes)` values; the result has shape `shape +
+        Sorted by (a, b), the live rows on one interval are contiguous.  The
+        distinct intervals go in blocks of `step`, the rows that BLOCK_NODES
+        nodes hold: one factor(u) call per block, on the rule mapped onto each
+        of its intervals.  The block's rows go to integrand(rows, u, f_u) in
+        chunks of at most `step`, each row with the nodes and factor values of
+        its own interval, as (rows x nodes) arrays; it returns the integrand's
+        `shape + (rows, nodes)` values, and the result has shape `shape +
         a.shape`.  np.vecdot sums each row by its own BLAS dot (a matrix
         product or einsum sums in another order), so a row does not depend
         on the batch it came in.
@@ -173,30 +171,19 @@ class QuadratureRule:
         lo, hi = a[live], b[live]
         new = np.ones(live.size, dtype=bool)
         new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        starts = np.append(np.flatnonzero(new), live.size)  # first row of each run
-        run = np.cumsum(new) - 1
+        heads = np.append(np.flatnonzero(new), live.size)  # first row on each interval
+        run = np.cumsum(new) - 1  # each row's interval
         step = max(1, BLOCK_NODES // (self.nodes_per_panel * self.panels))
-        first = 0
-        while first < starts.size - 1:
-            # the runs of at most `step` rows, or one longer run
-            last = max(first + 1, int(np.searchsorted(starts, starts[first] + step, "right")) - 1)
-            if last == first + 1:
-                nodes, weights = self.points(lo[starts[first:last]], hi[starts[first:last]])
-                f_u = factor(nodes)
-                for start in range(starts[first], starts[last], step):
-                    rows = live[start:min(start + step, starts[last])]
-                    at = np.zeros(rows.size, dtype=np.intp)
-                    out[..., rows] = np.vecdot(weights[at], integrand(rows, nodes[at], f_u[at]))
-            else:
-                block = slice(starts[first], starts[last])
-                nodes, weights = self.points(lo[block], hi[block])
-                if last - first == block.stop - block.start:  # one row per run
-                    f_u = factor(nodes)
-                else:
-                    f_u = factor(nodes[starts[first:last] - block.start])[run[block] - first]
-                rows = live[block]
-                out[..., rows] = np.vecdot(weights, integrand(rows, nodes, f_u))
-            first = last
+        for first in range(0, heads.size - 1, step):
+            last = min(first + step, heads.size - 1)
+            nodes, weights = self.points(lo[heads[first:last]], hi[heads[first:last]])
+            f_u = factor(nodes)
+            for start in range(heads[first], heads[last], step):
+                chunk = slice(start, min(start + step, heads[last]))
+                at, rows = run[chunk] - first, live[chunk]
+                if at[-1] - at[0] == at.size - 1:  # a row per interval: views, not copies
+                    at = slice(at[0], at[-1] + 1)
+                out[..., rows] = np.vecdot(weights[at], integrand(rows, nodes[at], f_u[at]))
         return out
 
 
@@ -425,9 +412,10 @@ def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
     return out
 
 
-def _kernel_integrals(profile, ts, orders, weight, K: int, quad: QuadratureRule):
+def _kernel_integrals(profile, ts, orders, weight, K: int, dim: Dimension, quad: QuadratureRule):
     """(orders x t) integrals of weight(u) f(u) [D^p Q^K](t, u) over the
-    support range, all orders in one sweep and a repeated order once."""
+    support range, all orders in one sweep and a repeated order once;
+    ArithmeticError naming K, p and n where one is not finite."""
     distinct = sorted(set(orders))
     # row 0's factors in t, once per call and not once per block
     squares = (_power(1 + ts, 2), _power(1 - ts, 2)) if distinct[0] == 0 and K else ()
@@ -440,8 +428,14 @@ def _kernel_integrals(profile, ts, orders, weight, K: int, quad: QuadratureRule)
         return values
 
     a, b = _u_range(profile, ts)
-    values = quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
-                                 (len(distinct),))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
+                                     (len(distinct),))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ArithmeticError(f"the transform of the profile is not finite: its D^{distinct[i]} "
+                              f"Q^{K} integral is {values[i, j]} at t={ts[j]}, n={dim.n}")
     return values[[distinct.index(p) for p in orders]]
 
 
@@ -450,13 +444,15 @@ def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
     k, c = dim.k, _front_constant(dim.n)
     orders = _orders(p, k, "kernel differentiation supports 0 <= p <= k")
     ts, shape = _batch(t)
-    return _by_order(c * _kernel_integrals(profile, ts, orders, lambda u: u, k, quad), p, shape)
+    values = _kernel_integrals(profile, ts, orders, lambda u: u, k, dim, quad)
+    return _by_order(c * values, p, shape)
 
 
 def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_QUAD):
     """D^p h(t), p <= k, from the factored kernel (`_dp_q_kernels`; p = 0 is
-    `forward_h`): every order within 6e-15 of exact-kernel quadrature,
-    relative to its max |D^p h|, for odd n <= 41 (1.1e-14 at n = 61).
+    `forward_h`).  Its rounding keeps every order within 6e-15 of exact-kernel
+    quadrature on the same nodes, relative to its max |D^p h|, for odd n <= 41
+    (1.1e-14 at n = 61); the rule's error is larger, 4.7e-12 of max |h| at n = 101.
 
     p may be a sequence of orders: one row per order (in the shape of t) from
     one sweep, each equal to its own scalar-p call bit for bit.
@@ -471,7 +467,7 @@ def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_Q
 def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
     """(orders x t) values of D^p phi_m = integral of u^(1-m) f(u)
     [D^p Q^(m+k)](t, u) du, the one integral of both harmonic entry points."""
-    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), m + dim.k, quad)
+    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), m + dim.k, dim, quad)
 
 
 def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
@@ -496,7 +492,8 @@ def phi_harmonic_dp(
 ):
     """D^p phi_m(t), p <= m + k, from the factored kernel D^p Q^(m+k)
     (`_dp_q_kernels`); at m = 2 every order within 3.3e-15 of exact-kernel
-    quadrature at n = 21, relative to its max (1.1e-14 at n = 61).
+    quadrature at n = 21, relative to its max (1.1e-14 at n = 61): a bound on
+    the kernel's rounding on the same nodes.  The rule's error grows with m + k.
 
     p may be a sequence of orders: one row per order (in the shape of t) from
     one sweep, each equal to its own scalar-p call bit for bit.

@@ -118,6 +118,31 @@ def test_factor_is_evaluated_once_per_interval_run():
     assert seen == []
 
 
+def test_the_integrand_gets_blocks_of_rows_on_their_own_intervals():
+    # every layout, and the CLI's 2001-point grid, on both rules: no call
+    # sees more than BLOCK_NODES nodes, every live row comes once, and each
+    # row's nodes and factor values are those of its own interval
+    def factor(u):
+        return u * BUMP(u)
+
+    for quad in (QUAD, tr.DEFAULT_QUAD):
+        for ts in (*T_ARRAYS.values(), np.linspace(0.05, 1.95, 2001)):
+            a, b = tr._u_range(BUMP, ts)
+            b = np.broadcast_to(b, a.shape)
+            seen, every_row = [], []
+
+            def integrand(rows, u, f_u):
+                nodes, _ = quad.points(a[rows], b[rows])
+                seen.append((u.size, np.array_equal(u, nodes)
+                             and np.array_equal(f_u, factor(nodes))))
+                every_row.extend(rows.tolist())
+                return f_u
+
+            quad.integrate_rows(factor, integrand, a, b)
+            assert all(size <= tr.BLOCK_NODES and own for size, own in seen)
+            assert sorted(every_row) == np.flatnonzero(b > a).tolist()
+
+
 def test_mirror_rows_on_a_shared_interval_equal_their_scalar_calls():
     # on the CLI's grid, t and 2 - t integrate over one interval outside the
     # band wherever |1 - t| rounds alike; they lie far apart in the array

@@ -642,6 +642,26 @@ def test_a_kernel_that_overflows_is_a_numerical_error(tmp_path, command, n):
     assert "lam=" in run.stderr and "FAIL" not in run.stdout
 
 
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize("command", ["forward", "zeros"])
+def test_a_harmonic_kernel_past_float_range_is_a_numerical_error(tmp_path, command, warnings):
+    # the D^m Q^(m+k) sweep overflows a float at n = 3, m = 160: numpy's
+    # warnings went to stderr, then forward blamed g = h / t^(n-2) and zeros
+    # the transform magnitude
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", _write_profile(tmp_path), "--n", "3", "--m", "160",
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, *warnings, "-m", "sphmean.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert run.stderr.startswith("numerical error:") and run.stderr.count("\n") == 1, \
+        run.stderr
+    assert "D^160 Q^160" in run.stderr and "n=3" in run.stderr, run.stderr
+    assert run.stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [("forward", ["--grid", "5"]),
                                             ("zeros", ["--count", "2"])])
 def test_a_front_constant_past_float_range_is_named(tmp_path, capsys, command, extra):

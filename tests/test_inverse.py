@@ -119,6 +119,13 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+@pytest.mark.parametrize("n", [4, 16, 240, 241, 400])
+def test_unknown_grid_is_leggauss_on_the_unit_interval_bit_for_bit(n):
+    x, w = _leggauss(n)
+    for got, want in zip(inv.unknown_grid(n), (0.5 + 0.5 * x, 0.5 * w)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
 def _cuts_with_dedup(n_unknowns, n_collocation):
     """collocation_cuts as written with np.unique and a refill loop for
     indices that rounding might merge."""
