@@ -17,9 +17,7 @@ command's exact --flags and --config, each but a bool flag followed by a
 value not starting with '-' that its type converts) straight off `OPTIONS`:
 a plain run neither imports argparse nor builds a parser.  argparse reads
 every other argv (--flag=value, a unique prefix, a negative value) and stays
-the one source of help, usage and error text.  It builds only the run's own
-subcommand's parser; no command, --help, --version or an unknown command
-gets the parser of all eight.
+the one source of help, usage and error text.
 
 Artifacts are reproducible by construction: each output file starts with a
 comment header carrying the tool version, a SHA-256 hash of the effective
@@ -56,7 +54,6 @@ from .transform import (
     Dimension,
     HarmonicForwardData,
     QuadratureRule,
-    SmtProfile,
     g_from_h,
 )
 from . import ucp as ucp_mod
@@ -88,7 +85,7 @@ _SHARED = {"seed": (int, DEFAULT_SEED, 0, "RNG seed, echoed in each artifact"),
 OPTIONS = {command: {**options, **_SHARED} for command, options in {
     "forward": {"n": _N, "m": _M, "grid": (int, 201, 1, "number of t points"),
                 "derivatives": (bool, False, None,
-                                "also write dp_h_0..dp_h_k columns (m = 0)")},
+                                "also write dp_h_0..dp_h_k columns")},
     "invert": {"n": _N, "input": (str, REQUIRED, None, "CSV of (t, g) samples")},
     "range-check": {"n": _N, "m": _M,
                     "input": (str, None, None, "CSV of (t, h) samples"),
@@ -233,13 +230,6 @@ def _profile(block):
     return _build("profile", block)
 
 
-def _forward_data(prof, n: int, m: int, quad: QuadratureRule):
-    dim = Dimension(n)
-    if m == 0:
-        return SmtProfile(prof, dim, quad)
-    return HarmonicForwardData(prof, dim, m, quad)
-
-
 class _Run:
     """One resolved run: the handler's inputs, and the stamp of its artifacts.
 
@@ -275,7 +265,7 @@ class _Run:
             if value is REQUIRED:
                 raise ConfigError(f"{_flag(name)} (or config key '{name}') is required")
         if profile is not None:
-            self.data = _forward_data(profile, opts["n"], opts["m"], self.quad)
+            self.data = HarmonicForwardData(profile, Dimension(opts["n"]), opts["m"], self.quad)
         if opts.get("input") is not None:
             self.samples = _read_csv_columns(opts["input"], 2)
             effective["rows"] = len(self.samples)
@@ -412,13 +402,11 @@ def _csv_rows(path: str, expect: int, body):
 
 def _cmd_forward(run):
     n, m, count = run.opts["n"], run.opts["m"], run.opts["grid"]
-    if run.opts["derivatives"] and m != 0:
-        raise ConfigError("dp_h columns are only available for radial data (m=0)")
     data = run.data
     k = data.dim.k
     grid = np.linspace(0.05, 1.95, count)
     columns, dp = ["t", "g", "h"], []
-    if run.opts["derivatives"]:  # h and D^1..D^k h in one sweep
+    if run.opts["derivatives"]:  # h_m and D^1..D^k h_m in one sweep
         columns += [f"dp_h_{p}" for p in range(k + 1)]
         dp = data.dp_h(grid, range(k + 1))
         h = dp[0]
@@ -637,10 +625,8 @@ def _plain_args(argv):
     return types.SimpleNamespace(command=argv[0], fn=_COMMANDS[argv[0]][0], **args)
 
 
-def _build_parser(commands=_COMMANDS):
-    """The `smt` parser with the subcommands `commands` registered.  With one
-    registered, a fixed metavar keeps every subcommand in the usage line that
-    a usage error prints."""
+def _build_parser():
+    """The `smt` parser, every subcommand registered."""
     import argparse  # only here: a plain run imports neither it nor gettext
 
     parser = argparse.ArgumentParser(
@@ -650,10 +636,8 @@ def _build_parser(commands=_COMMANDS):
                     "vanishing-band construction.")
     parser.add_argument("--version", action="version",
                         version=f"smt {__version__}")
-    one = {"metavar": "{%s}" % ",".join(_COMMANDS)} if len(commands) == 1 else {}
-    sub = parser.add_subparsers(dest="command", required=True, **one)
-    for command in commands:
-        fn, text = _COMMANDS[command]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (fn, text) in _COMMANDS.items():
         p = sub.add_parser(command, help=text,
                            description=f"{text}. Each option is also a top-level "
                                        "key of the --config file; a flag wins.")
@@ -672,13 +656,10 @@ def _build_parser(commands=_COMMANDS):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a plain argv skips argparse (see the module docstring); any other gets
-    # the parser of its own subcommand, or of all eight
-    args = _plain_args(argv)
+    args = _plain_args(argv)  # a plain argv skips argparse (see the module docstring)
     if args is None:
-        parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits on usage errors and --help
             code = exc.code
             return int(code) if code is not None else 0

@@ -102,7 +102,7 @@ def range_residual(data, k: int | None = None, grid: np.ndarray | None = None) -
     the m = 0 case of general_range_check.
 
     `data` needs a dp_h(t, p) method that takes an array of t and an order
-    or a sequence of orders p <= k (SmtProfile, SampledH).
+    or a sequence of orders p <= k (HarmonicForwardData, SampledH).
     k is the caller's, else data.dim.k.
     """
     return general_range_check(data, 0, k, grid).range_report
@@ -305,7 +305,7 @@ def general_range_check(
 ) -> GeneralRangeReport:
     """L_{m+k} symmetry of the m-fold antiderivative plus moment defects.
 
-    k is the caller's, else data.dim.k.  Forward-generated harmonic data
+    k is the caller's, else data.dim.k.  At m > 0, forward-generated data
     (HarmonicForwardData) uses its analytic phi derivatives.  Any other data
     needs a dp_h(t, orders) method: phi comes from AntiDerivativeChain
     integrals of dp_h(t, 0), and orders p >= m are the data's own
@@ -320,7 +320,7 @@ def general_range_check(
             raise ValueError("cannot infer k; pass it explicitly")
         k = data.dim.k
 
-    if hasattr(data, "phi_dp"):  # analytic forward route
+    if m and hasattr(data, "phi_dp"):  # analytic forward route
         phi_dp = data.phi_dp
         chain = AntiDerivativeChain(data.h, m)
     else:

@@ -15,10 +15,12 @@ never finite differences; checked for odd n <= 41.
 Single-harmonic data of degree m take the same kernel at order m + k:
 
     D^p phi_m(t) = integral u^(1-m) f(u) [D^p Q^(m+k)](t,u) du,
-    h_m(t) = c_n k! / ((m+k)! 8^m) * D^m phi_m(t),
+    D^p h_m(t) = c_n k! / ((m+k)! 8^m) * D^(m+p) phi_m(t),   p <= k,
 
-with c_n the radial constant above, so h_0 = h.  The second line is
-Rodrigues' formula for the Gegenbauer kernel of the Funk-Hecke integral.
+with c_n the radial constant above.  The second line is Rodrigues' formula
+for the Gegenbauer kernel of the Funk-Hecke integral.  Radial data is its
+m = 0 case (h_0 = h, bit for bit): one integral (`_h_dp`) answers every
+forward entry point, and one class (`HarmonicForwardData`) holds the data.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ class DerivativeProfile:
 
 
 # ---------------------------------------------------------------------------
-# forward transform, radial case
+# forward transform
 #
 # Every forward entry point answers a scalar t or an array of t with one
 # batched quadrature (QuadratureRule.integrate_rows), and the D^p entry
@@ -347,11 +349,6 @@ def _front_constant(n: int) -> float:
             f"the transform's front constant overflows a float at n={n}") from None
 
 
-def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
-    """h(t) = t^(n-2) g(t) for radial data, by the Q-kernel integral."""
-    return _radial_dp(profile, dim, t, 0, quad)
-
-
 def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
     """[D^p Q^K](t, u), one row for each of the distinct orders 0 <= p <= K,
     for floats, arrays or Fractions, into `out` or a new array (of objects for
@@ -412,13 +409,18 @@ def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
     return out
 
 
-def _kernel_integrals(profile, ts, orders, weight, K: int, dim: Dimension, quad: QuadratureRule):
-    """(orders x t) integrals of weight(u) f(u) [D^p Q^K](t, u) over the
-    support range, all orders in one sweep and a repeated order once;
-    ArithmeticError naming K, p and n where one is not finite."""
+def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
+    """(orders x t) values of D^p phi_m = integral of u^(1-m) f(u)
+    [D^p Q^(m+k)](t, u) du over the support range, the one integral of every
+    forward entry point: all orders in one sweep and a repeated order once;
+    ArithmeticError naming K = m + k, p and n where one is not finite."""
+    K = m + dim.k
     distinct = sorted(set(orders))
     # row 0's factors in t, once per call and not once per block
     squares = (_power(1 + ts, 2), _power(1 - ts, 2)) if distinct[0] == 0 and K else ()
+
+    def factor(u):  # u ** 1 would copy every block of nodes
+        return u * profile(u) if m == 0 else u ** (1 - m) * profile(u)
 
     def integrand(rows, u, f_u):
         values = np.empty((len(distinct),) + u.shape)
@@ -429,8 +431,7 @@ def _kernel_integrals(profile, ts, orders, weight, K: int, dim: Dimension, quad:
 
     a, b = _u_range(profile, ts)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        values = quad.integrate_rows(lambda u: weight(u) * profile(u), integrand, a, b,
-                                     (len(distinct),))
+        values = quad.integrate_rows(factor, integrand, a, b, (len(distinct),))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
@@ -439,13 +440,23 @@ def _kernel_integrals(profile, ts, orders, weight, K: int, dim: Dimension, quad:
     return values[[distinct.index(p) for p in orders]]
 
 
-def _radial_dp(profile, dim: Dimension, t, p, quad: QuadratureRule):
-    """D^p h for forward_h and forward_h_dp."""
-    k, c = dim.k, _front_constant(dim.n)
+def _h_dp(profile, dim: Dimension, m: int, t, p, quad: QuadratureRule):
+    """D^p h_m = K_(n,m) D^(m+p) phi_m for p <= k, with K_(n,m) = c_n k! /
+    ((m+k)! 8^m) and c_n the radial front constant: K_(n,0) = c_n, and at m = 0
+    this is the radial D^p h."""
+    k = dim.k
     orders = _orders(p, k, "kernel differentiation supports 0 <= p <= k")
     ts, shape = _batch(t)
-    values = _kernel_integrals(profile, ts, orders, lambda u: u, k, dim, quad)
-    return _by_order(c * values, p, shape)
+    if m < 0:
+        raise ValueError("m >= 0")
+    scale = _front_constant(dim.n) * (math.factorial(k) / (math.factorial(m + k) * 8 ** m))
+    return _by_order(scale * _phi_dp(profile, dim, m, ts, [m + q for q in orders], quad),
+                     p, shape)
+
+
+def forward_h(profile, dim: Dimension, t, quad: QuadratureRule = DEFAULT_QUAD):
+    """h(t) = t^(n-2) g(t) for radial data, by the Q-kernel integral."""
+    return _h_dp(profile, dim, 0, t, 0, quad)
 
 
 def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_QUAD):
@@ -457,34 +468,18 @@ def forward_h_dp(profile, dim: Dimension, t, p, quad: QuadratureRule = DEFAULT_Q
     p may be a sequence of orders: one row per order (in the shape of t) from
     one sweep, each equal to its own scalar-p call bit for bit.
     """
-    return _radial_dp(profile, dim, t, p, quad)
-
-
-# ---------------------------------------------------------------------------
-# forward transform, single-harmonic case
-
-
-def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
-    """(orders x t) values of D^p phi_m = integral of u^(1-m) f(u)
-    [D^p Q^(m+k)](t, u) du, the one integral of both harmonic entry points."""
-    return _kernel_integrals(profile, ts, orders, lambda u: u ** (1 - m), m + dim.k, dim, quad)
+    return _h_dp(profile, dim, 0, t, p, quad)
 
 
 def forward_harmonic_h(profile, dim: Dimension, m: int, t, quad: QuadratureRule = DEFAULT_QUAD):
     """h_m(t) = t^(n-2) g_m(t) for a single-harmonic component, division-free:
-    K_(n,m) D^m phi_m, with K_(n,m) = c_n k! / ((m+k)! 8^m) and c_n the radial
-    front constant (so h_0 is the radial h).
+    K_(n,m) D^m phi_m (so h_0 is the radial h, bit for bit).
 
     The Funk-Hecke integral of h_m has the kernel (1 - x^2)^k C_m^(k+1/2)(x),
     x = (1 + u^2 - t^2)/(2u); by Rodrigues' formula that is a multiple of
     u^m (4u^2)^(-m-k) D^m Q^(m+k), since d/dx = -u D and 1 - x^2 = Q/(4u^2).
     """
-    ts, shape = _batch(t)
-    if m < 0:
-        raise ValueError("m >= 0")
-    k = dim.k
-    scale = _front_constant(dim.n) * (math.factorial(k) / (math.factorial(m + k) * 8 ** m))
-    return _shaped(scale * _phi_dp(profile, dim, m, ts, (m,), quad)[0], shape)
+    return _h_dp(profile, dim, m, t, 0, quad)
 
 
 def phi_harmonic_dp(
@@ -509,30 +504,11 @@ def phi_harmonic_dp(
 # packaged data views
 
 
-class SmtProfile:
-    """Forward data of a radial profile: h, g and analytic D^p h up to k, at
-    scalar or array t (and a scalar p or a sequence of orders); h vanishes
-    outside the t-interval `support`."""
-
-    def __init__(self, profile, dim: Dimension, quad: QuadratureRule = DEFAULT_QUAD):
-        self.profile = profile
-        self.dim = dim
-        self.quad = quad
-        r_hi = profile.support[1]
-        self.support = (1.0 - r_hi, 1.0 + r_hi)
-
-    def h(self, t):
-        return forward_h(self.profile, self.dim, t, self.quad)
-
-    def g(self, t):
-        return g_from_h(forward_h(self.profile, self.dim, t, self.quad), t, self.dim.n)
-
-    def dp_h(self, t, p):
-        return forward_h_dp(self.profile, self.dim, t, p, self.quad)
-
-
 class HarmonicForwardData:
-    """Forward data of a single-harmonic profile: h_m and D^p phi_m."""
+    """Forward data of a single-harmonic profile of degree m (radial data at
+    m = 0): h_m, g_m, analytic D^p h_m up to k and D^p phi_m up to m + k, at
+    scalar or array t (and a scalar p or a sequence of orders); h_m vanishes
+    outside the t-interval `support`."""
 
     def __init__(self, profile, dim: Dimension, m: int, quad: QuadratureRule = DEFAULT_QUAD):
         self.profile = profile
@@ -545,5 +521,23 @@ class HarmonicForwardData:
     def h(self, t):
         return forward_harmonic_h(self.profile, self.dim, self.m, t, self.quad)
 
+    def g(self, t):
+        return g_from_h(self.h(t), t, self.dim.n)
+
+    def dp_h(self, t, p):
+        return _h_dp(self.profile, self.dim, self.m, t, p, self.quad)
+
     def phi_dp(self, t, p):
         return phi_harmonic_dp(self.profile, self.dim, self.m, t, p, self.quad)
+
+
+class SmtProfile(HarmonicForwardData):
+    """Forward data of a radial profile, the m = 0 case.  Its own h is
+    `forward_h`, the same bytes as the harmonic route, in the class's own
+    namespace, where `smtbench/spans.py` wraps it by name."""
+
+    def __init__(self, profile, dim: Dimension, quad: QuadratureRule = DEFAULT_QUAD):
+        super().__init__(profile, dim, 0, quad)
+
+    def h(self, t):
+        return forward_h(self.profile, self.dim, t, self.quad)

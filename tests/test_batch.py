@@ -55,7 +55,9 @@ def _harmonic(n, m):
     data = tr.HarmonicForwardData(BUMP, dim, m, QUAD)
     yield "forward_harmonic_h", lambda t: tr.forward_harmonic_h(BUMP, dim, m, t, QUAD)
     yield "HarmonicForwardData.h", data.h
-    yield "g_from_h of HarmonicForwardData.h", lambda t: tr.g_from_h(data.h(t), t, n)
+    yield "HarmonicForwardData.g", data.g
+    for p in range(dim.k + 1):
+        yield f"HarmonicForwardData.dp_h p={p}", lambda t, p=p: data.dp_h(t, p)
     for p in range(m + dim.k + 1):
         yield f"phi_harmonic_dp p={p}", lambda t, p=p: tr.phi_harmonic_dp(BUMP, dim, m, t, p, QUAD)
         yield f"HarmonicForwardData.phi_dp p={p}", lambda t, p=p: data.phi_dp(t, p)
@@ -262,8 +264,9 @@ def _range_data():
     dim = tr.Dimension(9)
     fwd = tr.SmtProfile(BUMP, dim, QUAD)
     yield "SmtProfile.dp_h", fwd.dp_h, dim.k
-    yield "HarmonicForwardData.phi_dp", tr.HarmonicForwardData(
-        BUMP, tr.Dimension(5), 2, QUAD).phi_dp, 3
+    harmonic = tr.HarmonicForwardData(BUMP, tr.Dimension(5), 2, QUAD)
+    yield "HarmonicForwardData.phi_dp", harmonic.phi_dp, 3
+    yield "HarmonicForwardData.dp_h", harmonic.dp_h, 1
     yield "SampledH.dp_h", rc.SampledH.from_function(fwd.h, degree=64).dp_h, 8
     yield "JetH.dp_h", bump_h(1.1, 0.4).dp_h, 8
     yield "PerturbedH.dp_h", PerturbedH(fwd, 0.1).dp_h, dim.k
@@ -283,19 +286,22 @@ def test_range_data_order_sequences_equal_their_scalar_orders():
 
 
 def test_range_check_reads_the_data_once(monkeypatch):
-    # apply_Lk asks for every order in one call: one forward sweep for the
-    # radial residual, one phi sweep for the harmonic check at m = 2
-    calls = []
-    for name in ("forward_h_dp", "phi_harmonic_dp"):
-        def counted(*args, fn=getattr(tr, name), name=name, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(tr, name, counted)
+    # apply_Lk asks for every order in one call: one forward sweep of orders
+    # 0..k for the radial residual, of phi's 0..m+k for the harmonic check at
+    # m = 2, whose moment defects add one chain sweep that reads h once
+    sweeps = []
+    real = tr.QuadratureRule.integrate_rows
+
+    def counted(self, factor, integrand, a, b, shape=()):
+        sweeps.append((self == tr.DEFAULT_QUAD, shape))
+        return real(self, factor, integrand, a, b, shape)
+
+    monkeypatch.setattr(tr.QuadratureRule, "integrate_rows", counted)
     rc.range_residual(tr.SmtProfile(BUMP, tr.Dimension(9)))
-    assert calls == ["forward_h_dp"]
-    calls.clear()
+    assert sweeps == [(True, (4,))]
+    sweeps.clear()
     rc.general_range_check(tr.HarmonicForwardData(BUMP, tr.Dimension(5), 2), 2)
-    assert calls == ["phi_harmonic_dp"]
+    assert sweeps == [(True, (4,)), (False, (4,)), (True, (1,))]
 
 
 def test_range_data_wrappers_match_scalar_calls():

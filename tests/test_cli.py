@@ -75,26 +75,6 @@ def test_cli_surface_is_pinned(monkeypatch, capsys, case):
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
-@pytest.mark.parametrize("case", SURFACE, ids=_surface_id)
-def test_a_run_prints_what_the_full_parser_prints(monkeypatch, capsys, case):
-    monkeypatch.setenv("COLUMNS", "80")
-    seen, build_one = [], cli._build_parser
-    for build in (build_one, lambda commands: build_one()):
-        monkeypatch.setattr(cli, "_build_parser", build)
-        seen.append((cli.main(case["argv"]), capsys.readouterr()))
-    assert seen[0] == seen[1]
-
-
-def test_a_run_registers_only_its_own_subcommand(monkeypatch, capsys):
-    built, build = [], cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(build(*a)) or built[-1])
-    # --flag=value is a spelling only argparse reads
-    assert cli.main(["identities", "--max-k=1"]) == 0
-    capsys.readouterr()
-    [parser] = built
-    assert list(parser._subparsers._group_actions[0].choices) == ["identities"]
-
-
 def _argparse_vars(capsys, argv):
     """repr of each value of argparse's namespace for `argv`, None where
     argparse exits (help, usage errors)."""
@@ -283,9 +263,32 @@ def test_forward_derivative_columns(tmp_path, capsys):
     assert header == "t,g,h,dp_h_0"  # n=3 trusts no higher orders
 
 
+def test_forward_derivatives_of_harmonic_data(tmp_path, capsys):
+    # dp_h_p is D^p h_m at m > 0 too; the t, g and h columns are the table's
+    # without --derivatives
+    cfg = _write_profile(tmp_path)
+    tables = []
+    for extra in ([], ["--derivatives"]):
+        out = str(tmp_path / f"fwd{len(tables)}.csv")
+        assert cli.main(["forward", "--config", cfg, "--n", "5", "--m", "2",
+                         "--grid", "2001", "--out", out, *extra]) == 0
+        capsys.readouterr()
+        tables.append(_data_rows(out))
+    plain, rows = tables
+    assert rows.shape == (2001, 5)  # t, g, h, dp_h_0, dp_h_1
+    assert np.array_equal(rows[:, :3], plain)
+    assert rows[:, 3].tobytes() == rows[:, 2].tobytes()
+    # D h_m = (1/t) dh_m/dt by a central difference of the Funk-Hecke route,
+    # whose step error reads 1.9e-9 of max |D h_m|
+    bump, dim, t, step = BumpProfile(0.55, 0.25), Dimension(5), rows[:, 0], 1e-5
+    diff = (orc.gegenbauer_forward_h(bump, dim, 2, t + step)
+            - orc.gegenbauer_forward_h(bump, dim, 2, t - step)) / (2 * step * t)
+    assert np.max(np.abs(rows[:, 4] - diff)) <= 1e-8 * np.max(np.abs(rows[:, 4]))
+
+
 @pytest.mark.parametrize("m, extra, reader", [
     (0, [], "forward_h"), (0, ["--derivatives"], "forward_h"),
-    (2, [], "forward_harmonic_h")])
+    (2, [], "forward_harmonic_h"), (2, ["--derivatives"], "forward_harmonic_h")])
 def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
     # one quadrature sweep per table: g, h and every dp_h_p column come from
     # it, and each equals its own entry point's call bit for bit
@@ -311,6 +314,10 @@ def test_forward_reads_h_once(tmp_path, capsys, monkeypatch, m, extra, reader):
     assert np.array_equal(rows[:, 1], g) and np.array_equal(rows[:, 2], h)
     if extra:
         assert np.array_equal(rows[:, 3], h)
+    if extra and m:  # D^p h_m = K_(n,m) D^(m+p) phi_m
+        phi = tr.phi_harmonic_dp(bump, dim, m, t, range(m + 1, m + dim.k + 1))
+        np.testing.assert_allclose(rows[:, 4:].T, orc.const_Kmn(dim, m) * phi, rtol=1e-13, atol=0)
+    elif extra:
         assert np.array_equal(rows[:, 4:].T, tr.forward_h_dp(bump, dim, t, range(1, dim.k + 1)))
 
 
@@ -589,6 +596,25 @@ def test_no_subcommand_imports_mpmath(tmp_path):
     assert run.returncode == 0, run.stderr
     # cross-check --m 2 is the known FAIL of the cross-check-m2 pin
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 1, 0, 0, 0, 0] False False", run.stdout
+
+
+def test_the_benchmark_tracer_installs(tmp_path):
+    # smtbench/spans.py wraps the package's entry points by name, from outside
+    # the package: a rename that drops one fails its install
+    pytest.importorskip("mpmath")
+    spans = os.path.join(os.path.dirname(os.path.dirname(__file__)), "smtbench", "spans.py")
+    code = ("import importlib.util\n"
+            "import sphmean.cli\n"
+            f"spec = importlib.util.spec_from_file_location('spans', {spans!r})\n"
+            "spans = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(spans)\n"
+            "spans.Recorder().install()\n"
+            "print('installed')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "installed\n"
 
 
 SEEDS = [0, 1, 2, 3, 7, 77, 911, 4242, cli.DEFAULT_SEED, 2**32 - 1, 2**32, 2**64 + 5,

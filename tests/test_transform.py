@@ -321,11 +321,19 @@ def test_forward_h_dp_continuous_at_t1():
 # harmonic route
 
 
-def test_forward_harmonic_m0_reduces_to_radial():
-    for t in (0.5, 1.1):
-        a = tr.HarmonicForwardData(BUMP, D5, 0).h(t)
-        b = tr.SmtProfile(BUMP, D5).h(t)
-        assert a == pytest.approx(b, rel=1e-13)
+@pytest.mark.parametrize("n", [3, 5, 9, 21, 41, 101])
+def test_forward_harmonic_m0_reduces_to_radial(n):
+    # radial data is the m = 0 harmonic, bit for bit: h, g, and every D^p h
+    # as c_n D^p phi_0
+    dim, t = tr.Dimension(n), np.linspace(0.05, 1.95, 2001)
+    radial, harmonic = tr.SmtProfile(BUMP, dim), tr.HarmonicForwardData(BUMP, dim, 0)
+    assert isinstance(radial, tr.HarmonicForwardData)
+    assert harmonic.h(t).tobytes() == radial.h(t).tobytes()
+    assert harmonic.g(t).tobytes() == radial.g(t).tobytes()
+    orders = range(dim.k + 1)
+    phi = tr._front_constant(n) * tr.phi_harmonic_dp(BUMP, dim, 0, t, orders)
+    assert phi.tobytes() == harmonic.dp_h(t, orders).tobytes()
+    assert phi.tobytes() == tr.forward_h_dp(BUMP, dim, t, orders).tobytes()
 
 
 def test_phi_closed_form_n3_m1():
@@ -368,6 +376,32 @@ def test_harmonic_h_matches_the_gegenbauer_route(bump):
             got = tr.forward_harmonic_h(bump, dim, m, ts, quad)
             want = gegenbauer_forward_h(bump, dim, m, ts, quad)
             assert _sup_relative(got, want) < 1e-13, (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (9, 3), (21, 2), (41, 6)])
+def test_harmonic_dp_h_is_h_then_scaled_phi_dp(n, m):
+    # D^0 h_m is h_m bit for bit; every order p <= k is K_(n,m) D^(m+p) phi_m
+    # against the Gamma-function constant (worst 8.8e-16), and k caps p
+    dim, t = tr.Dimension(n), np.linspace(0.05, 1.95, 391)
+    data, orders = tr.HarmonicForwardData(BUMP, dim, m), range(dim.k + 1)
+    got = data.dp_h(t, orders)
+    assert got[0].tobytes() == data.h(t).tobytes()
+    phi = const_Kmn(dim, m) * tr.phi_harmonic_dp(BUMP, dim, m, t, [m + p for p in orders])
+    for p in orders:
+        assert _sup_relative(got[p], phi[p]) < 1e-14, p
+    with pytest.raises(ValueError):
+        data.dp_h(t, dim.k + 1)
+
+
+@pytest.mark.parametrize("n, m", [(5, 1), (5, 2), (7, 3), (9, 2), (21, 4)])
+def test_harmonic_dp_h_1_is_a_central_difference_of_the_gegenbauer_route(n, m):
+    # D h_m = (1/t) dh_m/dt against the independent Funk-Hecke route, step
+    # 1e-5: the step's error reads at most 6.3e-9 of max |D h_m| (n = 21)
+    dim, t, step = tr.Dimension(n), np.linspace(0.05, 1.95, 391), 1e-5
+    got = tr.HarmonicForwardData(BUMP, dim, m).dp_h(t, 1)
+    diff = (gegenbauer_forward_h(BUMP, dim, m, t + step)
+            - gegenbauer_forward_h(BUMP, dim, m, t - step)) / (2 * step * t)
+    assert _sup_relative(got, diff) < 1e-8
 
 
 def test_phi_dp_order_cap():

@@ -32,6 +32,9 @@ smt forward --config profile.json --n 25 --grid 2001 --derivatives --out fwd25.c
 # h and dp_h_0 come from one quadrature sweep: identical below the header
 smt forward --config profile.json --n 5 --grid 2001 --derivatives --out fwd5d.csv
 awk -F, '/^[#t]/ {next} ($3 "") != ($4 "") {print "h and dp_h_0 differ: " $0; bad = 1} END {exit bad}' fwd5d.csv
+# the same at m = 2: dp_h_p is D^p h_m at every m
+smt forward --config profile.json --n 5 --m 2 --grid 2001 --derivatives --out fwd5m2d.csv
+awk -F, '/^[#t]/ {next} ($3 "") != ($4 "") {print "h and dp_h_0 differ: " $0; bad = 1} END {exit bad}' fwd5m2d.csv
 smt cross-check --config profile.json --grid 20 --lambda-max 40
 smt cross-check --config profile.json --n 9 --grid 20 --lambda-max 40
 smt zeros --config profile.json --count 10
