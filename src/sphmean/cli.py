@@ -439,7 +439,7 @@ def _cmd_invert(run):
         run.emit_json({"rank": res.rank, "residual": res.residual,
                        **run.effective["inversion"],
                        "singular_value_max": float(res.singular_values[0]),
-                       "singular_value_min": float(res.singular_values[-1])},
+                       "singular_value_min_kept": float(res.singular_values[res.rank - 1])},
                       os.path.splitext(run.out)[0] + ".json")
     return None, f"rank {res.rank}, residual {res.residual:.3e}"
 

@@ -71,39 +71,35 @@ def q_kernel(t, u):
 # quadrature
 
 
-def _legval(x, c):
-    """Legendre series sum c[i] P_i(x), by numpy's `legval` Clenshaw loop
-    operation for operation (len(c) >= 2); with each c[i] a column of
-    coefficients, one series per row."""
-    nd = len(c)
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        nd = nd - 1
-        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
 @lru_cache(maxsize=None)
 def _gauss_nodes(n: int):
-    """Gauss–Legendre nodes and weights (n >= 2) by the arithmetic of numpy's
-    `leggauss`, bit for bit, without importing `numpy.polynomial`: companion
-    eigenvalues, one Newton step, weights from P_n' and P_(n-1), symmetrized."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, -1))  # it reads the lower triangle only
-    p_n = [0.0] * n + [1.0]
-    # P_n' = sum of (2i+1) P_i over i < n with n-1-i even, exactly as `legder`;
-    # a trailing zero puts it in step with P_n, so one loop sums both
-    dp_n = [float(2 * i + 1) if (n - 1 - i) % 2 == 0 else 0.0 for i in range(n)] + [0.0]
-    f, df = _legval(x, np.array([p_n, dp_n]).T[..., None])
-    x -= f / df
-    fm = _legval(x, p_n[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+    """Gauss–Legendre nodes and weights (n >= 2), after Golub & Welsch.
+
+    The Jacobi matrix J of the Legendre weight has a zero diagonal, so J^2
+    couples only indices of one parity.  Its even-index block is tridiagonal,
+    of size ceil(n/2), with eigenvalues x^2 for the nodes x >= 0 (0 itself
+    for an odd n).  One Newton step on P_n polishes them.  Each weight,
+    2 / ((1 - x^2) P_n'(x)^2), comes from the same recurrence pass, moved
+    to first order from the starting node to the root; the rule is mirrored
+    and scaled to sum to 2.
+    """
+    i = np.arange(1, n)
+    b = np.concatenate([[0.0], i / np.sqrt(4.0 * i * i - 1), [0.0]])  # J's off-diagonal
+    h = (n + 1) // 2
+    # the block's diagonal and subdiagonal: eigvalsh reads the lower triangle
+    lam = np.linalg.eigvalsh(np.diag(b[0:2 * h:2] ** 2 + b[1:2 * h + 1:2] ** 2)
+                             + np.diag(b[1:2 * h - 1:2] * b[2:2 * h:2], -1))
+    lam[:n % 2] = 0.0
+    x = np.sqrt(lam)
+    pm, p = np.ones_like(x), x  # P_(n-1) and P_n, by the three-term recurrence
+    odd_x = np.arange(3.0, 2 * n, 2)[:, None] * x  # (2j + 1) x
+    for j in range(1, n):
+        pm, p = p, (odd_x[j - 1] * p - j * pm) / (j + 1)
+    s, q = (1 - x) * (1 + x), n * (pm - x * p)  # P_n' = q / s
+    w = 2 * s / q ** 2 * (1 + 2 * x * p / q)
+    x = x - p * s / q
+    x, w = np.concatenate([-x[::-1][:n // 2], x]), np.concatenate([w[::-1][:n // 2], w])
+    return x, w * (2 / w.sum())
 
 
 # nodes per quadrature block (rows of t times nodes per row): larger blocks

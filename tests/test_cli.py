@@ -903,6 +903,8 @@ def test_forward_invert_round_trip(tmp_path, capsys):
     diag = json.loads(open(str(tmp_path / "rec.json")).read())
     assert diag["rank"] >= 60
     assert diag["residual"] <= 1e-8
+    # the smallest singular value the solve kept, not the spectrum's rounding floor
+    assert 1e-6 * diag["singular_value_max"] < diag["singular_value_min_kept"]
 
 
 def test_invert_ill_posed_exits_1(tmp_path, capsys):
@@ -1128,9 +1130,9 @@ def test_overflow_prints_only_its_error_line(tmp_path):
 # from the same rule with twice the panels.
 ARTIFACTS = {
     "zeros": (["zeros", "--count", "10"],
-              "020b45e065cc965943ab3d1e5459454a35478906f970278f297ebcfa46668c90"),
+              "0013e809be2c0bf2818b309cb8bcdb3e039bb8a999fe2f8cf098cbc86e14ac31"),
     "cross-check": (["cross-check", "--grid", "20", "--lambda-max", "40"],
-                    "c713dcc48fa8ec81d180b98014284d4af4443d95ca70dda25246023e290f5785"),
+                    "55775abe7c464d6302e7ddf8e8b77be765423d0182562ba5bfa1dba42bf499f9"),
 }
 
 
@@ -1149,20 +1151,20 @@ def test_spectral_artifact_bytes_are_pinned(tmp_path, capsys, command):
 UCP_SPEC = {"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}
 FORWARD_ARTIFACTS = {
     "forward-n9": (["forward", "--n", "9", "--grid", "2001", "--derivatives"], None,
-                   {"": "2787d551864c5627efa4d308ba5be86274b8a35376c13a6000a44218e63e434f"}),
+                   {"": "2ef9ff867522d1d37842ecbb755d3dbae7cc70edf8c10ae8e7f4dcd28ea74301"}),
     "forward-n5-m2": (["forward", "--n", "5", "--m", "2", "--grid", "2001"], None,
-                      {"": "cbbd46bb68a5925ef5e0585815bae384b44720e14239c4eb9f0bc69c859b4d9f"}),
+                      {"": "ac37798e685288492897cd2027515be5ca684eb59da2cbd4b1ced11bc0570b35"}),
     "ucp-demo": (["ucp-demo"], UCP_SPEC,
-                 {"_g": "05ce7215b38e5e3ec288139d91bc85eac27336550044043ddb2651a6d95fbb17",
+                 {"_g": "ccc178277933e9bafc77ac00ee1f4e3ff1de57f8e6816efad0f59875e19cd434",
                   "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
     # h and D^p h in one sweep: k = 0 (n = 3) and k = 1 (n = 5)
     "forward-n3": (["forward", "--n", "3", "--grid", "2001", "--derivatives"], None,
-                   {"": "1d5d6eddb34a65d1749975e4ebb64352b4a5091277c14b673f4eb653cd19b6ab"}),
+                   {"": "2d8d32c494aa22717f3375d465353dac5c818f2067268bc879d0f9be51db4cca"}),
     "forward-n5": (["forward", "--n", "5", "--grid", "2001", "--derivatives"], None,
-                   {"": "6ab6f509689dda53ab91fa108ac543c1591800136fa5da17dc2b0f73a6b7b1d9"}),
+                   {"": "1691563e3f8217eae1e2b535a117589bc5e9f68ab13ec40dee8f5ee2581311ce"}),
     # order-2 jets of the bump
     "ucp-demo-n3-m2": (["ucp-demo", "--n", "3", "--m", "2", "--epsilon", "0.2"], {},
-                       {"_g": "84bdb0dfdff07cc0142bc490701ff3464ff832cd1edb155fade60d7822343fd7",
+                       {"_g": "92984d0436b970e630aa55761127ce0a350dd8d0879881b93d69a6e0f54c3919",
                         "_f": "507568e1efd2ec63465eb3c1b7473eee09be2c055fd6bcbd56c5de892011e15d"}),
 }
 
@@ -1287,29 +1289,29 @@ def test_ucp_demo_hashes_a_config_tol_as_its_flag(tmp_path, capsys):
 RUN_ARTIFACTS = {
     # one gelsd solve: the same bytes under one BLAS thread or several
     "invert": (["invert", "--n", "3", "--input", "FWD"], "rec.csv", 0, {
-        "rec.csv": "d8a84e9571becaaeb1532488cf568d043acc54143a1260337ed926467d1b0406",
-        "rec.json": "87d068fb13dbad5c0e5e91241f6e5f29359d91cba3a5f7d4b87bd7fd6acb4150"}),
+        "rec.csv": "ff0f236b35b505c2d0c3be2833db0e41a01e2a761a17ab45b474f74d943bae91",
+        "rec.json": "3d040c4606c6521dc653c9a090f7798e287799be619e8b761bf77ba7a2f58f8c"}),
     "range-check-m0": (["range-check", "--config", "PROFILE"], "rc.json", 0, {
-        "rc.json": "4a358a2ab7cfb1d55e0f12bc84d018161a6cf698ec29f4e63aaab1d1acabf998"}),
+        "rc.json": "ce712c967158db120fda3737d74eb6c640ef063ca4515a2e69301084a6db8fcf"}),
     "range-check-m2": (["range-check", "--config", "PROFILE", "--m", "2"], "rc.json", 0, {
-        "rc.json": "8920baea8c9371ba664a78364f64ab510e22074b7dca6abf27dbba6aeebc6fb5"}),
+        "rc.json": "c0910179f2e068995b3afcd4a9601805e559d622f092cbc645646221782d62a5"}),
     "range-check-input": (["range-check", "--n", "3", "--input", "SAMPLES"], "rc.json", 0, {
-        "rc.json": "098c1ee7d274733fcdf1e14d9031644fc603f1085490a8128cb502f29ed35274"}),
+        "rc.json": "d8049b3845adcee198fbc37a982dc8af1c01522a1bac82833caaee0a7d44d0ef"}),
     "range-check-input-m2": (
         ["range-check", "--n", "3", "--m", "2", "--input", "SAMPLES"], "rc.json", 1, {
-            "rc.json": "b7cba2612f63c1791e2095dadcafbe7b72c3baa6b60bec2b64f7b0cb59c32af3"}),
+            "rc.json": "b8c5a43fb697da3af0c27467eac2410891eac6d150d604d0d4e38404f8b95d0c"}),
     "identities": (["identities"], "ids.csv", 0, {
         "ids.csv": "d8f9f3664f81b94bfeae980470371c4c52bab31b4e8f4b291303f83d1b3abf2c"}),
     # its k = 0 rows next to a kernel zero take the 80-digit retry of mk_residual
     "mk-check": (["mk-check", "--k", "6", "--count", "100", "--seed", "7"], "mk.csv", 0, {
         "mk.csv": "04810d4f89b92544fd06703fd955d3576242822bea25e65290e3d8527a3de09b"}),
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
-        "zeros.csv": "f82047b6d8ce3b482e506b805cab2fb61c55ecec0e0135b279a21a050aed194f"}),
+        "zeros.csv": "71714dfc48a4e691090415fb3150c14e160d876598c8ea491973cddb3955690e"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
-        "zeros.csv": "faf87f30d9085d419391b586a5ac64459262ad374cb0c1139b436f8d76f8b8c3"}),
+        "zeros.csv": "a9f00b0b63289232101868b5f107c1c42aa05f946dac7ee5879e2b6d9514410e"}),
     # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
     "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
-        "cc.csv": "8711215849037d740ff2bccf2efff79ab66e14eb65305ab0b1a12c18c5392d01"}),
+        "cc.csv": "1c3ee70a53f3a27abb6784b419677df320c6b764f11dca29c673365f737a79d2"}),
 }
 
 

@@ -1,14 +1,12 @@
 """Inversion round trips: the dimension-three closed form and the
 collocation least-squares route, plus configuration validation."""
 
-from functools import lru_cache
-
 import numpy as np
 import pytest
 
 from sphmean import inverse as inv
 from sphmean.rangecheck import SampledH
-from sphmean.transform import BumpProfile, Dimension, SmtProfile
+from sphmean.transform import BumpProfile, Dimension, SmtProfile, _gauss_nodes
 
 from _oracles import R_FLOOR, forward_matrix_meshgrid, invert_radial_n3, truncated_svd_solve
 
@@ -114,14 +112,9 @@ def test_forward_matrix_equals_the_meshgrid_formula():
             assert set(np.signbit(A[A == 0.0])) == {dim.k % 2 == 1}, (n, cfg)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 @pytest.mark.parametrize("n", [4, 16, 240, 241, 400])
-def test_unknown_grid_is_leggauss_on_the_unit_interval_bit_for_bit(n):
-    x, w = _leggauss(n)
+def test_unknown_grid_is_the_package_rule_on_the_unit_interval_bit_for_bit(n):
+    x, w = _gauss_nodes(n)
     for got, want in zip(inv.unknown_grid(n), (0.5 + 0.5 * x, 0.5 * w)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
@@ -133,7 +126,7 @@ def _cuts_with_dedup(n_unknowns, n_collocation):
     if n_collocation > n_unknowns + 1:
         j = np.arange(n_collocation)
         return np.sort(0.5 - (0.5 - lo) * np.cos(np.pi * (j + 0.5) / n_collocation))
-    inner = np.cumsum(0.5 * _leggauss(n_unknowns)[1])[:-1]
+    inner = np.cumsum(0.5 * _gauss_nodes(n_unknowns)[1])[:-1]
     inner = inner[(inner > lo) & (inner < hi)]
     want = n_collocation - 2
     if want <= len(inner):
