@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import Dimension, QuadratureRule, _front_constant, q_kernel
+from .transform import Dimension, QuadratureRule, _dp_q_kernels, _front_constant
 
 # collocation cuts stay inside [CUT_LO, 1 - CUT_LO]; tight enough that every
 # Gauss cell boundary survives at the grid sizes used here
@@ -105,19 +105,17 @@ def forward_matrix(dim: Dimension, cfg: InversionConfig):
     """Collocation matrix A[i, j] = c_n w_j u_j Q(t_i, u_j)^k [u_j >= 1-t_i].
 
     Returns (t_grid, u_nodes, u_weights, A); rows are collocation points
-    t_i in (0, 1), columns the unknown nodal values f(u_j).
+    t_i in (0, 1), columns the unknown nodal values f(u_j).  Q^k is row 0 of
+    `_dp_q_kernels`; off the mask Q < 0, so its zeros are -0.0 for odd k.
     """
     c_n = _front_constant(dim.n)
     u, w = unknown_grid(cfg.n_unknowns)
     cuts = collocation_cuts(cfg.n_unknowns, cfg.n_collocation)
     t_grid = np.sort(1.0 - cuts)
     t = t_grid[:, None]
-    mask = u >= 1.0 - t
-    Q = q_kernel(t, u)
-    # off the mask Q <= 0, and the mask's zero keeps only the sign of Q^k;
-    # sign(Q)^k has that sign and spares libm's pow of a negative base,
-    # many times slower than of a positive one
-    A = c_n * w * u * np.where(mask, Q, np.sign(Q)) ** dim.k * mask
+    A = _dp_q_kernels(dim.k, (0,), t, u)[0]  # in place: no temporary of A's size
+    A *= c_n * w * u
+    A *= u >= 1.0 - t
     return t_grid, u, w, A
 
 

@@ -8,9 +8,10 @@ radial profile f supported in [0, 1),
            * integral_{|1-t|}^{1} u f(u) Q(t,u)^k du,
 
 where Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2) is nonnegative on the
-integration range.  D-derivatives of the data (D = (1/t) d/dt) integrate
-the kernel D^p Q^k in factored form, 2^p Q^(k-p) H_p (`_dp_q_kernels`),
-never finite differences; checked for odd n <= 41.
+integration range.  The data and its D-derivatives (D = (1/t) d/dt)
+integrate the kernel D^p Q^k in factored form, 2^p Q^(k-p) H_p
+(`_dp_q_kernels`, one chain of products for every power of Q, `inverse`'s
+too), never finite differences; checked for odd n <= 41.
 
 Single-harmonic data of degree m take the same kernel at order m + k:
 
@@ -26,6 +27,7 @@ forward entry point, and one class (`HarmonicForwardData`) holds the data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +49,10 @@ class Dimension:
     n: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"n must be odd and >= 3, got {self.n}")
 
@@ -60,11 +66,6 @@ def omega(n: int) -> float:
     if n < 1:
         raise ValueError("n >= 1")
     return 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-
-
-def q_kernel(t, u):
-    """Q(t,u) = ((1+t)^2 - u^2)(u^2 - (1-t)^2), the forward kernel base."""
-    return ((1 + t) ** 2 - u ** 2) * (u ** 2 - (1 - t) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +275,9 @@ class DerivativeProfile:
 # wherever its rows lie: every t with |1 - t| at most the support's inner
 # edge integrates over the same one, and so do t and 2 - t wherever |1 - t|
 # rounds to one float.
-# Factors in t alone are computed per row in Python floats (libm pow differs
-# from numpy's square in the last bit at some t), so every row equals its
-# scalar evaluation bit for bit.
+# The kernel takes no pow: its sums and products are the same ufuncs on a
+# scalar t as on a column of t, so every row equals its scalar evaluation
+# bit for bit.
 
 
 def _batch(t):
@@ -345,10 +346,10 @@ def _front_constant(n: int) -> float:
             f"the transform's front constant overflows a float at n={n}") from None
 
 
-def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
+def _dp_q_kernels(K: int, orders, t, u, out=None):
     """[D^p Q^K](t, u), one row for each of the distinct orders 0 <= p <= K,
     for floats, arrays or Fractions, into `out` or a new array (of objects for
-    Fractions); `squares` are `_power(1 +- t, 2)`, if the caller has them.
+    Fractions).
 
     With s = t^2 - 1 - u^2 and Q = 4u^2 - s^2, D = (1/t) d/dt = 2 d/ds at
     fixed u and dQ/ds = -2s, so D^p Q^K = 2^p Q^(K-p) H_p with H_0 = 1 and
@@ -360,35 +361,36 @@ def _dp_q_kernels(K: int, orders, t, u, out=None, squares=None):
 
     One sweep runs it in G_p = 2^p H_p (each step scaled by 4, exactly) up
     to the highest order asked for; row p is G_p Q^(K-p), the powers from
-    one chain that rounds alike whichever orders are asked for.  s = (A+B)/2
-    and Q = -AB, with A = t^2 - (1+u)^2 and B = t^2 - (1-u)^2 each a product
-    of two factors.  Row 0 is ((1+t)^2 - u^2)(u^2 - (1-t)^2) ** K and forms
-    no A, B or s; at K = 0 it is ones, without Q.
+    one chain of products that rounds alike whichever orders are asked for
+    (row 0 is the chain's Q^K).  Q = AB and s = (B - A)/2, with A = (u -
+    (t-1))(u + (t+1)) and B = (u + (t-1))((t+1) - u), the four linear
+    factors of Q.
     """
     if out is None:
-        like = np.asarray(t + u)
-        out = np.empty((len(orders),) + like.shape, like.dtype)
-    if K == 0:  # the one order is 0, and x ** 0 is 1 for every x
+        shape = np.broadcast_shapes(np.shape(t), np.shape(u))
+        out = np.empty((len(orders),) + shape, np.result_type(np.asarray(t), np.asarray(u)))
+    if K == 0:  # the one order is 0, and Q^0 is 1
         out[...] = 1
         return out
     rows = {p: i for i, p in enumerate(orders)}
-    if 0 in rows:
-        u2 = u ** 2
-        plus, minus = squares or (_power(1 + t, 2), _power(1 - t, 2))
-        out[rows[0]] = ((plus - u2) * (u2 - minus)) ** K
+    a = u - (t - 1)
+    a *= u + (t + 1)
+    q = u + (t - 1)
+    q *= t + 1 - u  # B
     top = max(rows)
+    if top:
+        s = (q - a) / 2
+    if K == 1 and 0 in rows:  # Q itself, straight into its row
+        q = np.multiply(q, a, out=out[rows[0], ...])
+    else:
+        q *= a
+    # Q^e into the row of order K - e, else into the lowest row: Q^(K - low) comes last
+    power, low = q, min(rows)
+    for e in range(2, K - low + 1):
+        power = np.multiply(power, q, out=out[rows.get(K - e, rows[low]), ...])
     if not top:
         return out
-    q = t - 1 - u
-    q *= t + 1 + u  # A
-    b = t - 1 + u
-    b *= t + 1 - u
-    s = (q + b) / 2
-    q *= -b
-    power = q
-    chain, prev, cur, term = (np.empty_like(q) for _ in range(4))
-    for e in range(2, K - min(p for p in rows if p) + 1):  # Q^e, into the row of order K - e
-        power = np.multiply(power, q, out=out[rows[K - e], ...] if K - e in rows else chain)
+    prev, cur, term = (np.empty_like(q) for _ in range(3))
     np.multiply(s, -4 * K, out=cur)  # G_1
     for j in range(1, top + 1):
         if j in rows:  # times Q^(K-j), already in the row from Q^2 on
@@ -412,16 +414,13 @@ def _phi_dp(profile, dim: Dimension, m: int, ts, orders, quad: QuadratureRule):
     ArithmeticError naming K = m + k, p and n where one is not finite."""
     K = m + dim.k
     distinct = sorted(set(orders))
-    # row 0's factors in t, once per call and not once per block
-    squares = (_power(1 + ts, 2), _power(1 - ts, 2)) if distinct[0] == 0 and K else ()
 
     def factor(u):  # u ** 1 would copy every block of nodes
         return u * profile(u) if m == 0 else u ** (1 - m) * profile(u)
 
     def integrand(rows, u, f_u):
         values = np.empty((len(distinct),) + u.shape)
-        _dp_q_kernels(K, distinct, ts[rows, None], u, values,
-                      tuple(x[rows, None] for x in squares))
+        _dp_q_kernels(K, distinct, ts[rows, None], u, values)
         values *= f_u
         return values
 

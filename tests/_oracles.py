@@ -30,7 +30,8 @@
   `binom`, `coeff_C` and `dp_q_power` up on `exactmath`, so a test that
   patches one of those patches both routes.
 - `forward_matrix_meshgrid`: the collocation matrix on a meshgrid of
-  (t, u), with Q^k raised on every cell, negative Q included.
+  (t, u), with Q^k (the forward kernels' row 0) on every cell, negative Q
+  included.
 - `truncated_svd_solve`: the truncated-SVD least-squares solution
   V_r S_r^-1 U_r^T b from the full SVD, keeping s >= cutoff * s_max.
 - `read_csv_columns`: the `--input` CSV reader by a float() per cell,
@@ -619,7 +620,7 @@ def forward_matrix_meshgrid(dim, cfg):
     u, w = inv.unknown_grid(cfg.n_unknowns)
     t_grid = np.sort(1.0 - inv.collocation_cuts(cfg.n_unknowns, cfg.n_collocation))
     T, U = np.meshgrid(t_grid, u, indexing="ij")
-    A = c_n * w[None, :] * U * tr.q_kernel(T, U) ** dim.k * (U >= 1.0 - T)
+    A = c_n * w[None, :] * U * tr._dp_q_kernels(dim.k, (0,), T, U)[0] * (U >= 1.0 - T)
     return t_grid, u, w, A
 
 

@@ -1151,17 +1151,17 @@ def test_spectral_artifact_bytes_are_pinned(tmp_path, capsys, command):
 UCP_SPEC = {"n": 5, "epsilon": 0.2, "m": 6, "bump": [0.6, 0.15]}
 FORWARD_ARTIFACTS = {
     "forward-n9": (["forward", "--n", "9", "--grid", "2001", "--derivatives"], None,
-                   {"": "2ef9ff867522d1d37842ecbb755d3dbae7cc70edf8c10ae8e7f4dcd28ea74301"}),
+                   {"": "f4c423ac0f87d94aaf73beb192f6ad1c0a21c55d2d43f9b03179699b9d753fcc"}),
     "forward-n5-m2": (["forward", "--n", "5", "--m", "2", "--grid", "2001"], None,
                       {"": "ac37798e685288492897cd2027515be5ca684eb59da2cbd4b1ced11bc0570b35"}),
     "ucp-demo": (["ucp-demo"], UCP_SPEC,
-                 {"_g": "ccc178277933e9bafc77ac00ee1f4e3ff1de57f8e6816efad0f59875e19cd434",
+                 {"_g": "c51bbb474a72c60ec43ce61aba9a9c453f40794eefa7e679e779ddd8d66664c4",
                   "_f": "71a2cc6765e49c3646b51ac45e1370a4058515ae4f4929d4b135a9ef2f78a9b4"}),
     # h and D^p h in one sweep: k = 0 (n = 3) and k = 1 (n = 5)
     "forward-n3": (["forward", "--n", "3", "--grid", "2001", "--derivatives"], None,
                    {"": "2d8d32c494aa22717f3375d465353dac5c818f2067268bc879d0f9be51db4cca"}),
     "forward-n5": (["forward", "--n", "5", "--grid", "2001", "--derivatives"], None,
-                   {"": "1691563e3f8217eae1e2b535a117589bc5e9f68ab13ec40dee8f5ee2581311ce"}),
+                   {"": "b9bd322fe93affb39330aae0b0c0878bba93dee7b6b4aa3aa69797a54950e111"}),
     # order-2 jets of the bump
     "ucp-demo-n3-m2": (["ucp-demo", "--n", "3", "--m", "2", "--epsilon", "0.2"], {},
                        {"_g": "92984d0436b970e630aa55761127ce0a350dd8d0879881b93d69a6e0f54c3919",
@@ -1308,7 +1308,7 @@ RUN_ARTIFACTS = {
     "zeros-m2": (["zeros", "--config", "PROFILE", "--m", "2"], "zeros.csv", 0, {
         "zeros.csv": "71714dfc48a4e691090415fb3150c14e160d876598c8ea491973cddb3955690e"}),
     "zeros-n9": (["zeros", "--config", "PROFILE", "--n", "9"], "zeros.csv", 0, {
-        "zeros.csv": "a9f00b0b63289232101868b5f107c1c42aa05f946dac7ee5879e2b6d9514410e"}),
+        "zeros.csv": "58e67de54960f04b3681bc056679b05e633caa2d0ac8ad80b8459ddea53b3cfd"}),
     # the known FAIL of ROADMAP item 2: the pin holds its bytes until the fix
     "cross-check-m2": (["cross-check", "--config", "PROFILE", "--m", "2"], "cc.csv", 1, {
         "cc.csv": "1c3ee70a53f3a27abb6784b419677df320c6b764f11dca29c673365f737a79d2"}),

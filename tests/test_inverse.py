@@ -1,10 +1,13 @@
 """Inversion round trips: the dimension-three closed form and the
 collocation least-squares route, plus configuration validation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sphmean import inverse as inv
+from sphmean import transform as tr
 from sphmean.rangecheck import SampledH
 from sphmean.transform import BumpProfile, Dimension, SmtProfile, _gauss_nodes
 
@@ -100,8 +103,8 @@ def test_collocation_grid_shapes():
 
 
 def test_forward_matrix_equals_the_meshgrid_formula():
-    # sign(Q)^k in place of Q^k off the mask keeps every bit, signed zeros
-    # included: -0.0 wherever k is odd
+    # the broadcast (t column, u row) keeps every bit of the meshgrid, signed
+    # zeros included: Q < 0 off the mask, so -0.0 wherever k is odd
     for cfg in (inv.InversionConfig(), inv.InversionConfig(60, 61), inv.InversionConfig(40, 80)):
         for n in (3, 5, 7, 9, 11, 15, 21):
             dim = Dimension(n)
@@ -110,6 +113,26 @@ def test_forward_matrix_equals_the_meshgrid_formula():
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), (n, cfg)
             A = got[3]
             assert set(np.signbit(A[A == 0.0])) == {dim.k % 2 == 1}, (n, cfg)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_forward_matrix_is_within_k_ulps_of_exact_q_powers(n):
+    # each on-mask entry against c_n w u Q^k over Fractions of the same
+    # floats, relative to the largest entry: the chain rounds Q k times, and
+    # the products with c_n, w and u three more; they read at most 2.0 k eps
+    dim = Dimension(n)
+    for cfg in (inv.InversionConfig(60, 61), inv.InversionConfig(40, 80)):
+        t, u, w, A = inv.forward_matrix(dim, cfg)
+        c_n = Fraction(tr._front_constant(n))
+        i, j = np.nonzero(u >= 1.0 - t[:, None])
+        exact = []
+        for ti, uj, wj in zip(map(Fraction, t[i].tolist()), map(Fraction, u[j].tolist()),
+                              map(Fraction, w[j].tolist())):
+            q = ((1 + ti) ** 2 - uj ** 2) * (uj ** 2 - (1 - ti) ** 2)
+            exact.append(c_n * wj * uj * q ** dim.k)
+        err = max(abs(float(Fraction(a) - e)) for a, e in zip(A[i, j].tolist(), exact))
+        assert err <= 4 * (dim.k + 1) * np.finfo(float).eps * float(max(exact)), (n, cfg)
+        assert np.count_nonzero(A) == i.size
 
 
 @pytest.mark.parametrize("n", [4, 16, 240, 241, 400])

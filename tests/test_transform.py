@@ -36,6 +36,11 @@ def test_dimension_validation():
         tr.Dimension(4)
     with pytest.raises(ValueError):
         tr.Dimension(1)
+    # n must be an integer: 5.5 % 2 is 1.5, and 5.0 would reach range(k)
+    for n in (5.5, 5.0, "5", None):
+        with pytest.raises(ValueError, match="integer"):
+            tr.Dimension(n)
+    assert tr.Dimension(np.int64(5)).k == 1
 
 
 def test_omega_values():
@@ -45,12 +50,15 @@ def test_omega_values():
 
 
 def test_q_kernel_anchors():
-    assert tr.q_kernel(1.0, 1.0) == pytest.approx(3.0)
-    assert tr.q_kernel(0.37, 1 - 0.37) == pytest.approx(0.0, abs=1e-15)
-    assert tr.q_kernel(0.37, 1 + 0.37) == pytest.approx(0.0, abs=1e-15)
+    def q_kernel(t, u):  # Q itself: row 0 of the kernels at K = 1
+        return float(tr._dp_q_kernels(1, (0,), t, u)[0])
+
+    assert q_kernel(1.0, 1.0) == pytest.approx(3.0)
+    assert q_kernel(0.37, 1 - 0.37) == pytest.approx(0.0, abs=1e-15)
+    assert q_kernel(0.37, 1 + 0.37) == pytest.approx(0.0, abs=1e-15)
     t, u = 0.9, 1.2
     expanded = 2 * (u * u + 1) * t * t - t ** 4 - (1 - u * u) ** 2
-    assert tr.q_kernel(t, u) == pytest.approx(expanded, rel=1e-14)
+    assert q_kernel(t, u) == pytest.approx(expanded, rel=1e-14)
 
 
 def test_quadrature_rule_validation_and_exactness():
@@ -343,23 +351,29 @@ def test_phi_harmonic_dp_matches_exact_kernel_quadrature():
         assert _sup_relative(got, want) < 1e-13, p
 
 
-@pytest.mark.parametrize("K", [10, 24, 49])
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 24, 49])
 def test_kernel_rows_are_within_k_ulps_of_the_exact_rows(K):
-    # every order of one float sweep against the same sweep over Fractions
-    # (exact: test_exactmath checks it against D^p Q^K up to K = 8), on 100
-    # points with u > |1 - t|.  The power Q^(K-p) carries the rounding of Q
-    # K - p times; these points read at most 1.1 K eps, and 300 others 2.1
+    # every order of one float sweep, and row 0 asked alone (the forward_h
+    # path), against the same sweep over Fractions (exact: test_exactmath
+    # checks it against D^p Q^K up to K = 8), on 100 points with
+    # u > |1 - t|.  The power Q^(K-p) carries the rounding of Q K - p times;
+    # these points read at most 1.3 K eps, and 1,000 in all 2.0
     rng = np.random.default_rng(2024)
     t = rng.uniform(0.02, 1.98, 100)
     lo = np.abs(1 - t)
     u = lo + (1 - lo) * rng.uniform(0, 1, 100)
-    got = tr._dp_q_kernels(K, range(K + 1), t, u)
+    every = tr._dp_q_kernels(K, range(K + 1), t, u)
+    alone = tr._dp_q_kernels(K, (0,), t, u)
     exact = [tr._dp_q_kernels(K, range(K + 1), Fraction(a), Fraction(b))
              for a, b in zip(t.tolist(), u.tolist())]
     for p in range(K + 1):
         want = [row[p] for row in exact]
-        err = max(abs(float(Fraction(g) - w)) for g, w in zip(got[p].tolist(), want))
+        err = max(abs(float(Fraction(g) - w)) for g, w in zip(every[p].tolist(), want))
         assert err <= 4 * K * EPS * max(abs(float(w)) for w in want), (K, p)
+    # order 0 is the chain's last power: asked alone it has the same bits,
+    # and asking for it moves no other row
+    assert alone.tobytes() == every[:1].tobytes()
+    assert tr._dp_q_kernels(K, range(1, K + 1), t, u).tobytes() == every[1:].tobytes()
 
 
 def test_forward_h_dp_order_cap():
