@@ -33,7 +33,6 @@ verdict is FAIL (for a refused inversion, "invert: FAIL (...)" on stderr),
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -42,6 +41,14 @@ import types
 from itertools import compress, islice
 
 import numpy as np
+
+try:  # CPython's own SHA-256, as random.py takes its hash: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .exactmath import identity_sweeps
@@ -304,7 +311,7 @@ class _Run:
 
 def _config_hash(effective: dict) -> str:
     blob = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _float_lines(*columns) -> list:
@@ -333,8 +340,10 @@ def _read_csv_columns(path: str, expect: int):
     reader reads the rows; where it refuses them, or they are at fault, one
     float() scan of the lines reads them or names the fault."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # "utf-8" and one BOM dropped by hand read as "utf-8-sig" does,
+        # without importing that codec in every --input process
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     lines = list(map(str.strip, text.split("\n")))

@@ -16,44 +16,38 @@ what makes the round trips below 1e-3 achievable at desk-scale grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .transform import Dimension, QuadratureRule, _dp_q_kernels, _front_constant
+from .transform import Dimension, QuadratureRule, _Frozen, _dp_q_kernels, _front_constant
 
 # collocation cuts stay inside [CUT_LO, 1 - CUT_LO]; tight enough that every
 # Gauss cell boundary survives at the grid sizes used here
 _CUT_LO = 1e-5
 
 
-@dataclass(frozen=True)
-class InversionConfig:
+class InversionConfig(_Frozen):
     """Discretization sizes and the relative singular-value threshold."""
 
-    n_unknowns: int = 240
-    n_collocation: int = 241
-    svd_cutoff: float = 1e-5
-
-    def __post_init__(self):
-        if self.n_unknowns < 4:
+    def __init__(self, n_unknowns: int = 240, n_collocation: int = 241,
+                 svd_cutoff: float = 1e-5):
+        self._require_integers(n_unknowns=n_unknowns, n_collocation=n_collocation)
+        if n_unknowns < 4:
             raise ValueError("n_unknowns >= 4")
-        if self.n_collocation < self.n_unknowns:
+        if n_collocation < n_unknowns:
             raise ValueError("n_collocation >= n_unknowns")
-        if not (0.0 < self.svd_cutoff < 1.0):
+        if not (0.0 < svd_cutoff < 1.0):
             raise ValueError("svd_cutoff in (0, 1)")
+        self._freeze(n_unknowns=n_unknowns, n_collocation=n_collocation,
+                     svd_cutoff=svd_cutoff)
 
 
-@dataclass
 class InversionResult:
     """Nodal reconstruction with least-squares diagnostics."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    residual: float
-    rank: int
-    singular_values: np.ndarray = field(repr=False)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                 residual: float, rank: int, singular_values: np.ndarray):
+        self.nodes, self.weights, self.values = nodes, weights, values
+        self.residual, self.rank, self.singular_values = residual, rank, singular_values
 
     def rel_l2_error(self, f_true) -> float:
         """Weighted relative L2 distance of the nodal values from f_true."""

@@ -18,7 +18,6 @@ Chebyshev grid (SampledH), whose rounding grows like machine-eps * degree^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,14 +65,11 @@ def apply_Lk(h_dp, k: int, tau):
 # reports
 
 
-@dataclass
 class RangeReport:
-    k_used: int
-    grid: np.ndarray
-    residual: np.ndarray
-    sup_residual: float
-    scale: float
-    normalized: float
+    def __init__(self, k_used: int, grid: np.ndarray, residual: np.ndarray,
+                 sup_residual: float, scale: float, normalized: float):
+        self.k_used, self.grid, self.residual = k_used, grid, residual
+        self.sup_residual, self.scale, self.normalized = sup_residual, scale, normalized
 
     def passed(self, tol: float) -> bool:
         return self.normalized <= tol
@@ -283,11 +279,10 @@ class AntiDerivativeChain:
 # general (single-harmonic) range check
 
 
-@dataclass
 class GeneralRangeReport:
-    range_report: RangeReport
-    moment_defects: list
-    defect_scales: list
+    def __init__(self, range_report: RangeReport, moment_defects: list, defect_scales: list):
+        self.range_report = range_report
+        self.moment_defects, self.defect_scales = moment_defects, defect_scales
 
     def defects_passed(self) -> bool:
         """Every moment defect within 1e-8 of its |integrand| scale."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,19 +41,52 @@ T_FLOOR = 1e-3  # below this, dividing h by t^(n-2) is refused
 # geometry
 
 
-@dataclass(frozen=True)
-class Dimension:
+class _Frozen:
+    """An immutable config value, as a frozen dataclass is but with no code
+    generated at import: __init__ validates its arguments and stores them in
+    order with `_freeze`, and ==, hash and repr go by them.  pickle and copy
+    restore the __dict__ directly."""
+
+    @staticmethod
+    def _require_integers(**values):
+        """Refuse a value that is not an integer (operator.index takes int and
+        numpy integers) with a ValueError, before it fails deep inside."""
+        for name, value in values.items():
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+    def _freeze(self, **fields):
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Dimension(_Frozen):
     """Odd ambient dimension n = 2k + 3."""
 
-    n: int
-
-    def __post_init__(self):
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 3, got {self.n}")
+    def __init__(self, n: int):
+        self._require_integers(n=n)
+        if n < 3 or n % 2 == 0:
+            raise ValueError(f"n must be odd and >= 3, got {n}")
+        self._freeze(n=n)
 
     @property
     def k(self) -> int:
@@ -118,16 +150,14 @@ BLOCK_NODES = 16384
 np.empty(4 << 20, dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Frozen):
     """Composite Gauss–Legendre rule: `panels` equal panels of fixed order."""
 
-    nodes_per_panel: int = 32
-    panels: int = 8
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 2 or self.panels < 1:
+    def __init__(self, nodes_per_panel: int = 32, panels: int = 8):
+        self._require_integers(nodes_per_panel=nodes_per_panel, panels=panels)
+        if nodes_per_panel < 2 or panels < 1:
             raise ValueError("need nodes_per_panel >= 2 and panels >= 1")
+        self._freeze(nodes_per_panel=nodes_per_panel, panels=panels)
 
     def points(self, a, b):
         """All nodes and weights for integrating over [a, b].

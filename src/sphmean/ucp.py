@@ -16,8 +16,6 @@ drops inside the band relative to its global size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .transform import (
@@ -26,13 +24,13 @@ from .transform import (
     Dimension,
     QuadratureRule,
     T_FLOOR,
+    _Frozen,
     forward_h,
     g_from_h,
 )
 
 
-@dataclass(frozen=True)
-class UcpSpec:
+class UcpSpec(_Frozen):
     """One vanishing-band construction: dimension, band width, derivative order.
 
     `bump` is (center, width) of the underlying smooth bump F; its support
@@ -40,27 +38,24 @@ class UcpSpec:
     sees the whole of f at once.
     """
 
-    n: int
-    epsilon: float
-    m: int
-    bump: tuple = (0.6, 0.15)
-
-    def __post_init__(self):
-        dim = Dimension(self.n)  # validates odd n >= 3
-        if not (0.0 < self.epsilon < 1.0):
+    def __init__(self, n: int, epsilon: float, m: int, bump: tuple = (0.6, 0.15)):
+        dim = Dimension(n)  # validates odd n >= 3
+        self._require_integers(m=m)
+        if not (0.0 < epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         least = 4 * dim.k + 2
-        if self.m < least:
+        if m < least:
             raise ValueError(
-                f"derivative order m={self.m} below the sufficient order "
-                f"{least} for n={self.n}")
-        center, width = self.bump
+                f"derivative order m={m} below the sufficient order "
+                f"{least} for n={n}")
+        center, width = bump
         if width <= 0:
             raise ValueError("bump width must be positive")
-        if center - width < self.epsilon or center + width > 1.0:
+        if center - width < epsilon or center + width > 1.0:
             raise ValueError(
                 "bump support must sit inside (epsilon, 1), got "
-                f"({center - width}, {center + width}) with epsilon={self.epsilon}")
+                f"({center - width}, {center + width}) with epsilon={epsilon}")
+        self._freeze(n=n, epsilon=epsilon, m=m, bump=bump)
 
     @property
     def dim(self) -> Dimension:
@@ -103,7 +98,6 @@ def default_grid(count: int = 201) -> np.ndarray:
     return np.linspace(0.05, 1.95, count)
 
 
-@dataclass
 class UcpReport:
     """Verdict on one vanishing-band run.
 
@@ -113,15 +107,13 @@ class UcpReport:
     and a ratio at the quadrature noise floor.
     """
 
-    spec: UcpSpec
-    ratio_inside: float
-    max_inside: float
-    max_global: float
-    tol: float
-    trivial: bool
-    passed: bool
-    grid: np.ndarray = field(repr=False, default=None)
-    g_values: np.ndarray = field(repr=False, default=None)
+    def __init__(self, spec: UcpSpec, ratio_inside: float, max_inside: float,
+                 max_global: float, tol: float, trivial: bool, passed: bool,
+                 grid: np.ndarray = None, g_values: np.ndarray = None):
+        self.spec, self.ratio_inside, self.tol = spec, ratio_inside, tol
+        self.max_inside, self.max_global = max_inside, max_global
+        self.trivial, self.passed = trivial, passed
+        self.grid, self.g_values = grid, g_values
 
 
 def verify_counterexample(spec: UcpSpec, quad: QuadratureRule = UCP_QUAD,

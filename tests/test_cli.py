@@ -2,6 +2,7 @@
 and the file-based forward/invert round trip."""
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -570,6 +571,29 @@ def test_integrating_commands_never_import_numpy_polynomial(tmp_path):
                          text=True, timeout=300, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False", run.stdout
+
+
+def test_the_cli_loads_no_dataclasses_openssl_or_bom_codec(tmp_path):
+    # dataclass code generation and hashlib's OpenSSL load cost every process
+    # milliseconds at import, and an "utf-8-sig" read imports its codec in
+    # every --input run; no subcommand needs any of them
+    profile, fwd = _write_profile(tmp_path), str(tmp_path / "fwd.csv")
+    runs = [["forward", "--config", profile, "--grid", "201", "--out", fwd],
+            ["invert", "--n", "3", "--input", fwd]]
+    unwanted = ["dataclasses"]
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        unwanted += ["hashlib", "_hashlib"]
+    code = ("import sys\n"
+            "from sphmean import cli\n"
+            f"print([name for name in {unwanted!r} if name in sys.modules])\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, 'encodings.utf_8_sig' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0] == "[]", run.stdout
+    assert run.stdout.splitlines()[-1] == "[0, 0] False", run.stdout
 
 
 def test_no_subcommand_imports_mpmath(tmp_path):

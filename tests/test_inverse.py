@@ -90,6 +90,12 @@ def test_config_validation():
         inv.InversionConfig(svd_cutoff=0.0)
     with pytest.raises(ValueError):
         inv.InversionConfig(svd_cutoff=1.5)
+    # a float size would fail deep inside invert_radial
+    for kwargs, name in (({"n_unknowns": 240.0}, "n_unknowns"),
+                         ({"n_collocation": 241.0}, "n_collocation")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            inv.InversionConfig(**kwargs)
+    assert inv.InversionConfig(np.int64(60), np.int64(61)).n_collocation == 61
 
 
 def test_collocation_grid_shapes():

@@ -2,14 +2,18 @@
 analytic kernel derivatives, and the harmonic route against its Gegenbauer
 reference."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sphmean import exactmath as em
+from sphmean import inverse as inv
 from sphmean import transform as tr
+from sphmean import ucp
 
 from _oracles import PolynomialProfile, const_Kmn, funk_hecke_forward, gegenbauer_forward_h
 from _reference import REFERENCE as REF
@@ -43,6 +47,41 @@ def test_dimension_validation():
     assert tr.Dimension(np.int64(5)).k == 1
 
 
+VALUES = [  # (class, fields, repr, fields of an unequal value)
+    (tr.Dimension, (7,), "Dimension(n=7)", (9,)),
+    (tr.QuadratureRule, (16, 3), "QuadratureRule(nodes_per_panel=16, panels=3)", (16, 4)),
+    (inv.InversionConfig, (60, 61, 1e-8),
+     "InversionConfig(n_unknowns=60, n_collocation=61, svd_cutoff=1e-08)", (60, 61, 1e-6)),
+    (ucp.UcpSpec, (5, 0.2, 6, (0.6, 0.15)), "UcpSpec(n=5, epsilon=0.2, m=6, bump=(0.6, 0.15))",
+     (5, 0.2, 7, (0.6, 0.15))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, other", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_config_values_behave_as_frozen_dataclasses(cls, fields, text, other):
+    # equality, hash and repr by the fields in order, refused assignment, and
+    # pickle and copy round trips, as the frozen dataclasses these were
+    value = cls(*fields)
+    assert value == cls(*fields) and not value != cls(*fields)
+    assert hash(value) == hash(cls(*fields)) == hash(fields)
+    assert value != cls(*other) and value != fields
+    assert {value: 1}[cls(*fields)] == 1
+    assert repr(value) == text
+    name = next(iter(vars(value)))
+    with pytest.raises(AttributeError):
+        setattr(value, name, other[0])
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == text
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(twin, name, other[0])
+
+
 def test_omega_values():
     assert tr.omega(2) == pytest.approx(2 * math.pi, rel=1e-15)
     assert tr.omega(3) == pytest.approx(4 * math.pi, rel=1e-15)
@@ -64,6 +103,13 @@ def test_q_kernel_anchors():
 def test_quadrature_rule_validation_and_exactness():
     with pytest.raises(ValueError):
         tr.QuadratureRule(1, 4)
+    # a float size would fail deep inside _gauss_nodes or np.linspace
+    for args, name in (((32.0, 8), "nodes_per_panel"), ((32, 8.0), "panels"),
+                       (("32", 8), "nodes_per_panel")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tr.QuadratureRule(*args)
+    assert tr.QuadratureRule(np.int64(4), np.int64(2)).integrate(lambda x: x ** 7, 0.0, 1.0) \
+        == pytest.approx(1 / 8, rel=1e-14)
     # degree-7 polynomial integrated exactly by 32-node Gauss
     q = tr.QuadratureRule(32, 2)
     val = q.integrate(lambda x: x ** 7 - 3 * x ** 2, 0.0, 2.0)

@@ -35,6 +35,10 @@ def test_spec_validation():
         ucp.UcpSpec(n=3, epsilon=0.2, m=2, bump=(0.9, 0.15))
     with pytest.raises(ValueError):
         ucp.UcpSpec(n=3, epsilon=0.2, m=2, bump=(0.6, 0.0))
+    # a float order would fail deep inside the profile's jets
+    with pytest.raises(ValueError, match="m must be an integer"):
+        ucp.UcpSpec(n=3, epsilon=0.2, m=6.0)
+    assert ucp.UcpSpec(n=3, epsilon=0.2, m=np.int64(6)).m == 6
 
 
 def test_band_property():
